@@ -32,6 +32,7 @@ from .complexes import (
     homology_dims,
     koszul_complex,
     minimize_complex,
+    positive_homology_vanishes,
     resolve_module,
     taylor_complex,
     totalize_tensor,

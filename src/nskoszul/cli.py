@@ -29,7 +29,7 @@ from .koszul_check import (
     recommended_bound,
 )
 from .complexes import resolve_module
-from .ring import RingSpec, default_characteristic, is_prime
+from .ring import RingSpec, check_characteristic, default_characteristic
 from .sweep import rows_to_csv, rows_to_dicts, run_sweep, sweep_exit_status
 from .truncation import trunc_gens
 
@@ -56,8 +56,10 @@ def parse_ring_spec(s: str) -> RingSpec:
             char = int(tail)
         except ValueError:
             raise RingSpecParseError(f"bad characteristic {tail!r}", pos) from None
-        if not is_prime(char):
-            raise RingSpecParseError(f"characteristic {char} is not prime", pos)
+        try:
+            check_characteristic(char)
+        except ValueError as exc:
+            raise RingSpecParseError(str(exc), pos) from None
     names, weights = [], []
     pos = 0
     for part in body.split(","):
@@ -321,8 +323,7 @@ def cmd_ses_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    char = args.char or default_characteristic()
-    rows = run_sweep(args.max_vars, args.max_weight, args.max_e, char, jobs=args.jobs)
+    rows = run_sweep(args.max_vars, args.max_weight, args.max_e, args.char, jobs=args.jobs)
     status = sweep_exit_status(rows)
     if args.format == "csv":
         out = rows_to_csv(rows, max_hom=args.max_vars)

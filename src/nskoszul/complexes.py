@@ -7,6 +7,8 @@ the coefficient field.  When every differential entry is a single term the
 complex splits into finite blocks indexed by exponent multidegrees and the
 ranks are taken blockwise; otherwise the graded pieces are expanded densely.
 Both routes produce identical numbers and are cross-checked in the tests.
+For single-term complexes the same blocks also decide, with no degree bound,
+whether all homology in positive homological degrees vanishes.
 """
 
 from __future__ import annotations
@@ -458,6 +460,9 @@ def homology_dims(C: GradedFreeComplex, bound: int, method: str = "auto") -> dic
     """dim H_i(C)_j for all i and internal degrees j <= bound.
 
     Returns a dict with the nonzero dimensions only; absent keys are zero.
+    Whether H_{>=1} vanishes at all is decided with no bound by
+    positive_homology_vanishes on the grid of generator multidegrees; the
+    acyclicity check runs this bounded count only to report witnesses.
     """
     if method not in ("auto", "dense", "blocks"):
         raise ValueError(f"unknown method {method!r}")
@@ -515,7 +520,39 @@ def _term_entries(C: GradedFreeComplex):
     return out
 
 
-def _homology_blocks(C: GradedFreeComplex, bound: int) -> dict | None:
+@dataclass(frozen=True)
+class _MultidegreeBlock:
+    """One connected component of a complex with single-term entries.
+
+    Level i holds the rows of mdegs[i]: each generator's exponent multidegree
+    relative to the component's root.  A generator at multidegree m has
+    internal degree wdeg(m) + offset, and diffs[k] is the component's scalar
+    matrix of d_{k+1}.  The strand at a multidegree a is spanned by the
+    generators with m <= a, one basis vector x^(a - m) each.
+    """
+
+    offset: int
+    mdegs: tuple
+    diffs: tuple
+
+    def strand_homology(self, masks, p: int) -> list:
+        """dim H_i of the strand on the generators selected by masks, per level."""
+        levels = len(masks)
+        dims = [int(mask.sum()) for mask in masks]
+        ranks = [0] * (levels + 1)
+        for i in range(1, levels):
+            if dims[i - 1] and dims[i]:
+                block = self.diffs[i - 1][np.ix_(masks[i - 1], masks[i])]
+                ranks[i] = _block_rank(block, p)
+        return [dims[i] - ranks[i] - ranks[i + 1] for i in range(levels)]
+
+
+def _multidegree_blocks(C: GradedFreeComplex) -> list | None:
+    """Split a single-term complex into its connected multigraded components.
+
+    Returns None when some entry has more than one term, or when the entries
+    admit no consistent multigrading.
+    """
     spec = C.spec
     n = spec.num_vars
     term_data = _term_entries(C)
@@ -554,7 +591,7 @@ def _homology_blocks(C: GradedFreeComplex, bound: int) -> dict | None:
         components.append(comp_nodes)
 
     wdeg = spec.wdeg
-    out = {}
+    blocks = []
     levels = len(C.modules)
     for comp_nodes in components:
         offsets = {
@@ -562,19 +599,18 @@ def _homology_blocks(C: GradedFreeComplex, bound: int) -> dict | None:
         }
         if len(offsets) != 1:
             return None
-        offset = offsets.pop()
         local = [[] for _ in range(levels)]
         for i, g in sorted(comp_nodes):
             local[i].append(g)
         local_pos = [
             {g: pos for pos, g in enumerate(lv)} for lv in local
         ]
-        M = [
+        M = tuple(
             np.array([multideg[(i, g)] for g in lv], dtype=np.int64).reshape(
                 len(lv), n
             )
             for i, lv in enumerate(local)
-        ]
+        )
         D = []
         for k in range(levels - 1):
             mat = np.zeros((len(local[k]), len(local[k + 1])), dtype=np.int64)
@@ -582,41 +618,95 @@ def _homology_blocks(C: GradedFreeComplex, bound: int) -> dict | None:
                 if r in local_pos[k] and c in local_pos[k + 1]:
                     mat[local_pos[k][r], local_pos[k + 1][c]] = coeff
             D.append(mat)
+        blocks.append(_MultidegreeBlock(offsets.pop(), M, tuple(D)))
+    return blocks
 
+
+def _homology_blocks(C: GradedFreeComplex, bound: int) -> dict | None:
+    blocks = _multidegree_blocks(C)
+    if blocks is None:
+        return None
+    spec = C.spec
+    wdeg = spec.wdeg
+    p = spec.char
+    out = {}
+    for blk in blocks:
         candidates = set()
-        for i, lv in enumerate(local):
-            for pos, g in enumerate(lv):
-                mg = multideg[(i, g)]
-                cap = bound - offset - wdeg(mg)
+        for Mi in blk.mdegs:
+            for mg in map(tuple, Mi.tolist()):
+                cap = bound - blk.offset - wdeg(mg)
                 if cap < 0:
                     continue
                 for d in range(cap + 1):
                     for beta in monomials_of_wdeg(spec, d):
                         candidates.add(mon_mul(mg, beta))
 
-        p = spec.char
         for a in sorted(candidates):
             a_arr = np.array(a, dtype=np.int64)
-            masks = [
-                np.all(Mi <= a_arr, axis=1) if Mi.size else np.zeros(0, dtype=bool)
-                for Mi in M
-            ]
-            dims = [int(mask.sum()) for mask in masks]
-            if not any(dims):
+            masks = [np.all(Mi <= a_arr, axis=1) for Mi in blk.mdegs]
+            if not any(mask.any() for mask in masks):
                 continue
-            j = wdeg(a) + offset
+            j = wdeg(a) + blk.offset
             if j > bound:
                 continue
-            ranks = [0] * (levels + 1)
-            for i in range(1, levels):
-                if dims[i - 1] and dims[i]:
-                    block = D[i - 1][np.ix_(masks[i - 1], masks[i])]
-                    ranks[i] = _block_rank(block, p)
-            for i in range(levels):
-                h = dims[i] - ranks[i] - ranks[i + 1]
+            for i, h in enumerate(blk.strand_homology(masks, p)):
                 if h:
                     out[(i, j)] = out.get((i, j), 0) + h
     return out
+
+
+def positive_homology_vanishes(C: GradedFreeComplex) -> bool | None:
+    """Is H_i(C) = 0 for every i >= 1, in every internal degree?
+
+    Decided with no degree bound, for complexes whose differential entries
+    are single terms; returns None for any other complex.
+
+    Why a finite check is complete: such a complex is the direct sum of its
+    connected components, and each component is Z^n-graded with generator g
+    at a multidegree m(g).  Its strand at a multidegree a is spanned by the
+    generators with m(g) <= a, with the differential restricted from the
+    component's scalar matrix, so the strand depends on a only through the
+    set S(a) = {g : m(g) <= a}.  Rounding each coordinate a_t down to the
+    largest value m(g)_t <= a_t that occurs leaves S(a) unchanged, and if no
+    value occurs below a_t then S(a) is empty.  So every strand already
+    occurs at a point of the product grid of the coordinate values
+    {m(g)_t}, and H_{>=1} vanishes everywhere iff it vanishes at each grid
+    point (the argument behind the lcm-lattice theorem of Gasharov, Peeva
+    and Welker, Math. Res. Lett. 6, 1999).  Grid points with the same S(a)
+    are checked once.
+    """
+    blocks = _multidegree_blocks(C)
+    if blocks is None:
+        return None
+    p = C.spec.char
+    for blk in blocks:
+        allm = np.concatenate(blk.mdegs)
+        # below[t][k, g]: generator g lies at or below the k-th value of
+        # coordinate t; a grid point's support is the AND over coordinates.
+        # One slice of the first coordinate at a time bounds the memory.
+        below = [
+            col[None, :] <= np.array(sorted(set(col.tolist())))[:, None]
+            for col in allm.T
+        ]
+        cuts = np.cumsum([len(Mi) for Mi in blk.mdegs])[:-1]
+        seen = set()
+        for first in below[0]:
+            support = first[None, :]
+            for table in below[1:]:
+                support = (support[:, None, :] & table[None, :, :]).reshape(
+                    -1, allm.shape[0]
+                )
+            for row in support:
+                key = row.tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+                masks = np.split(row, cuts)
+                if not any(mask.any() for mask in masks[1:]):
+                    continue
+                if any(blk.strand_homology(masks, p)[1:]):
+                    return False
+    return True
 
 
 def _block_rank(block: np.ndarray, p: int) -> int:

@@ -18,6 +18,7 @@ from .complexes import (
     BettiTable,
     GradedFreeComplex,
     homology_dims,
+    positive_homology_vanishes,
     resolve_module,
 )
 from .construction import construct_gr_betti
@@ -86,8 +87,14 @@ def lin_acyclicity(L: GradedFreeComplex, bound: int):
     """True iff H_i(L)_j = 0 for all i >= 1 and j <= bound.
 
     Returns (acyclic, nonzero) where nonzero lists the offending
-    (i, j) -> dimension entries.
+    (i, j) -> dimension entries.  Acyclicity is first decided with no
+    degree bound on the finite grid of generator multidegrees
+    (positive_homology_vanishes); only when that finds homology somewhere
+    does the bounded count homology_dims run, to report the witnesses with
+    j <= bound.
     """
+    if positive_homology_vanishes(L):
+        return True, {}
     dims = homology_dims(L, bound)
     nonzero = {key: d for key, d in dims.items() if key[0] >= 1}
     return (not nonzero), nonzero

@@ -25,17 +25,50 @@ class DimensionMismatch(ValueError):
     """Exponent vector length does not match the ring."""
 
 
+# The dense rank kernels multiply two residues in int64, so p**2 must fit.
+MAX_CHAR = 2**31
+
+# Miller-Rabin with these bases is exact for every n < 3.3 * 10**24
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < 3.3 * 10**24."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic primality range")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def check_characteristic(p: int) -> int:
+    """Return p if it is a prime the arithmetic kernels support, else raise."""
+    if not 2 <= p < MAX_CHAR:
+        raise ValueError(
+            f"characteristic {p} is outside the supported range 2 <= p < 2**31"
+        )
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    return p
 
 
 def default_characteristic() -> int:
@@ -43,10 +76,10 @@ def default_characteristic() -> int:
     raw = os.environ.get(CHAR_ENV)
     if raw is None:
         return DEFAULT_CHAR
-    p = int(raw)
-    if not is_prime(p):
-        raise ValueError(f"{CHAR_ENV}={p} is not prime")
-    return p
+    try:
+        return check_characteristic(int(raw))
+    except ValueError as exc:
+        raise ValueError(f"{CHAR_ENV}={raw}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +145,7 @@ class RingSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"variable names must be distinct, got {names}")
         object.__setattr__(self, "names", names)
-        if not is_prime(self.char):
-            raise ValueError(f"characteristic {self.char} is not prime")
+        check_characteristic(self.char)
 
     @property
     def num_vars(self) -> int:

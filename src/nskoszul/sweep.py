@@ -36,7 +36,8 @@ class SweepRow:
 
 def sweep_cases(max_vars: int, max_weight: int, max_e: int, char: int | None = None):
     """All weight multisets with n <= max_vars, weights <= max_weight, 1 <= e <= max_e."""
-    char = char or default_characteristic()
+    if char is None:
+        char = default_characteristic()
     cases = []
     for n in range(1, max_vars + 1):
         for weights in combinations_with_replacement(range(1, max_weight + 1), n):

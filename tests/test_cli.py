@@ -44,6 +44,10 @@ class TestParseRingSpec:
         with pytest.raises(RingSpecParseError):
             parse_ring_spec("x=1@32004")
 
+    def test_characteristic_beyond_kernel_range(self):
+        with pytest.raises(RingSpecParseError, match="2\\*\\*31"):
+            parse_ring_spec("x=1@4294967311")
+
     def test_round_trip(self):
         for text in ["x=1,y=3", "a=2,b=5@101", "x1=1,x2=2,y=2"]:
             spec = parse_ring_spec(text)
@@ -190,6 +194,13 @@ class TestSweep:
         serial = rows_to_csv(run_sweep(2, 2, 2, jobs=1), max_hom=2)
         parallel = rows_to_csv(run_sweep(2, 2, 2, jobs=2), max_hom=2)
         assert serial == parallel
+
+    def test_cli_sweep_rejects_bad_characteristic(self, capsys):
+        # --char 0 used to fall back to the default characteristic silently
+        for bad in ("0", "9", "4294967311"):
+            argv = ["sweep", "--max-vars", "1", "--max-e", "1", "--char", bad]
+            assert main(argv) == 2
+            assert "characteristic" in capsys.readouterr().err
 
     def test_cli_sweep_csv(self, capsys):
         assert (

@@ -10,12 +10,14 @@ from nskoszul.complexes import (
     homology_dims,
     koszul_complex,
     minimize_complex,
+    positive_homology_vanishes,
     resolve_module,
     taylor_complex,
     totalize_tensor,
 )
 from nskoszul.egm import betti_via_koszul, monomial_module
 from nskoszul.gb import monomial_elements
+from nskoszul.koszul_check import linear_part
 from nskoszul.ring import FreeModuleSpec, Polynomial, RingSpec
 from nskoszul.truncation import trunc_gens
 
@@ -228,6 +230,46 @@ class TestHomologyDims:
             T = taylor_complex(spec, gens)
             bound = max(t for mod in T.modules for t in mod.twists) + 2
             assert homology_dims(T, bound, "blocks") == homology_dims(T, bound, "dense")
+
+    def test_grid_check_matches_bounded_count(self):
+        # Strands live at multidegrees below the lcm of the generators, so
+        # internal degree 3n covers all of them when exponents are <= 3.
+        rng = random.Random(15)
+        outcomes = set()
+        for _ in range(40):
+            n = rng.randint(2, 3)
+            spec = RingSpec(tuple(rng.randint(1, 2) for _ in range(n)))
+            gens = sorted(
+                {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 5))}
+                - {(0,) * n}
+            )
+            if not gens:
+                continue
+            L = linear_part(resolve_module(monomial_elements(spec, gens)), spec)
+            vanishes = positive_homology_vanishes(L)
+            bounded = homology_dims(L, 3 * n + 2)
+            assert vanishes == (not any(i >= 1 for i, _ in bounded))
+            outcomes.add(vanishes)
+        assert outcomes == {True, False}
+
+    def test_grid_check_reaches_the_top_grid_point(self):
+        # K(x, y, z) without its top generator: H_2 lives only at xyz, the
+        # last of the eight points of the grid {0, 1}^3
+        K = koszul_complex(STD3, [0, 1, 2])
+        C = GradedFreeComplex(STD3, K.modules[:-1], K.diffs[:-1])
+        assert positive_homology_vanishes(K) is True
+        assert positive_homology_vanishes(C) is False
+        # the cycle z e_xy - y e_xz + x e_yz generates a free H_2 = S(-3)
+        assert {k: d for k, d in homology_dims(C, 5).items() if k[0] >= 1} == {
+            (2, 3): 1,
+            (2, 4): 3,
+            (2, 5): 6,
+        }
+
+    def test_grid_check_declines_multiterm_entries(self):
+        entry = Polynomial.variable(STD2, 0) + Polynomial.variable(STD2, 1)
+        C = GradedFreeComplex(STD2, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), (((entry,),),))
+        assert positive_homology_vanishes(C) is None
 
     def test_multiterm_entries_fall_back_to_dense(self):
         R = STD2

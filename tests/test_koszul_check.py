@@ -6,6 +6,8 @@ from nskoszul.assoc_graded import OrdContext, gr_betti, gr_module
 from nskoszul.complexes import (
     GradedFreeComplex,
     check_complex,
+    homology_dims,
+    positive_homology_vanishes,
     resolve_module,
 )
 from nskoszul.gb import monomial_elements
@@ -22,6 +24,7 @@ from nskoszul.truncation import trunc_gens
 
 W13 = RingSpec((1, 3), ("x", "y"))
 W14 = RingSpec((1, 4), ("x", "y"))
+STD2 = RingSpec((1, 1), ("x", "y"))
 
 
 def entry_strings(C):
@@ -93,6 +96,28 @@ class TestLinAcyclicity:
         F = resolve_module(monomial_elements(W14, trunc_gens(W14, 5)))
         ok, _ = lin_acyclicity(linear_part(F, W14), 15)
         assert ok
+
+    @pytest.mark.parametrize(
+        "gens",
+        [[(2, 0), (0, 2)], [(2, 0), (0, 3)], [(3, 0), (2, 1), (0, 3)]],
+        ids=["x2,y2", "x2,y3", "x3,x2y,y3"],
+    )
+    def test_non_componentwise_linear_ideals_are_not(self, gens):
+        # negative controls: the linear part loses a syzygy, leaving a free
+        # summand S(-1) in H_1 (dimension j in degree j)
+        L = linear_part(resolve_module(monomial_elements(STD2, gens)), STD2)
+        assert positive_homology_vanishes(L) is False
+        assert any(i >= 1 for i, _ in homology_dims(L, 6))
+        assert lin_acyclicity(L, 6) == (False, {(1, j): j for j in range(1, 7)})
+
+    def test_componentwise_linear_ideal_is_acyclic(self):
+        # positive control: (x^2, xy, y^3) is componentwise linear
+        L = linear_part(
+            resolve_module(monomial_elements(STD2, [(2, 0), (1, 1), (0, 3)])), STD2
+        )
+        assert positive_homology_vanishes(L) is True
+        assert not any(i >= 1 for i, _ in homology_dims(L, 8))
+        assert lin_acyclicity(L, 8) == (True, {})
 
 
 class TestKoszulVerdict:

@@ -66,6 +66,16 @@ def test_backends_agree_on_random():
         assert modp.rank_mod(mat, 32003, "numba") == modp.rank_mod(mat, 32003, "numpy")
 
 
+def test_kernels_agree_at_largest_supported_characteristic():
+    # rank <= 2 products; above 2**31 the int64 kernel overflowed on most
+    p = 2**31 - 1
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        mat = (rng.integers(0, p, (3, 2)) @ rng.integers(0, 2, (2, 4))) % p
+        assert modp.rank_mod(mat, p, "numpy") == modp.rank_py(mat.tolist(), p)
+        assert modp.rank_py(mat.tolist(), p) == reference_rank(mat.tolist(), p)
+
+
 def test_rank_py_matches():
     for _ in range(20):
         mat = RNG.integers(-7, 7, size=(8, 8))

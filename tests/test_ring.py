@@ -1,11 +1,16 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nskoszul.ring import (
+    CHAR_ENV,
     DimensionMismatch,
     Polynomial,
     RingSpec,
+    default_characteristic,
     grevlex_key,
+    is_prime,
     mon_lcm,
     mon_mul,
     monomial_compare,
@@ -38,6 +43,45 @@ class TestRingSpec:
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError):
             RingSpec((1, 1), ("x", "x"))
+
+    def test_rejects_characteristic_beyond_int64_kernels(self):
+        # 4294967311 is prime, but p**2 overflows the int64 rank kernels
+        assert is_prime(4294967311)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            RingSpec((1, 1), char=4294967311)
+        assert RingSpec((1, 1), char=2**31 - 1).char == 2**31 - 1
+        for bad in (0, 1, -7):
+            with pytest.raises(ValueError):
+                RingSpec((1,), char=bad)
+
+
+class TestCharacteristic:
+    def test_is_prime_matches_trial_division(self):
+        def slow(n):
+            return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(3000) if is_prime(n)] == [
+            n for n in range(3000) if slow(n)
+        ]
+
+    def test_is_prime_rejects_pseudoprimes(self):
+        # Carmichael numbers and strong pseudoprimes to the bases 2, 3, 5, 7
+        for n in (561, 1105, 8911, 3215031751, 3825123056546413051):
+            assert not is_prime(n)
+        for n in (32003, 2**31 - 1, 2**61 - 1):
+            assert is_prime(n)
+        with pytest.raises(ValueError):
+            is_prime(2**89 - 1)  # past the range the fixed bases decide
+
+    def test_env_characteristic_is_range_checked_promptly(self, monkeypatch):
+        # trial division never finished on a 61-bit prime
+        monkeypatch.setenv(CHAR_ENV, str(2**61 - 1))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=CHAR_ENV):
+            default_characteristic()
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setenv(CHAR_ENV, "101")
+        assert default_characteristic() == 101
 
 
 class TestDegrees:
