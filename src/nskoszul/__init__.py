@@ -38,7 +38,7 @@ from .complexes import (
     totalize_tensor,
 )
 from .egm import ExplicitGradedModule, betti_via_koszul, monomial_module
-from .truncation import TruncationSpec, filtration_layer, trunc_free_gens, trunc_gens
+from .truncation import filtration_layer, trunc_free_gens, trunc_gens
 from .assoc_graded import NotInModule, OrdContext, extend_gr, gr_betti, gr_hilbert, gr_module
 from .koszul_check import (
     KoszulReport,
@@ -57,6 +57,5 @@ from .construction import (
     tensor_koszul_betti,
 )
 from .sweep import run_sweep, sweep_cases
-from .cli import parse_ring_spec, render_ring_spec
 
 __version__ = "0.1.0"

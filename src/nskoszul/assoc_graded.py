@@ -18,7 +18,6 @@ import numpy as np
 from .complexes import BettiTable
 from .egm import ExplicitGradedModule, betti_via_koszul
 from .ring import (
-    Monomial,
     RingSpec,
     mon_divides,
     mon_mul,
@@ -31,19 +30,6 @@ class NotInModule(ValueError):
     """The monomial lies outside the module (no generator divides it)."""
 
 
-def _label_or_monomial(g, num_vars: int):
-    """Accept either a plain exponent tuple or a (component, monomial) pair."""
-    if len(g) == 2 and isinstance(g[1], (tuple, list)):
-        return int(g[0]), tuple(g[1])
-    if len(g) != num_vars:
-        raise ValueError(f"{g!r} is neither a monomial nor a (component, monomial) pair")
-    return 0, tuple(g)
-
-
-def _normalize_gens(gens, num_vars: int):
-    return tuple(sorted({_label_or_monomial(g, num_vars) for g in gens}))
-
-
 @dataclass(frozen=True)
 class OrdContext:
     """Minimal monomial generators of M with their standard degrees."""
@@ -53,7 +39,7 @@ class OrdContext:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "generators", _normalize_gens(self.generators, self.spec.num_vars)
+            self, "generators", tuple(sorted(set(map(self.spec.label, self.generators))))
         )
         if not self.generators:
             raise ValueError("need at least one generator")
@@ -67,10 +53,7 @@ class OrdContext:
 
     def ord(self, v, comp: int = 0) -> int:
         """The largest i with v in m^i M."""
-        if len(v) == 2 and isinstance(v[1], (tuple, list)):
-            comp, v = int(v[0]), tuple(v[1])
-        else:
-            v = tuple(v)
+        comp, v = self.spec.label(v, comp)
         best = None
         for c, u in self.generators:
             if c == comp and mon_divides(u, v):

@@ -7,7 +7,10 @@ out of those formats.
 
 Exit codes: 0 all requested verdicts true; 1 some verdict outright false;
 3 verdicts clean but inconclusive at the chosen bound; 2 usage errors
-(argparse default).
+(argparse default, bad ring descriptions, bad --bound or --char); 4 internal
+failures (a non-minimal resolution, a degree window overrun, inhomogeneous
+generators, a resolution past its level cap), reported as
+"internal error (<ExceptionClass>): ...".
 """
 
 from __future__ import annotations
@@ -18,24 +21,31 @@ import sys
 import time
 
 from .assoc_graded import OrdContext, gr_betti, gr_hilbert
-from .complexes import BettiTable
+from .complexes import BettiTable, resolve_module
 from .construction import construct_gr_betti, ses_hilbert_check
-from .gb import monomial_elements
+from .egm import DegreeRangeError
+from .gb import InhomogeneousInput, monomial_elements
 from .koszul_check import (
+    EXIT_FALSE,
+    EXIT_INCONCLUSIVE,
+    EXIT_OK,
+    NotMinimal,
     Verdict,
+    exit_status,
     koszul_verdict,
     linear_part,
     lin_acyclicity,
     recommended_bound,
 )
-from .complexes import resolve_module
 from .ring import RingSpec, check_characteristic, default_characteristic
 from .sweep import rows_to_csv, rows_to_dicts, run_sweep, sweep_exit_status
 from .truncation import trunc_gens
 
-EXIT_OK = 0
-EXIT_FALSE = 1
-EXIT_INCONCLUSIVE = 3
+EXIT_USAGE = 2
+EXIT_INTERNAL = 4
+
+# Failures of the program rather than of its input.
+INTERNAL_ERRORS = (NotMinimal, DegreeRangeError, InhomogeneousInput, RuntimeError)
 
 
 class RingSpecParseError(ValueError):
@@ -210,12 +220,7 @@ def cmd_lin_check(args) -> int:
     F = resolve_module(monomial_elements(spec, gens), minimize=True)
     L = linear_part(F, spec)
     acyclic, nonzero = lin_acyclicity(L, bound)
-    conclusive = bound >= recommended_bound(spec, args.e)
-    verdict = (
-        Verdict.FALSE
-        if not acyclic
-        else (Verdict.TRUE if conclusive else Verdict.INCONCLUSIVE)
-    )
+    verdict = Verdict.at_bound(acyclic, bound, recommended_bound(spec, args.e))
     payload = {
         "ring": _ring_dict(spec),
         "e": args.e,
@@ -227,9 +232,7 @@ def cmd_lin_check(args) -> int:
     }
     text = f"lin acyclic up to degree {bound}: {verdict}"
     _emit(args, payload, text)
-    if verdict is Verdict.FALSE:
-        return EXIT_FALSE
-    return EXIT_OK if verdict is Verdict.TRUE else EXIT_INCONCLUSIVE
+    return exit_status([verdict])
 
 
 def cmd_construct(args) -> int:
@@ -292,9 +295,7 @@ def cmd_koszul(args) -> int:
             fh.write(script)
         lines.append(f"  wrote cross-validation script to {args.emit_cas}")
     _emit(args, payload, "\n".join(lines))
-    if report.any_false:
-        return EXIT_FALSE
-    return EXIT_OK if report.all_true else EXIT_INCONCLUSIVE
+    return exit_status(report.verdicts().values())
 
 
 def cmd_ses_check(args) -> int:
@@ -325,22 +326,11 @@ def cmd_ses_check(args) -> int:
 def cmd_sweep(args) -> int:
     rows = run_sweep(args.max_vars, args.max_weight, args.max_e, args.char, jobs=args.jobs)
     status = sweep_exit_status(rows)
-    if args.format == "csv":
-        out = rows_to_csv(rows, max_hom=args.max_vars)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(out)
-        else:
-            sys.stdout.write(out)
-        return status
     if args.format == "json":
-        payload = {"rows": rows_to_dicts(rows)}
-        out = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(out)
-        else:
-            sys.stdout.write(out)
+        _emit(args, {"rows": rows_to_dicts(rows)}, "")
+        return status
+    if args.format == "csv":
+        _emit(args, {}, rows_to_csv(rows, max_hom=args.max_vars))
         return status
     lines = []
     bad = [r for r in rows if not r.report.all_true]
@@ -436,9 +426,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RingSpecParseError, ValueError) as exc:
+    except INTERNAL_ERRORS as exc:
+        print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ import numpy as np
 from . import modp
 from .gb import buchberger, graded_basis, minimal_generators, syzygies
 from .ring import (
-    FreeElement,
     FreeModuleSpec,
     Polynomial,
     RingSpec,
@@ -407,7 +406,7 @@ def taylor_complex(spec: RingSpec, mons) -> GradedFreeComplex:
 # resolutions
 
 
-def resolve_module(gens, minimize: bool = True, max_levels: int | None = None) -> GradedFreeComplex:
+def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
     """Free resolution of the submodule generated by homogeneous gens.
 
     With minimize=True (default) each level's generators are pruned to a
@@ -427,7 +426,7 @@ def resolve_module(gens, minimize: bool = True, max_levels: int | None = None) -
     modules = [FreeModuleSpec(tuple(g.homogeneous_degree() for g in level))]
     diffs = []
     current = level
-    cap = max_levels if max_levels is not None else (spec.num_vars + 2 if minimize else 60)
+    cap = spec.num_vars + 2 if minimize else 60
     for _ in range(cap):
         syz, _src = syzygies(current)
         if minimize:
@@ -456,23 +455,19 @@ def resolve_module(gens, minimize: bool = True, max_levels: int | None = None) -
 # homology dimensions
 
 
-def homology_dims(C: GradedFreeComplex, bound: int, method: str = "auto") -> dict:
+def homology_dims(C: GradedFreeComplex, bound: int) -> dict:
     """dim H_i(C)_j for all i and internal degrees j <= bound.
 
     Returns a dict with the nonzero dimensions only; absent keys are zero.
+    Complexes with single-term entries are counted blockwise by exponent
+    multidegree; any other complex falls back to the dense expansion of each
+    graded piece, which the tests also use as the oracle for the blocks.
     Whether H_{>=1} vanishes at all is decided with no bound by
     positive_homology_vanishes on the grid of generator multidegrees; the
     acyclicity check runs this bounded count only to report witnesses.
     """
-    if method not in ("auto", "dense", "blocks"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "blocks"):
-        out = _homology_blocks(C, bound)
-        if out is not None:
-            return out
-        if method == "blocks":
-            raise ValueError("complex does not admit the block decomposition")
-    return _homology_dense(C, bound)
+    out = _homology_blocks(C, bound)
+    return _homology_dense(C, bound) if out is None else out
 
 
 def _homology_dense(C: GradedFreeComplex, bound: int) -> dict:

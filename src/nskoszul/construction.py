@@ -38,16 +38,8 @@ FREE_TABLE = BettiTable(((0, 0, 1),))
 
 @lru_cache(maxsize=None)
 def _construct(weights_sorted: tuple, e: int) -> BettiTable:
-    if e <= 0 or len(weights_sorted) == 1:
-        return FREE_TABLE
-    d = weights_sorted[-1]
-    rest = weights_sorted[:-1]
-    N = ceil(e / d)
-    running = FREE_TABLE
-    for i in range(N - 1, -1, -1):
-        sub = _construct(tuple(sorted(rest)), e - d * i)
-        running = horseshoe_sum(tensor_koszul_betti(sub, 1), running)
-    return running
+    # Memoized table of the sub-rings the recursion visits.
+    return construct_gr_betti(weights_sorted, e)[0]
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,7 @@ def construct_gr_betti(weights, e: int):
         sub_e = e - d * i
         sub = _construct(tuple(sorted(rest)), sub_e)
         tensored = tensor_koszul_betti(sub, 1)
-        running_next = horseshoe_sum(tensored, running)
+        running = horseshoe_sum(tensored, running)
         steps.append(
             ConstructionStep(
                 variable=var,
@@ -128,10 +120,9 @@ def construct_gr_betti(weights, e: int):
                 sub_threshold=sub_e,
                 sub_table=sub,
                 after_tensor=tensored,
-                after_horseshoe=running_next,
+                after_horseshoe=running,
             )
         )
-        running = running_next
     return running, ConstructionTrace(weights, e, N, var, tuple(steps), running)
 
 

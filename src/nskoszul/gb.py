@@ -25,9 +25,7 @@ from .ring import (
     FreeElement,
     FreeModuleSpec,
     Monomial,
-    Polynomial,
     RingSpec,
-    grevlex_key,
     mon_divides,
     mon_lcm,
     mon_mul,
@@ -51,14 +49,7 @@ class InhomogeneousInput(ValueError):
 def monomial_elements(spec: RingSpec, mons, ambient: FreeModuleSpec | None = None):
     """Wrap plain monomials (or (component, monomial) pairs) as FreeElements."""
     ambient = ambient or FreeModuleSpec((0,))
-    out = []
-    for m in mons:
-        if len(m) == 2 and isinstance(m[1], (tuple, list)):
-            comp, mon = int(m[0]), tuple(m[1])
-        else:
-            comp, mon = 0, tuple(m)
-        out.append(FreeElement(spec, ambient, {(comp, mon): 1}))
-    return out
+    return [FreeElement(spec, ambient, {spec.label(m): 1}) for m in mons]
 
 
 def element_sort_key(v: FreeElement):
@@ -77,18 +68,14 @@ def _check_homogeneous(gens):
 # reduction
 
 
-def normal_form(v: FreeElement, reducers, *, _leads=None) -> FreeElement:
-    """Fully reduce v modulo the given elements.
+def _reduce(v: FreeElement, basis, leads, reps=None, rep=None):
+    """Fully reduce v by the monic reducers basis, whose leads are given.
 
-    Deterministic: always reduces the largest reducible term, using the
-    lowest-index reducer whose lead term divides it.
+    Returns (remainder, rep).  When rep is given, every multiple of basis[k]
+    subtracted from v is subtracted from rep as the same multiple of reps[k].
     """
-    reducers = [g for g in reducers if g]
-    if not reducers or not v:
-        return v
     spec = v.spec
     p = spec.char
-    leads = _leads or [g.lead() for g in reducers]
     work = dict(v.coeffs)
     remainder = {}
     while work:
@@ -103,19 +90,40 @@ def normal_form(v: FreeElement, reducers, *, _leads=None) -> FreeElement:
         if hit < 0:
             remainder[key] = c
             continue
-        lc, lm, lcoeff = leads[hit]
+        lm = leads[hit][1]
         q = mon_quotient(mon, lm)
-        factor = c * pow(lcoeff, -1, p) % p
-        for (c2, m2), co in reducers[hit].coeffs.items():
-            if c2 == lc and m2 == lm:
+        for (c2, m2), co in basis[hit].coeffs.items():
+            if c2 == comp and m2 == lm:
                 continue
             tkey = (c2, mon_mul(m2, q))
-            nv = (work.get(tkey, 0) - factor * co) % p
+            nv = (work.get(tkey, 0) - c * co) % p
             if nv:
                 work[tkey] = nv
             else:
                 work.pop(tkey, None)
-    return FreeElement(spec, v.ambient, remainder, _clean=True)
+        if rep is not None:
+            rep = rep - reps[hit].term_mul(q, c)
+    return FreeElement(spec, v.ambient, remainder, _clean=True), rep
+
+
+def normal_form(v: FreeElement, reducers) -> FreeElement:
+    """Fully reduce v modulo the given elements.
+
+    Deterministic: always reduces the largest reducible term, using the
+    lowest-index reducer whose lead term divides it.
+    """
+    reducers = [g for g in reducers if g]
+    if not reducers or not v:
+        return v
+    # Reducing by g or by g / lc(g) subtracts the same multiple.
+    monic, leads = [], []
+    for g in reducers:
+        comp, mon, coeff = g.lead()
+        if coeff != 1:
+            g = g.scale(pow(coeff, -1, v.spec.char))
+        monic.append(g)
+        leads.append((comp, mon, 1))
+    return _reduce(v, monic, leads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,39 +190,7 @@ class _Engine:
                     return True
         return False
 
-    def _reduce_tracked(self, v: FreeElement, rep):
-        spec, p = self.spec, self.p
-        work = dict(v.coeffs)
-        remainder = {}
-        while work:
-            key = max(work, key=lambda k: term_key(spec, k[0], k[1]))
-            c = work.pop(key)
-            comp, mon = key
-            hit = -1
-            for idx, (lc, lm, _) in enumerate(self.leads):
-                if lc == comp and mon_divides(lm, mon):
-                    hit = idx
-                    break
-            if hit < 0:
-                remainder[key] = c
-                continue
-            lm = self.leads[hit][1]
-            q = mon_quotient(mon, lm)
-            for (c2, m2), co in self.basis[hit].coeffs.items():
-                if c2 == comp and m2 == lm:
-                    continue
-                tkey = (c2, mon_mul(m2, q))
-                nv = (work.get(tkey, 0) - c * co) % p
-                if nv:
-                    work[tkey] = nv
-                else:
-                    work.pop(tkey, None)
-            if rep is not None:
-                rep = rep - self.reps[hit].term_mul(q, c)
-        return FreeElement(spec, self.ambient, remainder, _clean=True), rep
-
     def run(self):
-        spec = self.spec
         while self.pairs:
             _, i, j = heapq.heappop(self.pairs)
             ci, mi, _ = self.leads[i]
@@ -228,7 +204,7 @@ class _Engine:
             rep = None
             if self.track:
                 rep = self.reps[i].term_mul(qi) - self.reps[j].term_mul(qj)
-            r, rep = self._reduce_tracked(spoly, rep)
+            r, rep = _reduce(spoly, self.basis, self.leads, self.reps, rep)
             if r:
                 self._insert(r, rep)
             elif self.track and rep:

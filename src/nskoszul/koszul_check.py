@@ -39,6 +39,28 @@ class Verdict(enum.Enum):
     def __str__(self):
         return self.value
 
+    @classmethod
+    def at_bound(cls, ok: bool, bound: int, recommended: int) -> "Verdict":
+        """A failed check is false; a passed one is true only at a bound no
+        lower than the recommended one, and inconclusive below it."""
+        if not ok:
+            return cls.FALSE
+        return cls.TRUE if bound >= recommended else cls.INCONCLUSIVE
+
+
+EXIT_OK = 0
+EXIT_FALSE = 1
+EXIT_INCONCLUSIVE = 3
+
+
+def exit_status(verdicts) -> int:
+    """Exit code for a set of verdicts: 1 if any is false, else 0 if all are
+    true, else 3 (clean but inconclusive)."""
+    verdicts = list(verdicts)
+    if Verdict.FALSE in verdicts:
+        return EXIT_FALSE
+    return EXIT_OK if all(v.ok for v in verdicts) else EXIT_INCONCLUSIVE
+
 
 def recommended_bound(spec: RingSpec, e: int) -> int:
     """Default certification bound for truncation workloads."""
@@ -180,21 +202,14 @@ def koszul_verdict(spec: RingSpec, e: int, bound: int | None = None) -> KoszulRe
     construct_table, _trace = construct_gr_betti(spec.weights, e)
     match = construct_table.restrict(b) == gr_table.restrict(b)
 
-    conclusive = b >= rec
-
-    def verdict(okay: bool) -> Verdict:
-        if not okay:
-            return Verdict.FALSE
-        return Verdict.TRUE if conclusive else Verdict.INCONCLUSIVE
-
     return KoszulReport(
         spec=spec,
         e=e,
         bound=b,
         recommended=rec,
-        lin_acyclic=verdict(acyclic),
-        gr_linear=verdict(linear),
-        construction_match=verdict(match),
+        lin_acyclic=Verdict.at_bound(acyclic, b, rec),
+        gr_linear=Verdict.at_bound(linear, b, rec),
+        construction_match=Verdict.at_bound(match, b, rec),
         resolution_betti=F.betti_from_twists(),
         lin_betti=L.betti_from_twists(),
         gr_table=gr_table,

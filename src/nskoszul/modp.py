@@ -1,52 +1,26 @@
 """Dense linear algebra over prime fields.
 
-Rank computations dominate the runtime of the homology and Betti pipelines,
-so the row reduction kernel is compiled with numba when available.  A pure
-numpy fallback implements the same elimination; the NSKOSZUL_BACKEND
-environment variable ("numba" or "numpy") picks the path explicitly.
+Two rank kernels run the same Gaussian elimination: ``rank_py`` on plain
+lists, fastest on the many tiny blocks (Koszul strands, and homology blocks
+up to 12 on a side), and ``rank_mod`` on numpy int64 arrays for larger
+homology blocks and the dense fallbacks.  The tests cross-check both against
+an independent elimination.
 
-All kernels assume the characteristic fits comfortably in 63 bits after one
-multiply, i.e. p < 2**31, which every supported characteristic satisfies.
+The numpy kernel multiplies two residues in int64, so it requires p < 2**31,
+which every supported characteristic satisfies.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-BACKEND_ENV = "NSKOSZUL_BACKEND"
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-
-def available_backends() -> tuple:
-    return ("numba", "numpy") if HAS_NUMBA else ("numpy",)
-
-
-def default_backend() -> str:
-    env = os.environ.get(BACKEND_ENV)
-    if env:
-        env = env.strip().lower()
-        if env not in ("numba", "numpy"):
-            raise ValueError(f"{BACKEND_ENV} must be 'numba' or 'numpy', got {env!r}")
-        if env == "numba" and not HAS_NUMBA:
-            raise ValueError(f"{BACKEND_ENV}=numba but numba is not importable")
-        return env
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def _rank_elim_python(a, p: int) -> int:
-    # Reference elimination used by the numba kernel below and, standalone,
-    # as an independent cross-check in the tests.
-    m = len(a)
-    if m == 0:
+def rank_py(rows, p: int) -> int:
+    """Rank of a small list-of-lists matrix over F_p (pure Python)."""
+    if not rows or not rows[0]:
         return 0
+    a = [list(r) for r in rows]
+    m = len(a)
     n = len(a[0])
     r = 0
     for c in range(n):
@@ -75,54 +49,6 @@ def _rank_elim_python(a, p: int) -> int:
     return r
 
 
-def rank_py(rows, p: int) -> int:
-    """Rank of a small list-of-lists matrix over F_p (pure Python)."""
-    if not rows or not rows[0]:
-        return 0
-    return _rank_elim_python([list(r) for r in rows], p)
-
-
-if HAS_NUMBA:
-
-    @njit("int64(int64[:, ::1], int64)", cache=True)
-    def _rank_numba(a, p):  # pragma: no cover - exercised through rank_mod
-        m, n = a.shape
-        r = 0
-        for c in range(n):
-            piv = -1
-            for i in range(r, m):
-                if a[i, c] % p != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for j in range(c, n):
-                    tmp = a[r, j]
-                    a[r, j] = a[piv, j]
-                    a[piv, j] = tmp
-            # Fermat inverse; p is prime.
-            base = a[r, c] % p
-            exp = p - 2
-            inv = 1
-            while exp > 0:
-                if exp & 1:
-                    inv = inv * base % p
-                base = base * base % p
-                exp >>= 1
-            for j in range(c, n):
-                a[r, j] = a[r, j] * inv % p
-            for i in range(r + 1, m):
-                f = a[i, c] % p
-                if f != 0:
-                    for j in range(c, n):
-                        a[i, j] = (a[i, j] - f * a[r, j]) % p
-            r += 1
-            if r == m:
-                break
-        return r
-
-
 def _rank_numpy(a: np.ndarray, p: int) -> int:
     m, n = a.shape
     r = 0
@@ -145,25 +71,11 @@ def _rank_numpy(a: np.ndarray, p: int) -> int:
     return r
 
 
-def rank_mod(mat, p: int, backend: str | None = None) -> int:
-    """Exact rank of an integer matrix over F_p."""
+def rank_mod(mat, p: int) -> int:
+    """Exact rank of an integer matrix over F_p (numpy elimination)."""
     a = np.ascontiguousarray(np.asarray(mat, dtype=np.int64)) % p
     if a.ndim != 2:
         raise ValueError(f"need a 2-d matrix, got shape {a.shape}")
     if a.size == 0:
         return 0
-    be = backend or default_backend()
-    if be == "numba":
-        if not HAS_NUMBA:
-            raise ValueError("numba backend requested but numba is not importable")
-        return int(_rank_numba(a, p))
-    if be == "numpy":
-        return _rank_numpy(a, p)
-    raise ValueError(f"unknown backend {be!r}")
-
-
-def nullity_mod(mat, p: int, backend: str | None = None) -> int:
-    a = np.asarray(mat, dtype=np.int64)
-    if a.size == 0:
-        return a.shape[1] if a.ndim == 2 else 0
-    return a.shape[1] - rank_mod(a, p, backend)
+    return _rank_numpy(a, p)

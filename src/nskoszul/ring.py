@@ -183,6 +183,22 @@ class RingSpec:
                 f"monomial has {len(m)} exponents, ring has {self.num_vars} variables"
             )
 
+    def label(self, g, comp: int = 0) -> tuple:
+        """(component, monomial) from a monomial or a (component, monomial) pair.
+
+        A plain monomial is placed in component comp.
+        """
+        if len(g) == 2 and isinstance(g[1], (tuple, list)):
+            comp, m = int(g[0]), tuple(g[1])
+        else:
+            m = tuple(g)
+        if len(m) != self.num_vars:
+            raise DimensionMismatch(
+                f"{g!r} is neither a monomial nor a (component, monomial) pair "
+                f"over {self.num_vars} variables"
+            )
+        return comp, m
+
     def wdeg(self, m: Monomial) -> int:
         """Weighted degree of a monomial."""
         self._check(m)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from multiprocessing import Pool
 
-from .koszul_check import KoszulReport, koszul_verdict, recommended_bound
+from .koszul_check import KoszulReport, exit_status, koszul_verdict, recommended_bound
 from .ring import RingSpec, default_characteristic
 
 
@@ -117,8 +117,4 @@ def rows_to_dicts(rows) -> list:
 
 
 def sweep_exit_status(rows) -> int:
-    if any(r.report.any_false for r in rows):
-        return 1
-    if not all(r.report.all_true for r in rows):
-        return 3
-    return 0
+    return exit_status(v for r in rows for v in r.report.verdicts().values())

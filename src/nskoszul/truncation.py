@@ -4,16 +4,7 @@ M intersect <y^i> used by the layer-by-layer construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ring import RingSpec, mon_divides, mon_lcm, monomials_of_wdeg
-
-
-@dataclass(frozen=True)
-class TruncationSpec:
-    ring: RingSpec
-    threshold: int
-    twists: tuple | None = None
 
 
 def minimalize_monomials(mons) -> list:

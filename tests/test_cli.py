@@ -1,16 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nskoszul
+from nskoszul import cli, complexes
 from nskoszul.cli import (
     EXIT_FALSE,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
+    EXIT_USAGE,
     RingSpecParseError,
     main,
     parse_ring_spec,
     render_ring_spec,
 )
+from nskoszul.egm import DegreeRangeError
+from nskoszul.gb import InhomogeneousInput
+from nskoszul.koszul_check import NotMinimal
 from nskoszul.ring import RingSpec
 from nskoszul.sweep import rows_to_csv, run_sweep, sweep_exit_status
 
@@ -137,6 +148,10 @@ class TestSubcommands:
     def test_parse_error_exit_code(self, capsys):
         assert main(["gens", "--ring", "x=0", "--e", "3"]) == 2
 
+    def test_bad_bound_is_usage_error(self, capsys):
+        assert main(["gr-betti", "--ring", "x=1,y=3", "--e", "5", "--bound", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: bound")
+
     def test_emit_cas(self, tmp_path, capsys):
         script = tmp_path / "check.m2"
         assert (
@@ -212,6 +227,45 @@ class TestSweep:
         )
         out = capsys.readouterr().out
         assert out.startswith("vars,weights,e,bound,")
+
+
+class TestInternalErrors:
+    # failures of the program, not of its input: exit 4, never the usage code 2
+
+    @pytest.mark.parametrize(
+        "attr, exc, argv",
+        [
+            ("linear_part", NotMinimal("unit entry in d_2 at (0, 0)"), ["lin-check"]),
+            ("gr_betti", DegreeRangeError("degree 9 beyond stored bound 8"), ["gr-betti"]),
+            ("resolve_module", InhomogeneousInput(0, {2, 3}), ["resolve"]),
+        ],
+    )
+    def test_exit_code(self, monkeypatch, capsys, attr, exc, argv):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, attr, fail)
+        assert main(argv + ["--ring", "x=1,y=3", "--e", "5"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == f"internal error ({type(exc).__name__}): {exc}\n"
+
+    def test_resolution_level_cap(self, monkeypatch, capsys):
+        # syzygies that never run out drive resolve_module into its level cap
+        monkeypatch.setattr(complexes, "syzygies", lambda gens: (list(gens), None))
+        assert main(["resolve", "--ring", "x=1,y=1", "--e", "2"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("internal error (RuntimeError): resolution did not terminate")
+
+
+def test_module_entry_point_runs_cleanly():
+    src = Path(nskoszul.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "nskoszul.cli", "gens", "--ring", "x=1,y=2", "--e", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 def test_exit_code_mapping_with_synthetic_reports():

@@ -5,6 +5,8 @@ import pytest
 from nskoszul.complexes import (
     BettiTable,
     GradedFreeComplex,
+    _homology_blocks,
+    _homology_dense,
     check_complex,
     free_hilbert,
     homology_dims,
@@ -15,7 +17,7 @@ from nskoszul.complexes import (
     taylor_complex,
     totalize_tensor,
 )
-from nskoszul.egm import betti_via_koszul, monomial_module
+from nskoszul.egm import _betti_blocks, _betti_dense, _label_action_maps, betti_via_koszul, monomial_module
 from nskoszul.gb import monomial_elements
 from nskoszul.koszul_check import linear_part
 from nskoszul.ring import FreeModuleSpec, Polynomial, RingSpec
@@ -229,7 +231,9 @@ class TestHomologyDims:
                 continue
             T = taylor_complex(spec, gens)
             bound = max(t for mod in T.modules for t in mod.twists) + 2
-            assert homology_dims(T, bound, "blocks") == homology_dims(T, bound, "dense")
+            blocks = _homology_blocks(T, bound)
+            assert blocks is not None
+            assert blocks == _homology_dense(T, bound) == homology_dims(T, bound)
 
     def test_grid_check_matches_bounded_count(self):
         # Strands live at multidegrees below the lcm of the generators, so
@@ -275,9 +279,9 @@ class TestHomologyDims:
         R = STD2
         entry = Polynomial.variable(R, 0) + Polynomial.variable(R, 1)
         C = GradedFreeComplex(R, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), ((( entry,),),))
-        with pytest.raises(ValueError):
-            homology_dims(C, 4, "blocks")
-        dims = homology_dims(C, 4, "auto")
+        assert _homology_blocks(C, 4) is None
+        dims = homology_dims(C, 4)
+        assert dims == _homology_dense(C, 4)
         assert (0, 0) in dims
 
 
@@ -320,9 +324,9 @@ class TestBettiViaKoszul:
 
     def test_strand_methods_agree(self):
         M = monomial_module(W13, trunc_gens(W13, 5), bound=11)
-        assert betti_via_koszul(M, bound=11, method="dense") == betti_via_koszul(
-            M, bound=11, method="blocks"
-        )
+        maps = _label_action_maps(M)
+        assert maps is not None
+        assert _betti_blocks(M, maps, 11) == _betti_dense(M, 11) == betti_via_koszul(M, bound=11)
 
     def test_bound_beyond_storage_rejected(self):
         from nskoszul.egm import DegreeRangeError

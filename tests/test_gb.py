@@ -58,6 +58,15 @@ class TestNormalForm:
         assert normal_form(v, [g1, g2]).is_zero()
         assert normal_form(v, [g2, g1]).is_zero()
 
+    def test_non_monic_reducer(self):
+        # x1^2 by 3*x1 + 5*x2: subtract (x1/3) g, then (-5*x2/9) g, leaving (25/9) x2^2
+        amb = FreeModuleSpec((0,))
+        p = STD2.char
+        v = FreeElement(STD2, amb, {(0, (2, 0)): 1})
+        g = FreeElement(STD2, amb, {(0, (1, 0)): 3, (0, (0, 1)): 5})
+        r = normal_form(v, [g])
+        assert r.coeffs == {(0, (0, 2)): 25 * pow(9, -1, p) % p}
+
 
 class TestBuchberger:
     def test_monomial_minimalization(self):

@@ -104,6 +104,34 @@ class TestDegrees:
             weighted_degree((1, 2, 3), W13)
 
 
+class TestLabel:
+    def test_plain_monomial_and_pair(self):
+        assert W13.label((2, 1)) == (0, (2, 1))
+        assert W13.label([2, 1], 3) == (3, (2, 1))
+        assert W13.label((1, [2, 1])) == (1, (2, 1))
+
+    @pytest.mark.parametrize("bad", [(1, 2, 3), (1,), (0, (1, 2, 3)), (0, (1,))])
+    def test_wrong_length_rejected(self, bad):
+        with pytest.raises(DimensionMismatch):
+            W13.label(bad)
+
+    def test_every_parser_checks_the_length(self):
+        from nskoszul.assoc_graded import OrdContext
+        from nskoszul.egm import monomial_module
+        from nskoszul.gb import monomial_elements
+
+        # a (component, monomial) pair with a 3-exponent monomial in a
+        # 2-variable ring used to pass monomial_module and OrdContext
+        for build in (
+            lambda g: monomial_elements(W13, [g]),
+            lambda g: monomial_module(W13, [g], bound=3),
+            lambda g: OrdContext(W13, (g,)),
+            lambda g: OrdContext(W13, ((0, (1, 0)),)).ord(g),
+        ):
+            with pytest.raises(DimensionMismatch):
+                build((0, (1, 2, 3)))
+
+
 class TestMonomialCompare:
     def test_reflexive(self):
         assert monomial_compare((2, 1), (2, 1), W13) == 0
