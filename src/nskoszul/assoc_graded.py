@@ -16,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import BettiTable
-from .egm import ExplicitGradedModule, betti_via_koszul
+from .egm import ExplicitGradedModule, betti_via_koszul, labelled_module
 from .ring import (
     RingSpec,
     mon_divides,
-    mon_mul,
-    mon_var,
     monomials_of_wdeg,
 )
 
@@ -105,39 +103,11 @@ def gr_module(ctx: OrdContext, bound: int) -> ExplicitGradedModule:
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    spec = ctx.spec
-    companion = spec.companion()
-    n = spec.num_vars
-    tables = {
-        comp: _component_ord_table(ctx, comp, bound)
-        for comp in range(ctx.num_components)
-    }
     degrees = {}
-    index = {}
-    for comp, table in tables.items():
-        for m, o in table.items():
+    for comp in range(ctx.num_components):
+        for m, o in _component_ord_table(ctx, comp, bound).items():
             degrees.setdefault(o, []).append((comp, m))
-    final = {}
-    for o, labels in degrees.items():
-        labels.sort(key=lambda lb: (lb[0], tuple(reversed(lb[1]))))
-        final[o] = tuple(labels)
-        for pos, lb in enumerate(labels):
-            index[lb] = (o, pos)
-    actions = {}
-    for o, labels in final.items():
-        if o + 1 > bound:
-            continue
-        for var in range(n):
-            step = mon_var(n, var)
-            triples = []
-            for col, (comp, m) in enumerate(labels):
-                target = (comp, mon_mul(m, step))
-                hit = index.get(target)
-                if hit is not None and hit[0] == o + 1:
-                    triples.append((hit[1], col, 1))
-            if triples:
-                actions[(var, o)] = tuple(triples)
-    return ExplicitGradedModule(companion, bound, final, actions)
+    return labelled_module(ctx.spec.companion(), bound, degrees)
 
 
 def gr_hilbert(ctx: OrdContext, bound: int) -> list:

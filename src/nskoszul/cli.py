@@ -7,9 +7,9 @@ out of those formats.
 
 Exit codes: 0 all requested verdicts true; 1 some verdict outright false;
 3 verdicts clean but inconclusive at the chosen bound; 2 usage errors
-(argparse default, bad ring descriptions, bad --bound or --char); 4 internal
-failures (a non-minimal resolution, a degree window overrun, inhomogeneous
-generators, a resolution past its level cap), reported as
+(argparse default, bad ring descriptions, bad --bound, --char or --jobs);
+4 internal failures (a non-minimal resolution, a degree window overrun,
+inhomogeneous generators, a resolution past its level cap), reported as
 "internal error (<ExceptionClass>): ...".
 """
 
@@ -324,6 +324,8 @@ def cmd_ses_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     rows = run_sweep(args.max_vars, args.max_weight, args.max_e, args.char, jobs=args.jobs)
     status = sweep_exit_status(rows)
     if args.format == "json":

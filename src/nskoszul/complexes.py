@@ -2,19 +2,20 @@
 tensor totalization, Taylor complexes, the resolution builder, homology
 dimensions, and Betti tables.
 
-Homology dimensions are computed degreewise by exact rank computations over
-the coefficient field.  When every differential entry is a single term the
-complex splits into finite blocks indexed by exponent multidegrees and the
-ranks are taken blockwise; otherwise the graded pieces are expanded densely.
-Both routes produce identical numbers and are cross-checked in the tests.
-For single-term complexes the same blocks also decide, with no degree bound,
-whether all homology in positive homological degrees vanishes.
+Homology dimensions are computed by exact rank computations over the
+coefficient field.  A complex with single-term entries splits into blocks
+graded by exponent multidegree; one walk over the grid of generator
+coordinate values both decides, with no degree bound, whether H_{>=1}
+vanishes and gives the bounded count.  A grid point's homology holds on its
+whole cell, which has as many multidegrees of degree j as z^j has in
+prod_t sum_k z^(w_t k), k over the cell's range in coordinate t.  Other
+complexes are expanded densely; both routes are cross-checked in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -65,9 +66,6 @@ class BettiTable:
 
     def max_hom(self) -> int:
         return max((i for i, _, _ in self.entries), default=-1)
-
-    def max_internal(self) -> int:
-        return max((j for _, j, _ in self.entries), default=-1)
 
     def restrict(self, max_j: int) -> "BettiTable":
         return BettiTable(tuple(e for e in self.entries if e[1] <= max_j))
@@ -160,9 +158,6 @@ class GradedFreeComplex:
             for t in mod.twists:
                 d[(i, t)] = d.get((i, t), 0) + 1
         return BettiTable.from_dict(d)
-
-    def module_hilbert(self, i: int, j: int) -> int:
-        return free_hilbert(self.spec, self.modules[i].twists, j)
 
 
 def free_hilbert(spec: RingSpec, twists, j: int) -> int:
@@ -459,12 +454,12 @@ def homology_dims(C: GradedFreeComplex, bound: int) -> dict:
     """dim H_i(C)_j for all i and internal degrees j <= bound.
 
     Returns a dict with the nonzero dimensions only; absent keys are zero.
-    Complexes with single-term entries are counted blockwise by exponent
-    multidegree; any other complex falls back to the dense expansion of each
-    graded piece, which the tests also use as the oracle for the blocks.
-    Whether H_{>=1} vanishes at all is decided with no bound by
-    positive_homology_vanishes on the grid of generator multidegrees; the
-    acyclicity check runs this bounded count only to report witnesses.
+    Complexes with single-term entries are counted on the grid cells that
+    positive_homology_vanishes walks: a grid point's homology holds on its
+    whole cell, whose multidegrees of degree j number the coefficient of z^j
+    in prod_t sum_k z^(w_t k), k running over the cell's range in coordinate
+    t.  Any other complex falls back to the dense expansion of each graded
+    piece, which the tests also use as the oracle for the blocks.
     """
     out = _homology_blocks(C, bound)
     return _homology_dense(C, bound) if out is None else out
@@ -523,12 +518,14 @@ class _MultidegreeBlock:
     relative to the component's root.  A generator at multidegree m has
     internal degree wdeg(m) + offset, and diffs[k] is the component's scalar
     matrix of d_{k+1}.  The strand at a multidegree a is spanned by the
-    generators with m <= a, one basis vector x^(a - m) each.
+    generators with m <= a, one basis vector x^(a - m) each.  grid[t] lists
+    the distinct values of coordinate t over all generators, ascending.
     """
 
     offset: int
     mdegs: tuple
     diffs: tuple
+    grid: tuple
 
     def strand_homology(self, masks, p: int) -> list:
         """dim H_i of the strand on the generators selected by masks, per level."""
@@ -540,6 +537,39 @@ class _MultidegreeBlock:
                 block = self.diffs[i - 1][np.ix_(masks[i - 1], masks[i])]
                 ranks[i] = _block_rank(block, p)
         return [dims[i] - ranks[i] - ranks[i + 1] for i in range(levels)]
+
+    def grid_walk(self, p: int):
+        """Yield (index, h) for each grid point whose strand has homology.
+
+        index picks the value grid[t][index[t]] in each coordinate t, and h
+        lists dim H_i of the strand at that point, per level.  A strand
+        depends only on its support, the generators at or below the point,
+        so h is computed once per distinct support.
+        """
+        allm = np.concatenate(self.mdegs)
+        # below[t][k, g]: generator g lies at or below the k-th value of
+        # coordinate t; a grid point's support is the AND over coordinates.
+        # One slice of the first coordinate at a time bounds the memory.
+        below = [
+            col[None, :] <= np.array(vals)[:, None]
+            for col, vals in zip(allm.T, self.grid)
+        ]
+        cuts = np.cumsum([len(Mi) for Mi in self.mdegs])[:-1]
+        homology = {}
+        for first, row0 in enumerate(below[0]):
+            support = row0[None, :]
+            for table in below[1:]:
+                support = (support[:, None, :] & table[None, :, :]).reshape(
+                    -1, allm.shape[0]
+                )
+            rest = product(*(range(len(vals)) for vals in self.grid[1:]))
+            for index, row in zip(rest, support):
+                key = row.tobytes()
+                h = homology.get(key)
+                if h is None:
+                    h = homology[key] = self.strand_homology(np.split(row, cuts), p)
+                if any(h):
+                    yield (first, *index), h
 
 
 def _multidegree_blocks(C: GradedFreeComplex) -> list | None:
@@ -613,7 +643,8 @@ def _multidegree_blocks(C: GradedFreeComplex) -> list | None:
                 if r in local_pos[k] and c in local_pos[k + 1]:
                     mat[local_pos[k][r], local_pos[k + 1][c]] = coeff
             D.append(mat)
-        blocks.append(_MultidegreeBlock(offsets.pop(), M, tuple(D)))
+        grid = tuple(tuple(sorted(set(col))) for col in np.concatenate(M).T.tolist())
+        blocks.append(_MultidegreeBlock(offsets.pop(), M, tuple(D), grid))
     return blocks
 
 
@@ -621,32 +652,25 @@ def _homology_blocks(C: GradedFreeComplex, bound: int) -> dict | None:
     blocks = _multidegree_blocks(C)
     if blocks is None:
         return None
-    spec = C.spec
-    wdeg = spec.wdeg
-    p = spec.char
     out = {}
     for blk in blocks:
-        candidates = set()
-        for Mi in blk.mdegs:
-            for mg in map(tuple, Mi.tolist()):
-                cap = bound - blk.offset - wdeg(mg)
-                if cap < 0:
-                    continue
-                for d in range(cap + 1):
-                    for beta in monomials_of_wdeg(spec, d):
-                        candidates.add(mon_mul(mg, beta))
-
-        for a in sorted(candidates):
-            a_arr = np.array(a, dtype=np.int64)
-            masks = [np.all(Mi <= a_arr, axis=1) for Mi in blk.mdegs]
-            if not any(mask.any() for mask in masks):
+        for index, h in blk.grid_walk(C.spec.char):
+            # the cell spans [grid[t][k], grid[t][k + 1]) in coordinate t,
+            # unbounded at the last value; its corner has its lowest degree
+            corner = [vals[k] for vals, k in zip(blk.grid, index)]
+            low = blk.offset + C.spec.wdeg(corner)
+            if low > bound:
                 continue
-            j = wdeg(a) + blk.offset
-            if j > bound:
-                continue
-            for i, h in enumerate(blk.strand_homology(masks, p)):
-                if h:
-                    out[(i, j)] = out.get((i, j), 0) + h
+            top = bound - low
+            counts = [1]
+            for w, vals, k in zip(C.spec.weights, blk.grid, index):
+                span = vals[k + 1] - vals[k] if k + 1 < len(vals) else top + 1
+                series = [int(d % w == 0 and d < span * w) for d in range(top + 1)]
+                counts = truncated_series_product(counts, series, top)
+            for d, count in enumerate(counts):
+                for i, hi in enumerate(h):
+                    if count and hi:
+                        out[(i, low + d)] = out.get((i, low + d), 0) + count * hi
     return out
 
 
@@ -667,41 +691,15 @@ def positive_homology_vanishes(C: GradedFreeComplex) -> bool | None:
     occurs at a point of the product grid of the coordinate values
     {m(g)_t}, and H_{>=1} vanishes everywhere iff it vanishes at each grid
     point (the argument behind the lcm-lattice theorem of Gasharov, Peeva
-    and Welker, Math. Res. Lett. 6, 1999).  Grid points with the same S(a)
-    are checked once.
+    and Welker, Math. Res. Lett. 6, 1999).  homology_dims counts on the same
+    walk: a grid point's homology holds on its whole cell, whose multidegrees
+    of degree j number the z^j coefficient of prod_t sum_k z^(w_t k).
     """
     blocks = _multidegree_blocks(C)
     if blocks is None:
         return None
     p = C.spec.char
-    for blk in blocks:
-        allm = np.concatenate(blk.mdegs)
-        # below[t][k, g]: generator g lies at or below the k-th value of
-        # coordinate t; a grid point's support is the AND over coordinates.
-        # One slice of the first coordinate at a time bounds the memory.
-        below = [
-            col[None, :] <= np.array(sorted(set(col.tolist())))[:, None]
-            for col in allm.T
-        ]
-        cuts = np.cumsum([len(Mi) for Mi in blk.mdegs])[:-1]
-        seen = set()
-        for first in below[0]:
-            support = first[None, :]
-            for table in below[1:]:
-                support = (support[:, None, :] & table[None, :, :]).reshape(
-                    -1, allm.shape[0]
-                )
-            for row in support:
-                key = row.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                masks = np.split(row, cuts)
-                if not any(mask.any() for mask in masks[1:]):
-                    continue
-                if any(blk.strand_homology(masks, p)[1:]):
-                    return False
-    return True
+    return not any(any(h[1:]) for blk in blocks for _, h in blk.grid_walk(p))
 
 
 def _block_rank(block: np.ndarray, p: int) -> int:

@@ -114,38 +114,43 @@ def monomial_module(spec: RingSpec, gens, twists=None, bound: int = 0) -> Explic
         by_comp.setdefault(comp, []).append(m)
 
     degrees = {}
-    index = {}
     for j in range(min(twists), bound + 1):
-        labels = []
         for comp, t in enumerate(twists):
             gens_c = by_comp.get(comp, ())
             if not gens_c:
                 continue
             for m in monomials_of_wdeg(spec, j - t):
                 if any(mon_divides(u, m) for u in gens_c):
-                    labels.append((comp, m))
-        # within a degree: by component, then descending monomial order
-        labels.sort(key=lambda lb: (lb[0], tuple(reversed(lb[1]))))
-        if labels:
-            degrees[j] = tuple(labels)
-            for pos, lb in enumerate(labels):
-                index[lb] = (j, pos)
+                    degrees.setdefault(j, []).append((comp, m))
+    return labelled_module(spec, bound, degrees)
 
+
+def labelled_module(spec: RingSpec, bound: int, degrees: dict) -> ExplicitGradedModule:
+    """The module on the given (component, monomial) labels per degree, sorted
+    by component and then descending monomial order; x_var sends a label to
+    x_var * label when that is a label of degree j + weight, else to zero."""
+    final = {}
+    index = {}
+    for j, labels in degrees.items():
+        labels = sorted(labels, key=lambda lb: (lb[0], tuple(reversed(lb[1]))))
+        final[j] = tuple(labels)
+        for pos, lb in enumerate(labels):
+            index[lb] = (j, pos)
+    n = spec.num_vars
     actions = {}
-    for (j, labels) in degrees.items():
-        for var in range(spec.num_vars):
-            w = spec.weights[var]
+    for j, labels in final.items():
+        for var, w in enumerate(spec.weights):
             if j + w > bound:
                 continue
+            step = mon_var(n, var)
             triples = []
             for col, (comp, m) in enumerate(labels):
-                target = (comp, mon_mul(m, mon_var(spec.num_vars, var)))
-                hit = index.get(target)
+                hit = index.get((comp, mon_mul(m, step)))
                 if hit is not None and hit[0] == j + w:
                     triples.append((hit[1], col, 1))
             if triples:
                 actions[(var, j)] = tuple(triples)
-    return ExplicitGradedModule(spec, bound, degrees, actions)
+    return ExplicitGradedModule(spec, bound, final, actions)
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,6 @@ class GroebnerBasis:
     generators: tuple
     ambient: FreeModuleSpec
     spec: RingSpec
-    order: str = "POT/weighted-degrevlex"
 
 
 def buchberger(gens) -> GroebnerBasis:

@@ -112,8 +112,10 @@ def lin_acyclicity(L: GradedFreeComplex, bound: int):
     (i, j) -> dimension entries.  Acyclicity is first decided with no
     degree bound on the finite grid of generator multidegrees
     (positive_homology_vanishes); only when that finds homology somewhere
-    does the bounded count homology_dims run, to report the witnesses with
-    j <= bound.
+    does the bounded count homology_dims run, on the same grid cells, to
+    report the witnesses with j <= bound.  A grid point's homology holds on
+    its whole cell, whose multidegrees of degree j number the z^j
+    coefficient of prod_t sum_k z^(w_t k), k over the cell's range in t.
     """
     if positive_homology_vanishes(L):
         return True, {}

@@ -155,9 +155,6 @@ class RingSpec:
     def max_weight(self) -> int:
         return max(self.weights)
 
-    def is_standard(self) -> bool:
-        return all(w == 1 for w in self.weights)
-
     def companion(self) -> "RingSpec":
         """The standard graded companion ring (all weights 1)."""
         return RingSpec((1,) * self.num_vars, self.names, self.char)

@@ -7,6 +7,7 @@ threshold), never by arrival.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -64,9 +65,12 @@ def run_sweep(
     char: int | None = None,
     jobs: int = 1,
 ):
+    """Rows of every case, in sort order.  jobs caps the worker processes,
+    which never outnumber the cases or the CPUs; the rows do not depend on it."""
     cases = sweep_cases(max_vars, max_weight, max_e, char)
-    if jobs > 1 and len(cases) > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             rows = pool.map(run_case, cases)
     else:
         rows = [run_case(c) for c in cases]
@@ -74,13 +78,8 @@ def run_sweep(
     return rows
 
 
-def rows_to_csv(rows, max_hom: int | None = None) -> str:
+def rows_to_csv(rows, max_hom: int) -> str:
     """Frozen CSV format; timings are deliberately excluded for byte stability."""
-    if max_hom is None:
-        max_hom = max(
-            (r.report.gr_table.max_hom() for r in rows), default=0
-        )
-        max_hom = max(max_hom, 0)
     header = (
         "vars,weights,e,bound,lin_acyclic,gr_linear,construction_match,"
         + ",".join(f"beta_total_{i}" for i in range(max_hom + 1))

@@ -47,7 +47,7 @@ def trunc_free_gens(spec: RingSpec, twists, e: int) -> list:
     return out
 
 
-def filtration_layer(gens, i: int, last_var: int, spec: RingSpec | None = None) -> list:
+def filtration_layer(gens, i: int, last_var: int) -> list:
     """Minimal generators of M intersect <y^i> for the monomial module M.
 
     Computed as the minimalization of lcm(u, y^i) over the given minimal

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nskoszul
-from nskoszul import cli, complexes
+from nskoszul import cli, complexes, sweep
 from nskoszul.cli import (
     EXIT_FALSE,
     EXIT_INCONCLUSIVE,
@@ -209,6 +209,43 @@ class TestSweep:
         serial = rows_to_csv(run_sweep(2, 2, 2, jobs=1), max_hom=2)
         parallel = rows_to_csv(run_sweep(2, 2, 2, jobs=2), max_hom=2)
         assert serial == parallel
+
+    def test_cli_sweep_rejects_jobs_below_one(self, capsys):
+        for bad in ("0", "-3"):
+            argv = ["sweep", "--max-vars", "1", "--max-e", "1", "--jobs", bad]
+            assert main(argv) == EXIT_USAGE
+            assert "--jobs" in capsys.readouterr().err
+
+    def test_workers_capped_by_cases_and_cpus(self, monkeypatch):
+        # a stand-in pool records the size asked for and maps in this process
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, size):
+                requested.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(sweep, "Pool", RecordingPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
+        serial = rows_to_csv(run_sweep(1, 2, 1, jobs=1), max_hom=1)
+        assert requested == []
+        assert rows_to_csv(run_sweep(1, 2, 1, jobs=64), max_hom=1) == serial
+        assert requested == [2]  # two cases
+        run_sweep(2, 2, 2, jobs=64)
+        assert requested == [2, 3]  # ten cases, three CPUs
+        run_sweep(2, 2, 2, jobs=2)
+        assert requested == [2, 3, 2]
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+        run_sweep(2, 2, 2, jobs=4)
+        assert requested == [2, 3, 2]  # CPU count unknown: serial
 
     def test_cli_sweep_rejects_bad_characteristic(self, capsys):
         # --char 0 used to fall back to the default characteristic silently

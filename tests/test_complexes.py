@@ -252,9 +252,31 @@ class TestHomologyDims:
             L = linear_part(resolve_module(monomial_elements(spec, gens)), spec)
             vanishes = positive_homology_vanishes(L)
             bounded = homology_dims(L, 3 * n + 2)
+            # both read the same grid walk, so the dense count is the reference
+            assert bounded == _homology_dense(L, 3 * n + 2)
             assert vanishes == (not any(i >= 1 for i, _ in bounded))
             outcomes.add(vanishes)
         assert outcomes == {True, False}
+
+    def test_bounded_count_matches_dense(self):
+        # Negative controls, whose H_1 fills cells with no upper end, and
+        # complexes over weights > 1, where a cell's degrees step by weight.
+        W231 = RingSpec((2, 3, 1))
+        K = koszul_complex(RingSpec((1, 2, 3)), [0, 1, 2])
+        cases = [
+            linear_part(resolve_module(monomial_elements(STD2, gens)), STD2)
+            for gens in ([(2, 0), (0, 2)], [(2, 0), (0, 3)], [(3, 0), (2, 1), (0, 3)])
+        ] + [
+            taylor_complex(W231, [(2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1)]),
+            GradedFreeComplex(K.spec, K.modules[:-1], K.diffs[:-1]),
+        ]
+        for C in cases:
+            twists = [t for mod in C.modules for t in mod.twists]
+            lo, hi = min(twists), max(twists)
+            for bound in (lo - 1, lo, (lo + hi) // 2, hi, hi + 9):
+                assert _homology_blocks(C, bound) == _homology_dense(C, bound)
+        # the controls keep H_1 = S(-1) up to the bound, far past the grid
+        assert homology_dims(cases[0], 12)[(1, 12)] == 12
 
     def test_grid_check_reaches_the_top_grid_point(self):
         # K(x, y, z) without its top generator: H_2 lives only at xyz, the
