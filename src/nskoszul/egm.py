@@ -9,14 +9,20 @@ field.
 
 For monomial modules the variable actions send each basis label to at most
 one other label, the strands split along exponent multidegrees, and the rank
-work reduces to many tiny blocks.  The dense strand assembly remains as the
-general path and as a cross-check.
+work reduces to many tiny blocks.  Only the blocks at critical multidegrees
+are built: a value c is critical for x_t when x_t fails to send the labels
+with t-exponent c - 1 bijectively, with nonzero coefficients, onto those
+with t-exponent c.  A strand whose multidegree a has some a_t not critical
+is the mapping cone of the isomorphism x_t between two strands of the
+Koszul complex on the other variables, hence acyclic.  The dense strand
+assembly remains as the general path and as a cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from operator import add, mul
 
 import numpy as np
 
@@ -160,9 +166,12 @@ def labelled_module(spec: RingSpec, bound: int, degrees: dict) -> ExplicitGraded
 def betti_via_koszul(M: ExplicitGradedModule, bound: int | None = None) -> BettiTable:
     """Graded Betti numbers beta_ij = dim H_i(Koszul (x) M)_j for j <= bound.
 
-    Modules whose variable actions send each label to its monomial multiple
-    are split into multidegree blocks; any other module falls back to the
-    dense strands, which the tests also use as the oracle for the blocks.
+    Modules in which x_t sends each label m to a scalar multiple of the label
+    x_t * m (or to zero) are split into multidegree blocks, and only the blocks
+    whose multidegree is critical in every coordinate are ranked: any other
+    block is the cone of an isomorphism x_t and has no homology (see
+    :func:`_betti_blocks`).  Any other module falls back to the dense
+    strands, which the tests also use as the oracle for the blocks.
     """
     b = M.bound if bound is None else bound
     if b > M.bound:
@@ -181,13 +190,14 @@ def _label_action_maps(M: ExplicitGradedModule):
     for (var, j), triples in M.actions.items():
         src = M.degrees.get(j, ())
         tgt = M.degrees.get(j + M.spec.weights[var], ())
+        step = mon_var(n, var)
         seen_cols = set()
         for r, c, coeff in triples:
             if c in seen_cols:
                 return None
             seen_cols.add(c)
             comp, m = src[c]
-            if tgt[r] != (comp, mon_mul(m, mon_var(n, var))):
+            if tgt[r] != (comp, mon_mul(m, step)):
                 return None
             maps[var][src[c]] = coeff % M.spec.char
     return maps
@@ -197,32 +207,68 @@ def _subset_weight(spec: RingSpec, T) -> int:
     return sum(spec.weights[t] for t in T)
 
 
+def _critical_values(M: ExplicitGradedModule, maps, bound: int) -> list:
+    """Per coordinate t, the values c at which x_t may fail to be a bijection
+    from the labels with exponent c - 1 in t onto those with exponent c.
+
+    c is critical for t when a label of degree <= bound with exponent c in t
+    has no x_t-preimage with a nonzero coefficient (c = 0, or the label below
+    is missing or sent to zero), or when a label with exponent c - 1 in t and
+    degree <= bound - w_t is sent to zero by x_t.
+    """
+    n = M.spec.num_vars
+    weights = M.spec.weights
+    crit = [set() for _ in range(n)]
+    for j, labels in M.degrees.items():
+        if j > bound:
+            continue
+        for lb in labels:
+            comp, m = lb
+            for t in range(n):
+                c = m[t]
+                if not c or not maps[t].get((comp, m[:t] + (c - 1,) + m[t + 1:])):
+                    crit[t].add(c)
+                if j + weights[t] <= bound and not maps[t].get(lb):
+                    crit[t].add(c + 1)
+    return crit
+
+
 def _betti_blocks(M: ExplicitGradedModule, maps, bound: int) -> BettiTable:
+    """Betti numbers from the Koszul strands at critical multidegrees only.
+
+    The cells e_T (x) m (T a subset of the variables, m a label) lie in
+    strands indexed by (component, a, j) with a = m + e_T and j = deg(m) +
+    w(T).  Fix t.  The strand at (a, j) is the mapping cone of +-x_t from the
+    strand at (a - e_t, j - w_t) to the strand at (a, j), both taken over the
+    subsets not containing t.  If a_t is not critical (:func:`_critical_values`),
+    x_t sends the labels of the first strand bijectively, with nonzero
+    coefficients, onto those of the second; on a module (the actions
+    commute) that is an isomorphism of complexes, so the cone is acyclic.
+    Hence only strands with every a_t critical can have homology, and only
+    those are built: a label m takes t outside T when m_t is critical and
+    inside T when m_t + 1 is.  For gr of a truncation the critical values lie
+    among 0 and the generator exponents.
+    """
     spec = M.spec
     n = spec.num_vars
     p = spec.char
-    label_degree = {}
-    for j, labels in M.degrees.items():
-        for lb in labels:
-            label_degree[lb] = j
-
-    subsets = [()]
-    for size in range(1, n + 1):
-        subsets.extend(combinations(range(n), size))
-    sub_weight = {T: _subset_weight(spec, T) for T in subsets}
+    crit = _critical_values(M, maps, bound)
 
     # multidegree block key: (component, total exponent vector)
     blocks = {}
-    for lb, jdeg in label_degree.items():
-        comp, m = lb
-        for T in subsets:
-            j = jdeg + sub_weight[T]
-            if j > bound:
-                continue
-            a = list(m)
-            for t in T:
-                a[t] += 1
-            blocks.setdefault((comp, tuple(a)), []).append((T, lb, j))
+    for jdeg, labels in M.degrees.items():
+        if jdeg > bound:
+            continue
+        for lb in labels:
+            comp, m = lb
+            # pick[t] = 1 puts t in T; no pick at all when some t has no choice
+            choices = [[k for k in (0, 1) if m[t] + k in crit[t]] for t in range(n)]
+            for pick in product(*choices):
+                j = jdeg + sum(map(mul, spec.weights, pick))
+                if j <= bound:
+                    T = tuple(t for t in range(n) if pick[t])
+                    a = tuple(map(add, m, pick))
+                    blocks.setdefault((comp, a), []).append((T, lb, j))
 
     out = {}
     for (comp, a), cells in blocks.items():

@@ -28,13 +28,12 @@ from nskoszul.construction import (
     construct_free_betti,
     construct_gr_betti,
     ses_hilbert_check,
-    tensor_koszul_betti,
 )
 from nskoszul.egm import betti_via_koszul, monomial_module
 from nskoszul.gb import monomial_elements
 from nskoszul.koszul_check import linear_part, lin_acyclicity
 from nskoszul.ring import RingSpec
-from nskoszul.sweep import run_sweep
+from nskoszul.sweep import rows_to_csv, run_sweep
 from nskoszul.truncation import trunc_free_gens, trunc_gens
 
 SWEEP_MAX_VARS = 3
@@ -153,6 +152,24 @@ def test_criterion_4_theorem_sweep(sweep_result):
     ok = ok and elapsed <= 600.0
     report(4, "theorem sweep n<=3 w<=4 e<=12", ok,
            f"{len(rows)} cases in {elapsed:.0f} s")
+
+
+SMALL_CHAR_GRID = (3, 2, 7)  # n <= 3, weights <= 2, e <= 7: 63 cases
+
+
+@pytest.fixture(scope="module")
+def small_grid_csv_32003():
+    rows = run_sweep(*SMALL_CHAR_GRID, char=32003)
+    return rows_to_csv(rows, 3).splitlines()
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_sweep_in_small_characteristics(char, small_grid_csv_32003):
+    # Betti numbers may depend on the characteristic; on this grid they do not.
+    rows = run_sweep(*SMALL_CHAR_GRID, char=char)
+    assert len(rows) == 63
+    assert all(r.report.all_true for r in rows)
+    assert rows_to_csv(rows, 3).splitlines() == small_grid_csv_32003
 
 
 def test_criterion_5_oracle_equivalence(sweep_result):

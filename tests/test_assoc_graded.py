@@ -13,7 +13,6 @@ from nskoszul.assoc_graded import (
     gr_module,
 )
 from nskoszul.complexes import (
-    BettiTable,
     alternating_betti_series,
     one_minus_t_power,
     truncated_series_product,

@@ -9,7 +9,6 @@ import pytest
 import nskoszul
 from nskoszul import cli, complexes, sweep
 from nskoszul.cli import (
-    EXIT_FALSE,
     EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
     EXIT_OK,

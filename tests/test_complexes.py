@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nskoszul.assoc_graded import OrdContext, extend_gr, gr_module
 from nskoszul.complexes import (
     BettiTable,
     GradedFreeComplex,
@@ -17,10 +18,17 @@ from nskoszul.complexes import (
     taylor_complex,
     totalize_tensor,
 )
-from nskoszul.egm import _betti_blocks, _betti_dense, _label_action_maps, betti_via_koszul, monomial_module
+from nskoszul.egm import (
+    ExplicitGradedModule,
+    _betti_blocks,
+    _betti_dense,
+    _label_action_maps,
+    betti_via_koszul,
+    monomial_module,
+)
 from nskoszul.gb import monomial_elements
 from nskoszul.koszul_check import linear_part
-from nskoszul.ring import FreeModuleSpec, Polynomial, RingSpec
+from nskoszul.ring import FreeModuleSpec, Polynomial, RingSpec, mon_divides
 from nskoszul.truncation import trunc_gens
 
 W13 = RingSpec((1, 3), ("x", "y"))
@@ -307,18 +315,82 @@ class TestHomologyDims:
         assert (0, 0) in dims
 
 
+def _quotient(M, J, into_J=None):
+    """M/J for a monomial ideal J: the labels of M outside J and the actions
+    among them.  With into_J, the labels in J stay (the module M/J + J) and
+    the arrows from outside J into J carry the coefficient into_J."""
+    in_J = {
+        lb: any(mon_divides(g, lb[1]) for g in J)
+        for labels in M.degrees.values()
+        for lb in labels
+    }
+    degrees = {
+        j: tuple(lb for lb in labels if into_J is not None or not in_J[lb])
+        for j, labels in M.degrees.items()
+    }
+    index = {lb: k for labels in degrees.values() for k, lb in enumerate(labels)}
+    actions = {}
+    for (var, j), triples in M.actions.items():
+        src, tgt = M.degrees[j], M.degrees[j + M.spec.weights[var]]
+        kept = []
+        for r, c, coeff in triples:
+            if tgt[r] in index and src[c] in index:
+                if in_J[tgt[r]] and not in_J[src[c]]:
+                    coeff = into_J
+                kept.append((index[tgt[r]], index[src[c]], coeff))
+        if kept:
+            actions[(var, j)] = tuple(kept)
+    return ExplicitGradedModule(M.spec, M.bound, degrees, actions)
+
+
+def _rescaled(M, rng):
+    """M on the basis u_m * m for random units u_m: non-unit action coefficients."""
+    p = M.spec.char
+    unit = {lb: rng.randrange(1, p) for labels in M.degrees.values() for lb in labels}
+    actions = {}
+    for (var, j), triples in M.actions.items():
+        src, tgt = M.degrees[j], M.degrees[j + M.spec.weights[var]]
+        actions[(var, j)] = tuple(
+            (r, c, coeff * unit[src[c]] * pow(unit[tgt[r]], -1, p) % p)
+            for r, c, coeff in triples
+        )
+    return ExplicitGradedModule(M.spec, M.bound, M.degrees, actions)
+
+
+def _strand_oracle_modules():
+    """Modules whose actions send each label to a multiple of x_t * label: a
+    truncation, gr of truncations, rescaled monomial quotients at three
+    characteristics, quotients whose arrows into J have coefficient p,
+    extend_gr modules and the residue field."""
+    yield monomial_module(W13, trunc_gens(W13, 5), bound=11)
+    for weights, e in (((1, 3), 5), ((2, 3), 4), ((1, 1, 2), 3), ((1, 2, 2), 2)):
+        spec = RingSpec(weights)
+        yield gr_module(OrdContext(spec, trunc_gens(spec, e)), 2 * len(weights) + 2)
+    rng = random.Random(5)
+    for p in (2, 3, 32003):
+        for _ in range(6):
+            spec = RingSpec(tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3))), char=p)
+            n = spec.num_vars
+            gens = {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))}
+            J = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))}
+            M = monomial_module(spec, gens, bound=max(map(spec.wdeg, gens)) + n + 2)
+            yield _rescaled(_quotient(M, J), rng)
+            yield _quotient(M, J, into_J=p)
+    big = RingSpec((1, 1, 1), ("x", "y", "z"))
+    for sub, e in ((RingSpec((1,), ("x",)), 2), (RingSpec((1, 2), ("x", "y")), 3)):
+        gr = gr_module(OrdContext(sub, trunc_gens(sub, e)), 5)
+        yield extend_gr(gr, big)
+    yield ExplicitGradedModule(big, 4, {0: ((0, (0, 0, 0)),)}, {})
+    yield ExplicitGradedModule(RingSpec((1, 2)), 5, {0: ((0, (0, 0)),)}, {})
+
+
 class TestBettiViaKoszul:
     def test_residue_field(self):
-        M = monomial_module(STD2, [(0, 0)], bound=0)
         # keep only degree 0: the field
-        from nskoszul.egm import ExplicitGradedModule
-
         k = ExplicitGradedModule(STD2, 4, {0: ((0, (0, 0)),)}, {})
         assert betti_via_koszul(k, bound=4).entries == ((0, 0, 1), (1, 1, 2), (2, 2, 1))
 
     def test_gr_of_truncation(self):
-        from nskoszul.assoc_graded import OrdContext, gr_module
-
         ctx = OrdContext(W13, tuple((0, m) for m in trunc_gens(W13, 5)))
         assert betti_via_koszul(gr_module(ctx, 12), bound=12).entries == (
             (0, 0, 3),
@@ -345,10 +417,16 @@ class TestBettiViaKoszul:
             assert F.betti_from_twists().restrict(bound) == table
 
     def test_strand_methods_agree(self):
-        M = monomial_module(W13, trunc_gens(W13, 5), bound=11)
-        maps = _label_action_maps(M)
-        assert maps is not None
-        assert _betti_blocks(M, maps, 11) == _betti_dense(M, 11) == betti_via_koszul(M, bound=11)
+        for M in _strand_oracle_modules():
+            assert M.commuting_violations() == []
+            maps = _label_action_maps(M)
+            assert maps is not None
+            for bound in sorted({M.bound // 2, M.bound}):
+                assert (
+                    _betti_blocks(M, maps, bound)
+                    == _betti_dense(M, bound)
+                    == betti_via_koszul(M, bound=bound)
+                )
 
     def test_bound_beyond_storage_rejected(self):
         from nskoszul.egm import DegreeRangeError

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nskoszul.assoc_graded import OrdContext, gr_betti, gr_module
+from nskoszul.assoc_graded import OrdContext, gr_module
 from nskoszul.complexes import (
     GradedFreeComplex,
     check_complex,
