@@ -324,8 +324,9 @@ def cmd_ses_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
+    for flag in ("max_vars", "max_weight", "max_e", "jobs"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 1")
     rows = run_sweep(args.max_vars, args.max_weight, args.max_e, args.char, jobs=args.jobs)
     status = sweep_exit_status(rows)
     if args.format == "json":
@@ -364,20 +365,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_e=True):
+    def common(p, bound=True):
         p.add_argument("--ring", required=True, help="e.g. x=1,y=3 or x=1,y=3@101")
-        if need_e:
-            p.add_argument("--e", type=int, required=True, help="truncation threshold")
-        p.add_argument("--bound", type=int, default=None, help="certification degree bound")
+        p.add_argument("--e", type=int, required=True, help="truncation threshold")
+        if bound:
+            p.add_argument("--bound", type=int, default=None, help="certification degree bound")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("gens", help="minimal truncation generators")
-    common(p)
+    common(p, bound=False)
     p.set_defaults(func=cmd_gens)
 
     p = sub.add_parser("resolve", help="minimal free resolution over the weighted ring")
-    common(p)
+    common(p, bound=False)
     p.add_argument("--raw", action="store_true", help="skip minimization")
     p.add_argument("--show-differentials", action="store_true")
     p.set_defaults(func=cmd_resolve)
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lin_check)
 
     p = sub.add_parser("construct", help="layer-by-layer predicted Betti table")
-    common(p)
+    common(p, bound=False)
     p.add_argument("--trace", action="store_true", help="include the derivation trace")
     p.set_defaults(func=cmd_construct)
 

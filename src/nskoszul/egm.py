@@ -16,6 +16,14 @@ with t-exponent c.  A strand whose multidegree a has some a_t not critical
 is the mapping cone of the isomorphism x_t between two strands of the
 Koszul complex on the other variables, hence acyclic.  The dense strand
 assembly remains as the general path and as a cross-check.
+
+The stored window is the degrees up to ``bound`` and, when ``corner`` is
+set, only the multidegrees m <= corner: the quotient of the module by the
+labels outside the box [0, corner].  Its strands at multidegrees <= corner
+equal those of the whole module, and only those are built.  A positively
+a-determined monomial module (Miller-Sturmfels, Combinatorial Commutative
+Algebra, GTM 227, Ch. 5) has every Betti multidegree in [0, a], so the box
+at a is the whole of its Betti table.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .ring import (
 
 
 class DegreeRangeError(ValueError):
-    """A request exceeded the stored degree window."""
+    """A request exceeded the stored window."""
 
 
 Label = tuple  # (component, monomial)
@@ -51,12 +59,16 @@ class ExplicitGradedModule:
     degrees maps internal degree -> ordered tuple of (component, monomial)
     labels; actions maps (variable, degree) -> triples (row, col, coeff) of
     the matrix basis(degree) -> basis(degree + weight of the variable).
+    Labels are stored for degrees <= bound and, when corner is set, only for
+    exponent multidegrees <= corner; x_t sends a label with exponent
+    corner_t in t to zero, out of the window.
     """
 
     spec: RingSpec
     bound: int
     degrees: dict
     actions: dict
+    corner: tuple | None = None
 
     def dim(self, j: int) -> int:
         if j > self.bound:
@@ -131,10 +143,13 @@ def monomial_module(spec: RingSpec, gens, twists=None, bound: int = 0) -> Explic
     return labelled_module(spec, bound, degrees)
 
 
-def labelled_module(spec: RingSpec, bound: int, degrees: dict) -> ExplicitGradedModule:
+def labelled_module(
+    spec: RingSpec, bound: int, degrees: dict, corner: tuple | None = None
+) -> ExplicitGradedModule:
     """The module on the given (component, monomial) labels per degree, sorted
     by component and then descending monomial order; x_var sends a label to
-    x_var * label when that is a label of degree j + weight, else to zero."""
+    x_var * label when that is a label of degree j + weight, else to zero.
+    corner is the module's multidegree window (see ExplicitGradedModule)."""
     final = {}
     index = {}
     for j, labels in degrees.items():
@@ -156,7 +171,7 @@ def labelled_module(spec: RingSpec, bound: int, degrees: dict) -> ExplicitGraded
                     triples.append((hit[1], col, 1))
             if triples:
                 actions[(var, j)] = tuple(triples)
-    return ExplicitGradedModule(spec, bound, final, actions)
+    return ExplicitGradedModule(spec, bound, final, actions, corner)
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +179,24 @@ def labelled_module(spec: RingSpec, bound: int, degrees: dict) -> ExplicitGraded
 
 
 def betti_via_koszul(M: ExplicitGradedModule, bound: int | None = None) -> BettiTable:
-    """Graded Betti numbers beta_ij = dim H_i(Koszul (x) M)_j for j <= bound.
+    """Graded Betti numbers beta_ij = dim H_i(Koszul (x) M)_j for j <= bound,
+    and on a module stored up to a corner, at multidegrees <= corner only.
 
     Modules in which x_t sends each label m to a scalar multiple of the label
     x_t * m (or to zero) are split into multidegree blocks, and only the blocks
     whose multidegree is critical in every coordinate are ranked: any other
     block is the cone of an isomorphism x_t and has no homology (see
     :func:`_betti_blocks`).  Any other module falls back to the dense
-    strands, which the tests also use as the oracle for the blocks.
+    strands, which the tests also use as the oracle for the blocks; those
+    do not split by multidegree, so they need the module without a corner.
     """
     b = M.bound if bound is None else bound
     if b > M.bound:
         raise DegreeRangeError(f"bound {b} exceeds stored degree range {M.bound}")
     maps = _label_action_maps(M)
     if maps is None:
+        if M.corner is not None:
+            raise DegreeRangeError("dense Koszul strands need the module beyond its corner")
         return _betti_dense(M, b)
     return _betti_blocks(M, maps, b)
 
@@ -214,7 +233,9 @@ def _critical_values(M: ExplicitGradedModule, maps, bound: int) -> list:
     c is critical for t when a label of degree <= bound with exponent c in t
     has no x_t-preimage with a nonzero coefficient (c = 0, or the label below
     is missing or sent to zero), or when a label with exponent c - 1 in t and
-    degree <= bound - w_t is sent to zero by x_t.
+    degree <= bound - w_t is sent to zero by x_t.  On a module stored up to a
+    corner, a label with exponent corner_t in t is sent out of the window,
+    not to zero, so the values above corner_t are dropped.
     """
     n = M.spec.num_vars
     weights = M.spec.weights
@@ -230,6 +251,8 @@ def _critical_values(M: ExplicitGradedModule, maps, bound: int) -> list:
                     crit[t].add(c)
                 if j + weights[t] <= bound and not maps[t].get(lb):
                     crit[t].add(c + 1)
+    if M.corner is not None:
+        crit = [{c for c in values if c <= top} for values, top in zip(crit, M.corner)]
     return crit
 
 
@@ -247,7 +270,8 @@ def _betti_blocks(M: ExplicitGradedModule, maps, bound: int) -> BettiTable:
     Hence only strands with every a_t critical can have homology, and only
     those are built: a label m takes t outside T when m_t is critical and
     inside T when m_t + 1 is.  For gr of a truncation the critical values lie
-    among 0 and the generator exponents.
+    among 0 and the generator exponents, and on a corner window none exceeds
+    the corner, so no strand outside the window is built.
     """
     spec = M.spec
     n = spec.num_vars

@@ -9,6 +9,7 @@ from nskoszul.assoc_graded import (
     SubringError,
     extend_gr,
     gr_betti,
+    gr_box_module,
     gr_hilbert,
     gr_module,
 )
@@ -17,9 +18,9 @@ from nskoszul.complexes import (
     one_minus_t_power,
     truncated_series_product,
 )
-from nskoszul.egm import betti_via_koszul
+from nskoszul.egm import DegreeRangeError, ExplicitGradedModule, betti_via_koszul
 from nskoszul.ring import RingSpec
-from nskoszul.truncation import trunc_free_gens, trunc_gens
+from nskoszul.truncation import minimalize_monomials, trunc_free_gens, trunc_gens
 
 W13 = RingSpec((1, 3), ("x", "y"))
 
@@ -162,6 +163,92 @@ class TestGrBetti:
                 hilb, one_minus_t_power(spec.num_vars, bound), bound
             )
             assert lhs == rhs
+
+
+def box_top_degree(ctx):
+    # ord of the corner, the largest ord of a monomial in the box
+    return sum(ctx.corner) - min(sum(m) for _, m in ctx.generators)
+
+
+def box_oracle_cases():
+    """(ctx, bound) pairs: random monomial ideals and truncations of twisted
+    free modules, each at one bound below and one at or above the box's top
+    degree."""
+    rng = random.Random(61)
+    contexts = []
+    for _ in range(90):
+        n = rng.randint(1, 3)
+        spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(n)))
+        mons = minimalize_monomials(
+            tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 5))
+        )
+        contexts.append(OrdContext(spec, tuple((0, m) for m in mons)))
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(n)))
+        twists = tuple(rng.randint(-2, 3) for _ in range(rng.randint(2, 3)))
+        contexts.append(OrdContext(spec, tuple(trunc_free_gens(spec, twists, rng.randint(1, 6)))))
+    for ctx in contexts:
+        top = box_top_degree(ctx)
+        if top > 0:
+            yield ctx, rng.randint(0, top - 1)
+        yield ctx, rng.randint(top, top + 3)
+
+
+class TestGrBettiOnBox:
+    """gr_betti works on the exponent box; gr_module on the whole degree
+    window, through betti_via_koszul, is its oracle."""
+
+    def test_matches_whole_window_oracle(self):
+        nonlinear = below = multi = 0
+        for ctx, bound in box_oracle_cases():
+            table = gr_betti(ctx, bound)
+            assert table == betti_via_koszul(gr_module(ctx, bound), bound=bound), (ctx, bound)
+            nonlinear += any(i != j for i, j, _ in table.entries)
+            below += bound < box_top_degree(ctx)
+            multi += ctx.num_components > 1
+        assert nonlinear >= 10
+        assert below >= 10
+        assert multi >= 10
+
+    def test_shrunken_corner_disagrees(self):
+        # negative control: a box one short in some coordinate loses Betti numbers
+        disagree = 0
+        for ctx, bound in box_oracle_cases():
+            corner = ctx.corner
+            t = max(range(len(corner)), key=corner.__getitem__)
+            if not corner[t]:
+                continue
+            shrunk = corner[:t] + (corner[t] - 1,) + corner[t + 1:]
+            table = betti_via_koszul(gr_box_module(ctx, bound, shrunk), bound=bound)
+            disagree += table != gr_betti(ctx, bound)
+        assert disagree >= 1
+
+    def test_corner_is_the_second_window(self):
+        assert CTX13.corner == (5, 2)
+        box = gr_box_module(CTX13, 6, CTX13.corner)
+        whole = gr_module(CTX13, 6)
+        assert box.corner == (5, 2)
+        assert whole.corner is None
+        # the box keeps exactly the whole window's labels m <= corner
+        for j in range(7):
+            kept = [lb for lb in whole.basis(j) if lb[1][0] <= 5 and lb[1][1] <= 2]
+            assert list(box.basis(j)) == kept
+
+    def test_extend_gr_pads_the_corner(self):
+        sub = RingSpec((1, 1), ("x1", "x2"))
+        ctx = OrdContext(sub, tuple((0, m) for m in trunc_gens(sub, 2)))
+        E = extend_gr(gr_box_module(ctx, 8, (2, 2)), RingSpec((1, 1, 1)).companion())
+        assert E.corner == (2, 2, 0)
+
+    def test_dense_strands_refuse_a_corner(self):
+        # x2 sends the label 1 to x1, not to x2: the strands do not split
+        spec = RingSpec((1, 1)).companion()
+        degrees = {0: ((0, (0, 0)),), 1: ((0, (1, 0)),)}
+        actions = {(1, 0): ((0, 0, 1),)}
+        assert betti_via_koszul(ExplicitGradedModule(spec, 1, degrees, actions))
+        with pytest.raises(DegreeRangeError):
+            betti_via_koszul(ExplicitGradedModule(spec, 1, degrees, actions, (1, 1)))
 
 
 class TestTwistInvariance:

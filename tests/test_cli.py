@@ -151,6 +151,14 @@ class TestSubcommands:
         assert main(["gr-betti", "--ring", "x=1,y=3", "--e", "5", "--bound", "-1"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: bound")
 
+    @pytest.mark.parametrize("command", ["gens", "resolve", "construct"])
+    def test_bound_rejected_where_unused(self, command, capsys):
+        # these commands read no degree bound, so --bound is not an option
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--ring", "x=1,y=3", "--e", "5", "--bound", "3"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--bound" in capsys.readouterr().err
+
     def test_emit_cas(self, tmp_path, capsys):
         script = tmp_path / "check.m2"
         assert (
@@ -214,6 +222,14 @@ class TestSweep:
             argv = ["sweep", "--max-vars", "1", "--max-e", "1", "--jobs", bad]
             assert main(argv) == EXIT_USAGE
             assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-vars", "--max-weight", "--max-e"])
+    def test_cli_sweep_rejects_empty_grid(self, flag, capsys):
+        # a grid with no cases would report a vacuous "all true"
+        for bad in ("0", "-1"):
+            argv = ["sweep", "--max-vars", "1", "--max-weight", "1", "--max-e", "1", flag, bad]
+            assert main(argv) == EXIT_USAGE
+            assert flag in capsys.readouterr().err
 
     def test_workers_capped_by_cases_and_cpus(self, monkeypatch):
         # a stand-in pool records the size asked for and maps in this process
