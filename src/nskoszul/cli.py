@@ -7,7 +7,9 @@ out of those formats.
 
 Exit codes: 0 all requested verdicts true; 1 some verdict outright false;
 3 verdicts clean but inconclusive at the chosen bound; 2 usage errors
-(argparse default, bad ring descriptions, bad --bound, --char or --jobs);
+(argparse default, bad ring descriptions, bad --bound, --char or --jobs,
+an --out or --emit-cas file that cannot be written, refused before any
+computation when its directory is missing);
 4 internal failures (a non-minimal resolution, a degree window overrun,
 inhomogeneous generators, a resolution past its level cap), reported as
 "internal error (<ExceptionClass>): ...".
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -100,14 +103,31 @@ def render_ring_spec(spec: RingSpec) -> str:
     return f"{body}@{spec.char}"
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse an output file in a missing directory, or one that is a
+    directory, before any work is done."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ValueError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         out = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         out = text if text.endswith("\n") else text + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(out)
+        _write_file(args.out, out)
     else:
         sys.stdout.write(out)
 
@@ -291,8 +311,7 @@ def cmd_koszul(args) -> int:
             degrees=",".join(str(w) for w in spec.weights),
             gens=", ".join(gens),
         )
-        with open(args.emit_cas, "w", encoding="utf-8") as fh:
-            fh.write(script)
+        _write_file(args.emit_cas, script)
         lines.append(f"  wrote cross-validation script to {args.emit_cas}")
     _emit(args, payload, "\n".join(lines))
     return exit_status(report.verdicts().values())
@@ -428,6 +447,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (getattr(args, "out", None), getattr(args, "emit_cas", None)):
+            if path:
+                _check_output_path(path)
         return args.func(args)
     except INTERNAL_ERRORS as exc:
         print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ dimensions, and Betti tables.
 Homology dimensions are computed by exact rank computations over the
 coefficient field.  A complex with single-term entries splits into blocks
 graded by exponent multidegree; one walk over the grid of generator
-coordinate values both decides, with no degree bound, whether H_{>=1}
-vanishes and gives the bounded count.  A grid point's homology holds on its
+coordinate values, one column elimination per slice along the last
+coordinate, both decides, with no degree bound, whether H_{>=1} vanishes
+and gives the bounded count.  A grid point's homology holds on its
 whole cell, which has as many multidegrees of degree j as z^j has in
 prod_t sum_k z^(w_t k), k over the cell's range in coordinate t.  Other
 complexes are expanded densely; both routes are cross-checked in the tests.
@@ -527,49 +528,55 @@ class _MultidegreeBlock:
     diffs: tuple
     grid: tuple
 
-    def strand_homology(self, masks, p: int) -> list:
-        """dim H_i of the strand on the generators selected by masks, per level."""
-        levels = len(masks)
-        dims = [int(mask.sum()) for mask in masks]
-        ranks = [0] * (levels + 1)
-        for i in range(1, levels):
-            if dims[i - 1] and dims[i]:
-                block = self.diffs[i - 1][np.ix_(masks[i - 1], masks[i])]
-                ranks[i] = _block_rank(block, p)
-        return [dims[i] - ranks[i] - ranks[i + 1] for i in range(levels)]
-
     def grid_walk(self, p: int):
         """Yield (index, h) for each grid point whose strand has homology.
 
-        index picks the value grid[t][index[t]] in each coordinate t, and h
-        lists dim H_i of the strand at that point, per level.  A strand
-        depends only on its support, the generators at or below the point,
-        so h is computed once per distinct support.
+        index picks the value grid[t][index[t]] in each coordinate t, in
+        lexicographic order, and h lists dim H_i of the strand at that
+        point, per level.
+
+        The strands along the last coordinate are nested, so one elimination
+        per slice ranks them all (the persistence reduction of Zomorodian
+        and Carlsson, "Computing persistent homology", DCG 33, 2005).  Fix
+        the first n - 1 coordinates: the slice is spanned by the generators
+        at or below them, its strand at the k-th last value v by those whose
+        last coordinate is also <= v.  A nonzero entry d[r][c] forces
+        m(r) <= m(c), so every column of the strand has all its nonzero rows
+        in the strand, and the strand's differential is the column prefix of
+        the slice's block up to v once each level is ordered by last
+        coordinate.  Its rank is the number of pivot columns with last
+        coordinate <= v.  A slice depends only on its support, so it is
+        reduced once per distinct support.
         """
-        allm = np.concatenate(self.mdegs)
-        # below[t][k, g]: generator g lies at or below the k-th value of
-        # coordinate t; a grid point's support is the AND over coordinates.
-        # One slice of the first coordinate at a time bounds the memory.
-        below = [
-            col[None, :] <= np.array(vals)[:, None]
-            for col, vals in zip(allm.T, self.grid)
-        ]
-        cuts = np.cumsum([len(Mi) for Mi in self.mdegs])[:-1]
-        homology = {}
-        for first, row0 in enumerate(below[0]):
-            support = row0[None, :]
-            for table in below[1:]:
-                support = (support[:, None, :] & table[None, :, :]).reshape(
-                    -1, allm.shape[0]
-                )
-            rest = product(*(range(len(vals)) for vals in self.grid[1:]))
-            for index, row in zip(rest, support):
-                key = row.tobytes()
-                h = homology.get(key)
-                if h is None:
-                    h = homology[key] = self.strand_homology(np.split(row, cuts), p)
+        # each level in order of last coordinate, so a strand is a prefix
+        order = [np.argsort(M[:, -1], kind="stable") for M in self.mdegs]
+        mdegs = [M[o] for M, o in zip(self.mdegs, order)]
+        diffs = [D[np.ix_(order[k], order[k + 1])] for k, D in enumerate(self.diffs)]
+        last = np.array(self.grid[-1])
+        zero = np.zeros(len(last), dtype=np.int64)
+        slices = {}
+        for prefix in product(*(range(len(vals)) for vals in self.grid[:-1])):
+            corner = [vals[k] for vals, k in zip(self.grid, prefix)]
+            masks = [np.all(M[:, :-1] <= corner, axis=1) for M in mdegs]
+            key = np.concatenate(masks).tobytes()
+            table = slices.get(key)
+            if table is None:
+                lasts = [M[mask, -1] for M, mask in zip(mdegs, masks)]
+                # rank at each last value: the pivot columns at or below it
+                ranks = [zero]
+                for k, D in enumerate(diffs):
+                    pivots = _block_pivots(D[np.ix_(masks[k], masks[k + 1])], p)
+                    ranks.append(np.searchsorted(lasts[k + 1][pivots], last, "right"))
+                ranks.append(zero)
+                table = slices[key] = np.array(
+                    [
+                        np.searchsorted(lv, last, "right") - ranks[i] - ranks[i + 1]
+                        for i, lv in enumerate(lasts)
+                    ]
+                ).T.tolist()
+            for k, h in enumerate(table):
                 if any(h):
-                    yield (first, *index), h
+                    yield (*prefix, k), h
 
 
 def _multidegree_blocks(C: GradedFreeComplex) -> list | None:
@@ -691,9 +698,18 @@ def positive_homology_vanishes(C: GradedFreeComplex) -> bool | None:
     occurs at a point of the product grid of the coordinate values
     {m(g)_t}, and H_{>=1} vanishes everywhere iff it vanishes at each grid
     point (the argument behind the lcm-lattice theorem of Gasharov, Peeva
-    and Welker, Math. Res. Lett. 6, 1999).  homology_dims counts on the same
-    walk: a grid point's homology holds on its whole cell, whose multidegrees
-    of degree j number the z^j coefficient of prod_t sum_k z^(w_t k).
+    and Welker, Math. Res. Lett. 6, 1999).
+
+    The grid is walked a slice at a time.  The strands are nested: for
+    a <= a' the generators of S(a) span a subcomplex of the strand at a',
+    because a nonzero entry d[r][c] forces m(r) <= m(c).  So along the last
+    coordinate, with the first n - 1 fixed, each strand's differential is a
+    column prefix of the slice's matrix, and one column elimination per
+    differential gives every strand's rank as a count of pivot columns (the
+    persistence reduction of Zomorodian and Carlsson, "Computing persistent
+    homology", DCG 33, 2005).  homology_dims counts on the same walk: a grid
+    point's homology holds on its whole cell, whose multidegrees of degree j
+    number the z^j coefficient of prod_t sum_k z^(w_t k).
     """
     blocks = _multidegree_blocks(C)
     if blocks is None:
@@ -702,9 +718,9 @@ def positive_homology_vanishes(C: GradedFreeComplex) -> bool | None:
     return not any(any(h[1:]) for blk in blocks for _, h in blk.grid_walk(p))
 
 
-def _block_rank(block: np.ndarray, p: int) -> int:
+def _block_pivots(block: np.ndarray, p: int) -> list:
     if block.size == 0:
-        return 0
+        return []
     if max(block.shape) <= 12:
-        return modp.rank_py(block.tolist(), p)
-    return modp.rank_mod(block, p)
+        return modp.pivots_py(block.tolist(), p)
+    return modp.pivots_mod(block, p)

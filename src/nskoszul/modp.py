@@ -1,10 +1,14 @@
 """Dense linear algebra over prime fields.
 
-Two rank kernels run the same Gaussian elimination: ``rank_py`` on plain
-lists, fastest on the many tiny blocks (Koszul strands, and homology blocks
-up to 12 on a side), and ``rank_mod`` on numpy int64 arrays for larger
-homology blocks and the dense fallbacks.  The tests cross-check both against
-an independent elimination.
+Two kernels run the same Gaussian elimination, column by column, and return
+its pivot columns: column c is a pivot exactly when it is not in the span of
+the columns before it, so the pivots are the matrix's column rank profile
+and the rank of every column prefix A[:, :c + 1] is the number of pivots
+<= c.  ``pivots_py`` works on plain lists, fastest on the many tiny blocks
+(Koszul strands, and homology slice blocks up to 12 on a side), and
+``pivots_mod`` on numpy int64 arrays for larger blocks and the dense
+fallbacks.  ``rank_py`` and ``rank_mod`` count their pivots.  The tests
+cross-check both against an independent elimination.
 
 The numpy kernel multiplies two residues in int64, so it requires p < 2**31,
 which every supported characteristic satisfies.
@@ -15,13 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def rank_py(rows, p: int) -> int:
-    """Rank of a small list-of-lists matrix over F_p (pure Python)."""
+def pivots_py(rows, p: int) -> list:
+    """Pivot columns of a small list-of-lists matrix over F_p (pure Python)."""
     if not rows or not rows[0]:
-        return 0
+        return []
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0])
+    pivots = []
     r = 0
     for c in range(n):
         piv = -1
@@ -43,14 +48,22 @@ def rank_py(rows, p: int) -> int:
                 ai = a[i]
                 for j in range(c, n):
                     ai[j] = (ai[j] - f * row[j]) % p
+        pivots.append(c)
         r += 1
         if r == m:
             break
-    return r
+    return pivots
 
 
-def _rank_numpy(a: np.ndarray, p: int) -> int:
+def pivots_mod(mat, p: int) -> list:
+    """Pivot columns of an integer matrix over F_p (numpy elimination)."""
+    a = np.ascontiguousarray(np.asarray(mat, dtype=np.int64)) % p
+    if a.ndim != 2:
+        raise ValueError(f"need a 2-d matrix, got shape {a.shape}")
     m, n = a.shape
+    pivots = []
+    if a.size == 0:
+        return pivots
     r = 0
     for c in range(n):
         col = a[r:, c]
@@ -65,17 +78,18 @@ def _rank_numpy(a: np.ndarray, p: int) -> int:
         f = a[r + 1:, c]
         if f.size:
             a[r + 1:, c:] = (a[r + 1:, c:] - np.outer(f, a[r, c:])) % p
+        pivots.append(c)
         r += 1
         if r == m:
             break
-    return r
+    return pivots
+
+
+def rank_py(rows, p: int) -> int:
+    """Rank of a small list-of-lists matrix over F_p (pure Python)."""
+    return len(pivots_py(rows, p))
 
 
 def rank_mod(mat, p: int) -> int:
     """Exact rank of an integer matrix over F_p (numpy elimination)."""
-    a = np.ascontiguousarray(np.asarray(mat, dtype=np.int64)) % p
-    if a.ndim != 2:
-        raise ValueError(f"need a 2-d matrix, got shape {a.shape}")
-    if a.size == 0:
-        return 0
-    return _rank_numpy(a, p)
+    return len(pivots_mod(mat, p))

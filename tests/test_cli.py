@@ -173,6 +173,45 @@ class TestSubcommands:
         assert "res" in text
 
 
+class TestOutputPaths:
+    # a file that cannot be written is a usage error (2), never "false" (1)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gens", "--ring", "x=1,y=2", "--e", "3"], "--out"),
+            (["koszul", "--ring", "x=1,y=3", "--e", "5"], "--emit-cas"),
+            (["sweep", "--max-vars", "1", "--max-weight", "1", "--max-e", "1"], "--out"),
+        ],
+    )
+    def test_missing_directory_is_refused_before_any_work(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("computed before checking the output path")
+
+        for attr in ("trunc_gens", "koszul_verdict", "run_sweep"):
+            monkeypatch.setattr(cli, attr, never)
+        target = tmp_path / "missing" / "f"
+        assert main(argv + [flag, str(target)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "missing" in err
+        assert not target.parent.exists()
+
+    def test_directory_as_output_file(self, tmp_path, capsys):
+        assert main(["gens", "--ring", "x=1,y=2", "--e", "3", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_failed_write_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        target = tmp_path / "f"
+        assert main(["gens", "--ring", "x=1,y=2", "--e", "3", "--out", str(target)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot write {target}: Permission denied\n"
+
+
 class TestSweep:
     def test_tiny_sweep_all_true(self):
         rows = run_sweep(2, 2, 3)

@@ -1,13 +1,17 @@
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 
+from nskoszul import complexes, modp
 from nskoszul.assoc_graded import OrdContext, extend_gr, gr_module
 from nskoszul.complexes import (
     BettiTable,
     GradedFreeComplex,
     _homology_blocks,
     _homology_dense,
+    _multidegree_blocks,
     check_complex,
     free_hilbert,
     homology_dims,
@@ -313,6 +317,91 @@ class TestHomologyDims:
         dims = homology_dims(C, 4)
         assert dims == _homology_dense(C, 4)
         assert (0, 0) in dims
+
+
+def _grid_walk_oracle(blk, p):
+    """The walk one grid point at a time: the support of each point, then a
+    masked rank per level."""
+    out = []
+    for index in product(*(range(len(vals)) for vals in blk.grid)):
+        corner = [vals[k] for vals, k in zip(blk.grid, index)]
+        masks = [np.all(M <= corner, axis=1) for M in blk.mdegs]
+        dims = [int(mask.sum()) for mask in masks]
+        ranks = [0] * (len(masks) + 1)
+        for i in range(1, len(masks)):
+            block = blk.diffs[i - 1][np.ix_(masks[i - 1], masks[i])]
+            ranks[i] = modp.rank_mod(block, p)
+        h = [dims[i] - ranks[i] - ranks[i + 1] for i in range(len(masks))]
+        if any(h):
+            out.append((index, h))
+    return out
+
+
+def _slice_supports(blk):
+    """Distinct supports of the slices that fix the first n - 1 coordinates."""
+    keys = set()
+    for prefix in product(*(range(len(vals)) for vals in blk.grid[:-1])):
+        corner = [vals[k] for vals, k in zip(blk.grid, prefix)]
+        masks = [np.all(M[:, :-1] <= corner, axis=1) for M in blk.mdegs]
+        keys.add(np.concatenate(masks).tobytes())
+    return len(keys)
+
+
+def _grid_walk_inputs():
+    """Taylor complexes and linear parts of random monomial ideals, the
+    negative controls, complexes cut below their top term, one variable, and
+    a block whose last coordinate takes one value; at p = 2, 3 and 32003."""
+    rng = random.Random(16)
+    for p in (2, 3, 32003):
+        for _ in range(12):
+            n = rng.randint(1, 3)
+            spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(n)), char=p)
+            gens = sorted(
+                {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))}
+                - {(0,) * n}
+            )
+            if not gens:
+                continue
+            T = taylor_complex(spec, gens)
+            yield T
+            if T.length >= 2:
+                yield GradedFreeComplex(spec, T.modules[:-1], T.diffs[:-1])
+            yield linear_part(resolve_module(monomial_elements(spec, gens)), spec)
+        std2 = RingSpec((1, 1), ("x", "y"), p)
+        for gens in ([(2, 0), (0, 2)], [(2, 0), (0, 3)], [(3, 0), (2, 1), (0, 3)]):
+            yield linear_part(resolve_module(monomial_elements(std2, gens)), std2)
+        std3 = RingSpec((1, 1, 1), ("x", "y", "z"), p)
+        for variables in ([0, 1, 2], [0, 1]):
+            # with [0, 1] the last coordinate is 0 on every generator
+            K = koszul_complex(std3, variables)
+            yield GradedFreeComplex(std3, K.modules[:-1], K.diffs[:-1])
+        one = RingSpec((2,), ("x",), p)
+        yield taylor_complex(one, [(1,), (3,)])
+        yield linear_part(resolve_module(monomial_elements(one, [(3,)])), one)
+
+
+class TestGridWalk:
+    def test_matches_point_by_point_oracle(self, monkeypatch):
+        calls = []
+        pivots = complexes._block_pivots
+        monkeypatch.setattr(
+            complexes, "_block_pivots", lambda block, p: calls.append(1) or pivots(block, p)
+        )
+        with_homology = single_value = one_variable = supports = 0
+        for C in _grid_walk_inputs():
+            blocks = _multidegree_blocks(C)
+            assert blocks is not None
+            for blk in blocks:
+                walk = list(blk.grid_walk(C.spec.char))
+                assert walk == _grid_walk_oracle(blk, C.spec.char)
+                positive = any(any(h[1:]) for _, h in walk)
+                with_homology += positive
+                single_value += len(blk.grid[-1]) == 1 and positive
+                one_variable += len(blk.grid) == 1
+                supports += _slice_supports(blk) * len(blk.diffs)
+        assert with_homology >= 10 and single_value >= 1 and one_variable >= 1
+        # one elimination per differential of each distinct slice support
+        assert len(calls) == supports
 
 
 def _quotient(M, J, into_J=None):

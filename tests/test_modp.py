@@ -95,6 +95,22 @@ def test_kernels_agree_with_reference(case):
     assert modp.rank_py(mat, p) == want
 
 
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(matrices_mod_p())
+def test_pivots_are_the_column_rank_profile(case):
+    # column c is a pivot exactly when it raises the rank of the columns before it
+    mat, p = case
+    want = [
+        c
+        for c in range(len(mat[0]))
+        if reference_rank([row[: c + 1] for row in mat], p)
+        > reference_rank([row[:c] for row in mat], p)
+    ]
+    assert modp.pivots_mod(mat, p) == want
+    assert modp.pivots_py(mat, p) == want
+    assert modp.rank_mod(mat, p) == modp.rank_py(mat, p) == len(want)
+
+
 def test_kernels_agree_at_largest_supported_characteristic():
     # rank <= 2 products; above 2**31 the int64 kernel overflowed on most
     p = 2**31 - 1
