@@ -13,8 +13,9 @@ the generator exponents: for b_t >= a_t every generator dividing x^(b + e_t)
 divides x^b, so ord rises by exactly one and x_t is an isomorphism.  Every
 Betti multidegree of gr(M) therefore lies in the box [0, a] (Miller,
 J. Algebra 231 (2000); Miller-Sturmfels, GTM 227, Ch. 5), and gr_betti
-stores only the labels in that box.  gr_module, gr_hilbert and extend_gr
-keep the whole window up to the degree bound.
+computes the whole Betti table, with no degree bound, from the labels in
+that box alone.  gr_module, gr_hilbert and extend_gr keep the whole window
+up to a degree bound.
 """
 
 from __future__ import annotations
@@ -132,36 +133,34 @@ def gr_hilbert(ctx: OrdContext, bound: int) -> list:
     return dims
 
 
-def gr_box_module(ctx: OrdContext, bound: int, corner: tuple) -> ExplicitGradedModule:
-    """The quotient of gr_module(ctx, bound) by the labels outside the box
-    [0, corner]: the labels m <= corner with ord <= bound, with corner as the
-    module's multidegree window."""
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    n = ctx.spec.num_vars
-    box = list(product(*(range(c + 1) for c in corner)))
-    box_arr = np.array(box, dtype=np.int64).reshape(len(box), n)
+def gr_box_module(ctx: OrdContext) -> ExplicitGradedModule:
+    """The quotient of gr(M) by the labels outside the box [0, a], a =
+    ctx.corner: every label m <= a, stored up to the largest ord among them,
+    with a as the module's multidegree window."""
+    box = list(product(*(range(c + 1) for c in ctx.corner)))
+    box_arr = np.array(box, dtype=np.int64)
     degrees = {}
     for comp in range(ctx.num_components):
         gen_arr = _gen_array(ctx, comp)
         if not len(gen_arr):
             continue
         ords = _ords(box_arr, gen_arr)
-        for k in np.nonzero((ords >= 0) & (ords <= bound))[0]:
+        for k in np.nonzero(ords >= 0)[0]:
             degrees.setdefault(int(ords[k]), []).append((comp, box[k]))
-    return labelled_module(ctx.spec.companion(), bound, degrees, corner)
+    return labelled_module(ctx.spec.companion(), max(degrees), degrees, ctx.corner)
 
 
-def gr_betti(ctx: OrdContext, bound: int) -> BettiTable:
-    """Graded Betti numbers of the associated graded module over the companion
-    ring, for degrees j <= bound.
+def gr_betti(ctx: OrdContext) -> BettiTable:
+    """The whole graded Betti table of the associated graded module over the
+    companion ring.
 
-    Computed on the exponent box [0, a], a = ctx.corner (gr_box_module).  A strand at b <= a uses the
-    labels b - e_T <= a and their x_t-images, which are <= b, so it is the
-    same as in gr_module; every Betti multidegree lies in the box (module
-    docstring).
+    Computed on the exponent box [0, a] (gr_box_module): every Betti
+    multidegree b lies in it (module docstring), and a strand at b <= a uses
+    the labels b - e_T <= a and their x_t-images, which are <= b, so it is
+    the same as in gr(M).  The stored degrees cut none of its cells: e_T (x)
+    (b - e_T) has degree |b| - min{|g| : g | b - e_T} <= ord(b).
     """
-    return betti_via_koszul(gr_box_module(ctx, bound, ctx.corner), bound=bound)
+    return betti_via_koszul(gr_box_module(ctx))
 
 
 class SubringError(ValueError):

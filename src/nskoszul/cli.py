@@ -5,14 +5,17 @@ lin-check, construct, koszul, ses-check, and sweep.  Machine-readable output
 (json, csv) is byte-stable across runs: keys are sorted and timings are kept
 out of those formats.
 
-Exit codes: 0 all requested verdicts true; 1 some verdict outright false;
-3 verdicts clean but inconclusive at the chosen bound; 2 usage errors
-(argparse default, bad ring descriptions, bad --bound, --char or --jobs,
-an --out or --emit-cas file that cannot be written, refused before any
-computation when its directory is missing);
-4 internal failures (a non-minimal resolution, a degree window overrun,
-inhomogeneous generators, a resolution past its level cap), reported as
-"internal error (<ExceptionClass>): ...".
+Verdicts are true or false with no degree bound (see koszul_check); --bound
+only caps the listed lin witnesses, gr-betti rows and gr-hilbert/ses-check
+degrees.
+
+Exit codes: 0 all requested verdicts true; 1 some verdict false; 2 usage
+errors (argparse default, bad ring descriptions, bad --bound, --char or
+--jobs, an --out or --emit-cas file that cannot be written, refused before
+any computation when its directory is missing); 4 internal failures (a
+non-minimal resolution, a degree window overrun, inhomogeneous generators, a
+resolution past its level cap, a linear part with a multi-term entry),
+reported as "internal error (<ExceptionClass>): ...".
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .egm import DegreeRangeError
 from .gb import InhomogeneousInput, monomial_elements
 from .koszul_check import (
     EXIT_FALSE,
-    EXIT_INCONCLUSIVE,
     EXIT_OK,
     NotMinimal,
     Verdict,
@@ -207,7 +209,7 @@ def _ord_context(spec: RingSpec, e: int) -> OrdContext:
 def cmd_gr_betti(args) -> int:
     spec = parse_ring_spec(args.ring)
     bound = _bound(args, spec)
-    table = gr_betti(_ord_context(spec, args.e), bound)
+    table = gr_betti(_ord_context(spec, args.e)).restrict(bound)
     payload = {
         "ring": _ring_dict(spec),
         "e": args.e,
@@ -240,7 +242,7 @@ def cmd_lin_check(args) -> int:
     F = resolve_module(monomial_elements(spec, gens), minimize=True)
     L = linear_part(F, spec)
     acyclic, nonzero = lin_acyclicity(L, bound)
-    verdict = Verdict.at_bound(acyclic, bound, recommended_bound(spec, args.e))
+    verdict = Verdict.of(acyclic)
     payload = {
         "ring": _ring_dict(spec),
         "e": args.e,
@@ -250,7 +252,7 @@ def cmd_lin_check(args) -> int:
             {"i": i, "j": j, "dim": d} for (i, j), d in sorted(nonzero.items())
         ],
     }
-    text = f"lin acyclic up to degree {bound}: {verdict}"
+    text = f"lin acyclic: {verdict}"
     _emit(args, payload, text)
     return exit_status([verdict])
 
@@ -388,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ring", required=True, help="e.g. x=1,y=3 or x=1,y=3@101")
         p.add_argument("--e", type=int, required=True, help="truncation threshold")
         if bound:
-            p.add_argument("--bound", type=int, default=None, help="certification degree bound")
+            p.add_argument("--bound", type=int, default=None, help="cap on listed degrees")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to a file")
 

@@ -23,7 +23,7 @@ from math import comb, ceil
 
 from .assoc_graded import OrdContext, gr_hilbert
 from .complexes import BettiTable
-from .ring import RingSpec
+from .ring import RingSpec, as_int
 from .truncation import filtration_layer, trunc_gens
 
 
@@ -93,7 +93,7 @@ def construct_gr_betti(weights, e: int):
 
     All entries land on the diagonal j = i by construction.
     """
-    weights = tuple(int(w) for w in weights)
+    weights = tuple(as_int(w, "weight") for w in weights)
     if any(w < 1 for w in weights) or not weights:
         raise ValueError(f"weights must be positive, got {weights}")
     if e <= 0 or len(weights) == 1:
@@ -173,10 +173,9 @@ def ses_hilbert_check(weights, e: int, i: int, bound: int, char: int | None = No
     quotient, which is the truncation of the smaller ring at e - d*i with the
     eliminated variable acting as zero.  Returns (ok, lhs, rhs).
     """
-    weights = tuple(int(w) for w in weights)
-    spec = RingSpec(weights) if char is None else RingSpec(weights, char=char)
-    var = _pick_last_variable(weights)
-    d = weights[var]
+    spec = RingSpec(tuple(weights)) if char is None else RingSpec(tuple(weights), char=char)
+    var = _pick_last_variable(spec.weights)
+    d = spec.weights[var]
     N = ceil(max(e, 1) / d)
     if not 0 <= i < N:
         raise ValueError(f"layer index {i} outside 0..{N - 1}")
@@ -185,7 +184,7 @@ def ses_hilbert_check(weights, e: int, i: int, bound: int, char: int | None = No
     layer_next = filtration_layer(gens, i + 1, var)
     lhs = gr_hilbert(OrdContext(spec, tuple((0, m) for m in layer_i)), bound)
     mid = gr_hilbert(OrdContext(spec, tuple((0, m) for m in layer_next)), bound)
-    if len(weights) == 1:
+    if spec.num_vars == 1:
         # the remaining ring is the field: its truncation is k for
         # thresholds <= 0 and zero otherwise
         quot = [0] * (bound + 1)

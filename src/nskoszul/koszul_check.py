@@ -4,8 +4,9 @@ the combined Koszulness verdict.
 Three pipelines feed one report: (1) resolve the truncation over the weighted
 ring, take the linear part, test acyclicity; (2) the graded Betti numbers of
 the associated graded module must be concentrated on the diagonal; (3) the
-layer-by-layer construction must predict exactly that Betti table.  Verdicts
-only ever refer to internal degrees up to the recorded bound.
+layer-by-layer construction must predict exactly that Betti table.  Each
+verdict is true or false, decided with no degree bound on a finite support:
+lin on the generator grid, gr and the construction on the whole gr table.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .truncation import trunc_gens
 class Verdict(enum.Enum):
     TRUE = "true"
     FALSE = "false"
-    INCONCLUSIVE = "inconclusive"
 
     @property
     def ok(self) -> bool:
@@ -40,36 +40,31 @@ class Verdict(enum.Enum):
         return self.value
 
     @classmethod
-    def at_bound(cls, ok: bool, bound: int, recommended: int) -> "Verdict":
-        """A failed check is false; a passed one is true only at a bound no
-        lower than the recommended one, and inconclusive below it."""
-        if not ok:
-            return cls.FALSE
-        return cls.TRUE if bound >= recommended else cls.INCONCLUSIVE
+    def of(cls, ok: bool) -> "Verdict":
+        return cls.TRUE if ok else cls.FALSE
 
 
 EXIT_OK = 0
 EXIT_FALSE = 1
-EXIT_INCONCLUSIVE = 3
 
 
 def exit_status(verdicts) -> int:
-    """Exit code for a set of verdicts: 1 if any is false, else 0 if all are
-    true, else 3 (clean but inconclusive)."""
-    verdicts = list(verdicts)
-    if Verdict.FALSE in verdicts:
-        return EXIT_FALSE
-    return EXIT_OK if all(v.ok for v in verdicts) else EXIT_INCONCLUSIVE
+    """Exit code for a set of verdicts: 1 if any is false, else 0."""
+    return EXIT_OK if all(v.ok for v in verdicts) else EXIT_FALSE
 
 
 def recommended_bound(spec: RingSpec, e: int) -> int:
-    """Default certification bound for truncation workloads."""
+    """Default cap on the internal degrees that are listed; no verdict depends on it."""
     n = spec.num_vars
     return max(e, 0) + n * spec.max_weight + n
 
 
 class NotMinimal(ValueError):
     """linear_part requires a minimal complex (no unit entries)."""
+
+
+class NoFiniteDecision(RuntimeError):
+    """lin(F) has a multi-term entry, so its acyclicity has no finite decision."""
 
 
 def linear_part(F: GradedFreeComplex, spec: RingSpec | None = None) -> GradedFreeComplex:
@@ -106,22 +101,22 @@ def linear_part(F: GradedFreeComplex, spec: RingSpec | None = None) -> GradedFre
 
 
 def lin_acyclicity(L: GradedFreeComplex, bound: int):
-    """True iff H_i(L)_j = 0 for all i >= 1 and j <= bound.
+    """True iff H_i(L) = 0 for all i >= 1, in every internal degree.
 
-    Returns (acyclic, nonzero) where nonzero lists the offending
-    (i, j) -> dimension entries.  Acyclicity is first decided with no
-    degree bound on the finite grid of generator multidegrees
-    (positive_homology_vanishes); only when that finds homology somewhere
-    does the bounded count homology_dims run, on the same grid cells, to
-    report the witnesses with j <= bound.  A grid point's homology holds on
-    its whole cell, whose multidegrees of degree j number the z^j
-    coefficient of prod_t sum_k z^(w_t k), k over the cell's range in t.
+    Decided with no degree bound on the finite grid of generator
+    multidegrees (positive_homology_vanishes); a complex that does not split
+    into multidegree blocks raises NoFiniteDecision.  Returns (acyclic,
+    nonzero): when acyclic is False, nonzero lists the witnesses (i, j) ->
+    dimension with i >= 1 and j <= bound, counted by homology_dims on the
+    same grid cells, and is empty when all of them lie above the bound.
     """
-    if positive_homology_vanishes(L):
+    acyclic = positive_homology_vanishes(L)
+    if acyclic is None:
+        raise NoFiniteDecision("the linear part does not split into multidegree blocks")
+    if acyclic:
         return True, {}
     dims = homology_dims(L, bound)
-    nonzero = {key: d for key, d in dims.items() if key[0] >= 1}
-    return (not nonzero), nonzero
+    return False, {key: d for key, d in dims.items() if key[0] >= 1}
 
 
 @dataclass(frozen=True)
@@ -145,10 +140,6 @@ class KoszulReport:
     @property
     def all_true(self) -> bool:
         return all(v.ok for v in self.verdicts().values())
-
-    @property
-    def any_false(self) -> bool:
-        return any(v is Verdict.FALSE for v in self.verdicts().values())
 
     def verdicts(self) -> dict:
         return {
@@ -185,9 +176,9 @@ class KoszulReport:
 def koszul_verdict(spec: RingSpec, e: int, bound: int | None = None) -> KoszulReport:
     """Run all three pipelines on the degree >= e truncation of the ring.
 
-    Pipeline disagreement is reported as a failed verdict, never silently
-    reconciled; a clean result below the recommended bound is reported as
-    inconclusive rather than true.
+    Every verdict is decided in full, whatever the bound (default
+    recommended_bound), which only caps the listed lin homology witnesses.
+    Pipeline disagreement is a false verdict, never silently reconciled.
     """
     rec = recommended_bound(spec, e)
     b = rec if bound is None else bound
@@ -197,21 +188,17 @@ def koszul_verdict(spec: RingSpec, e: int, bound: int | None = None) -> KoszulRe
     L = linear_part(F, spec)
     acyclic, nonzero = lin_acyclicity(L, b)
 
-    ctx = OrdContext(spec, tuple((0, m) for m in gens))
-    gr_table = gr_betti(ctx, b)
-    linear = all(i == j for i, j, _ in gr_table.entries)
-
+    gr_table = gr_betti(OrdContext(spec, tuple((0, m) for m in gens)))
     construct_table, _trace = construct_gr_betti(spec.weights, e)
-    match = construct_table.restrict(b) == gr_table.restrict(b)
 
     return KoszulReport(
         spec=spec,
         e=e,
         bound=b,
         recommended=rec,
-        lin_acyclic=Verdict.at_bound(acyclic, b, rec),
-        gr_linear=Verdict.at_bound(linear, b, rec),
-        construction_match=Verdict.at_bound(match, b, rec),
+        lin_acyclic=Verdict.of(acyclic),
+        gr_linear=Verdict.of(gr_table.is_diagonal()),
+        construction_match=Verdict.of(construct_table == gr_table),
         resolution_betti=F.betti_from_twists(),
         lin_betti=L.betti_from_twists(),
         gr_table=gr_table,

@@ -10,6 +10,7 @@ freely across threads or processes.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,8 +61,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def as_int(value, what: str) -> int:
+    """value as an int, refusing (never truncating) a non-integral value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_characteristic(p: int) -> int:
     """Return p if it is a prime the arithmetic kernels support, else raise."""
+    p = as_int(p, "characteristic")
     if not 2 <= p < MAX_CHAR:
         raise ValueError(
             f"characteristic {p} is outside the supported range 2 <= p < 2**31"
@@ -128,7 +138,7 @@ class RingSpec:
     char: int = DEFAULT_CHAR
 
     def __post_init__(self):
-        weights = tuple(int(w) for w in self.weights)
+        weights = tuple(as_int(w, "weight") for w in self.weights)
         if not weights:
             raise ValueError("ring needs at least one variable")
         if any(w < 1 for w in weights):
@@ -145,7 +155,7 @@ class RingSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"variable names must be distinct, got {names}")
         object.__setattr__(self, "names", names)
-        check_characteristic(self.char)
+        object.__setattr__(self, "char", check_characteristic(self.char))
 
     @property
     def num_vars(self) -> int:
@@ -487,7 +497,7 @@ class FreeModuleSpec:
     twists: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "twists", tuple(int(t) for t in self.twists))
+        object.__setattr__(self, "twists", tuple(as_int(t, "twist") for t in self.twists))
 
     @property
     def rank(self) -> int:

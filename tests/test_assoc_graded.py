@@ -18,7 +18,12 @@ from nskoszul.complexes import (
     one_minus_t_power,
     truncated_series_product,
 )
-from nskoszul.egm import DegreeRangeError, ExplicitGradedModule, betti_via_koszul
+from nskoszul.egm import (
+    DegreeRangeError,
+    ExplicitGradedModule,
+    betti_via_koszul,
+    labelled_module,
+)
 from nskoszul.ring import RingSpec
 from nskoszul.truncation import minimalize_monomials, trunc_free_gens, trunc_gens
 
@@ -137,17 +142,26 @@ class TestGrHilbert:
 
 class TestGrBetti:
     def test_paper_example(self):
-        assert gr_betti(CTX13, 12).entries == ((0, 0, 3), (1, 1, 2))
+        assert gr_betti(CTX13).entries == ((0, 0, 3), (1, 1, 2))
 
     def test_standard_graded_matches_regraded_resolution(self):
         # all weights 1: gr is the truncation itself, generated in one degree
         spec = RingSpec((1, 1), ("x", "y"))
-        table = gr_betti(trunc_ctx(spec, 3), 10)
+        table = gr_betti(trunc_ctx(spec, 3))
         assert table.entries == ((0, 0, 4), (1, 1, 3))
 
     def test_principal_module_is_free(self):
         ctx = OrdContext(W13, ((0, (0, 2)),))
-        assert gr_betti(ctx, 8).entries == ((0, 0, 1),)
+        assert gr_betti(ctx).entries == ((0, 0, 1),)
+
+    def test_whole_table_shows_the_off_diagonal_syzygy(self):
+        # negative control: (x^2, y^2) is not componentwise linear; its
+        # syzygy sits at (1, 2), above a bound of 1 but not beyond the box
+        ctx = OrdContext(RingSpec((1, 1)), ((0, (2, 0)), (0, (0, 2))))
+        table = gr_betti(ctx)
+        assert (1, 2, 1) in table.entries
+        assert not table.is_diagonal()
+        assert table.restrict(1).is_diagonal()
 
     def test_hilbert_euler_consistency(self):
         rng = random.Random(12)
@@ -156,7 +170,7 @@ class TestGrBetti:
             e = rng.randint(1, 7)
             bound = e + spec.num_vars * spec.max_weight + spec.num_vars
             ctx = trunc_ctx(spec, e)
-            table = gr_betti(ctx, bound)
+            table = gr_betti(ctx)
             hilb = gr_hilbert(ctx, bound)
             lhs = alternating_betti_series(table, bound)
             rhs = truncated_series_product(
@@ -173,7 +187,7 @@ def box_top_degree(ctx):
 def box_oracle_cases():
     """(ctx, bound) pairs: random monomial ideals and truncations of twisted
     free modules, each at one bound below and one at or above the box's top
-    degree."""
+    degree, and at the top degree plus n, where the whole table shows."""
     rng = random.Random(61)
     contexts = []
     for _ in range(90):
@@ -193,52 +207,65 @@ def box_oracle_cases():
         if top > 0:
             yield ctx, rng.randint(0, top - 1)
         yield ctx, rng.randint(top, top + 3)
+        yield ctx, top + ctx.spec.num_vars
 
 
 class TestGrBettiOnBox:
-    """gr_betti works on the exponent box; gr_module on the whole degree
-    window, through betti_via_koszul, is its oracle."""
+    """gr_betti works on the whole exponent box, with no degree bound;
+    gr_module on a degree window, through betti_via_koszul, is its oracle."""
 
     def test_matches_whole_window_oracle(self):
-        nonlinear = below = multi = 0
+        nonlinear = below = multi = whole = 0
         for ctx, bound in box_oracle_cases():
-            table = gr_betti(ctx, bound)
-            assert table == betti_via_koszul(gr_module(ctx, bound), bound=bound), (ctx, bound)
-            nonlinear += any(i != j for i, j, _ in table.entries)
+            table = gr_betti(ctx)
+            oracle = betti_via_koszul(gr_module(ctx, bound), bound=bound)
+            assert table.restrict(bound) == oracle, (ctx, bound)
+            if bound >= box_top_degree(ctx) + ctx.spec.num_vars:
+                assert table == oracle, (ctx, bound)
+                whole += 1
+            nonlinear += not table.is_diagonal()
             below += bound < box_top_degree(ctx)
             multi += ctx.num_components > 1
         assert nonlinear >= 10
         assert below >= 10
         assert multi >= 10
+        assert whole >= 100
 
     def test_shrunken_corner_disagrees(self):
         # negative control: a box one short in some coordinate loses Betti numbers
         disagree = 0
-        for ctx, bound in box_oracle_cases():
+        for ctx in dict.fromkeys(ctx for ctx, _ in box_oracle_cases()):
             corner = ctx.corner
             t = max(range(len(corner)), key=corner.__getitem__)
             if not corner[t]:
                 continue
             shrunk = corner[:t] + (corner[t] - 1,) + corner[t + 1:]
-            table = betti_via_koszul(gr_box_module(ctx, bound, shrunk), bound=bound)
-            disagree += table != gr_betti(ctx, bound)
+            box = gr_box_module(ctx)
+            degrees = {
+                j: [lb for lb in labels if lb[1][t] <= shrunk[t]]
+                for j, labels in box.degrees.items()
+            }
+            table = betti_via_koszul(labelled_module(box.spec, box.bound, degrees, shrunk))
+            disagree += table != gr_betti(ctx)
         assert disagree >= 1
 
     def test_corner_is_the_second_window(self):
         assert CTX13.corner == (5, 2)
-        box = gr_box_module(CTX13, 6, CTX13.corner)
-        whole = gr_module(CTX13, 6)
+        box = gr_box_module(CTX13)
         assert box.corner == (5, 2)
+        # stored up to the largest ord in the box, the ord of the corner
+        assert box.bound == box_top_degree(CTX13) == CTX13.ord((5, 2)) == 5
+        whole = gr_module(CTX13, box.bound)
         assert whole.corner is None
         # the box keeps exactly the whole window's labels m <= corner
-        for j in range(7):
+        for j in range(box.bound + 1):
             kept = [lb for lb in whole.basis(j) if lb[1][0] <= 5 and lb[1][1] <= 2]
             assert list(box.basis(j)) == kept
 
     def test_extend_gr_pads_the_corner(self):
         sub = RingSpec((1, 1), ("x1", "x2"))
         ctx = OrdContext(sub, tuple((0, m) for m in trunc_gens(sub, 2)))
-        E = extend_gr(gr_box_module(ctx, 8, (2, 2)), RingSpec((1, 1, 1)).companion())
+        E = extend_gr(gr_box_module(ctx), RingSpec((1, 1, 1)).companion())
         assert E.corner == (2, 2, 0)
 
     def test_dense_strands_refuse_a_corner(self):

@@ -7,21 +7,20 @@ from pathlib import Path
 import pytest
 
 import nskoszul
-from nskoszul import cli, complexes, sweep
+from nskoszul import cli, complexes, koszul_check, sweep
 from nskoszul.cli import (
-    EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
-    EXIT_OK,
     EXIT_USAGE,
     RingSpecParseError,
     main,
     parse_ring_spec,
     render_ring_spec,
 )
+from nskoszul.complexes import GradedFreeComplex
 from nskoszul.egm import DegreeRangeError
 from nskoszul.gb import InhomogeneousInput
-from nskoszul.koszul_check import NotMinimal
-from nskoszul.ring import RingSpec
+from nskoszul.koszul_check import EXIT_FALSE, EXIT_OK, NotMinimal, Verdict, koszul_verdict
+from nskoszul.ring import FreeModuleSpec, Polynomial, RingSpec
 from nskoszul.sweep import rows_to_csv, run_sweep, sweep_exit_status
 
 
@@ -86,10 +85,13 @@ class TestSubcommands:
     def test_koszul_verdict_exit_codes(self, capsys):
         assert main(["koszul", "--ring", "x=1,y=3", "--e", "5"]) == EXIT_OK
         capsys.readouterr()
+        # verdicts are decided on their finite support: a bound below the
+        # recommended 13 only caps what is listed, and the verdict is true
         assert (
             main(["koszul", "--ring", "x=1,y=3", "--e", "5", "--bound", "3"])
-            == EXIT_INCONCLUSIVE
+            == EXIT_OK
         )
+        assert capsys.readouterr().out.split().count("true") == 3
 
     def test_koszul_json_payload(self, capsys):
         main(["koszul", "--ring", "x=1,y=3", "--e", "5", "--format", "json"])
@@ -143,6 +145,12 @@ class TestSubcommands:
 
     def test_lin_check(self, capsys):
         assert main(["lin-check", "--ring", "x=1,y=4", "--e", "5"]) == EXIT_OK
+
+    def test_lin_check_with_bound_zero(self, capsys):
+        assert main(["lin-check", "--ring", "x=1,y=4", "--e", "5", "--bound", "0"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == "lin acyclic: true\n"
+        assert "up to degree" not in out
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["gens", "--ring", "x=0", "--e", "3"]) == 2
@@ -340,6 +348,18 @@ class TestInternalErrors:
         err = capsys.readouterr().err
         assert err == f"internal error ({type(exc).__name__}): {exc}\n"
 
+    @pytest.mark.parametrize("command", ["lin-check", "koszul"])
+    def test_multi_term_linear_part(self, monkeypatch, capsys, command):
+        # d_1 = (x + y) does not split into multidegree blocks, so lin
+        # acyclicity has no finite decision; it is never a bounded guess
+        R = RingSpec((1, 1), ("x", "y"))
+        d1 = (((Polynomial(R, {(1, 0): 1, (0, 1): 1}),),),)
+        L = GradedFreeComplex(R, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), d1)
+        for module in (cli, koszul_check):
+            monkeypatch.setattr(module, "linear_part", lambda F, spec=None: L)
+        assert main([command, "--ring", "x=1,y=3", "--e", "5"]) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error (NoFiniteDecision): ")
+
     def test_resolution_level_cap(self, monkeypatch, capsys):
         # syzygies that never run out drive resolve_module into its level cap
         monkeypatch.setattr(complexes, "syzygies", lambda gens: (list(gens), None))
@@ -360,23 +380,17 @@ def test_module_entry_point_runs_cleanly():
 
 
 def test_exit_code_mapping_with_synthetic_reports():
-    # a false verdict must map to the failure exit code, distinct from
-    # the inconclusive one
-    from nskoszul.koszul_check import koszul_verdict
-    from nskoszul.ring import RingSpec
+    # a false verdict maps to the failure exit code, whichever verdict it is
     import dataclasses
 
     report = koszul_verdict(RingSpec((1, 3)), 5)
-    falsified = dataclasses.replace(report, gr_linear=__import__("nskoszul").Verdict.FALSE)
-    rows_ok = []
 
     class Row:
         def __init__(self, rep):
             self.report = rep
 
-    assert sweep_exit_status([Row(report)]) == 0
-    assert sweep_exit_status([Row(falsified)]) == 1
-    inconclusive = dataclasses.replace(
-        report, gr_linear=__import__("nskoszul").Verdict.INCONCLUSIVE
-    )
-    assert sweep_exit_status([Row(inconclusive)]) == 3
+    assert sweep_exit_status([Row(report)]) == EXIT_OK
+    for name in report.verdicts():
+        falsified = dataclasses.replace(report, **{name: Verdict.FALSE})
+        assert sweep_exit_status([Row(falsified)]) == EXIT_FALSE
+        assert sweep_exit_status([Row(report), Row(falsified)]) == EXIT_FALSE

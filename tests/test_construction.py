@@ -65,7 +65,7 @@ class TestConstructGrBetti:
         # independent oracle: Koszul-homology Betti numbers of the gr module
         spec = RingSpec((1, 2, 2))
         ctx = OrdContext(spec, tuple((0, m) for m in trunc_gens(spec, 7)))
-        assert construct_gr_betti((1, 2, 2), 7)[0] == gr_betti(ctx, 16)
+        assert construct_gr_betti((1, 2, 2), 7)[0] == gr_betti(ctx)
 
 
 class TestTensorKoszulBetti:
@@ -141,7 +141,7 @@ class TestConstructFreeBetti:
         spec = RingSpec((1, 3), ("x", "y"))
         twists = (0, 2, -1)
         ctx = OrdContext(spec, tuple(trunc_free_gens(spec, twists, 5)))
-        assert construct_free_betti((1, 3), twists, 5) == gr_betti(ctx, 14)
+        assert construct_free_betti((1, 3), twists, 5) == gr_betti(ctx)
 
 
 class TestSesHilbertCheck:

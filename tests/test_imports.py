@@ -1,11 +1,17 @@
-"""Every name a test module imports is used in it."""
+"""Every name a test or source module imports is used in it.
+
+The package's __init__.py is left out: its imports are its public
+re-exports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+HERE = Path(__file__).resolve().parent
+SOURCES = sorted(HERE.glob("*.py")) + sorted(
+    p for p in (HERE.parent / "src" / "nskoszul").glob("*.py") if p.name != "__init__.py"
+)
 
 
 def unused_imports(source: str) -> list:
@@ -23,7 +29,7 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -12,6 +12,7 @@ from nskoszul.complexes import (
 )
 from nskoszul.gb import monomial_elements
 from nskoszul.koszul_check import (
+    NoFiniteDecision,
     NotMinimal,
     Verdict,
     koszul_verdict,
@@ -109,6 +110,16 @@ class TestLinAcyclicity:
         assert positive_homology_vanishes(L) is False
         assert any(i >= 1 for i, _ in homology_dims(L, 6))
         assert lin_acyclicity(L, 6) == (False, {(1, j): j for j in range(1, 7)})
+        # the verdict does not depend on the bound, only the listed witnesses
+        assert lin_acyclicity(L, 0) == (False, {})
+
+    def test_multi_term_entry_has_no_finite_decision(self):
+        R = STD2.companion()
+        d1 = (((Polynomial(R, {(1, 0): 1, (0, 1): 1}),),),)
+        L = GradedFreeComplex(R, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), d1)
+        assert positive_homology_vanishes(L) is None
+        with pytest.raises(NoFiniteDecision):
+            lin_acyclicity(L, 6)
 
     def test_componentwise_linear_ideal_is_acyclic(self):
         # positive control: (x^2, xy, y^3) is componentwise linear
@@ -138,11 +149,13 @@ class TestKoszulVerdict:
         assert report.all_true
         assert report.construct_table == report.gr_table
 
-    def test_small_bound_is_inconclusive_not_true(self):
+    def test_small_bound_is_true_with_the_same_table(self):
+        # verdicts are decided on their finite support, not up to the bound:
+        # a bound below the recommended 13 changes neither verdict nor table
         report = koszul_verdict(W13, 5, bound=4)
-        assert not report.all_true
-        assert not report.any_false
-        assert report.lin_acyclic is Verdict.INCONCLUSIVE
+        assert report.all_true
+        assert report.lin_acyclic is Verdict.TRUE
+        assert report.gr_table == koszul_verdict(W13, 5).gr_table
 
     def test_lin_twists_match_gr_betti_when_acyclic(self):
         rng = random.Random(22)

@@ -1,11 +1,14 @@
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nskoszul.construction import construct_gr_betti, ses_hilbert_check
 from nskoszul.ring import (
     CHAR_ENV,
     DimensionMismatch,
+    FreeModuleSpec,
     Polynomial,
     RingSpec,
     default_characteristic,
@@ -53,6 +56,37 @@ class TestRingSpec:
         for bad in (0, 1, -7):
             with pytest.raises(ValueError):
                 RingSpec((1,), char=bad)
+
+
+class TestIntegralInput:
+    # non-integral values are refused where they enter, never truncated
+
+    def test_ring_weights(self):
+        with pytest.raises(ValueError, match="weight must be an integer"):
+            RingSpec((1.5, 2))
+        with pytest.raises(ValueError, match="weight must be an integer"):
+            RingSpec(("1", 2))
+        assert RingSpec((np.int64(1), 2)).weights == (1, 2)
+
+    def test_ring_characteristic(self):
+        with pytest.raises(ValueError, match="characteristic must be an integer"):
+            RingSpec((1, 2), char=32003.0)
+        spec = RingSpec((1, 2), char=np.int64(101))
+        assert spec.char == 101 and type(spec.char) is int
+
+    def test_free_module_twists(self):
+        with pytest.raises(ValueError, match="twist must be an integer"):
+            FreeModuleSpec((0, 2.5))
+        assert FreeModuleSpec((np.int64(3), -1)).twists == (3, -1)
+
+    def test_ses_check_weights(self):
+        with pytest.raises(ValueError, match="weight must be an integer"):
+            ses_hilbert_check((1, 3.0), 5, 0, 8)
+        assert ses_hilbert_check((1, 3), 5, 0, 8)[0]
+
+    def test_construction_weights(self):
+        with pytest.raises(ValueError, match="weight must be an integer"):
+            construct_gr_betti((1, 2.5), 4)
 
 
 class TestCharacteristic:
