@@ -18,7 +18,6 @@ from .gb import (
     GroebnerBasis,
     InhomogeneousInput,
     buchberger,
-    graded_span_dims,
     minimal_generators,
     monomial_elements,
     normal_form,

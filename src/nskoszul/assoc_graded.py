@@ -189,6 +189,8 @@ def extend_gr(M: ExplicitGradedModule, full: RingSpec) -> ExplicitGradedModule:
         j: tuple((comp, m + pad) for comp, m in labels)
         for j, labels in M.degrees.items()
     }
-    actions = dict(M.actions)
+    actions = tuple(
+        {(comp, m + pad): coeff for (comp, m), coeff in image.items()} for image in M.actions
+    ) + tuple({} for _ in pad)
     corner = None if M.corner is None else M.corner + pad
     return ExplicitGradedModule(full, M.bound, degrees, actions, corner)

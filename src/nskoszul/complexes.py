@@ -3,14 +3,15 @@ tensor totalization, Taylor complexes, the resolution builder, homology
 dimensions, and Betti tables.
 
 Homology dimensions are computed by exact rank computations over the
-coefficient field.  A complex with single-term entries splits into blocks
-graded by exponent multidegree; one walk over the grid of generator
-coordinate values, one column elimination per slice along the last
-coordinate, both decides, with no degree bound, whether H_{>=1} vanishes
-and gives the bounded count.  A grid point's homology holds on its
-whole cell, which has as many multidegrees of degree j as z^j has in
-prod_t sum_k z^(w_t k), k over the cell's range in coordinate t.  Other
-complexes are expanded densely; both routes are cross-checked in the tests.
+coefficient field, on complexes whose differential entries are single terms:
+such a complex splits into blocks graded by exponent multidegree, and one
+walk over the grid of generator coordinate values, one column elimination
+per slice along the last coordinate, both decides, with no degree bound,
+whether H_{>=1} vanishes and gives the bounded count.  A grid point's
+homology holds on its whole cell, which has as many multidegrees of degree j
+as z^j has in prod_t sum_k z^(w_t k), k over the cell's range in coordinate
+t.  A complex that does not split raises NoFiniteDecision; the tests
+cross-check the blocks against a dense expansion of each graded piece.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from itertools import combinations, product
 import numpy as np
 
 from . import modp
-from .gb import buchberger, graded_basis, minimal_generators, syzygies
+from .gb import buchberger, minimal_generators, syzygies
 from .ring import (
     FreeModuleSpec,
     Polynomial,
     RingSpec,
     mon_lcm,
-    mon_mul,
     mon_quotient,
     monomials_of_wdeg,
 )
@@ -451,64 +451,9 @@ def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
 # homology dimensions
 
 
-def homology_dims(C: GradedFreeComplex, bound: int) -> dict:
-    """dim H_i(C)_j for all i and internal degrees j <= bound.
-
-    Returns a dict with the nonzero dimensions only; absent keys are zero.
-    Complexes with single-term entries are counted on the grid cells that
-    positive_homology_vanishes walks: a grid point's homology holds on its
-    whole cell, whose multidegrees of degree j number the coefficient of z^j
-    in prod_t sum_k z^(w_t k), k running over the cell's range in coordinate
-    t.  Any other complex falls back to the dense expansion of each graded
-    piece, which the tests also use as the oracle for the blocks.
-    """
-    out = _homology_blocks(C, bound)
-    return _homology_dense(C, bound) if out is None else out
-
-
-def _homology_dense(C: GradedFreeComplex, bound: int) -> dict:
-    spec = C.spec
-    p = spec.char
-    min_twist = min((t for m in C.modules for t in m.twists), default=0)
-    out = {}
-    for j in range(min_twist, bound + 1):
-        bases = [graded_basis(spec, m, j) for m in C.modules]
-        ranks = [0] * (C.length + 2)
-        for i in range(1, C.length + 1):
-            rows = {key: idx for idx, key in enumerate(bases[i - 1])}
-            cols = bases[i]
-            if not rows or not cols:
-                continue
-            mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-            dmat = C.diffs[i - 1]
-            for cidx, (comp, mon) in enumerate(cols):
-                for r in range(C.modules[i - 1].rank):
-                    entry = dmat[r][comp]
-                    for mm, coeff in entry.coeffs.items():
-                        mat[rows[(r, mon_mul(mon, mm))], cidx] = coeff
-            ranks[i] = modp.rank_mod(mat, p)
-        for i in range(C.length + 1):
-            h = len(bases[i]) - ranks[i] - ranks[i + 1]
-            if h:
-                out[(i, j)] = h
-    return out
-
-
-def _term_entries(C: GradedFreeComplex):
-    # (level k, row, col) -> (monomial, coeff); None when an entry has >1 term
-    out = []
-    for mat in C.diffs:
-        entries = {}
-        for r, row in enumerate(mat):
-            for c, entry in enumerate(row):
-                if not entry:
-                    continue
-                if len(entry.coeffs) != 1:
-                    return None
-                ((mon, coeff),) = entry.coeffs.items()
-                entries[(r, c)] = (mon, coeff)
-        out.append(entries)
-    return out
+class NoFiniteDecision(RuntimeError):
+    """The complex does not split into multidegree blocks, so its homology
+    has no finite decision on the generator grid."""
 
 
 @dataclass(frozen=True)
@@ -579,17 +524,30 @@ class _MultidegreeBlock:
                     yield (*prefix, k), h
 
 
-def _multidegree_blocks(C: GradedFreeComplex) -> list | None:
+def _multidegree_blocks(C: GradedFreeComplex) -> list:
     """Split a single-term complex into its connected multigraded components.
 
-    Returns None when some entry has more than one term, or when the entries
-    admit no consistent multigrading.
+    Raises NoFiniteDecision when some entry has more than one term, or when
+    the entries admit no consistent multigrading.
     """
     spec = C.spec
     n = spec.num_vars
-    term_data = _term_entries(C)
-    if term_data is None:
-        return None
+    # per level: (row, col) -> (monomial, coeff)
+    term_data = []
+    for mat in C.diffs:
+        entries = {}
+        for r, row in enumerate(mat):
+            for c, entry in enumerate(row):
+                if not entry:
+                    continue
+                if len(entry.coeffs) != 1:
+                    raise NoFiniteDecision(
+                        "an entry has more than one term, so the complex does not "
+                        "split into multidegree blocks"
+                    )
+                ((mon, coeff),) = entry.coeffs.items()
+                entries[(r, c)] = (mon, coeff)
+        term_data.append(entries)
 
     nodes = [(i, g) for i, m in enumerate(C.modules) for g in range(m.rank)]
     adj = {node: [] for node in nodes}
@@ -615,7 +573,7 @@ def _multidegree_blocks(C: GradedFreeComplex) -> list | None:
                 )
                 if nb in multideg:
                     if multideg[nb] != want:
-                        return None
+                        raise NoFiniteDecision("the entries admit no consistent multigrading")
                 else:
                     multideg[nb] = want
                     comp_nodes.append(nb)
@@ -630,7 +588,7 @@ def _multidegree_blocks(C: GradedFreeComplex) -> list | None:
             C.modules[i].twists[g] - wdeg(multideg[(i, g)]) for i, g in comp_nodes
         }
         if len(offsets) != 1:
-            return None
+            raise NoFiniteDecision("the entries admit no consistent multigrading")
         local = [[] for _ in range(levels)]
         for i, g in sorted(comp_nodes):
             local[i].append(g)
@@ -655,12 +613,18 @@ def _multidegree_blocks(C: GradedFreeComplex) -> list | None:
     return blocks
 
 
-def _homology_blocks(C: GradedFreeComplex, bound: int) -> dict | None:
-    blocks = _multidegree_blocks(C)
-    if blocks is None:
-        return None
+def homology_dims(C: GradedFreeComplex, bound: int) -> dict:
+    """dim H_i(C)_j for all i and internal degrees j <= bound.
+
+    Returns a dict with the nonzero dimensions only; absent keys are zero.
+    Counted on the grid cells that positive_homology_vanishes walks: a grid
+    point's homology holds on its whole cell, whose multidegrees of degree j
+    number the coefficient of z^j in prod_t sum_k z^(w_t k), k running over
+    the cell's range in coordinate t.  A complex that does not split into
+    multidegree blocks raises NoFiniteDecision.
+    """
     out = {}
-    for blk in blocks:
+    for blk in _multidegree_blocks(C):
         for index, h in blk.grid_walk(C.spec.char):
             # the cell spans [grid[t][k], grid[t][k + 1]) in coordinate t,
             # unbounded at the last value; its corner has its lowest degree
@@ -681,11 +645,11 @@ def _homology_blocks(C: GradedFreeComplex, bound: int) -> dict | None:
     return out
 
 
-def positive_homology_vanishes(C: GradedFreeComplex) -> bool | None:
+def positive_homology_vanishes(C: GradedFreeComplex) -> bool:
     """Is H_i(C) = 0 for every i >= 1, in every internal degree?
 
     Decided with no degree bound, for complexes whose differential entries
-    are single terms; returns None for any other complex.
+    are single terms; any other complex raises NoFiniteDecision.
 
     Why a finite check is complete: such a complex is the direct sum of its
     connected components, and each component is Z^n-graded with generator g
@@ -711,11 +675,8 @@ def positive_homology_vanishes(C: GradedFreeComplex) -> bool | None:
     point's homology holds on its whole cell, whose multidegrees of degree j
     number the z^j coefficient of prod_t sum_k z^(w_t k).
     """
-    blocks = _multidegree_blocks(C)
-    if blocks is None:
-        return None
     p = C.spec.char
-    return not any(any(h[1:]) for blk in blocks for _, h in blk.grid_walk(p))
+    return not any(any(h[1:]) for blk in _multidegree_blocks(C) for _, h in blk.grid_walk(p))
 
 
 def _block_pivots(block: np.ndarray, p: int) -> list:

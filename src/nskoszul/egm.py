@@ -1,21 +1,21 @@
-"""Explicit graded modules and the Koszul-homology Betti oracle.
+"""Explicit graded modules of monomial labels and their Koszul-strand Betti
+tables.
 
 An :class:`ExplicitGradedModule` stores a finite window of a graded module as
-ordered, monomial-labeled bases per internal degree together with the action
-of each variable as a per-degree matrix (kept in sparse triple form).  The
-graded Betti numbers beta_ij = dim H_i(K (x) M)_j are read off the strands of
-the Koszul complex of all variables; the ranks are taken over the coefficient
-field.
+ordered bases of (component, monomial) labels per internal degree, and the
+action of each variable x_t as a label map: x_t sends a label m to a nonzero
+multiple of the label x_t * m, or to zero.  The graded Betti numbers
+beta_ij = dim H_i(K (x) M)_j are read off the strands of the Koszul complex
+of all variables; the ranks are taken over the coefficient field.
 
-For monomial modules the variable actions send each basis label to at most
-one other label, the strands split along exponent multidegrees, and the rank
+Along label maps the strands split by exponent multidegree, and the rank
 work reduces to many tiny blocks.  Only the blocks at critical multidegrees
 are built: a value c is critical for x_t when x_t fails to send the labels
 with t-exponent c - 1 bijectively, with nonzero coefficients, onto those
 with t-exponent c.  A strand whose multidegree a has some a_t not critical
 is the mapping cone of the isomorphism x_t between two strands of the
-Koszul complex on the other variables, hence acyclic.  The dense strand
-assembly remains as the general path and as a cross-check.
+Koszul complex on the other variables, hence acyclic.  The tests cross-check
+the blocks against a dense strand assembly.
 
 The stored window is the degrees up to ``bound`` and, when ``corner`` is
 set, only the multidegrees m <= corner: the quotient of the module by the
@@ -29,45 +29,39 @@ at a is the whole of its Betti table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from operator import add, mul
 
 import numpy as np
 
 from . import modp
 from .complexes import BettiTable
-from .ring import (
-    RingSpec,
-    mon_divides,
-    mon_mul,
-    mon_var,
-    monomials_of_wdeg,
-)
+from .ring import RingSpec, mon_divides, monomials_of_wdeg
 
 
 class DegreeRangeError(ValueError):
     """A request exceeded the stored window."""
 
 
-Label = tuple  # (component, monomial)
-
-
 @dataclass(frozen=True)
 class ExplicitGradedModule:
-    """A graded module presented by per-degree bases and variable actions.
+    """A graded module presented by per-degree label bases and label maps.
 
     degrees maps internal degree -> ordered tuple of (component, monomial)
-    labels; actions maps (variable, degree) -> triples (row, col, coeff) of
-    the matrix basis(degree) -> basis(degree + weight of the variable).
-    Labels are stored for degrees <= bound and, when corner is set, only for
-    exponent multidegrees <= corner; x_t sends a label with exponent
-    corner_t in t to zero, out of the window.
+    labels.  actions is a tuple of one dict per variable: actions[t][m] = c
+    means x_t * m = c * (x_t m), where m is a stored label of degree j, the
+    image x_t m (same component, exponent of t raised by one) is a stored
+    label of degree j + w_t, and c is nonzero mod the characteristic.  A
+    label absent from actions[t] is sent to zero by x_t.  Labels are stored
+    for degrees <= bound and, when corner is set, only for exponent
+    multidegrees <= corner; x_t sends a label with exponent corner_t in t
+    out of the window.
     """
 
     spec: RingSpec
     bound: int
     degrees: dict
-    actions: dict
+    actions: tuple
     corner: tuple | None = None
 
     def dim(self, j: int) -> int:
@@ -80,9 +74,6 @@ class ExplicitGradedModule:
             raise DegreeRangeError(f"degree {j} beyond stored bound {self.bound}")
         return self.degrees.get(j, ())
 
-    def min_degree(self) -> int:
-        return min(self.degrees, default=0)
-
     def hilbert(self, bound: int | None = None) -> list:
         """Dimensions of the graded pieces for degrees 0..bound."""
         b = self.bound if bound is None else bound
@@ -90,15 +81,18 @@ class ExplicitGradedModule:
             raise DegreeRangeError(f"bound {b} beyond stored bound {self.bound}")
         return [len(self.degrees.get(j, ())) for j in range(b + 1)]
 
-    def action_triples(self, var: int, j: int):
-        return self.actions.get((var, j), ())
-
     def action_matrix(self, var: int, j: int) -> np.ndarray:
-        rows = len(self.degrees.get(j + self.spec.weights[var], ()))
-        cols = len(self.degrees.get(j, ()))
-        mat = np.zeros((rows, cols), dtype=np.int64)
-        for r, c, coeff in self.action_triples(var, j):
-            mat[r, c] = coeff
+        """The matrix of x_var from basis(j) to basis(j + w_var)."""
+        target = self.degrees.get(j + self.spec.weights[var], ())
+        rows = {lb: r for r, lb in enumerate(target)}
+        cols = self.degrees.get(j, ())
+        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        image = self.actions[var]
+        for c, lb in enumerate(cols):
+            coeff = image.get(lb)
+            if coeff is not None:
+                comp, m = lb
+                mat[rows[comp, m[:var] + (m[var] + 1,) + m[var + 1:]], c] = coeff
         return mat
 
     def commuting_violations(self) -> list:
@@ -151,26 +145,17 @@ def labelled_module(
     x_var * label when that is a label of degree j + weight, else to zero.
     corner is the module's multidegree window (see ExplicitGradedModule)."""
     final = {}
-    index = {}
+    degree_of = {}
     for j, labels in degrees.items():
-        labels = sorted(labels, key=lambda lb: (lb[0], tuple(reversed(lb[1]))))
-        final[j] = tuple(labels)
-        for pos, lb in enumerate(labels):
-            index[lb] = (j, pos)
-    n = spec.num_vars
-    actions = {}
-    for j, labels in final.items():
-        for var, w in enumerate(spec.weights):
-            if j + w > bound:
-                continue
-            step = mon_var(n, var)
-            triples = []
-            for col, (comp, m) in enumerate(labels):
-                hit = index.get((comp, mon_mul(m, step)))
-                if hit is not None and hit[0] == j + w:
-                    triples.append((hit[1], col, 1))
-            if triples:
-                actions[(var, j)] = tuple(triples)
+        final[j] = tuple(sorted(labels, key=lambda lb: (lb[0], tuple(reversed(lb[1])))))
+        for lb in final[j]:
+            degree_of[lb] = j
+    actions = tuple({} for _ in spec.weights)
+    for lb, j in degree_of.items():
+        comp, m = lb
+        for t, w in enumerate(spec.weights):
+            if degree_of.get((comp, m[:t] + (m[t] + 1,) + m[t + 1:])) == j + w:
+                actions[t][lb] = 1
     return ExplicitGradedModule(spec, bound, final, actions, corner)
 
 
@@ -182,63 +167,31 @@ def betti_via_koszul(M: ExplicitGradedModule, bound: int | None = None) -> Betti
     """Graded Betti numbers beta_ij = dim H_i(Koszul (x) M)_j for j <= bound,
     and on a module stored up to a corner, at multidegrees <= corner only.
 
-    Modules in which x_t sends each label m to a scalar multiple of the label
-    x_t * m (or to zero) are split into multidegree blocks, and only the blocks
-    whose multidegree is critical in every coordinate are ranked: any other
-    block is the cone of an isomorphism x_t and has no homology (see
-    :func:`_betti_blocks`).  Any other module falls back to the dense
-    strands, which the tests also use as the oracle for the blocks; those
-    do not split by multidegree, so they need the module without a corner.
+    The strands split into multidegree blocks along the label maps, and only
+    the blocks whose multidegree is critical in every coordinate are ranked:
+    any other block is the cone of an isomorphism x_t and has no homology
+    (see :func:`_betti_blocks`).
     """
     b = M.bound if bound is None else bound
     if b > M.bound:
         raise DegreeRangeError(f"bound {b} exceeds stored degree range {M.bound}")
-    maps = _label_action_maps(M)
-    if maps is None:
-        if M.corner is not None:
-            raise DegreeRangeError("dense Koszul strands need the module beyond its corner")
-        return _betti_dense(M, b)
-    return _betti_blocks(M, maps, b)
+    return _betti_blocks(M, b)
 
 
-def _label_action_maps(M: ExplicitGradedModule):
-    # One map per variable: label -> coefficient, valid when every action
-    # column has at most one entry and it lands exactly on x_var * label.
-    n = M.spec.num_vars
-    maps = [dict() for _ in range(n)]
-    for (var, j), triples in M.actions.items():
-        src = M.degrees.get(j, ())
-        tgt = M.degrees.get(j + M.spec.weights[var], ())
-        step = mon_var(n, var)
-        seen_cols = set()
-        for r, c, coeff in triples:
-            if c in seen_cols:
-                return None
-            seen_cols.add(c)
-            comp, m = src[c]
-            if tgt[r] != (comp, mon_mul(m, step)):
-                return None
-            maps[var][src[c]] = coeff % M.spec.char
-    return maps
-
-
-def _subset_weight(spec: RingSpec, T) -> int:
-    return sum(spec.weights[t] for t in T)
-
-
-def _critical_values(M: ExplicitGradedModule, maps, bound: int) -> list:
+def _critical_values(M: ExplicitGradedModule, bound: int) -> list:
     """Per coordinate t, the values c at which x_t may fail to be a bijection
     from the labels with exponent c - 1 in t onto those with exponent c.
 
     c is critical for t when a label of degree <= bound with exponent c in t
-    has no x_t-preimage with a nonzero coefficient (c = 0, or the label below
-    is missing or sent to zero), or when a label with exponent c - 1 in t and
+    has no x_t-preimage (c = 0, or the label below is missing or sent to
+    zero), or when a label with exponent c - 1 in t and
     degree <= bound - w_t is sent to zero by x_t.  On a module stored up to a
     corner, a label with exponent corner_t in t is sent out of the window,
     not to zero, so the values above corner_t are dropped.
     """
     n = M.spec.num_vars
     weights = M.spec.weights
+    maps = M.actions
     crit = [set() for _ in range(n)]
     for j, labels in M.degrees.items():
         if j > bound:
@@ -247,16 +200,16 @@ def _critical_values(M: ExplicitGradedModule, maps, bound: int) -> list:
             comp, m = lb
             for t in range(n):
                 c = m[t]
-                if not c or not maps[t].get((comp, m[:t] + (c - 1,) + m[t + 1:])):
+                if not c or (comp, m[:t] + (c - 1,) + m[t + 1:]) not in maps[t]:
                     crit[t].add(c)
-                if j + weights[t] <= bound and not maps[t].get(lb):
+                if j + weights[t] <= bound and lb not in maps[t]:
                     crit[t].add(c + 1)
     if M.corner is not None:
         crit = [{c for c in values if c <= top} for values, top in zip(crit, M.corner)]
     return crit
 
 
-def _betti_blocks(M: ExplicitGradedModule, maps, bound: int) -> BettiTable:
+def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
     """Betti numbers from the Koszul strands at critical multidegrees only.
 
     The cells e_T (x) m (T a subset of the variables, m a label) lie in
@@ -276,7 +229,8 @@ def _betti_blocks(M: ExplicitGradedModule, maps, bound: int) -> BettiTable:
     spec = M.spec
     n = spec.num_vars
     p = spec.char
-    crit = _critical_values(M, maps, bound)
+    crit = _critical_values(M, bound)
+    maps = M.actions
 
     # multidegree block key: (component, total exponent vector)
     blocks = {}
@@ -333,56 +287,4 @@ def _betti_blocks(M: ExplicitGradedModule, maps, bound: int) -> BettiTable:
                 if h:
                     key = (size, j)
                     out[key] = out.get(key, 0) + h
-    return BettiTable.from_dict(out)
-
-
-def _betti_dense(M: ExplicitGradedModule, bound: int) -> BettiTable:
-    spec = M.spec
-    n = spec.num_vars
-    p = spec.char
-    subsets = [list(combinations(range(n), size)) for size in range(n + 1)]
-    sub_weight = [
-        {T: _subset_weight(spec, T) for T in level} for level in subsets
-    ]
-    # per (var, j): col -> list of (row, coeff)
-    col_actions = {}
-    for (var, j), triples in M.actions.items():
-        cols = {}
-        for r, c, coeff in triples:
-            cols.setdefault(c, []).append((r, coeff))
-        col_actions[(var, j)] = cols
-
-    out = {}
-    min_j = M.min_degree()
-    for j in range(min_j, bound + 1):
-        bases = []
-        for size in range(n + 1):
-            level = []
-            for T in subsets[size]:
-                mdeg = j - sub_weight[size][T]
-                for idx in range(len(M.degrees.get(mdeg, ()))):
-                    level.append((T, idx))
-            bases.append(level)
-        index = [
-            {cell: k for k, cell in enumerate(level)} for level in bases
-        ]
-        ranks = [0] * (n + 2)
-        for size in range(1, n + 1):
-            if not bases[size] or not bases[size - 1]:
-                continue
-            mat = np.zeros((len(bases[size - 1]), len(bases[size])), dtype=np.int64)
-            for cidx, (T, vidx) in enumerate(bases[size]):
-                mdeg = j - sub_weight[size][T]
-                for posn, t in enumerate(T):
-                    rest = T[:posn] + T[posn + 1:]
-                    sign = 1 if posn % 2 == 0 else -1
-                    cols = col_actions.get((t, mdeg), {})
-                    for r, coeff in cols.get(vidx, ()):
-                        ridx = index[size - 1][(rest, r)]
-                        mat[ridx, cidx] = (mat[ridx, cidx] + sign * coeff) % p
-            ranks[size] = modp.rank_mod(mat, p)
-        for size in range(n + 1):
-            h = len(bases[size]) - ranks[size] - ranks[size + 1]
-            if h:
-                out[(size, j)] = out.get((size, j), 0) + h
     return BettiTable.from_dict(out)

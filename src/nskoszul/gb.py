@@ -358,29 +358,3 @@ def minimal_generators(elements):
             if space.insert(_expand(v, index)):
                 accepted.append(v)
     return sorted(accepted, key=element_sort_key)
-
-
-def graded_span_dims(elements, degrees):
-    """Dimension of the graded span of the elements in each listed degree.
-
-    Used as an oracle: the syzygy candidates generate the kernel iff their
-    span matches the brute-force kernel dimension degree by degree.
-    """
-    elements = [v for v in elements if v]
-    if not elements:
-        return {d: 0 for d in degrees}
-    spec = elements[0].spec
-    ambient = elements[0].ambient
-    out = {}
-    for d in degrees:
-        basis = graded_basis(spec, ambient, d)
-        index = {key: i for i, key in enumerate(basis)}
-        space = _EchelonSpace(len(basis), spec.char)
-        for w in elements:
-            dw = w.homogeneous_degree()
-            if dw > d:
-                continue
-            for m in monomials_of_wdeg(spec, d - dw):
-                space.insert(_expand(w.term_mul(m), index))
-        out[d] = len(space.rows)
-    return out

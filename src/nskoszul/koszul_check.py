@@ -7,6 +7,8 @@ the associated graded module must be concentrated on the diagonal; (3) the
 layer-by-layer construction must predict exactly that Betti table.  Each
 verdict is true or false, decided with no degree bound on a finite support:
 lin on the generator grid, gr and the construction on the whole gr table.
+A linear part that does not split into multidegree blocks has no finite
+decision and raises complexes.NoFiniteDecision, which this module re-exports.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .assoc_graded import OrdContext, gr_betti
 from .complexes import (
     BettiTable,
     GradedFreeComplex,
+    NoFiniteDecision,
     homology_dims,
     positive_homology_vanishes,
     resolve_module,
@@ -63,10 +66,6 @@ class NotMinimal(ValueError):
     """linear_part requires a minimal complex (no unit entries)."""
 
 
-class NoFiniteDecision(RuntimeError):
-    """lin(F) has a multi-term entry, so its acyclicity has no finite decision."""
-
-
 def linear_part(F: GradedFreeComplex, spec: RingSpec | None = None) -> GradedFreeComplex:
     """lin(F): keep the standard-degree-1 component of every entry.
 
@@ -110,9 +109,10 @@ def lin_acyclicity(L: GradedFreeComplex, bound: int):
     dimension with i >= 1 and j <= bound, counted by homology_dims on the
     same grid cells, and is empty when all of them lie above the bound.
     """
-    acyclic = positive_homology_vanishes(L)
-    if acyclic is None:
-        raise NoFiniteDecision("the linear part does not split into multidegree blocks")
+    try:
+        acyclic = positive_homology_vanishes(L)
+    except NoFiniteDecision as exc:
+        raise NoFiniteDecision(f"in the linear part, {exc}") from None
     if acyclic:
         return True, {}
     dims = homology_dims(L, bound)

@@ -6,9 +6,10 @@ the columns before it, so the pivots are the matrix's column rank profile
 and the rank of every column prefix A[:, :c + 1] is the number of pivots
 <= c.  ``pivots_py`` works on plain lists, fastest on the many tiny blocks
 (Koszul strands, and homology slice blocks up to 12 on a side), and
-``pivots_mod`` on numpy int64 arrays for larger blocks and the dense
-fallbacks.  ``rank_py`` and ``rank_mod`` count their pivots.  The tests
-cross-check both against an independent elimination.
+``pivots_mod`` on numpy int64 arrays for the larger slice blocks.
+``rank_py`` and ``rank_mod`` count their pivots; the tests' dense oracles
+rank with ``rank_mod``.  The tests cross-check both kernels against an
+independent elimination.
 
 The numpy kernel multiplies two residues in int64, so it requires p < 2**31,
 which every supported characteristic satisfies.

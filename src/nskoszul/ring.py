@@ -169,12 +169,6 @@ class RingSpec:
         """The standard graded companion ring (all weights 1)."""
         return RingSpec((1,) * self.num_vars, self.names, self.char)
 
-    def subring(self, k: int) -> "RingSpec":
-        """Prefix subring on the first k variables."""
-        if not 1 <= k <= self.num_vars:
-            raise ValueError(f"bad prefix length {k}")
-        return RingSpec(self.weights[:k], self.names[:k], self.char)
-
     def drop_variable(self, idx: int) -> "RingSpec":
         if not 0 <= idx < self.num_vars:
             raise ValueError(f"bad variable index {idx}")
@@ -193,12 +187,16 @@ class RingSpec:
     def label(self, g, comp: int = 0) -> tuple:
         """(component, monomial) from a monomial or a (component, monomial) pair.
 
-        A plain monomial is placed in component comp.
+        A plain monomial is placed in component comp.  The component must be
+        a non-negative integer.
         """
         if len(g) == 2 and isinstance(g[1], (tuple, list)):
-            comp, m = int(g[0]), tuple(g[1])
+            comp, m = g[0], tuple(g[1])
         else:
             m = tuple(g)
+        comp = as_int(comp, "component")
+        if comp < 0:
+            raise ValueError(f"component {comp} is negative")
         if len(m) != self.num_vars:
             raise DimensionMismatch(
                 f"{g!r} is neither a monomial nor a (component, monomial) pair "

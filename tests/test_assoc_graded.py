@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+import oracles
+
 from nskoszul.assoc_graded import (
     NotInModule,
     OrdContext,
@@ -19,10 +21,9 @@ from nskoszul.complexes import (
     truncated_series_product,
 )
 from nskoszul.egm import (
-    DegreeRangeError,
-    ExplicitGradedModule,
     betti_via_koszul,
     labelled_module,
+    monomial_module,
 )
 from nskoszul.ring import RingSpec
 from nskoszul.truncation import minimalize_monomials, trunc_free_gens, trunc_gens
@@ -268,14 +269,27 @@ class TestGrBettiOnBox:
         E = extend_gr(gr_box_module(ctx), RingSpec((1, 1, 1)).companion())
         assert E.corner == (2, 2, 0)
 
-    def test_dense_strands_refuse_a_corner(self):
-        # x2 sends the label 1 to x1, not to x2: the strands do not split
-        spec = RingSpec((1, 1)).companion()
-        degrees = {0: ((0, (0, 0)),), 1: ((0, (1, 0)),)}
-        actions = {(1, 0): ((0, 0, 1),)}
-        assert betti_via_koszul(ExplicitGradedModule(spec, 1, degrees, actions))
-        with pytest.raises(DegreeRangeError):
-            betti_via_koszul(ExplicitGradedModule(spec, 1, degrees, actions, (1, 1)))
+
+
+class TestLabelMaps:
+    def test_builders_keep_the_invariant(self):
+        # gr_module, gr_box_module, monomial_module and extend_gr store label
+        # maps: stored keys, stored images one weight up, nonzero coefficients
+        checked = 0
+        for ctx, bound in list(box_oracle_cases())[::5]:
+            twists = (0,) * ctx.num_components
+            gr = gr_module(ctx, bound)
+            big = RingSpec(gr.spec.weights + (1,), gr.spec.names + ("w",), gr.spec.char)
+            for M in (
+                gr,
+                gr_box_module(ctx),
+                monomial_module(ctx.spec, ctx.generators, twists, bound),
+                extend_gr(gr, big),
+                extend_gr(gr_box_module(ctx), big),
+            ):
+                oracles.check_label_maps(M)
+                checked += sum(map(len, M.actions))
+        assert checked >= 1000
 
 
 class TestTwistInvariance:

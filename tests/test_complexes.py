@@ -4,13 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+import oracles
 from nskoszul import complexes, modp
 from nskoszul.assoc_graded import OrdContext, extend_gr, gr_module
 from nskoszul.complexes import (
     BettiTable,
     GradedFreeComplex,
-    _homology_blocks,
-    _homology_dense,
+    NoFiniteDecision,
     _multidegree_blocks,
     check_complex,
     free_hilbert,
@@ -25,8 +25,6 @@ from nskoszul.complexes import (
 from nskoszul.egm import (
     ExplicitGradedModule,
     _betti_blocks,
-    _betti_dense,
-    _label_action_maps,
     betti_via_koszul,
     monomial_module,
 )
@@ -243,9 +241,7 @@ class TestHomologyDims:
                 continue
             T = taylor_complex(spec, gens)
             bound = max(t for mod in T.modules for t in mod.twists) + 2
-            blocks = _homology_blocks(T, bound)
-            assert blocks is not None
-            assert blocks == _homology_dense(T, bound) == homology_dims(T, bound)
+            assert homology_dims(T, bound) == oracles.homology_dense(T, bound)
 
     def test_grid_check_matches_bounded_count(self):
         # Strands live at multidegrees below the lcm of the generators, so
@@ -265,7 +261,7 @@ class TestHomologyDims:
             vanishes = positive_homology_vanishes(L)
             bounded = homology_dims(L, 3 * n + 2)
             # both read the same grid walk, so the dense count is the reference
-            assert bounded == _homology_dense(L, 3 * n + 2)
+            assert bounded == oracles.homology_dense(L, 3 * n + 2)
             assert vanishes == (not any(i >= 1 for i, _ in bounded))
             outcomes.add(vanishes)
         assert outcomes == {True, False}
@@ -286,7 +282,7 @@ class TestHomologyDims:
             twists = [t for mod in C.modules for t in mod.twists]
             lo, hi = min(twists), max(twists)
             for bound in (lo - 1, lo, (lo + hi) // 2, hi, hi + 9):
-                assert _homology_blocks(C, bound) == _homology_dense(C, bound)
+                assert homology_dims(C, bound) == oracles.homology_dense(C, bound)
         # the controls keep H_1 = S(-1) up to the bound, far past the grid
         assert homology_dims(cases[0], 12)[(1, 12)] == 12
 
@@ -307,16 +303,29 @@ class TestHomologyDims:
     def test_grid_check_declines_multiterm_entries(self):
         entry = Polynomial.variable(STD2, 0) + Polynomial.variable(STD2, 1)
         C = GradedFreeComplex(STD2, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), (((entry,),),))
-        assert positive_homology_vanishes(C) is None
+        with pytest.raises(NoFiniteDecision, match="more than one term"):
+            positive_homology_vanishes(C)
 
     def test_multiterm_entries_fall_back_to_dense(self):
+        # only the dense oracle counts a multi-term complex; the grid refuses it
         R = STD2
         entry = Polynomial.variable(R, 0) + Polynomial.variable(R, 1)
         C = GradedFreeComplex(R, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), ((( entry,),),))
-        assert _homology_blocks(C, 4) is None
-        dims = homology_dims(C, 4)
-        assert dims == _homology_dense(C, 4)
-        assert (0, 0) in dims
+        with pytest.raises(NoFiniteDecision):
+            homology_dims(C, 4)
+        # S(-1) -> S by x + y is injective with cokernel k[t] in degrees 0..4
+        assert oracles.homology_dense(C, 4) == {(0, j): 1 for j in range(5)}
+
+    def test_grid_check_declines_inconsistent_multigrading(self):
+        # single-term entries x, x, x, y: the first row puts both targets at
+        # one multidegree, the second row apart
+        x, y = Polynomial.variable(STD2, 0), Polynomial.variable(STD2, 1)
+        C = GradedFreeComplex(
+            STD2, (FreeModuleSpec((0, 0)), FreeModuleSpec((1, 1))), (((x, x), (x, y)),)
+        )
+        with pytest.raises(NoFiniteDecision, match="no consistent multigrading"):
+            positive_homology_vanishes(C)
+        assert oracles.homology_dense(C, 3)[(0, 0)] == 2
 
 
 def _grid_walk_oracle(blk, p):
@@ -389,9 +398,7 @@ class TestGridWalk:
         )
         with_homology = single_value = one_variable = supports = 0
         for C in _grid_walk_inputs():
-            blocks = _multidegree_blocks(C)
-            assert blocks is not None
-            for blk in blocks:
+            for blk in _multidegree_blocks(C):
                 walk = list(blk.grid_walk(C.spec.char))
                 assert walk == _grid_walk_oracle(blk, C.spec.char)
                 positive = any(any(h[1:]) for _, h in walk)
@@ -404,10 +411,18 @@ class TestGridWalk:
         assert len(calls) == supports
 
 
+def _image(lb, t):
+    """The label x_t * lb."""
+    comp, m = lb
+    return comp, m[:t] + (m[t] + 1,) + m[t + 1:]
+
+
 def _quotient(M, J, into_J=None):
     """M/J for a monomial ideal J: the labels of M outside J and the actions
     among them.  With into_J, the labels in J stay (the module M/J + J) and
-    the arrows from outside J into J carry the coefficient into_J."""
+    the arrows from outside J into J carry the coefficient into_J; an arrow
+    whose coefficient is zero mod p is dropped."""
+    p = M.spec.char
     in_J = {
         lb: any(mon_divides(g, lb[1]) for g in J)
         for labels in M.degrees.values()
@@ -417,32 +432,32 @@ def _quotient(M, J, into_J=None):
         j: tuple(lb for lb in labels if into_J is not None or not in_J[lb])
         for j, labels in M.degrees.items()
     }
-    index = {lb: k for labels in degrees.values() for k, lb in enumerate(labels)}
-    actions = {}
-    for (var, j), triples in M.actions.items():
-        src, tgt = M.degrees[j], M.degrees[j + M.spec.weights[var]]
-        kept = []
-        for r, c, coeff in triples:
-            if tgt[r] in index and src[c] in index:
-                if in_J[tgt[r]] and not in_J[src[c]]:
+    actions = []
+    for t, image in enumerate(M.actions):
+        kept = {}
+        for lb, coeff in image.items():
+            if in_J[_image(lb, t)]:
+                if into_J is None:
+                    continue
+                if not in_J[lb]:
                     coeff = into_J
-                kept.append((index[tgt[r]], index[src[c]], coeff))
-        if kept:
-            actions[(var, j)] = tuple(kept)
-    return ExplicitGradedModule(M.spec, M.bound, degrees, actions)
+            if coeff % p:
+                kept[lb] = coeff
+        actions.append(kept)
+    return ExplicitGradedModule(M.spec, M.bound, degrees, tuple(actions))
 
 
 def _rescaled(M, rng):
     """M on the basis u_m * m for random units u_m: non-unit action coefficients."""
     p = M.spec.char
     unit = {lb: rng.randrange(1, p) for labels in M.degrees.values() for lb in labels}
-    actions = {}
-    for (var, j), triples in M.actions.items():
-        src, tgt = M.degrees[j], M.degrees[j + M.spec.weights[var]]
-        actions[(var, j)] = tuple(
-            (r, c, coeff * unit[src[c]] * pow(unit[tgt[r]], -1, p) % p)
-            for r, c, coeff in triples
-        )
+    actions = tuple(
+        {
+            lb: coeff * unit[lb] * pow(unit[_image(lb, t)], -1, p) % p
+            for lb, coeff in image.items()
+        }
+        for t, image in enumerate(M.actions)
+    )
     return ExplicitGradedModule(M.spec, M.bound, M.degrees, actions)
 
 
@@ -469,14 +484,14 @@ def _strand_oracle_modules():
     for sub, e in ((RingSpec((1,), ("x",)), 2), (RingSpec((1, 2), ("x", "y")), 3)):
         gr = gr_module(OrdContext(sub, trunc_gens(sub, e)), 5)
         yield extend_gr(gr, big)
-    yield ExplicitGradedModule(big, 4, {0: ((0, (0, 0, 0)),)}, {})
-    yield ExplicitGradedModule(RingSpec((1, 2)), 5, {0: ((0, (0, 0)),)}, {})
+    yield ExplicitGradedModule(big, 4, {0: ((0, (0, 0, 0)),)}, ({}, {}, {}))
+    yield ExplicitGradedModule(RingSpec((1, 2)), 5, {0: ((0, (0, 0)),)}, ({}, {}))
 
 
 class TestBettiViaKoszul:
     def test_residue_field(self):
         # keep only degree 0: the field
-        k = ExplicitGradedModule(STD2, 4, {0: ((0, (0, 0)),)}, {})
+        k = ExplicitGradedModule(STD2, 4, {0: ((0, (0, 0)),)}, ({}, {}))
         assert betti_via_koszul(k, bound=4).entries == ((0, 0, 1), (1, 1, 2), (2, 2, 1))
 
     def test_gr_of_truncation(self):
@@ -506,16 +521,32 @@ class TestBettiViaKoszul:
             assert F.betti_from_twists().restrict(bound) == table
 
     def test_strand_methods_agree(self):
-        for M in _strand_oracle_modules():
+        modules = list(_strand_oracle_modules())
+        assert len(modules) == 45
+        for M in modules:
+            oracles.check_label_maps(M)
             assert M.commuting_violations() == []
-            maps = _label_action_maps(M)
-            assert maps is not None
             for bound in sorted({M.bound // 2, M.bound}):
                 assert (
-                    _betti_blocks(M, maps, bound)
-                    == _betti_dense(M, bound)
+                    _betti_blocks(M, bound)
+                    == oracles.betti_dense(M, bound)
                     == betti_via_koszul(M, bound=bound)
                 )
+
+    def test_label_maps_reject_a_stray_image(self):
+        # negative control: x sends 1 to x, which is not a stored label
+        M = ExplicitGradedModule(STD2, 2, {0: ((0, (0, 0)),)}, ({(0, (0, 0)): 1}, {}))
+        with pytest.raises(AssertionError, match="not a stored label"):
+            oracles.check_label_maps(M)
+        # nor may x act on a label that is not stored, or with a zero coefficient
+        k = ExplicitGradedModule(STD2, 2, {1: ((0, (1, 0)),)}, ({(0, (0, 0)): 1}, {}))
+        with pytest.raises(AssertionError, match="not a stored label"):
+            oracles.check_label_maps(k)
+        degrees = {0: ((0, (0, 0)),), 1: ((0, (1, 0)),)}
+        zero = ExplicitGradedModule(STD2, 2, degrees, ({(0, (0, 0)): STD2.char}, {}))
+        with pytest.raises(AssertionError, match="= 0 mod p"):
+            oracles.check_label_maps(zero)
+        oracles.check_label_maps(ExplicitGradedModule(STD2, 2, degrees, ({(0, (0, 0)): 1}, {})))
 
     def test_bound_beyond_storage_rejected(self):
         from nskoszul.egm import DegreeRangeError

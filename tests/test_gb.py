@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+import oracles
 from nskoszul.gb import (
     InhomogeneousInput,
     buchberger,
     graded_basis,
-    graded_span_dims,
     minimal_generators,
     monomial_elements,
     normal_form,
@@ -196,7 +196,7 @@ class TestSyzygyProperties:
             syz, _ = syzygies(gens)
             degrees = range(0, 13)
             expected = brute_force_kernel_dims(spec, gens, degrees)
-            got = graded_span_dims(syz, degrees)
+            got = oracles.graded_span_dims(syz, degrees)
             assert got == expected
 
     def test_monomial_closure(self):

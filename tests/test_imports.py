@@ -1,7 +1,8 @@
-"""Every name a test or source module imports is used in it.
+"""Every name a test or source module imports is used in it, and every
+private module-level function of the package has a caller in the package.
 
-The package's __init__.py is left out: its imports are its public
-re-exports."""
+The package's __init__.py is left out of the import check: its imports are
+its public re-exports."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,55 @@ def test_scanner_finds_an_unused_import():
         "from math import ceil, floor\nprint(os.sep, floor(1.5))\n"
     )
     assert unused_imports(source) == [(3, "ceil")]
+
+
+PACKAGE = sorted((HERE.parent / "src" / "nskoszul").glob("*.py"))
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    """(module, name) of each module-level function whose name starts with
+    one underscore and that no source references outside its own definition.
+
+    sources maps a module name to its text.  A reference is a name, an
+    attribute or an imported name; the references inside a function's own
+    body (recursion) do not count for it."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    private = {}
+    used = set()
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, ast.FunctionDef) and own[:1] == "_" and own[:2] != "__":
+                private[own] = mod
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return sorted((mod, name) for name, mod in private.items() if name not in used)
+
+
+def test_no_test_only_private_helpers():
+    # a private helper that the package never calls serves only the tests,
+    # and belongs in tests/oracles.py
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_scanner_finds_an_unreferenced_private_function():
+    sources = {
+        "a": (
+            "def _used(): pass\ndef _recursive(n): return _recursive(n - 1)\n"
+            "def _called_elsewhere(): pass\ndef _imported(): pass\n"
+            "def __getattr__(name): pass\ndef public(): return _used()\n"
+            "class K:\n    def _method(self): pass\n"
+        ),
+        "b": "import a\nfrom a import _imported\na._called_elsewhere()\n",
+    }
+    assert unreferenced_private_functions(sources) == [("a", "_recursive")]

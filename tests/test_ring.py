@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nskoszul.assoc_graded import OrdContext, gr_betti
 from nskoszul.construction import construct_gr_betti, ses_hilbert_check
 from nskoszul.ring import (
     CHAR_ENV,
@@ -87,6 +88,29 @@ class TestIntegralInput:
     def test_construction_weights(self):
         with pytest.raises(ValueError, match="weight must be an integer"):
             construct_gr_betti((1, 2.5), 4)
+
+    def test_label_components(self):
+        spec = RingSpec((1, 1))
+        with pytest.raises(ValueError, match="component must be an integer"):
+            spec.label((1.7, (1, 0)))
+        with pytest.raises(ValueError, match="component -1 is negative"):
+            spec.label((-1, (1, 0)))
+        with pytest.raises(ValueError, match="component -2 is negative"):
+            spec.label((1, 0), -2)
+        assert spec.label((np.int64(1), (1, 0))) == (1, (1, 0))
+        assert spec.label((1, 0), 2) == (2, (1, 0))
+
+    def test_ord_context_components(self):
+        # a negative component used to drop its generator from gr silently
+        spec = RingSpec((1, 1))
+        with pytest.raises(ValueError, match="component -1 is negative"):
+            OrdContext(spec, ((-1, (1, 0)), (0, (0, 1))))
+        with pytest.raises(ValueError, match="component -1 is negative"):
+            OrdContext(spec, ((-1, (1, 0)),))
+        with pytest.raises(ValueError, match="component must be an integer"):
+            OrdContext(spec, ((0.5, (1, 0)),))
+        ctx = OrdContext(spec, ((1, (1, 0)), (0, (0, 1))))
+        assert gr_betti(ctx).entries == ((0, 0, 2),)
 
 
 class TestCharacteristic:
