@@ -9,7 +9,6 @@ from .ring import (
     Monomial,
     Polynomial,
     RingSpec,
-    default_characteristic,
     monomial_compare,
     standard_degree,
     weighted_degree,
@@ -28,7 +27,7 @@ from .complexes import (
     BettiTable,
     GradedFreeComplex,
     check_complex,
-    homology_dims,
+    homology_witnesses,
     koszul_complex,
     minimize_complex,
     positive_homology_vanishes,

@@ -5,9 +5,10 @@ lin-check, construct, koszul, ses-check, and sweep.  Machine-readable output
 (json, csv) is byte-stable across runs: keys are sorted and timings are kept
 out of those formats.
 
-Verdicts are true or false with no degree bound (see koszul_check); --bound
-only caps the listed lin witnesses, gr-betti rows and gr-hilbert/ses-check
-degrees.
+Verdicts are true or false with no degree bound (see koszul_check), and a
+false lin verdict lists its witness cells in full.  --bound exists only where
+the output is infinite: it caps the degrees that gr-hilbert and ses-check
+list.
 
 Exit codes: 0 all requested verdicts true; 1 some verdict false; 2 usage
 errors (argparse default, bad ring descriptions, bad --bound, --char or
@@ -42,7 +43,7 @@ from .koszul_check import (
     lin_acyclicity,
     recommended_bound,
 )
-from .ring import RingSpec, check_characteristic, default_characteristic
+from .ring import DEFAULT_CHAR, RingSpec, check_characteristic
 from .sweep import rows_to_csv, rows_to_dicts, run_sweep, sweep_exit_status
 from .truncation import trunc_gens
 
@@ -62,7 +63,7 @@ class RingSpecParseError(ValueError):
 def parse_ring_spec(s: str) -> RingSpec:
     """Parse 'name=weight,name=weight[,...][@char]', e.g. 'x=1,y=3@32003'."""
     s = s.strip()
-    char = default_characteristic()
+    char = DEFAULT_CHAR
     body = s
     if "@" in s:
         body, _, tail = s.partition("@")
@@ -208,12 +209,10 @@ def _ord_context(spec: RingSpec, e: int) -> OrdContext:
 
 def cmd_gr_betti(args) -> int:
     spec = parse_ring_spec(args.ring)
-    bound = _bound(args, spec)
-    table = gr_betti(_ord_context(spec, args.e)).restrict(bound)
+    table = gr_betti(_ord_context(spec, args.e))
     payload = {
         "ring": _ring_dict(spec),
         "e": args.e,
-        "bound": bound,
         "betti": _betti_list(table),
     }
     _emit(args, payload, table.render())
@@ -237,20 +236,16 @@ def cmd_gr_hilbert(args) -> int:
 
 def cmd_lin_check(args) -> int:
     spec = parse_ring_spec(args.ring)
-    bound = _bound(args, spec)
     gens = trunc_gens(spec, args.e)
     F = resolve_module(monomial_elements(spec, gens), minimize=True)
     L = linear_part(F, spec)
-    acyclic, nonzero = lin_acyclicity(L, bound)
+    acyclic, witnesses = lin_acyclicity(L)
     verdict = Verdict.of(acyclic)
     payload = {
         "ring": _ring_dict(spec),
         "e": args.e,
-        "bound": bound,
         "verdicts": {"lin_acyclic": str(verdict)},
-        "nonzero_homology": [
-            {"i": i, "j": j, "dim": d} for (i, j), d in sorted(nonzero.items())
-        ],
+        "nonzero_homology": [{"i": i, "j": j, "dim": d} for i, j, d in witnesses],
     }
     text = f"lin acyclic: {verdict}"
     _emit(args, payload, text)
@@ -291,13 +286,12 @@ betti C
 
 def cmd_koszul(args) -> int:
     spec = parse_ring_spec(args.ring)
-    bound = _bound(args, spec)
     start = time.perf_counter()
-    report = koszul_verdict(spec, args.e, bound)
+    report = koszul_verdict(spec, args.e)
     elapsed = time.perf_counter() - start
     payload = report.to_dict()
     lines = [
-        f"ring {render_ring_spec(spec)}, e = {args.e}, bound = {bound}",
+        f"ring {render_ring_spec(spec)}, e = {args.e}",
         f"  generators: {', '.join(spec.render_monomial(m) for m in report.generators)}",
         f"  lin_acyclic:        {report.lin_acyclic}",
         f"  gr_linear:          {report.gr_linear}",
@@ -386,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bound=True):
+    def common(p, bound=False):
         p.add_argument("--ring", required=True, help="e.g. x=1,y=3 or x=1,y=3@101")
         p.add_argument("--e", type=int, required=True, help="truncation threshold")
         if bound:
@@ -395,11 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("gens", help="minimal truncation generators")
-    common(p, bound=False)
+    common(p)
     p.set_defaults(func=cmd_gens)
 
     p = sub.add_parser("resolve", help="minimal free resolution over the weighted ring")
-    common(p, bound=False)
+    common(p)
     p.add_argument("--raw", action="store_true", help="skip minimization")
     p.add_argument("--show-differentials", action="store_true")
     p.set_defaults(func=cmd_resolve)
@@ -409,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gr_betti)
 
     p = sub.add_parser("gr-hilbert", help="Hilbert function of the associated graded module")
-    common(p)
+    common(p, bound=True)
     p.set_defaults(func=cmd_gr_hilbert)
 
     p = sub.add_parser("lin-check", help="acyclicity of the linear part of the resolution")
@@ -417,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lin_check)
 
     p = sub.add_parser("construct", help="layer-by-layer predicted Betti table")
-    common(p, bound=False)
+    common(p)
     p.add_argument("--trace", action="store_true", help="include the derivation trace")
     p.set_defaults(func=cmd_construct)
 
@@ -428,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_koszul)
 
     p = sub.add_parser("ses-check", help="graded Hilbert additivity of the layer sequences")
-    common(p)
+    common(p, bound=True)
     p.add_argument("--layer", type=int, default=None, help="single layer index (default: all)")
     p.set_defaults(func=cmd_ses_check)
 
@@ -436,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vars", type=int, default=3)
     p.add_argument("--max-weight", type=int, default=4)
     p.add_argument("--max-e", type=int, default=12)
-    p.add_argument("--char", type=int, default=None)
+    p.add_argument("--char", type=int, default=DEFAULT_CHAR)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None)

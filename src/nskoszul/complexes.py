@@ -1,17 +1,16 @@
 """Graded free complexes: hygiene checks, minimization, Koszul complexes,
-tensor totalization, Taylor complexes, the resolution builder, homology
-dimensions, and Betti tables.
+tensor totalization, Taylor complexes, the resolution builder, Betti tables,
+and homology on the generator grid.
 
-Homology dimensions are computed by exact rank computations over the
-coefficient field, on complexes whose differential entries are single terms:
-such a complex splits into blocks graded by exponent multidegree, and one
-walk over the grid of generator coordinate values, one column elimination
-per slice along the last coordinate, both decides, with no degree bound,
-whether H_{>=1} vanishes and gives the bounded count.  A grid point's
-homology holds on its whole cell, which has as many multidegrees of degree j
-as z^j has in prod_t sum_k z^(w_t k), k over the cell's range in coordinate
-t.  A complex that does not split raises NoFiniteDecision; the tests
-cross-check the blocks against a dense expansion of each graded piece.
+Homology is computed by exact rank computations over the coefficient field,
+on complexes whose differential entries are single terms: such a complex
+splits into blocks graded by exponent multidegree, and one walk over the
+grid of generator coordinate values, one column elimination per slice along
+the last coordinate, lists with no degree bound every grid cell where some
+H_i with i >= 1 is nonzero.  A grid point's homology holds on its whole
+cell, so the list is finite and complete.  A complex that does not split
+raises NoFiniteDecision; the tests cross-check the walk against a dense
+expansion of each graded piece.
 """
 
 from __future__ import annotations
@@ -59,9 +58,6 @@ class BettiTable:
     def as_dict(self) -> dict:
         return {(i, j): r for i, j, r in self.entries}
 
-    def rank(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
-
     def total(self, i: int) -> int:
         return sum(r for ii, _, r in self.entries if ii == i)
 
@@ -105,30 +101,6 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def alternating_betti_series(table: BettiTable, bound: int) -> list:
-    """Coefficients of sum_i (-1)^i sum_j beta_ij t^j, up to t^bound."""
-    out = [0] * (bound + 1)
-    for i, j, r in table.entries:
-        if j <= bound:
-            out[j] += r if i % 2 == 0 else -r
-    return out
-
-def truncated_series_product(a: list, b: list, bound: int) -> list:
-    out = [0] * (bound + 1)
-    for i, x in enumerate(a[: bound + 1]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: bound + 1 - i]):
-            out[i + j] += x * y
-    return out
-
-
-def one_minus_t_power(n: int, bound: int) -> list:
-    from math import comb
-
-    return [((-1) ** k) * comb(n, k) if k <= n else 0 for k in range(bound + 1)]
-
-
 # ---------------------------------------------------------------------------
 # complexes
 
@@ -148,10 +120,6 @@ class GradedFreeComplex:
     @property
     def length(self) -> int:
         return len(self.modules) - 1
-
-    def differential(self, i: int):
-        """Matrix of d_i : F_i -> F_{i-1} (1-based homological index)."""
-        return self.diffs[i - 1]
 
     def betti_from_twists(self) -> BettiTable:
         d = {}
@@ -410,6 +378,14 @@ def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
     the minimal resolution and terminates within num_vars steps.  With
     minimize=False the levels are the reduced Groebner bases of the iterated
     Schreyer syzygies, i.e. a typically non-minimal resolution.
+
+    The minimal resolution has no unit entry, so it needs no minimize_complex
+    pass.  A unit entry u in row r of a syzygy s would give u g_r = -sum of
+    s_k g_k over k != r, where every g_k with a unit coefficient has the
+    degree of g_r and every other one a lower degree.  The last kept of the
+    generators with unit coefficients would then lie in the graded span of
+    generators kept before it, which minimal_generators rules out (graded
+    Nakayama).  linear_part still refuses a unit entry.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -441,14 +417,11 @@ def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
         current = syz
     else:
         raise RuntimeError("resolution did not terminate within the level cap")
-    C = GradedFreeComplex(spec, tuple(modules), tuple(diffs))
-    if minimize:
-        C = minimize_complex(C)
-    return C
+    return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
 
 
 # ---------------------------------------------------------------------------
-# homology dimensions
+# homology on the generator grid
 
 
 class NoFiniteDecision(RuntimeError):
@@ -613,43 +586,14 @@ def _multidegree_blocks(C: GradedFreeComplex) -> list:
     return blocks
 
 
-def homology_dims(C: GradedFreeComplex, bound: int) -> dict:
-    """dim H_i(C)_j for all i and internal degrees j <= bound.
+def homology_witnesses(C: GradedFreeComplex) -> list:
+    """Sorted (i, j, dim) of every grid cell where H_i(C) != 0 with i >= 1.
 
-    Returns a dict with the nonzero dimensions only; absent keys are zero.
-    Counted on the grid cells that positive_homology_vanishes walks: a grid
-    point's homology holds on its whole cell, whose multidegrees of degree j
-    number the coefficient of z^j in prod_t sum_k z^(w_t k), k running over
-    the cell's range in coordinate t.  A complex that does not split into
-    multidegree blocks raises NoFiniteDecision.
-    """
-    out = {}
-    for blk in _multidegree_blocks(C):
-        for index, h in blk.grid_walk(C.spec.char):
-            # the cell spans [grid[t][k], grid[t][k + 1]) in coordinate t,
-            # unbounded at the last value; its corner has its lowest degree
-            corner = [vals[k] for vals, k in zip(blk.grid, index)]
-            low = blk.offset + C.spec.wdeg(corner)
-            if low > bound:
-                continue
-            top = bound - low
-            counts = [1]
-            for w, vals, k in zip(C.spec.weights, blk.grid, index):
-                span = vals[k + 1] - vals[k] if k + 1 < len(vals) else top + 1
-                series = [int(d % w == 0 and d < span * w) for d in range(top + 1)]
-                counts = truncated_series_product(counts, series, top)
-            for d, count in enumerate(counts):
-                for i, hi in enumerate(h):
-                    if count and hi:
-                        out[(i, low + d)] = out.get((i, low + d), 0) + count * hi
-    return out
-
-
-def positive_homology_vanishes(C: GradedFreeComplex) -> bool:
-    """Is H_i(C) = 0 for every i >= 1, in every internal degree?
-
-    Decided with no degree bound, for complexes whose differential entries
-    are single terms; any other complex raises NoFiniteDecision.
+    Complete with no degree bound, for complexes whose differential entries
+    are single terms; any other complex raises NoFiniteDecision.  A cell
+    spans [grid[t][k], grid[t][k + 1]) in each coordinate t of its block,
+    unbounded at the last value; j is the internal degree of its corner, the
+    lowest in the cell, and dim is dim H_i at every multidegree of the cell.
 
     Why a finite check is complete: such a complex is the direct sum of its
     connected components, and each component is Z^n-graded with generator g
@@ -660,9 +604,8 @@ def positive_homology_vanishes(C: GradedFreeComplex) -> bool:
     largest value m(g)_t <= a_t that occurs leaves S(a) unchanged, and if no
     value occurs below a_t then S(a) is empty.  So every strand already
     occurs at a point of the product grid of the coordinate values
-    {m(g)_t}, and H_{>=1} vanishes everywhere iff it vanishes at each grid
-    point (the argument behind the lcm-lattice theorem of Gasharov, Peeva
-    and Welker, Math. Res. Lett. 6, 1999).
+    {m(g)_t}, the corner of its cell (the argument behind the lcm-lattice
+    theorem of Gasharov, Peeva and Welker, Math. Res. Lett. 6, 1999).
 
     The grid is walked a slice at a time.  The strands are nested: for
     a <= a' the generators of S(a) span a subcomplex of the strand at a',
@@ -671,12 +614,21 @@ def positive_homology_vanishes(C: GradedFreeComplex) -> bool:
     column prefix of the slice's matrix, and one column elimination per
     differential gives every strand's rank as a count of pivot columns (the
     persistence reduction of Zomorodian and Carlsson, "Computing persistent
-    homology", DCG 33, 2005).  homology_dims counts on the same walk: a grid
-    point's homology holds on its whole cell, whose multidegrees of degree j
-    number the z^j coefficient of prod_t sum_k z^(w_t k).
+    homology", DCG 33, 2005).
     """
-    p = C.spec.char
-    return not any(any(h[1:]) for blk in _multidegree_blocks(C) for _, h in blk.grid_walk(p))
+    out = []
+    for blk in _multidegree_blocks(C):
+        for index, h in blk.grid_walk(C.spec.char):
+            corner = [vals[k] for vals, k in zip(blk.grid, index)]
+            j = blk.offset + C.spec.wdeg(corner)
+            out.extend((i, j, d) for i, d in enumerate(h) if i and d)
+    return sorted(out)
+
+
+def positive_homology_vanishes(C: GradedFreeComplex) -> bool:
+    """Is H_i(C) = 0 for every i >= 1, in every internal degree?  Decided on
+    the grid cells of homology_witnesses."""
+    return not homology_witnesses(C)
 
 
 def _block_pivots(block: np.ndarray, p: int) -> list:

@@ -23,7 +23,7 @@ from math import comb, ceil
 
 from .assoc_graded import OrdContext, gr_hilbert
 from .complexes import BettiTable
-from .ring import RingSpec, as_int
+from .ring import DEFAULT_CHAR, RingSpec, as_int
 from .truncation import filtration_layer, trunc_gens
 
 
@@ -166,14 +166,14 @@ def construct_free_betti(weights, twists, e: int) -> BettiTable:
     return out
 
 
-def ses_hilbert_check(weights, e: int, i: int, bound: int, char: int | None = None):
+def ses_hilbert_check(weights, e: int, i: int, bound: int, char: int = DEFAULT_CHAR):
     """Degreewise Hilbert additivity of the graded layer sequences.
 
     Checks gr-Hilbert(M^(i)) = gr-Hilbert(M^(i+1)) + gr-Hilbert of the layer
     quotient, which is the truncation of the smaller ring at e - d*i with the
     eliminated variable acting as zero.  Returns (ok, lhs, rhs).
     """
-    spec = RingSpec(tuple(weights)) if char is None else RingSpec(tuple(weights), char=char)
+    spec = RingSpec(tuple(weights), char=char)
     var = _pick_last_variable(spec.weights)
     d = spec.weights[var]
     N = ceil(max(e, 1) / d)

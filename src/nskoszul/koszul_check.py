@@ -7,8 +7,10 @@ the associated graded module must be concentrated on the diagonal; (3) the
 layer-by-layer construction must predict exactly that Betti table.  Each
 verdict is true or false, decided with no degree bound on a finite support:
 lin on the generator grid, gr and the construction on the whole gr table.
-A linear part that does not split into multidegree blocks has no finite
-decision and raises complexes.NoFiniteDecision, which this module re-exports.
+A false lin verdict lists its witnesses, the grid cells where H_{>=1} is
+nonzero.  A linear part that does not split into multidegree blocks has no
+finite decision and raises complexes.NoFiniteDecision, which this module
+re-exports.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from .complexes import (
     BettiTable,
     GradedFreeComplex,
     NoFiniteDecision,
-    homology_dims,
-    positive_homology_vanishes,
+    homology_witnesses,
     resolve_module,
 )
 from .construction import construct_gr_betti
@@ -57,7 +58,8 @@ def exit_status(verdicts) -> int:
 
 
 def recommended_bound(spec: RingSpec, e: int) -> int:
-    """Default cap on the internal degrees that are listed; no verdict depends on it."""
+    """Default degree cap of the infinite outputs (gr-hilbert, ses-check),
+    and the bound a report records; no verdict depends on it."""
     n = spec.num_vars
     return max(e, 0) + n * spec.max_weight + n
 
@@ -99,33 +101,32 @@ def linear_part(F: GradedFreeComplex, spec: RingSpec | None = None) -> GradedFre
     return GradedFreeComplex(companion, modules, tuple(diffs))
 
 
-def lin_acyclicity(L: GradedFreeComplex, bound: int):
-    """True iff H_i(L) = 0 for all i >= 1, in every internal degree.
+def lin_acyclicity(L: GradedFreeComplex):
+    """(acyclic, witnesses): acyclic iff H_i(L) = 0 for all i >= 1, in every
+    internal degree.
 
     Decided with no degree bound on the finite grid of generator
-    multidegrees (positive_homology_vanishes); a complex that does not split
-    into multidegree blocks raises NoFiniteDecision.  Returns (acyclic,
-    nonzero): when acyclic is False, nonzero lists the witnesses (i, j) ->
-    dimension with i >= 1 and j <= bound, counted by homology_dims on the
-    same grid cells, and is empty when all of them lie above the bound.
+    multidegrees: witnesses is homology_witnesses(L), the (i, j, dim) of
+    every grid cell where H_i(L) != 0 with i >= 1, and is empty exactly when
+    L is acyclic.  A complex that does not split into multidegree blocks
+    raises NoFiniteDecision.
     """
     try:
-        acyclic = positive_homology_vanishes(L)
+        witnesses = homology_witnesses(L)
     except NoFiniteDecision as exc:
         raise NoFiniteDecision(f"in the linear part, {exc}") from None
-    if acyclic:
-        return True, {}
-    dims = homology_dims(L, bound)
-    return False, {key: d for key, d in dims.items() if key[0] >= 1}
+    return not witnesses, witnesses
 
 
 @dataclass(frozen=True)
 class KoszulReport:
-    """Verdicts and evidence from the three verification pipelines."""
+    """Verdicts and evidence from the three verification pipelines.
+
+    lin_homology_nonzero holds the lin witnesses, (i, j, dim) per grid cell.
+    """
 
     spec: RingSpec
     e: int
-    bound: int
     recommended: int
     lin_acyclic: Verdict
     gr_linear: Verdict
@@ -156,7 +157,8 @@ class KoszulReport:
                 "char": self.spec.char,
             },
             "e": self.e,
-            "bound": self.bound,
+            # both keys predate the bound-free verdicts; the sweep json keeps them
+            "bound": self.recommended,
             "recommended_bound": self.recommended,
             "generators": [self.spec.render_monomial(m) for m in self.generators],
             "betti": [
@@ -168,25 +170,22 @@ class KoszulReport:
             ],
             "verdicts": {k: str(v) for k, v in self.verdicts().items()},
             "lin_homology_nonzero": [
-                {"i": i, "j": j, "dim": d} for (i, j), d in self.lin_homology_nonzero
+                {"i": i, "j": j, "dim": d} for i, j, d in self.lin_homology_nonzero
             ],
         }
 
 
-def koszul_verdict(spec: RingSpec, e: int, bound: int | None = None) -> KoszulReport:
+def koszul_verdict(spec: RingSpec, e: int) -> KoszulReport:
     """Run all three pipelines on the degree >= e truncation of the ring.
 
-    Every verdict is decided in full, whatever the bound (default
-    recommended_bound), which only caps the listed lin homology witnesses.
-    Pipeline disagreement is a false verdict, never silently reconciled.
+    Every verdict is decided in full on its finite support.  Pipeline
+    disagreement is a false verdict, never silently reconciled.
     """
-    rec = recommended_bound(spec, e)
-    b = rec if bound is None else bound
     gens = trunc_gens(spec, e)
 
     F = resolve_module(monomial_elements(spec, gens), minimize=True)
     L = linear_part(F, spec)
-    acyclic, nonzero = lin_acyclicity(L, b)
+    acyclic, witnesses = lin_acyclicity(L)
 
     gr_table = gr_betti(OrdContext(spec, tuple((0, m) for m in gens)))
     construct_table, _trace = construct_gr_betti(spec.weights, e)
@@ -194,8 +193,7 @@ def koszul_verdict(spec: RingSpec, e: int, bound: int | None = None) -> KoszulRe
     return KoszulReport(
         spec=spec,
         e=e,
-        bound=b,
-        recommended=rec,
+        recommended=recommended_bound(spec, e),
         lin_acyclic=Verdict.of(acyclic),
         gr_linear=Verdict.of(gr_table.is_diagonal()),
         construction_match=Verdict.of(construct_table == gr_table),
@@ -203,6 +201,6 @@ def koszul_verdict(spec: RingSpec, e: int, bound: int | None = None) -> KoszulRe
         lin_betti=L.betti_from_twists(),
         gr_table=gr_table,
         construct_table=construct_table,
-        lin_homology_nonzero=tuple(sorted(nonzero.items())),
+        lin_homology_nonzero=tuple(witnesses),
         generators=tuple(gens),
     )

@@ -7,9 +7,9 @@ and the rank of every column prefix A[:, :c + 1] is the number of pivots
 <= c.  ``pivots_py`` works on plain lists, fastest on the many tiny blocks
 (Koszul strands, and homology slice blocks up to 12 on a side), and
 ``pivots_mod`` on numpy int64 arrays for the larger slice blocks.
-``rank_py`` and ``rank_mod`` count their pivots; the tests' dense oracles
-rank with ``rank_mod``.  The tests cross-check both kernels against an
-independent elimination.
+``rank_py`` counts the pivots of a Koszul strand; the tests' dense oracles
+rank by counting those of ``pivots_mod``.  The tests cross-check both
+kernels against an independent elimination.
 
 The numpy kernel multiplies two residues in int64, so it requires p < 2**31,
 which every supported characteristic satisfies.
@@ -89,8 +89,3 @@ def pivots_mod(mat, p: int) -> list:
 def rank_py(rows, p: int) -> int:
     """Rank of a small list-of-lists matrix over F_p (pure Python)."""
     return len(pivots_py(rows, p))
-
-
-def rank_mod(mat, p: int) -> int:
-    """Exact rank of an integer matrix over F_p (numpy elimination)."""
-    return len(pivots_mod(mat, p))

@@ -11,7 +11,6 @@ freely across threads or processes.
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -19,7 +18,6 @@ from typing import Iterable, Iterator
 Monomial = tuple  # exponent vector, one entry per variable
 
 DEFAULT_CHAR = 32003
-CHAR_ENV = "NSKOSZUL_CHAR"
 
 
 class DimensionMismatch(ValueError):
@@ -79,17 +77,6 @@ def check_characteristic(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     return p
-
-
-def default_characteristic() -> int:
-    """Default coefficient characteristic, overridable via NSKOSZUL_CHAR."""
-    raw = os.environ.get(CHAR_ENV)
-    if raw is None:
-        return DEFAULT_CHAR
-    try:
-        return check_characteristic(int(raw))
-    except ValueError as exc:
-        raise ValueError(f"{CHAR_ENV}={raw}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +398,6 @@ class Polynomial:
             return Polynomial.zero(self.spec)
         return Polynomial(self.spec, {m: (v * c) % p for m, v in self.coeffs.items()}, _clean=True)
 
-    def term_mul(self, m: Monomial, c: int = 1) -> "Polynomial":
-        p = self.spec.char
-        c %= p
-        if c == 0:
-            return Polynomial.zero(self.spec)
-        return Polynomial(
-            self.spec,
-            {mon_mul(mm, m): (v * c) % p for mm, v in self.coeffs.items()},
-            _clean=True,
-        )
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
@@ -528,18 +504,6 @@ class FreeElement:
     def zero(cls, spec: RingSpec, ambient: FreeModuleSpec) -> "FreeElement":
         return cls(spec, ambient, {}, _clean=True)
 
-    @classmethod
-    def generator(cls, spec: RingSpec, ambient: FreeModuleSpec, comp: int) -> "FreeElement":
-        return cls(spec, ambient, {(comp, spec.one()): 1})
-
-    @classmethod
-    def from_terms(cls, spec: RingSpec, ambient: FreeModuleSpec, terms: Iterable) -> "FreeElement":
-        coeffs = {}
-        for comp, m, c in terms:
-            key = (comp, tuple(m))
-            coeffs[key] = coeffs.get(key, 0) + c
-        return cls(spec, ambient, coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -611,10 +575,6 @@ class FreeElement:
             key=lambda kv: term_key(self.spec, kv[0][0], kv[0][1]),
             reverse=True,
         )
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.spec.wdeg(m) + self.ambient.twists[c] for c, m in self.coeffs}
-        return len(degs) <= 1
 
     def homogeneous_degree(self) -> int:
         degs = {self.spec.wdeg(m) + self.ambient.twists[c] for c, m in self.coeffs}

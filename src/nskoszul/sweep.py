@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from multiprocessing import Pool
 
 from .koszul_check import KoszulReport, exit_status, koszul_verdict, recommended_bound
-from .ring import RingSpec, default_characteristic
+from .ring import DEFAULT_CHAR, RingSpec
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,8 @@ class SweepRow:
         return (len(self.case.weights), self.case.weights, self.case.e)
 
 
-def sweep_cases(max_vars: int, max_weight: int, max_e: int, char: int | None = None):
+def sweep_cases(max_vars: int, max_weight: int, max_e: int, char: int = DEFAULT_CHAR):
     """All weight multisets with n <= max_vars, weights <= max_weight, 1 <= e <= max_e."""
-    if char is None:
-        char = default_characteristic()
     cases = []
     for n in range(1, max_vars + 1):
         for weights in combinations_with_replacement(range(1, max_weight + 1), n):
@@ -54,7 +52,7 @@ def sweep_cases(max_vars: int, max_weight: int, max_e: int, char: int | None = N
 def run_case(case: SweepCase) -> SweepRow:
     spec = RingSpec(case.weights, char=case.char)
     start = time.perf_counter()
-    report = koszul_verdict(spec, case.e, case.bound)
+    report = koszul_verdict(spec, case.e)
     return SweepRow(case, report, time.perf_counter() - start)
 
 
@@ -62,7 +60,7 @@ def run_sweep(
     max_vars: int,
     max_weight: int,
     max_e: int,
-    char: int | None = None,
+    char: int = DEFAULT_CHAR,
     jobs: int = 1,
 ):
     """Rows of every case, in sort order.  jobs caps the worker processes,

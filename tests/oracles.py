@@ -1,21 +1,30 @@
-"""Independent dense computations that the tests use as oracles, and the
-label-map invariant of explicit graded modules.
+"""Independent computations that the tests use as oracles, the label-map
+invariant of explicit graded modules, and truncated power-series arithmetic.
 
-No production path reaches these: lin homology and the Koszul strands are
-computed on multidegree blocks (``complexes.homology_dims``,
-``egm.betti_via_koszul``), and the syzygy engine is checked here against the
+No production path reaches these.  Lin homology is decided on multidegree
+blocks (``complexes.homology_witnesses``) and the Koszul strands likewise
+(``egm.betti_via_koszul``); the syzygy engine is checked here against the
 brute-force span of its output.  Each dense routine expands every graded
-piece in full and ranks it with ``modp.rank_mod``.
+piece in full and ranks it with ``rank_mod``, the pivot count of
+``modp.pivots_mod``.
+``homology_dims`` counts dim H_i(C)_j per degree from the grid walk's cells,
+a second reading of the walk that the tests compare with ``homology_dense``.
 """
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from nskoszul import modp
-from nskoszul.complexes import BettiTable
+from nskoszul.complexes import BettiTable, _multidegree_blocks
 from nskoszul.gb import _EchelonSpace, _expand, graded_basis
 from nskoszul.ring import mon_mul, mon_var, monomials_of_wdeg
+
+
+def rank_mod(mat, p: int) -> int:
+    """Exact rank of an integer matrix over F_p (numpy elimination)."""
+    return len(modp.pivots_mod(mat, p))
 
 
 def homology_dense(C, bound: int) -> dict:
@@ -39,12 +48,67 @@ def homology_dense(C, bound: int) -> dict:
                     entry = dmat[r][comp]
                     for mm, coeff in entry.coeffs.items():
                         mat[rows[(r, mon_mul(mon, mm))], cidx] = coeff
-            ranks[i] = modp.rank_mod(mat, p)
+            ranks[i] = rank_mod(mat, p)
         for i in range(C.length + 1):
             h = len(bases[i]) - ranks[i] - ranks[i + 1]
             if h:
                 out[(i, j)] = h
     return out
+
+
+def homology_dims(C, bound: int) -> dict:
+    """dim H_i(C)_j for all i and internal degrees j <= bound, nonzero only.
+
+    Counted on the cells of the grid walk: a grid point's homology holds on
+    its whole cell, whose multidegrees of degree j number the coefficient of
+    z^j in prod_t sum_k z^(w_t k), k running over the cell's range in
+    coordinate t.  A complex that does not split into multidegree blocks
+    raises NoFiniteDecision.
+    """
+    out = {}
+    for blk in _multidegree_blocks(C):
+        for index, h in blk.grid_walk(C.spec.char):
+            # the cell spans [grid[t][k], grid[t][k + 1]) in coordinate t,
+            # unbounded at the last value; its corner has its lowest degree
+            corner = [vals[k] for vals, k in zip(blk.grid, index)]
+            low = blk.offset + C.spec.wdeg(corner)
+            if low > bound:
+                continue
+            top = bound - low
+            counts = [1]
+            for w, vals, k in zip(C.spec.weights, blk.grid, index):
+                span = vals[k + 1] - vals[k] if k + 1 < len(vals) else top + 1
+                series = [int(d % w == 0 and d < span * w) for d in range(top + 1)]
+                counts = truncated_series_product(counts, series, top)
+            for d, count in enumerate(counts):
+                for i, hi in enumerate(h):
+                    if count and hi:
+                        out[(i, low + d)] = out.get((i, low + d), 0) + count * hi
+    return out
+
+
+def alternating_betti_series(table: BettiTable, bound: int) -> list:
+    """Coefficients of sum_i (-1)^i sum_j beta_ij t^j, up to t^bound."""
+    out = [0] * (bound + 1)
+    for i, j, r in table.entries:
+        if j <= bound:
+            out[j] += r if i % 2 == 0 else -r
+    return out
+
+
+def truncated_series_product(a: list, b: list, bound: int) -> list:
+    out = [0] * (bound + 1)
+    for i, x in enumerate(a[: bound + 1]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[: bound + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def one_minus_t_power(n: int, bound: int) -> list:
+    """Coefficients of (1 - t)^n up to t^bound."""
+    return [((-1) ** k) * comb(n, k) if k <= n else 0 for k in range(bound + 1)]
 
 
 def betti_dense(M, bound: int) -> BettiTable:
@@ -83,7 +147,7 @@ def betti_dense(M, bound: int) -> BettiTable:
                     for r in np.nonzero(column)[0]:
                         ridx = index[size - 1][(rest, int(r))]
                         mat[ridx, cidx] = (mat[ridx, cidx] + sign * int(column[r])) % p
-            ranks[size] = modp.rank_mod(mat, p)
+            ranks[size] = rank_mod(mat, p)
         for size in range(n + 1):
             h = len(bases[size]) - ranks[size] - ranks[size + 1]
             if h:

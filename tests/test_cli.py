@@ -16,12 +16,26 @@ from nskoszul.cli import (
     parse_ring_spec,
     render_ring_spec,
 )
-from nskoszul.complexes import GradedFreeComplex
+from nskoszul.complexes import GradedFreeComplex, resolve_module
 from nskoszul.egm import DegreeRangeError
-from nskoszul.gb import InhomogeneousInput
-from nskoszul.koszul_check import EXIT_FALSE, EXIT_OK, NotMinimal, Verdict, koszul_verdict
-from nskoszul.ring import FreeModuleSpec, Polynomial, RingSpec
-from nskoszul.sweep import rows_to_csv, run_sweep, sweep_exit_status
+from nskoszul.gb import InhomogeneousInput, monomial_elements
+from nskoszul.koszul_check import (
+    EXIT_FALSE,
+    EXIT_OK,
+    NotMinimal,
+    Verdict,
+    koszul_verdict,
+    linear_part,
+)
+from nskoszul.ring import DEFAULT_CHAR, FreeModuleSpec, Polynomial, RingSpec
+from nskoszul.sweep import rows_to_csv, run_sweep, sweep_cases, sweep_exit_status
+
+
+def x2_y2_linear_part(F=None, spec=None):
+    """lin of the resolution of (x^2, y^2): H_1 = S(-1), one grid cell.  Takes
+    and ignores linear_part's arguments, so it can stand in for it."""
+    R = RingSpec((1, 1), ("x", "y"))
+    return linear_part(resolve_module(monomial_elements(R, [(2, 0), (0, 2)])), R)
 
 
 class TestParseRingSpec:
@@ -62,9 +76,12 @@ class TestParseRingSpec:
             spec = parse_ring_spec(text)
             assert parse_ring_spec(render_ring_spec(spec)) == spec
 
-    def test_char_env_override(self, monkeypatch):
+    def test_one_default_characteristic(self, monkeypatch):
+        # every default characteristic is DEFAULT_CHAR, whatever the environment
         monkeypatch.setenv("NSKOSZUL_CHAR", "101")
-        assert parse_ring_spec("x=1").char == 101
+        assert parse_ring_spec("x=1").char == DEFAULT_CHAR
+        assert sweep_cases(1, 1, 1)[0].char == DEFAULT_CHAR
+        assert RingSpec((1, 3)).char == DEFAULT_CHAR
 
 
 class TestSubcommands:
@@ -82,16 +99,15 @@ class TestSubcommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["modules"] == [[5, 5, 8], [9, 9]]
 
-    def test_koszul_verdict_exit_codes(self, capsys):
+    def test_koszul_verdict_exit_codes(self, monkeypatch, capsys):
         assert main(["koszul", "--ring", "x=1,y=3", "--e", "5"]) == EXIT_OK
-        capsys.readouterr()
-        # verdicts are decided on their finite support: a bound below the
-        # recommended 13 only caps what is listed, and the verdict is true
-        assert (
-            main(["koszul", "--ring", "x=1,y=3", "--e", "5", "--bound", "3"])
-            == EXIT_OK
-        )
-        assert capsys.readouterr().out.split().count("true") == 3
+        out = capsys.readouterr().out
+        assert out.startswith("ring x=1,y=3@32003, e = 5\n")
+        assert out.split().count("true") == 3
+        # a linear part with homology makes the lin verdict false: exit 1
+        monkeypatch.setattr(koszul_check, "linear_part", x2_y2_linear_part)
+        assert main(["koszul", "--ring", "x=1,y=3", "--e", "5"]) == EXIT_FALSE
+        assert "lin_acyclic:        false" in capsys.readouterr().out
 
     def test_koszul_json_payload(self, capsys):
         main(["koszul", "--ring", "x=1,y=3", "--e", "5", "--format", "json"])
@@ -115,11 +131,13 @@ class TestSubcommands:
 
     def test_gr_betti_and_hilbert(self, capsys):
         assert main(["gr-betti", "--ring", "x=1,y=3", "--e", "5", "--format", "json"]) == 0
-        betti = json.loads(capsys.readouterr().out)["betti"]
-        assert betti == [{"i": 0, "j": 0, "rank": 3}, {"i": 1, "j": 1, "rank": 2}]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["betti"] == [{"i": 0, "j": 0, "rank": 3}, {"i": 1, "j": 1, "rank": 2}]
+        assert "bound" not in payload  # the whole table
         assert main(["gr-hilbert", "--ring", "x=1,y=3", "--e", "5", "--format", "json"]) == 0
-        hilb = json.loads(capsys.readouterr().out)["hilbert"]
-        assert hilb[:3] == [3, 4, 5]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["hilbert"][:3] == [3, 4, 5]
+        assert payload["bound"] == 13 == len(payload["hilbert"]) - 1
 
     def test_construct_trace(self, capsys):
         assert (
@@ -147,21 +165,36 @@ class TestSubcommands:
         assert main(["lin-check", "--ring", "x=1,y=4", "--e", "5"]) == EXIT_OK
 
     def test_lin_check_with_bound_zero(self, capsys):
-        assert main(["lin-check", "--ring", "x=1,y=4", "--e", "5", "--bound", "0"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert out == "lin acyclic: true\n"
-        assert "up to degree" not in out
+        # lin-check lists every witness cell, so it has no bound to set
+        with pytest.raises(SystemExit) as exc:
+            main(["lin-check", "--ring", "x=1,y=4", "--e", "5", "--bound", "0"])
+        assert exc.value.code == EXIT_USAGE
+        capsys.readouterr()
+        assert main(["lin-check", "--ring", "x=1,y=4", "--e", "5"]) == EXIT_OK
+        assert capsys.readouterr().out == "lin acyclic: true\n"
+
+    def test_lin_check_lists_witness_cells(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "linear_part", x2_y2_linear_part)
+        argv = ["lin-check", "--ring", "x=1,y=3", "--e", "5", "--format", "json"]
+        assert main(argv) == EXIT_FALSE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdicts"] == {"lin_acyclic": "false"}
+        assert payload["nonzero_homology"] == [{"i": 1, "j": 1, "dim": 1}]
+        assert "bound" not in payload
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["gens", "--ring", "x=0", "--e", "3"]) == 2
 
     def test_bad_bound_is_usage_error(self, capsys):
-        assert main(["gr-betti", "--ring", "x=1,y=3", "--e", "5", "--bound", "-1"]) == EXIT_USAGE
+        assert main(["gr-hilbert", "--ring", "x=1,y=3", "--e", "5", "--bound", "-1"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: bound")
 
-    @pytest.mark.parametrize("command", ["gens", "resolve", "construct"])
+    @pytest.mark.parametrize(
+        "command", ["gens", "resolve", "construct", "koszul", "lin-check", "gr-betti"]
+    )
     def test_bound_rejected_where_unused(self, command, capsys):
-        # these commands read no degree bound, so --bound is not an option
+        # these commands have finite outputs and read no degree bound, so
+        # --bound is not an option
         with pytest.raises(SystemExit) as exc:
             main([command, "--ring", "x=1,y=3", "--e", "5", "--bound", "3"])
         assert exc.value.code == EXIT_USAGE

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nskoszul import complexes, modp
+from nskoszul import complexes
 from nskoszul.assoc_graded import OrdContext, extend_gr, gr_module
 from nskoszul.complexes import (
     BettiTable,
@@ -14,7 +14,7 @@ from nskoszul.complexes import (
     _multidegree_blocks,
     check_complex,
     free_hilbert,
-    homology_dims,
+    homology_witnesses,
     koszul_complex,
     minimize_complex,
     positive_homology_vanishes,
@@ -119,7 +119,7 @@ class TestMinimize:
             T = taylor_complex(spec, gens)
             M = minimize_complex(T)
             bound = max(t for mod in T.modules for t in mod.twists) + 3
-            assert homology_dims(T, bound) == homology_dims(M, bound)
+            assert oracles.homology_dims(T, bound) == oracles.homology_dims(M, bound)
 
 
 class TestKoszulComplex:
@@ -135,7 +135,7 @@ class TestKoszulComplex:
 
     def test_exactness_in_positive_degrees(self):
         K = koszul_complex(STD3, [0, 1, 2])
-        dims = homology_dims(K, 8)
+        dims = oracles.homology_dims(K, 8)
         assert all(i == 0 for (i, _), _ in dims.items())
 
     def test_tensoring_shifts_by_one(self):
@@ -216,13 +216,13 @@ class TestHomologyDims:
             (Polynomial.zero(R), Polynomial.zero(R)),
         )
         L = GradedFreeComplex(R, (FreeModuleSpec((0, 0, 0)), FreeModuleSpec((1, 1))), (mat,))
-        dims = homology_dims(L, 10)
+        dims = oracles.homology_dims(L, 10)
         assert all(i == 0 for (i, _) in dims)
 
     def test_zero_differential_rank_nullity(self):
         mat = (((Polynomial.zero(STD2),),),)
         C = GradedFreeComplex(STD2, (FreeModuleSpec((0,)), FreeModuleSpec((2,))), mat)
-        dims = homology_dims(C, 5)
+        dims = oracles.homology_dims(C, 5)
         for j in range(2, 6):
             assert dims[(1, j)] == free_hilbert(STD2, (2,), j)
 
@@ -241,7 +241,7 @@ class TestHomologyDims:
                 continue
             T = taylor_complex(spec, gens)
             bound = max(t for mod in T.modules for t in mod.twists) + 2
-            assert homology_dims(T, bound) == oracles.homology_dense(T, bound)
+            assert oracles.homology_dims(T, bound) == oracles.homology_dense(T, bound)
 
     def test_grid_check_matches_bounded_count(self):
         # Strands live at multidegrees below the lcm of the generators, so
@@ -259,7 +259,7 @@ class TestHomologyDims:
                 continue
             L = linear_part(resolve_module(monomial_elements(spec, gens)), spec)
             vanishes = positive_homology_vanishes(L)
-            bounded = homology_dims(L, 3 * n + 2)
+            bounded = oracles.homology_dims(L, 3 * n + 2)
             # both read the same grid walk, so the dense count is the reference
             assert bounded == oracles.homology_dense(L, 3 * n + 2)
             assert vanishes == (not any(i >= 1 for i, _ in bounded))
@@ -282,9 +282,9 @@ class TestHomologyDims:
             twists = [t for mod in C.modules for t in mod.twists]
             lo, hi = min(twists), max(twists)
             for bound in (lo - 1, lo, (lo + hi) // 2, hi, hi + 9):
-                assert homology_dims(C, bound) == oracles.homology_dense(C, bound)
+                assert oracles.homology_dims(C, bound) == oracles.homology_dense(C, bound)
         # the controls keep H_1 = S(-1) up to the bound, far past the grid
-        assert homology_dims(cases[0], 12)[(1, 12)] == 12
+        assert oracles.homology_dims(cases[0], 12)[(1, 12)] == 12
 
     def test_grid_check_reaches_the_top_grid_point(self):
         # K(x, y, z) without its top generator: H_2 lives only at xyz, the
@@ -294,7 +294,7 @@ class TestHomologyDims:
         assert positive_homology_vanishes(K) is True
         assert positive_homology_vanishes(C) is False
         # the cycle z e_xy - y e_xz + x e_yz generates a free H_2 = S(-3)
-        assert {k: d for k, d in homology_dims(C, 5).items() if k[0] >= 1} == {
+        assert {k: d for k, d in oracles.homology_dims(C, 5).items() if k[0] >= 1} == {
             (2, 3): 1,
             (2, 4): 3,
             (2, 5): 6,
@@ -312,7 +312,7 @@ class TestHomologyDims:
         entry = Polynomial.variable(R, 0) + Polynomial.variable(R, 1)
         C = GradedFreeComplex(R, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), ((( entry,),),))
         with pytest.raises(NoFiniteDecision):
-            homology_dims(C, 4)
+            oracles.homology_dims(C, 4)
         # S(-1) -> S by x + y is injective with cokernel k[t] in degrees 0..4
         assert oracles.homology_dense(C, 4) == {(0, j): 1 for j in range(5)}
 
@@ -339,7 +339,7 @@ def _grid_walk_oracle(blk, p):
         ranks = [0] * (len(masks) + 1)
         for i in range(1, len(masks)):
             block = blk.diffs[i - 1][np.ix_(masks[i - 1], masks[i])]
-            ranks[i] = modp.rank_mod(block, p)
+            ranks[i] = oracles.rank_mod(block, p)
         h = [dims[i] - ranks[i] - ranks[i + 1] for i in range(len(masks))]
         if any(h):
             out.append((index, h))
@@ -409,6 +409,27 @@ class TestGridWalk:
         assert with_homology >= 10 and single_value >= 1 and one_variable >= 1
         # one elimination per differential of each distinct slice support
         assert len(calls) == supports
+
+
+class TestHomologyWitnesses:
+    def test_match_dense_homology(self):
+        # a witness (i, j, d) is a grid cell whose corner has degree j, with
+        # dim H_i = d at each of its multidegrees
+        nonzero = 0
+        for C in _grid_walk_inputs():
+            witnesses = homology_witnesses(C)
+            assert witnesses == sorted(witnesses)
+            assert all(i >= 1 and d > 0 for i, _, d in witnesses)
+            bound = max([t for mod in C.modules for t in mod.twists] + [j for _, j, _ in witnesses])
+            dense = oracles.homology_dense(C, bound)
+            positive = [key for key in dense if key[0] >= 1]
+            assert (witnesses == []) == (positive == [])
+            for i, j, d in witnesses:
+                assert dense.get((i, j), 0) >= d
+            for i, j in positive:
+                assert any(wi == i and wj <= j for wi, wj, _ in witnesses)
+            nonzero += bool(witnesses)
+        assert nonzero >= 10
 
 
 def _image(lb, t):

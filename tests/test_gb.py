@@ -13,7 +13,6 @@ from nskoszul.gb import (
     schreyer_syzygies,
     syzygies,
 )
-from nskoszul.modp import rank_mod
 from nskoszul.ring import (
     FreeElement,
     FreeModuleSpec,
@@ -157,7 +156,7 @@ def brute_force_kernel_dims(spec, gens_elements, degrees):
         for cidx, (comp, mon) in enumerate(cols):
             for (acomp, amon), coeff in gens_elements[comp].coeffs.items():
                 mat[rows[(acomp, mon_mul(amon, mon))], cidx] = coeff
-        out[d] = len(cols) - rank_mod(mat, spec.char)
+        out[d] = len(cols) - oracles.rank_mod(mat, spec.char)
     return out
 
 

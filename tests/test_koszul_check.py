@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+import oracles
 from nskoszul.assoc_graded import OrdContext, gr_module
 from nskoszul.complexes import (
     GradedFreeComplex,
     check_complex,
-    homology_dims,
     positive_homology_vanishes,
     resolve_module,
 )
@@ -14,7 +14,6 @@ from nskoszul.gb import monomial_elements
 from nskoszul.koszul_check import (
     NoFiniteDecision,
     NotMinimal,
-    Verdict,
     koszul_verdict,
     lin_acyclicity,
     linear_part,
@@ -82,20 +81,18 @@ class TestLinearPart:
 class TestLinAcyclicity:
     def test_paper_lin_is_acyclic(self):
         F = resolve_module(monomial_elements(W13, trunc_gens(W13, 5)))
-        ok, nonzero = lin_acyclicity(linear_part(F, W13), 12)
-        assert ok and nonzero == {}
+        assert lin_acyclicity(linear_part(F, W13)) == (True, [])
 
     def test_zero_differential_complex_is_not(self):
         R = W13.companion()
         mat = (((Polynomial.zero(R),),),)
         L = GradedFreeComplex(R, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), mat)
-        ok, nonzero = lin_acyclicity(L, 6)
-        assert not ok
-        assert all(i == 1 for (i, _) in nonzero)
+        # H_1 = S(-1): one cell, with its corner in degree 1
+        assert lin_acyclicity(L) == (False, [(1, 1, 1)])
 
     def test_weights_1_4_lin_acyclic(self):
         F = resolve_module(monomial_elements(W14, trunc_gens(W14, 5)))
-        ok, _ = lin_acyclicity(linear_part(F, W14), 15)
+        ok, _ = lin_acyclicity(linear_part(F, W14))
         assert ok
 
     @pytest.mark.parametrize(
@@ -105,13 +102,13 @@ class TestLinAcyclicity:
     )
     def test_non_componentwise_linear_ideals_are_not(self, gens):
         # negative controls: the linear part loses a syzygy, leaving a free
-        # summand S(-1) in H_1 (dimension j in degree j)
+        # summand S(-1) in H_1, one grid cell with its corner in degree 1 and
+        # dimension j in each degree j
         L = linear_part(resolve_module(monomial_elements(STD2, gens)), STD2)
         assert positive_homology_vanishes(L) is False
-        assert any(i >= 1 for i, _ in homology_dims(L, 6))
-        assert lin_acyclicity(L, 6) == (False, {(1, j): j for j in range(1, 7)})
-        # the verdict does not depend on the bound, only the listed witnesses
-        assert lin_acyclicity(L, 0) == (False, {})
+        assert lin_acyclicity(L) == (False, [(1, 1, 1)])
+        positive = {k: d for k, d in oracles.homology_dims(L, 6).items() if k[0] >= 1}
+        assert positive == {(1, j): j for j in range(1, 7)}
 
     def test_multi_term_entry_has_no_finite_decision(self):
         R = STD2.companion()
@@ -120,7 +117,7 @@ class TestLinAcyclicity:
         with pytest.raises(NoFiniteDecision, match="more than one term"):
             positive_homology_vanishes(L)
         with pytest.raises(NoFiniteDecision, match="^in the linear part, "):
-            lin_acyclicity(L, 6)
+            lin_acyclicity(L)
 
     def test_componentwise_linear_ideal_is_acyclic(self):
         # positive control: (x^2, xy, y^3) is componentwise linear
@@ -128,8 +125,8 @@ class TestLinAcyclicity:
             resolve_module(monomial_elements(STD2, [(2, 0), (1, 1), (0, 3)])), STD2
         )
         assert positive_homology_vanishes(L) is True
-        assert not any(i >= 1 for i, _ in homology_dims(L, 8))
-        assert lin_acyclicity(L, 8) == (True, {})
+        assert not any(i >= 1 for i, _ in oracles.homology_dims(L, 8))
+        assert lin_acyclicity(L) == (True, [])
 
 
 class TestKoszulVerdict:
@@ -137,7 +134,8 @@ class TestKoszulVerdict:
         report = koszul_verdict(W13, 5)
         assert report.all_true
         assert report.gr_table.entries == ((0, 0, 3), (1, 1, 2))
-        assert report.bound == recommended_bound(W13, 5) == 13
+        assert report.recommended == recommended_bound(W13, 5) == 13
+        assert report.to_dict()["bound"] == report.to_dict()["recommended_bound"] == 13
 
     @pytest.mark.parametrize("e", [0, 1, 3, 6])
     def test_standard_graded_truncations(self, e):
@@ -149,14 +147,6 @@ class TestKoszulVerdict:
         report = koszul_verdict(spec, 7)
         assert report.all_true
         assert report.construct_table == report.gr_table
-
-    def test_small_bound_is_true_with_the_same_table(self):
-        # verdicts are decided on their finite support, not up to the bound:
-        # a bound below the recommended 13 changes neither verdict nor table
-        report = koszul_verdict(W13, 5, bound=4)
-        assert report.all_true
-        assert report.lin_acyclic is Verdict.TRUE
-        assert report.gr_table == koszul_verdict(W13, 5).gr_table
 
     def test_lin_twists_match_gr_betti_when_acyclic(self):
         rng = random.Random(22)

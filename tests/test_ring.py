@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +5,10 @@ from hypothesis import given, settings, strategies as st
 from nskoszul.assoc_graded import OrdContext, gr_betti
 from nskoszul.construction import construct_gr_betti, ses_hilbert_check
 from nskoszul.ring import (
-    CHAR_ENV,
     DimensionMismatch,
     FreeModuleSpec,
     Polynomial,
     RingSpec,
-    default_characteristic,
     grevlex_key,
     is_prime,
     mon_lcm,
@@ -130,16 +126,6 @@ class TestCharacteristic:
             assert is_prime(n)
         with pytest.raises(ValueError):
             is_prime(2**89 - 1)  # past the range the fixed bases decide
-
-    def test_env_characteristic_is_range_checked_promptly(self, monkeypatch):
-        # trial division never finished on a 61-bit prime
-        monkeypatch.setenv(CHAR_ENV, str(2**61 - 1))
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match=CHAR_ENV):
-            default_characteristic()
-        assert time.perf_counter() - start < 1.0
-        monkeypatch.setenv(CHAR_ENV, "101")
-        assert default_characteristic() == 101
 
 
 class TestDegrees:
