@@ -5,9 +5,9 @@ and homology on the generator grid.
 Homology is computed by exact rank computations over the coefficient field,
 on complexes whose differential entries are single terms: such a complex
 splits into blocks graded by exponent multidegree, and one walk over the
-grid of generator coordinate values, one column elimination per slice along
-the last coordinate, lists with no degree bound every grid cell where some
-H_i with i >= 1 is nonzero.  A grid point's homology holds on its whole
+grid of generator coordinate values, one sparse column reduction per slice
+along the last coordinate, lists with no degree bound every grid cell where
+some H_i with i >= 1 is nonzero.  A grid point's homology holds on its whole
 cell, so the list is finite and complete.  A complex that does not split
 raises NoFiniteDecision; the tests cross-check the walk against a dense
 expansion of each graded piece.
@@ -434,11 +434,12 @@ class _MultidegreeBlock:
     """One connected component of a complex with single-term entries.
 
     Level i holds the rows of mdegs[i]: each generator's exponent multidegree
-    relative to the component's root.  A generator at multidegree m has
-    internal degree wdeg(m) + offset, and diffs[k] is the component's scalar
-    matrix of d_{k+1}.  The strand at a multidegree a is spanned by the
-    generators with m <= a, one basis vector x^(a - m) each.  grid[t] lists
-    the distinct values of coordinate t over all generators, ascending.
+    relative to the component's root, ordered by last coordinate.  A
+    generator at multidegree m has internal degree wdeg(m) + offset, and
+    diffs[k][c] is column c of the component's scalar matrix of d_{k+1}, a
+    dict from row to coefficient.  The strand at a multidegree a is spanned
+    by the generators with m <= a, one basis vector x^(a - m) each.  grid[t]
+    lists the distinct values of coordinate t over all generators, ascending.
     """
 
     offset: int
@@ -453,37 +454,34 @@ class _MultidegreeBlock:
         lexicographic order, and h lists dim H_i of the strand at that
         point, per level.
 
-        The strands along the last coordinate are nested, so one elimination
-        per slice ranks them all (the persistence reduction of Zomorodian
-        and Carlsson, "Computing persistent homology", DCG 33, 2005).  Fix
-        the first n - 1 coordinates: the slice is spanned by the generators
-        at or below them, its strand at the k-th last value v by those whose
-        last coordinate is also <= v.  A nonzero entry d[r][c] forces
-        m(r) <= m(c), so every column of the strand has all its nonzero rows
-        in the strand, and the strand's differential is the column prefix of
-        the slice's block up to v once each level is ordered by last
-        coordinate.  Its rank is the number of pivot columns with last
-        coordinate <= v.  A slice depends only on its support, so it is
-        reduced once per distinct support.
+        The strands along the last coordinate are nested, so one column
+        reduction per slice ranks them all (the persistence reduction of
+        Zomorodian and Carlsson, "Computing persistent homology", DCG 33,
+        2005).  Fix the first n - 1 coordinates: the slice is spanned by the
+        generators at or below them, its strand at the k-th last value v by
+        those whose last coordinate is also <= v.  A nonzero entry d[r][c]
+        forces m(r) <= m(c), so every column in the slice has all its rows
+        in the slice, and the strand's differential is the prefix of the
+        slice's columns up to v, each level being ordered by last
+        coordinate.  Its rank is the number of independent columns
+        (modp.pivots) with last coordinate <= v.  A slice depends only on
+        its support, so it is reduced once per distinct support.
         """
-        # each level in order of last coordinate, so a strand is a prefix
-        order = [np.argsort(M[:, -1], kind="stable") for M in self.mdegs]
-        mdegs = [M[o] for M, o in zip(self.mdegs, order)]
-        diffs = [D[np.ix_(order[k], order[k + 1])] for k, D in enumerate(self.diffs)]
-        last = np.array(self.grid[-1])
+        last = self.grid[-1]
         zero = np.zeros(len(last), dtype=np.int64)
         slices = {}
         for prefix in product(*(range(len(vals)) for vals in self.grid[:-1])):
             corner = [vals[k] for vals, k in zip(self.grid, prefix)]
-            masks = [np.all(M[:, :-1] <= corner, axis=1) for M in mdegs]
+            masks = [np.all(M[:, :-1] <= corner, axis=1) for M in self.mdegs]
             key = np.concatenate(masks).tobytes()
             table = slices.get(key)
             if table is None:
-                lasts = [M[mask, -1] for M, mask in zip(mdegs, masks)]
-                # rank at each last value: the pivot columns at or below it
+                lasts = [M[mask, -1] for M, mask in zip(self.mdegs, masks)]
+                # rank at each last value: the independent columns at or below it
                 ranks = [zero]
-                for k, D in enumerate(diffs):
-                    pivots = _block_pivots(D[np.ix_(masks[k], masks[k + 1])], p)
+                for k, columns in enumerate(self.diffs):
+                    support = [columns[c] for c in np.flatnonzero(masks[k + 1])]
+                    pivots = modp.pivots(support, p)
                     ranks.append(np.searchsorted(lasts[k + 1][pivots], last, "right"))
                 ranks.append(zero)
                 table = slices[key] = np.array(
@@ -563,7 +561,7 @@ def _multidegree_blocks(C: GradedFreeComplex) -> list:
         if len(offsets) != 1:
             raise NoFiniteDecision("the entries admit no consistent multigrading")
         local = [[] for _ in range(levels)]
-        for i, g in sorted(comp_nodes):
+        for i, g in sorted(comp_nodes, key=lambda node: (multideg[node][-1], node)):
             local[i].append(g)
         local_pos = [
             {g: pos for pos, g in enumerate(lv)} for lv in local
@@ -576,11 +574,11 @@ def _multidegree_blocks(C: GradedFreeComplex) -> list:
         )
         D = []
         for k in range(levels - 1):
-            mat = np.zeros((len(local[k]), len(local[k + 1])), dtype=np.int64)
+            columns = [{} for _ in local[k + 1]]
             for (r, c), (_, coeff) in term_data[k].items():
-                if r in local_pos[k] and c in local_pos[k + 1]:
-                    mat[local_pos[k][r], local_pos[k + 1][c]] = coeff
-            D.append(mat)
+                if c in local_pos[k + 1]:
+                    columns[local_pos[k + 1][c]][local_pos[k][r]] = coeff
+            D.append(tuple(columns))
         grid = tuple(tuple(sorted(set(col))) for col in np.concatenate(M).T.tolist())
         blocks.append(_MultidegreeBlock(offsets.pop(), M, tuple(D), grid))
     return blocks
@@ -611,10 +609,11 @@ def homology_witnesses(C: GradedFreeComplex) -> list:
     a <= a' the generators of S(a) span a subcomplex of the strand at a',
     because a nonzero entry d[r][c] forces m(r) <= m(c).  So along the last
     coordinate, with the first n - 1 fixed, each strand's differential is a
-    column prefix of the slice's matrix, and one column elimination per
-    differential gives every strand's rank as a count of pivot columns (the
-    persistence reduction of Zomorodian and Carlsson, "Computing persistent
-    homology", DCG 33, 2005).
+    column prefix of the slice's matrix, and one sparse column reduction per
+    differential (modp.pivots, whatever the block's size) gives every
+    strand's rank as a count of independent columns (the persistence
+    reduction of Zomorodian and Carlsson, "Computing persistent homology",
+    DCG 33, 2005).
     """
     out = []
     for blk in _multidegree_blocks(C):
@@ -629,11 +628,3 @@ def positive_homology_vanishes(C: GradedFreeComplex) -> bool:
     """Is H_i(C) = 0 for every i >= 1, in every internal degree?  Decided on
     the grid cells of homology_witnesses."""
     return not homology_witnesses(C)
-
-
-def _block_pivots(block: np.ndarray, p: int) -> list:
-    if block.size == 0:
-        return []
-    if max(block.shape) <= 12:
-        return modp.pivots_py(block.tolist(), p)
-    return modp.pivots_mod(block, p)

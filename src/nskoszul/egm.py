@@ -254,36 +254,19 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
         for T, lb, j in cells:
             by_j.setdefault(j, {})[T] = lb
         for j, present in by_j.items():
-            max_size = max(len(T) for T in present)
-            layer = [
-                [T for T in present if len(T) == size]
-                for size in range(max_size + 1)
-            ]
-            pos = [
-                {T: k for k, T in enumerate(level)} for level in layer
-            ]
-            ranks = [0] * (max_size + 2)
-            for size in range(1, max_size + 1):
-                if not layer[size] or not layer[size - 1]:
-                    continue
-                rows = []
-                for T in layer[size]:
-                    row = [0] * len(layer[size - 1])
-                    lb = present[T]
-                    for posn, t in enumerate(T):
-                        rest = T[:posn] + T[posn + 1:]
-                        if rest not in pos[size - 1]:
-                            continue
-                        coeff = maps[t].get(lb)
-                        if coeff is None:
-                            continue
-                        sign = 1 if posn % 2 == 0 else -1
-                        row[pos[size - 1][rest]] = sign * coeff % p
-                    rows.append(row)
-                # rows currently index columns of d_size transposed; rank is the same
-                ranks[size] = modp.rank_py(rows, p) if rows else 0
-            for size in range(max_size + 1):
-                h = len(layer[size]) - ranks[size] - ranks[size + 1]
+            # column e_T (x) m of d_|T|, keyed by the faces T - {t} present
+            columns = [[] for _ in range(max(map(len, present)) + 1)]
+            for T, lb in present.items():
+                column = {}
+                for posn, t in enumerate(T):
+                    rest = T[:posn] + T[posn + 1:]
+                    coeff = maps[t].get(lb)
+                    if coeff is not None and rest in present:
+                        column[rest] = coeff if posn % 2 == 0 else -coeff
+                columns[len(T)].append(column)
+            ranks = [0, *(len(modp.pivots(level, p)) for level in columns[1:]), 0]
+            for size, level in enumerate(columns):
+                h = len(level) - ranks[size] - ranks[size + 1]
                 if h:
                     key = (size, j)
                     out[key] = out.get(key, 0) + h

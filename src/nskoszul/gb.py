@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
-
+from . import modp
 from .ring import (
     FreeElement,
     FreeModuleSpec,
@@ -275,54 +273,7 @@ def schreyer_syzygies(G: GroebnerBasis):
 
 
 # ---------------------------------------------------------------------------
-# graded pieces and minimal generators
-
-
-@lru_cache(maxsize=None)
-def graded_basis(spec: RingSpec, ambient: FreeModuleSpec, degree: int):
-    """(component, monomial) basis of the degree-d piece of the free module."""
-    out = []
-    for comp, t in enumerate(ambient.twists):
-        for m in monomials_of_wdeg(spec, degree - t):
-            out.append((comp, m))
-    return tuple(out)
-
-
-def _expand(v: FreeElement, index: dict) -> np.ndarray:
-    vec = np.zeros(len(index), dtype=np.int64)
-    for key, c in v.coeffs.items():
-        vec[index[key]] = c
-    return vec
-
-
-class _EchelonSpace:
-    """Incrementally maintained row space over F_p."""
-
-    def __init__(self, dim: int, p: int):
-        self.p = p
-        self.dim = dim
-        self.rows = []
-        self.pivots = []
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        p = self.p
-        for row, piv in zip(self.rows, self.pivots):
-            f = int(vec[piv])
-            if f:
-                vec = (vec - f * row) % p
-        return vec
-
-    def insert(self, vec: np.ndarray) -> bool:
-        """Reduce vec and absorb it; True when it enlarged the space."""
-        vec = self.reduce(vec % self.p)
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        inv = pow(int(vec[piv]), -1, self.p)
-        self.rows.append(vec * inv % self.p)
-        self.pivots.append(piv)
-        return True
+# minimal generators
 
 
 def minimal_generators(elements):
@@ -330,7 +281,8 @@ def minimal_generators(elements):
 
     Candidates are processed in ascending degree; each is kept iff it falls
     outside the graded span of everything kept so far (multiples included),
-    decided by exact linear algebra over the coefficient field.  By graded
+    decided by one sparse column reduction per degree over the coefficient
+    field, the columns keyed by (component, monomial) label.  By graded
     Nakayama the survivors are a minimal generating set.
     """
     elements = [v for v in elements if v]
@@ -338,23 +290,17 @@ def minimal_generators(elements):
         return []
     _check_homogeneous(elements)
     spec = elements[0].spec
-    ambient = elements[0].ambient
-    p = spec.char
-    elements = sorted(elements, key=element_sort_key)
-    degrees = sorted({v.homogeneous_degree() for v in elements})
     by_degree = {}
-    for v in elements:
+    for v in sorted(elements, key=element_sort_key):
         by_degree.setdefault(v.homogeneous_degree(), []).append(v)
+    # (degree, element) pairs, already in element_sort_key order
     accepted = []
-    for d in degrees:
-        basis = graded_basis(spec, ambient, d)
-        index = {key: i for i, key in enumerate(basis)}
-        space = _EchelonSpace(len(basis), p)
-        for w in accepted:
-            dw = w.homogeneous_degree()
-            for m in monomials_of_wdeg(spec, d - dw):
-                space.insert(_expand(w.term_mul(m), index))
-        for v in by_degree[d]:
-            if space.insert(_expand(v, index)):
-                accepted.append(v)
-    return sorted(accepted, key=element_sort_key)
+    for d, candidates in sorted(by_degree.items()):
+        columns = [
+            w.term_mul(m).coeffs
+            for dw, w in accepted
+            for m in monomials_of_wdeg(spec, d - dw)
+        ]
+        kept = set(modp.pivots(columns + [v.coeffs for v in candidates], spec.char))
+        accepted.extend((d, v) for k, v in enumerate(candidates, len(columns)) if k in kept)
+    return [v for _, v in accepted]

@@ -24,7 +24,8 @@ class DimensionMismatch(ValueError):
     """Exponent vector length does not match the ring."""
 
 
-# The dense rank kernels multiply two residues in int64, so p**2 must fit.
+# ExplicitGradedModule.commuting_violations multiplies action matrices in
+# int64, as do the tests' dense oracles, so a product of two residues must fit.
 MAX_CHAR = 2**31
 
 # Miller-Rabin with these bases is exact for every n < 3.3 * 10**24

@@ -2,29 +2,109 @@
 invariant of explicit graded modules, and truncated power-series arithmetic.
 
 No production path reaches these.  Lin homology is decided on multidegree
-blocks (``complexes.homology_witnesses``) and the Koszul strands likewise
-(``egm.betti_via_koszul``); the syzygy engine is checked here against the
-brute-force span of its output.  Each dense routine expands every graded
-piece in full and ranks it with ``rank_mod``, the pivot count of
-``modp.pivots_mod``.
+blocks (``complexes.homology_witnesses``), the Koszul strands likewise
+(``egm.betti_via_koszul``) and minimal generators on sparse columns, all
+three with the sparse column reduction ``modp.pivots``; the syzygy engine is
+checked here against the brute-force span of its output.  Each dense routine
+expands every graded piece in full (``graded_basis``) and ranks it with
+``rank_mod``, the pivot count of the dense numpy elimination ``pivots_mod``,
+or spans it with ``_EchelonSpace``, a dense incremental row echelon form.
 ``homology_dims`` counts dim H_i(C)_j per degree from the grid walk's cells,
 a second reading of the walk that the tests compare with ``homology_dense``.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from nskoszul import modp
 from nskoszul.complexes import BettiTable, _multidegree_blocks
-from nskoszul.gb import _EchelonSpace, _expand, graded_basis
-from nskoszul.ring import mon_mul, mon_var, monomials_of_wdeg
+from nskoszul.ring import FreeModuleSpec, RingSpec, mon_mul, mon_var, monomials_of_wdeg
+
+
+def pivots_mod(mat, p: int) -> list:
+    """Pivot columns of an integer matrix over F_p (dense numpy elimination);
+    multiplying two residues in int64 needs p < 2**31."""
+    a = np.ascontiguousarray(np.asarray(mat, dtype=np.int64)) % p
+    if a.ndim != 2:
+        raise ValueError(f"need a 2-d matrix, got shape {a.shape}")
+    m, n = a.shape
+    pivots = []
+    if a.size == 0:
+        return pivots
+    r = 0
+    for c in range(n):
+        col = a[r:, c]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r, c:] = a[r, c:] * inv % p
+        f = a[r + 1:, c]
+        if f.size:
+            a[r + 1:, c:] = (a[r + 1:, c:] - np.outer(f, a[r, c:])) % p
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
 
 
 def rank_mod(mat, p: int) -> int:
     """Exact rank of an integer matrix over F_p (numpy elimination)."""
-    return len(modp.pivots_mod(mat, p))
+    return len(pivots_mod(mat, p))
+
+
+@lru_cache(maxsize=None)
+def graded_basis(spec: RingSpec, ambient: FreeModuleSpec, degree: int):
+    """(component, monomial) basis of the degree-d piece of the free module."""
+    out = []
+    for comp, t in enumerate(ambient.twists):
+        for m in monomials_of_wdeg(spec, degree - t):
+            out.append((comp, m))
+    return tuple(out)
+
+
+def _expand(v, index: dict) -> np.ndarray:
+    """The FreeElement v as a dense vector over the basis positions index."""
+    vec = np.zeros(len(index), dtype=np.int64)
+    for key, c in v.coeffs.items():
+        vec[index[key]] = c
+    return vec
+
+
+class _EchelonSpace:
+    """Incrementally maintained row space over F_p."""
+
+    def __init__(self, dim: int, p: int):
+        self.p = p
+        self.dim = dim
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec: np.ndarray) -> np.ndarray:
+        p = self.p
+        for row, piv in zip(self.rows, self.pivots):
+            f = int(vec[piv])
+            if f:
+                vec = (vec - f * row) % p
+        return vec
+
+    def insert(self, vec: np.ndarray) -> bool:
+        """Reduce vec and absorb it; True when it enlarged the space."""
+        vec = self.reduce(vec % self.p)
+        nz = np.nonzero(vec)[0]
+        if nz.size == 0:
+            return False
+        piv = int(nz[0])
+        inv = pow(int(vec[piv]), -1, self.p)
+        self.rows.append(vec * inv % self.p)
+        self.pivots.append(piv)
+        return True
 
 
 def homology_dense(C, bound: int) -> dict:

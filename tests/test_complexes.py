@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nskoszul import complexes
+from nskoszul import modp
 from nskoszul.assoc_graded import OrdContext, extend_gr, gr_module
 from nskoszul.complexes import (
     BettiTable,
@@ -328,9 +328,18 @@ class TestHomologyDims:
         assert oracles.homology_dense(C, 3)[(0, 0)] == 2
 
 
+def _dense(blk, k):
+    """The block's matrix of d_{k+1}, densified from its sparse columns."""
+    mat = np.zeros((len(blk.mdegs[k]), len(blk.mdegs[k + 1])), dtype=np.int64)
+    for c, column in enumerate(blk.diffs[k]):
+        for r, coeff in column.items():
+            mat[r, c] = coeff
+    return mat
+
+
 def _grid_walk_oracle(blk, p):
     """The walk one grid point at a time: the support of each point, then a
-    masked rank per level."""
+    masked dense rank per level."""
     out = []
     for index in product(*(range(len(vals)) for vals in blk.grid)):
         corner = [vals[k] for vals, k in zip(blk.grid, index)]
@@ -338,7 +347,7 @@ def _grid_walk_oracle(blk, p):
         dims = [int(mask.sum()) for mask in masks]
         ranks = [0] * (len(masks) + 1)
         for i in range(1, len(masks)):
-            block = blk.diffs[i - 1][np.ix_(masks[i - 1], masks[i])]
+            block = _dense(blk, i - 1)[np.ix_(masks[i - 1], masks[i])]
             ranks[i] = oracles.rank_mod(block, p)
         h = [dims[i] - ranks[i] - ranks[i + 1] for i in range(len(masks))]
         if any(h):
@@ -347,19 +356,22 @@ def _grid_walk_oracle(blk, p):
 
 
 def _slice_supports(blk):
-    """Distinct supports of the slices that fix the first n - 1 coordinates."""
-    keys = set()
+    """The distinct supports of the slices that fix the first n - 1
+    coordinates: how many, and the columns in them summed over the supports
+    and the differentials."""
+    supports = {}
     for prefix in product(*(range(len(vals)) for vals in blk.grid[:-1])):
         corner = [vals[k] for vals, k in zip(blk.grid, prefix)]
         masks = [np.all(M[:, :-1] <= corner, axis=1) for M in blk.mdegs]
-        keys.add(np.concatenate(masks).tobytes())
-    return len(keys)
+        supports[np.concatenate(masks).tobytes()] = sum(int(m.sum()) for m in masks[1:])
+    return len(supports), sum(supports.values())
 
 
 def _grid_walk_inputs():
     """Taylor complexes and linear parts of random monomial ideals, the
-    negative controls, complexes cut below their top term, one variable, and
-    a block whose last coordinate takes one value; at p = 2, 3 and 32003."""
+    negative controls, complexes cut below their top term, one variable, a
+    block whose last coordinate takes one value, and one whose slices at
+    (1, 1) and (1, 2) share a support with a column; at p = 2, 3 and 32003."""
     rng = random.Random(16)
     for p in (2, 3, 32003):
         for _ in range(12):
@@ -384,6 +396,7 @@ def _grid_walk_inputs():
             # with [0, 1] the last coordinate is 0 on every generator
             K = koszul_complex(std3, variables)
             yield GradedFreeComplex(std3, K.modules[:-1], K.diffs[:-1])
+        yield taylor_complex(std3, [(1, 0, 0), (0, 1, 0), (2, 2, 1)])
         one = RingSpec((2,), ("x",), p)
         yield taylor_complex(one, [(1,), (3,)])
         yield linear_part(resolve_module(monomial_elements(one, [(3,)])), one)
@@ -391,24 +404,29 @@ def _grid_walk_inputs():
 
 class TestGridWalk:
     def test_matches_point_by_point_oracle(self, monkeypatch):
-        calls = []
-        pivots = complexes._block_pivots
+        inserted = []
+        pivots = modp.pivots
         monkeypatch.setattr(
-            complexes, "_block_pivots", lambda block, p: calls.append(1) or pivots(block, p)
+            modp, "pivots", lambda columns, p: inserted.append(len(columns)) or pivots(columns, p)
         )
-        with_homology = single_value = one_variable = supports = 0
+        with_homology = single_value = one_variable = 0
         for C in _grid_walk_inputs():
             for blk in _multidegree_blocks(C):
+                for M in blk.mdegs:
+                    assert list(M[:, -1]) == sorted(M[:, -1])
+                inserted.clear()
                 walk = list(blk.grid_walk(C.spec.char))
+                # each distinct slice support is reduced once: one reduction
+                # per differential, inserting each column of the support once
+                supports, columns = _slice_supports(blk)
+                assert len(inserted) == supports * len(blk.diffs)
+                assert sum(inserted) == columns
                 assert walk == _grid_walk_oracle(blk, C.spec.char)
                 positive = any(any(h[1:]) for _, h in walk)
                 with_homology += positive
                 single_value += len(blk.grid[-1]) == 1 and positive
                 one_variable += len(blk.grid) == 1
-                supports += _slice_supports(blk) * len(blk.diffs)
         assert with_homology >= 10 and single_value >= 1 and one_variable >= 1
-        # one elimination per differential of each distinct slice support
-        assert len(calls) == supports
 
 
 class TestHomologyWitnesses:

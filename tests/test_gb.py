@@ -6,7 +6,7 @@ import oracles
 from nskoszul.gb import (
     InhomogeneousInput,
     buchberger,
-    graded_basis,
+    element_sort_key,
     minimal_generators,
     monomial_elements,
     normal_form,
@@ -147,8 +147,8 @@ def brute_force_kernel_dims(spec, gens_elements, degrees):
     ambient = gens_elements[0].ambient
     out = {}
     for d in degrees:
-        cols = graded_basis(spec, src, d)
-        rows = {key: i for i, key in enumerate(graded_basis(spec, ambient, d))}
+        cols = oracles.graded_basis(spec, src, d)
+        rows = {key: i for i, key in enumerate(oracles.graded_basis(spec, ambient, d))}
         if not cols:
             out[d] = 0
             continue
@@ -236,3 +236,58 @@ class TestMinimalGenerators:
         gens = ideal(STD2, [(1, 0), (2, 0)])
         mins = minimal_generators(gens)
         assert [g.lead()[1] for g in mins] == [(1, 0)]
+
+
+def _dense_minimal_generators(elements):
+    """The selection of minimal_generators, made with the dense echelon
+    oracle over the whole graded piece of each degree."""
+    elements = sorted((v for v in elements if v), key=element_sort_key)
+    spec, ambient = elements[0].spec, elements[0].ambient
+    accepted = []
+    for d in sorted({v.homogeneous_degree() for v in elements}):
+        index = {key: i for i, key in enumerate(oracles.graded_basis(spec, ambient, d))}
+        space = oracles._EchelonSpace(len(index), spec.char)
+        for w in accepted:
+            for m in monomials_of_wdeg(spec, d - w.homogeneous_degree()):
+                space.insert(oracles._expand(w.term_mul(m), index))
+        for v in elements:
+            if v.homogeneous_degree() == d and space.insert(oracles._expand(v, index)):
+                accepted.append(v)
+    return sorted(accepted, key=element_sort_key)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_minimal_generators_match_dense_echelon(p):
+    # seeded random homogeneous elements with non-unit coefficients, some of
+    # them combinations of multiples of the others
+    rng = random.Random(p)
+    dropped = 0
+    for twists in ((0,), (0, 1), (1, 1, 3)):
+        ambient = FreeModuleSpec(twists)
+        for _ in range(8):
+            spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))), char=p)
+            elements = []
+            for _ in range(rng.randint(2, 7)):
+                d = rng.randint(min(twists) + 1, min(twists) + 4)
+                basis = oracles.graded_basis(spec, ambient, d)
+                if not basis:
+                    continue
+                terms = rng.sample(basis, min(len(basis), rng.randint(1, 3)))
+                v = FreeElement(spec, ambient, {key: rng.randint(2, 3 * p) for key in terms})
+                if v:
+                    elements.append(v)
+            for _ in range(3):
+                d = rng.randint(min(twists) + 1, min(twists) + 6)
+                combo = FreeElement.zero(spec, ambient)
+                for w in rng.sample(elements, min(len(elements), 2)):
+                    mons = monomials_of_wdeg(spec, d - w.homogeneous_degree())
+                    if mons:
+                        combo = combo + w.term_mul(rng.choice(mons), rng.randint(2, 3 * p))
+                if combo:
+                    elements.append(combo)
+            if not elements:
+                continue
+            want = _dense_minimal_generators(elements)
+            assert minimal_generators(elements) == want
+            dropped += len(elements) - len(want)
+    assert dropped >= 20

@@ -1,5 +1,6 @@
 """Every name a test or source module imports is used in it, and every
-private module-level function of the package has a caller in the package.
+private module-level function or class of the package has a user in the
+package.
 
 The package's __init__.py is left out of the import check: its imports are
 its public re-exports."""
@@ -47,19 +48,22 @@ PACKAGE = sorted((HERE.parent / "src" / "nskoszul").glob("*.py"))
 
 
 def unreferenced_private_functions(sources: dict) -> list:
-    """(module, name) of each module-level function whose name starts with
-    one underscore and that no source references outside its own definition.
+    """(module, name) of each module-level function or class whose name
+    starts with one underscore and that no source references outside its own
+    definition.
 
     sources maps a module name to its text.  A reference is a name, an
-    attribute or an imported name; the references inside a function's own
-    body (recursion) do not count for it."""
+    attribute or an imported name; the references inside a function's or
+    class's own body (recursion, or a class naming itself) do not count for
+    it."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     private = {}
     used = set()
     for mod, tree in trees.items():
         for stmt in tree.body:
             own = getattr(stmt, "name", None)
-            if isinstance(stmt, ast.FunctionDef) and own[:1] == "_" and own[:2] != "__":
+            is_def = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            if is_def and own[:1] == "_" and own[:2] != "__":
                 private[own] = mod
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
@@ -89,7 +93,12 @@ def test_scanner_finds_an_unreferenced_private_function():
             "def _called_elsewhere(): pass\ndef _imported(): pass\n"
             "def __getattr__(name): pass\ndef public(): return _used()\n"
             "class K:\n    def _method(self): pass\n"
+            "class _Unused:\n    def copy(self): return _Unused()\n"
+            "class _Used: pass\nclass _Subclassed: pass\n"
         ),
-        "b": "import a\nfrom a import _imported\na._called_elsewhere()\n",
+        "b": (
+            "import a\nfrom a import _imported\na._called_elsewhere()\na._Used()\n"
+            "class Sub(a._Subclassed): pass\n"
+        ),
     }
-    assert unreferenced_private_functions(sources) == [("a", "_recursive")]
+    assert unreferenced_private_functions(sources) == [("a", "_Unused"), ("a", "_recursive")]

@@ -30,12 +30,19 @@ def reference_rank(mat, p):
     return rank
 
 
-def _rank_py(mat, p):
-    return modp.rank_py(np.asarray(mat).tolist(), p)
+def _columns(mat):
+    """The columns of a dense matrix as dicts row -> entry, zeros included."""
+    a = np.asarray(mat, dtype=np.int64)
+    return [dict(enumerate(a[:, c].tolist())) for c in range(a.shape[1])]
 
 
-# Both rank kernels on the same cases; the ids name the elimination.
-@pytest.mark.parametrize("rank", [oracles.rank_mod, _rank_py], ids=["numpy", "python"])
+def _rank_sparse(mat, p):
+    return len(modp.pivots(_columns(mat), p))
+
+
+# The dense oracle and the sparse kernel on the same cases; the ids name the
+# elimination.
+@pytest.mark.parametrize("rank", [oracles.rank_mod, _rank_sparse], ids=["numpy", "python"])
 class TestRankBackends:
     def test_identity(self, rank):
         assert rank(np.eye(5, dtype=np.int64), 32003) == 5
@@ -93,7 +100,7 @@ def test_kernels_agree_with_reference(case):
     mat, p = case
     want = reference_rank(mat, p)
     assert oracles.rank_mod(mat, p) == want
-    assert modp.rank_py(mat, p) == want
+    assert _rank_sparse(mat, p) == want
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -107,9 +114,8 @@ def test_pivots_are_the_column_rank_profile(case):
         if reference_rank([row[: c + 1] for row in mat], p)
         > reference_rank([row[:c] for row in mat], p)
     ]
-    assert modp.pivots_mod(mat, p) == want
-    assert modp.pivots_py(mat, p) == want
-    assert oracles.rank_mod(mat, p) == modp.rank_py(mat, p) == len(want)
+    assert modp.pivots(_columns(mat), p) == want
+    assert oracles.pivots_mod(mat, p) == want
 
 
 def test_kernels_agree_at_largest_supported_characteristic():
@@ -118,11 +124,38 @@ def test_kernels_agree_at_largest_supported_characteristic():
     rng = np.random.default_rng(31)
     for _ in range(200):
         mat = (rng.integers(0, p, (3, 2)) @ rng.integers(0, 2, (2, 4))) % p
-        assert oracles.rank_mod(mat, p) == modp.rank_py(mat.tolist(), p)
-        assert modp.rank_py(mat.tolist(), p) == reference_rank(mat.tolist(), p)
+        assert oracles.rank_mod(mat, p) == _rank_sparse(mat, p)
+        assert _rank_sparse(mat, p) == reference_rank(mat.tolist(), p)
 
 
-def test_rank_py_matches():
+def test_sparse_rank_matches():
     for _ in range(20):
         mat = RNG.integers(-7, 7, size=(8, 8))
-        assert modp.rank_py(mat.tolist(), 101) == reference_rank(mat.tolist(), 101)
+        assert _rank_sparse(mat, 101) == reference_rank(mat.tolist(), 101)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_multiples_of_p_are_not_pivots(p):
+    # entries are taken mod p on entry: a column of nonzero multiples of p is
+    # zero, and a negative entry is its residue
+    columns = [{0: p, 1: -2 * p}, {0: -1}, {0: p - 1, 1: 3 * p}, {1: -p}, {1: 2 * p - 1}]
+    assert modp.pivots(columns, p) == [1, 4]
+
+
+def test_empty_columns_are_not_pivots():
+    assert modp.pivots([], 7) == []
+    assert modp.pivots([{}, {3: 1}, {}, {}, {0: 2}, {}], 7) == [1, 4]
+
+
+def test_any_totally_ordered_keys():
+    # relabelling the rows injectively keeps the column rank profile, here by
+    # (component, monomial) labels in an order unrelated to the row order
+    rng = np.random.default_rng(7)
+    for p in (2, 3, 32003):
+        for _ in range(20):
+            mat = rng.integers(0, 3, size=(6, 8)) * rng.integers(0, 2, size=(6, 8))
+            labels = [(int(rng.integers(0, 2)), (r, int(rng.integers(0, 5)))) for r in range(6)]
+            relabelled = [
+                {labels[r]: c for r, c in column.items()} for column in _columns(mat)
+            ]
+            assert modp.pivots(relabelled, p) == modp.pivots(_columns(mat), p)
