@@ -9,18 +9,11 @@ from .ring import (
     Monomial,
     Polynomial,
     RingSpec,
-    monomial_compare,
-    standard_degree,
-    weighted_degree,
 )
 from .gb import (
-    GroebnerBasis,
     InhomogeneousInput,
-    buchberger,
     minimal_generators,
     monomial_elements,
-    normal_form,
-    schreyer_syzygies,
     syzygies,
 )
 from .complexes import (
@@ -29,8 +22,6 @@ from .complexes import (
     check_complex,
     homology_witnesses,
     koszul_complex,
-    minimize_complex,
-    positive_homology_vanishes,
     resolve_module,
     taylor_complex,
     totalize_tensor,

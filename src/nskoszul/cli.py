@@ -29,7 +29,7 @@ import time
 
 from .assoc_graded import OrdContext, gr_betti, gr_hilbert
 from .complexes import BettiTable, resolve_module
-from .construction import construct_gr_betti, ses_hilbert_check
+from .construction import construct_gr_betti, layer_count, ses_hilbert_check
 from .egm import DegreeRangeError
 from .gb import InhomogeneousInput, monomial_elements
 from .koszul_check import (
@@ -60,6 +60,15 @@ class RingSpecParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
+def _parse_number(text: str, what: str, pos: int) -> int:
+    """A run of ASCII digits, spaces around it allowed; int() alone would also
+    take signs, underscores and non-ASCII digits."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise RingSpecParseError(f"bad {what} {digits!r}", pos)
+    return int(digits)
+
+
 def parse_ring_spec(s: str) -> RingSpec:
     """Parse 'name=weight,name=weight[,...][@char]', e.g. 'x=1,y=3@32003'."""
     s = s.strip()
@@ -68,10 +77,7 @@ def parse_ring_spec(s: str) -> RingSpec:
     if "@" in s:
         body, _, tail = s.partition("@")
         pos = len(body) + 1
-        try:
-            char = int(tail)
-        except ValueError:
-            raise RingSpecParseError(f"bad characteristic {tail!r}", pos) from None
+        char = _parse_number(tail, "characteristic", pos)
         try:
             check_characteristic(char)
         except ValueError as exc:
@@ -87,10 +93,7 @@ def parse_ring_spec(s: str) -> RingSpec:
             raise RingSpecParseError(f"bad variable name {name!r}", pos)
         if name in names:
             raise RingSpecParseError(f"duplicate variable name {name!r}", pos)
-        try:
-            w = int(wtext)
-        except ValueError:
-            raise RingSpecParseError(f"bad weight {wtext.strip()!r}", pos) from None
+        w = _parse_number(wtext, "weight", pos)
         if w < 1:
             raise RingSpecParseError(f"weight must be positive, got {w}", pos)
         names.append(name)
@@ -180,7 +183,7 @@ def cmd_gens(args) -> int:
 def cmd_resolve(args) -> int:
     spec = parse_ring_spec(args.ring)
     gens = trunc_gens(spec, args.e)
-    C = resolve_module(monomial_elements(spec, gens), minimize=not args.raw)
+    C = resolve_module(monomial_elements(spec, gens))
     table = C.betti_from_twists()
     payload = {
         "ring": _ring_dict(spec),
@@ -237,7 +240,7 @@ def cmd_gr_hilbert(args) -> int:
 def cmd_lin_check(args) -> int:
     spec = parse_ring_spec(args.ring)
     gens = trunc_gens(spec, args.e)
-    F = resolve_module(monomial_elements(spec, gens), minimize=True)
+    F = resolve_module(monomial_elements(spec, gens))
     L = linear_part(F, spec)
     acyclic, witnesses = lin_acyclicity(L)
     verdict = Verdict.of(acyclic)
@@ -316,11 +319,7 @@ def cmd_koszul(args) -> int:
 def cmd_ses_check(args) -> int:
     spec = parse_ring_spec(args.ring)
     bound = _bound(args, spec)
-    from math import ceil
-
-    d = max(spec.weights)
-    N = ceil(max(args.e, 1) / d)
-    layers = [args.layer] if args.layer is not None else list(range(N))
+    layers = [args.layer] if args.layer is not None else range(layer_count(spec.weights, args.e))
     results = []
     for i in layers:
         ok, lhs, rhs = ses_hilbert_check(spec.weights, args.e, i, bound, spec.char)
@@ -333,7 +332,7 @@ def cmd_ses_check(args) -> int:
     }
     text = "\n".join(
         f"layer {r['layer']}: {'ok' if r['ok'] else 'MISMATCH'}" for r in results
-    )
+    ) or f"no layers at e = {args.e}"
     _emit(args, payload, text)
     return EXIT_OK if all(r["ok"] for r in results) else EXIT_FALSE
 
@@ -394,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="minimal free resolution over the weighted ring")
     common(p)
-    p.add_argument("--raw", action="store_true", help="skip minimization")
     p.add_argument("--show-differentials", action="store_true")
     p.set_defaults(func=cmd_resolve)
 

@@ -1,5 +1,5 @@
-"""Graded free complexes: hygiene checks, minimization, Koszul complexes,
-tensor totalization, Taylor complexes, the resolution builder, Betti tables,
+"""Graded free complexes: hygiene checks, Koszul complexes, tensor
+totalization, Taylor complexes, the minimal resolution builder, Betti tables,
 and homology on the generator grid.
 
 Homology is computed by exact rank computations over the coefficient field,
@@ -21,7 +21,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import modp
-from .gb import buchberger, minimal_generators, syzygies
+from .gb import minimal_generators, syzygies
 from .ring import (
     FreeModuleSpec,
     Polynomial,
@@ -181,66 +181,6 @@ def check_complex(C: GradedFreeComplex) -> ComplexReport:
     return ComplexReport(not problems, tuple(problems))
 
 
-def minimize_complex(C: GradedFreeComplex) -> GradedFreeComplex:
-    """Cancel unit entries until none remain; quasi-isomorphic minimal model.
-
-    Pivot choice is the lexicographically smallest (differential index, row,
-    column) among unit entries, so the output is deterministic.
-    """
-    spec = C.spec
-    mods = [list(m.twists) for m in C.modules]
-    mats = [[list(row) for row in mat] for mat in C.diffs]
-    p = spec.char
-
-    def find_unit():
-        for k, mat in enumerate(mats):
-            for r, row in enumerate(mat):
-                for c, entry in enumerate(row):
-                    if entry and entry.is_constant():
-                        return k, r, c
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        k, r, c = hit
-        mat = mats[k]
-        u = mat[r][c].constant_value()
-        uinv = pow(u, -1, p)
-        col = [mat[rr][c] for rr in range(len(mat))]
-        rowvec = mat[r]
-        new_mat = []
-        for rr in range(len(mat)):
-            if rr == r:
-                continue
-            new_row = []
-            for cc in range(len(rowvec)):
-                if cc == c:
-                    continue
-                correction = (col[rr] * rowvec[cc]).scale(uinv)
-                new_row.append(mat[rr][cc] - correction)
-            new_mat.append(new_row)
-        mats[k] = new_mat
-        if k + 1 < len(mats):
-            mats[k + 1] = [row for rr, row in enumerate(mats[k + 1]) if rr != c]
-        if k - 1 >= 0:
-            mats[k - 1] = [
-                [e for cc, e in enumerate(row) if cc != r] for row in mats[k - 1]
-            ]
-        mods[k + 1].pop(c)
-        mods[k].pop(r)
-
-    while len(mods) > 1 and not mods[-1]:
-        mods.pop()
-        mats.pop()
-    return GradedFreeComplex(
-        spec,
-        tuple(FreeModuleSpec(tuple(t)) for t in mods),
-        tuple(tuple(tuple(row) for row in mat) for mat in mats),
-    )
-
-
 # ---------------------------------------------------------------------------
 # standard complexes
 
@@ -371,48 +311,41 @@ def taylor_complex(spec: RingSpec, mons) -> GradedFreeComplex:
 
 
 def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
-    """Free resolution of the submodule generated by homogeneous gens.
+    """Minimal free resolution of the submodule generated by homogeneous gens.
 
-    With minimize=True (default) each level's generators are pruned to a
-    minimal generating set of the kernel before continuing, so the output is
-    the minimal resolution and terminates within num_vars steps.  With
-    minimize=False the levels are the reduced Groebner bases of the iterated
-    Schreyer syzygies, i.e. a typically non-minimal resolution.
+    Each level is a minimal generating set (minimal_generators) of the
+    Schreyer syzygies of the level before, so the resolution is minimal and,
+    by Hilbert's syzygy theorem, ends within num_vars steps.  Only the minimal
+    resolution is computed: minimize=False raises ValueError, and the keyword
+    takes no other value.
 
-    The minimal resolution has no unit entry, so it needs no minimize_complex
-    pass.  A unit entry u in row r of a syzygy s would give u g_r = -sum of
-    s_k g_k over k != r, where every g_k with a unit coefficient has the
-    degree of g_r and every other one a lower degree.  The last kept of the
-    generators with unit coefficients would then lie in the graded span of
-    generators kept before it, which minimal_generators rules out (graded
-    Nakayama).  linear_part still refuses a unit entry.
+    The minimal resolution has no unit entry.  A unit entry u in row r of a
+    syzygy s would give u g_r = -sum of s_k g_k over k != r, where every g_k
+    with a unit coefficient has the degree of g_r and every other one a lower
+    degree.  The last kept of the generators with unit coefficients would
+    then lie in the graded span of generators kept before it, which
+    minimal_generators rules out (graded Nakayama).  linear_part still
+    refuses a unit entry.
     """
+    if not minimize:
+        raise ValueError("resolve_module computes only the minimal resolution")
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("need at least one nonzero generator")
     spec = gens[0].spec
-    if minimize:
-        level = minimal_generators(gens)
-    else:
-        level = list(buchberger(gens).generators)
-    modules = [FreeModuleSpec(tuple(g.homogeneous_degree() for g in level))]
+    current = minimal_generators(gens)
+    modules = [FreeModuleSpec(tuple(g.homogeneous_degree() for g in current))]
     diffs = []
-    current = level
-    cap = spec.num_vars + 2 if minimize else 60
-    for _ in range(cap):
-        syz, _src = syzygies(current)
-        if minimize:
-            syz = minimal_generators(syz)
-        elif syz:
-            syz = list(buchberger(syz).generators)
+    for _ in range(spec.num_vars + 2):
+        syz = minimal_generators(syzygies(current)[0])
         if not syz:
             break
-        rows = len(current)
-        mat = tuple(
-            tuple(syz[c].component_poly(r) for c in range(len(syz)))
-            for r in range(rows)
+        diffs.append(
+            tuple(
+                tuple(s.component_poly(r) for s in syz)
+                for r in range(len(current))
+            )
         )
-        diffs.append(mat)
         modules.append(FreeModuleSpec(tuple(s.homogeneous_degree() for s in syz)))
         current = syz
     else:
@@ -622,9 +555,3 @@ def homology_witnesses(C: GradedFreeComplex) -> list:
             j = blk.offset + C.spec.wdeg(corner)
             out.extend((i, j, d) for i, d in enumerate(h) if i and d)
     return sorted(out)
-
-
-def positive_homology_vanishes(C: GradedFreeComplex) -> bool:
-    """Is H_i(C) = 0 for every i >= 1, in every internal degree?  Decided on
-    the grid cells of homology_witnesses."""
-    return not homology_witnesses(C)

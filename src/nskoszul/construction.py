@@ -36,6 +36,13 @@ def _pick_last_variable(weights) -> int:
 FREE_TABLE = BettiTable(((0, 0, 1),))
 
 
+def layer_count(weights, e: int) -> int:
+    """N = ceil(e / d), d the largest weight: the layers M^(i), 0 <= i < N,
+    lie above the principal top layer <y^N>.  For e <= 0 the truncation is
+    the whole ring, and there are no layers."""
+    return ceil(e / max(weights)) if e > 0 else 0
+
+
 @lru_cache(maxsize=None)
 def _construct(weights_sorted: tuple, e: int) -> BettiTable:
     # Memoized table of the sub-rings the recursion visits.
@@ -102,7 +109,7 @@ def construct_gr_betti(weights, e: int):
     var = _pick_last_variable(weights)
     d = weights[var]
     rest = tuple(w for i, w in enumerate(weights) if i != var)
-    N = ceil(e / d)
+    N = layer_count(weights, e)
     running = FREE_TABLE
     steps = []
     for i in range(N - 1, -1, -1):
@@ -176,7 +183,9 @@ def ses_hilbert_check(weights, e: int, i: int, bound: int, char: int = DEFAULT_C
     spec = RingSpec(tuple(weights), char=char)
     var = _pick_last_variable(spec.weights)
     d = spec.weights[var]
-    N = ceil(max(e, 1) / d)
+    N = layer_count(spec.weights, e)
+    if not N:
+        raise ValueError(f"no layers at e = {e}: the truncation is the whole ring")
     if not 0 <= i < N:
         raise ValueError(f"layer index {i} outside 0..{N - 1}")
     gens = trunc_gens(spec, e)

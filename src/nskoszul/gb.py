@@ -1,22 +1,23 @@
-"""Buchberger Groebner bases and Schreyer syzygies for submodules of twisted
-free modules over the weighted ring.
+"""Schreyer syzygies and minimal generators for submodules of twisted free
+modules over the weighted ring.
 
 The module order is position-over-term on top of weighted degrevlex.  The
 engine works on homogeneous inputs only; every module this package touches is
 graded, so inhomogeneous input is treated as an upstream bug.
 
-Syzygies are computed with the classical representation-tracking variant of
-Buchberger's algorithm: every working element carries its expression in terms
-of the original generators, and each S-pair that reduces to zero contributes
-that expression as a syzygy.  Since the inputs stay members of the working
-basis and only the chain criterion (in its safe proper-divisor form) is used
-to discard pairs, the collected syzygies generate the full syzygy module.
+Syzygies are computed with the classical variant of Buchberger's algorithm
+that carries representations: every working element carries its expression
+in terms of the original generators, and each S-pair that reduces to zero
+contributes that expression as a syzygy.  Since the inputs stay members of
+the working basis and only the chain criterion (in its safe proper-divisor
+form) is used to discard pairs, the collected syzygies generate the full
+syzygy module.  The working basis ends as a Groebner basis of the module,
+not a reduced one; only the syzygies leave the engine.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from . import modp
 from .ring import (
@@ -50,27 +51,39 @@ def monomial_elements(spec: RingSpec, mons, ambient: FreeModuleSpec | None = Non
     return [FreeElement(spec, ambient, {spec.label(m): 1}) for m in mons]
 
 
-def element_sort_key(v: FreeElement):
-    comp, mon, _ = v.lead()
-    return (v.homogeneous_degree(), comp, tuple(reversed(mon)))
+def element_sort_key(v: FreeElement, deg: int):
+    """Ascending key of a homogeneous element of degree deg: the degree, then
+    the component and reversed exponents of its lead term.
+
+    The lead lies in the lowest component, where every term has the weighted
+    degree deg minus that component's twist, so it is the term whose reversed
+    exponent vector is smallest there (weighted degrevlex)."""
+    return (deg, *min((c, m[::-1]) for c, m in v.coeffs))
 
 
-def _check_homogeneous(gens):
-    for idx, g in enumerate(gens):
+def _degrees(elements) -> list:
+    """The weighted degree of each element; raises InhomogeneousInput on one
+    whose terms differ in degree."""
+    out = []
+    for idx, g in enumerate(elements):
         degs = {g.spec.wdeg(m) + g.ambient.twists[c] for c, m in g.coeffs}
         if len(degs) > 1:
             raise InhomogeneousInput(idx, degs)
+        out.append(degs.pop())
+    return out
 
 
 # ---------------------------------------------------------------------------
 # reduction
 
 
-def _reduce(v: FreeElement, basis, leads, reps=None, rep=None):
+def _reduce(v: FreeElement, basis, leads, reps, rep):
     """Fully reduce v by the monic reducers basis, whose leads are given.
 
-    Returns (remainder, rep).  When rep is given, every multiple of basis[k]
-    subtracted from v is subtracted from rep as the same multiple of reps[k].
+    Returns (remainder, rep): every multiple of basis[k] subtracted from v is
+    subtracted from rep as the same multiple of reps[k].  Deterministic: the
+    largest reducible term is reduced first, by the lowest-index reducer whose
+    lead divides it.
     """
     spec = v.spec
     p = spec.char
@@ -99,69 +112,43 @@ def _reduce(v: FreeElement, basis, leads, reps=None, rep=None):
                 work[tkey] = nv
             else:
                 work.pop(tkey, None)
-        if rep is not None:
-            rep = rep - reps[hit].term_mul(q, c)
+        rep = rep - reps[hit].term_mul(q, c)
     return FreeElement(spec, v.ambient, remainder, _clean=True), rep
 
 
-def normal_form(v: FreeElement, reducers) -> FreeElement:
-    """Fully reduce v modulo the given elements.
-
-    Deterministic: always reduces the largest reducible term, using the
-    lowest-index reducer whose lead term divides it.
-    """
-    reducers = [g for g in reducers if g]
-    if not reducers or not v:
-        return v
-    # Reducing by g or by g / lc(g) subtracts the same multiple.
-    monic, leads = [], []
-    for g in reducers:
-        comp, mon, coeff = g.lead()
-        if coeff != 1:
-            g = g.scale(pow(coeff, -1, v.spec.char))
-        monic.append(g)
-        leads.append((comp, mon, 1))
-    return _reduce(v, monic, leads)[0]
-
-
 # ---------------------------------------------------------------------------
-# Buchberger with representation tracking
+# Buchberger's algorithm, carrying representations
 
 
 class _Engine:
-    """Working state shared by GB completion and syzygy extraction."""
+    """Buchberger's algorithm on the inputs, collecting syzygies."""
 
-    def __init__(self, gens, track: bool):
+    def __init__(self, gens):
         gens = [g for g in gens if g]
         if not gens:
             raise ValueError("need at least one nonzero generator")
-        _check_homogeneous(gens)
+        degrees = _degrees(gens)
         self.spec = gens[0].spec
         self.ambient = gens[0].ambient
         for g in gens:
             if g.spec != self.spec or g.ambient != self.ambient:
                 raise ValueError("generators live in different modules")
         self.p = self.spec.char
-        self.track = track
-        self.source = FreeModuleSpec(tuple(g.homogeneous_degree() for g in gens))
+        self.source = FreeModuleSpec(tuple(degrees))
         self.basis = []          # monic working elements
         self.leads = []          # cached (comp, mon, 1) lead terms
         self.reps = []           # expressions in terms of the inputs
-        self.syzygies = []
+        self.syzygies = []       # (syzygy, degree) pairs
         self.pairs = []          # heap of (degree, i, j)
         for j, g in enumerate(gens):
-            rep = None
-            if track:
-                rep = FreeElement(self.spec, self.source, {(j, self.spec.one()): 1})
-            self._insert(g, rep)
+            self._insert(g, FreeElement(self.spec, self.source, {(j, self.spec.one()): 1}))
 
     def _insert(self, g: FreeElement, rep):
         comp, mon, coeff = g.lead()
         if coeff != 1:
             inv = pow(coeff, -1, self.p)
             g = g.scale(inv)
-            if rep is not None:
-                rep = rep.scale(inv)
+            rep = rep.scale(inv)
         k = len(self.basis)
         self.basis.append(g)
         self.leads.append((comp, mon, 1))
@@ -190,7 +177,7 @@ class _Engine:
 
     def run(self):
         while self.pairs:
-            _, i, j = heapq.heappop(self.pairs)
+            deg, i, j = heapq.heappop(self.pairs)
             ci, mi, _ = self.leads[i]
             _, mj, _ = self.leads[j]
             lcm = mon_lcm(mi, mj)
@@ -199,58 +186,17 @@ class _Engine:
             qi = mon_quotient(lcm, mi)
             qj = mon_quotient(lcm, mj)
             spoly = self.basis[i].term_mul(qi) - self.basis[j].term_mul(qj)
-            rep = None
-            if self.track:
-                rep = self.reps[i].term_mul(qi) - self.reps[j].term_mul(qj)
+            rep = self.reps[i].term_mul(qi) - self.reps[j].term_mul(qj)
             r, rep = _reduce(spoly, self.basis, self.leads, self.reps, rep)
             if r:
                 self._insert(r, rep)
-            elif self.track and rep:
-                self.syzygies.append(rep)
+            elif rep:
+                # rep has the degree of the pair's lcm in the source module
+                self.syzygies.append((rep, deg))
 
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-@dataclass(frozen=True)
-class GroebnerBasis:
-    generators: tuple
-    ambient: FreeModuleSpec
-    spec: RingSpec
-
-
-def buchberger(gens) -> GroebnerBasis:
-    """Reduced Groebner basis of the module generated by gens.
-
-    For monomial input this is exactly the minimal monomial generating set.
-    """
-    eng = _Engine(list(gens), track=False)
-    eng.run()
-    basis = _interreduce(eng.basis)
-    basis.sort(key=element_sort_key)
-    return GroebnerBasis(tuple(basis), eng.ambient, eng.spec)
-
-
-def _interreduce(elements):
-    # Keep only elements whose lead is not divisible by another kept lead,
-    # then tail-reduce each against the rest.
-    elems = sorted(elements, key=lambda g: term_key(g.spec, *g.lead()[:2]))
-    kept = []
-    for g in elems:
-        comp, mon, _ = g.lead()
-        if any(kc == comp and mon_divides(km, mon) for kc, km, _ in (k.lead() for k in kept)):
-            continue
-        kept.append(g)
-    out = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        r = normal_form(g, others)
-        _, _, c = r.lead()
-        if c != 1:
-            r = r.scale(pow(c, -1, g.spec.char))
-        out.append(r)
-    return out
 
 
 def syzygies(gens):
@@ -260,16 +206,10 @@ def syzygies(gens):
     (generator degrees = degrees of the inputs) and the elements generate the
     kernel of source -> ambient.
     """
-    eng = _Engine(list(gens), track=True)
+    eng = _Engine(list(gens))
     eng.run()
-    out = [s for s in eng.syzygies if s]
-    out.sort(key=element_sort_key)
-    return out, eng.source
-
-
-def schreyer_syzygies(G: GroebnerBasis):
-    """Spec'd entry point: syzygies of a reduced Groebner basis."""
-    return syzygies(G.generators)
+    eng.syzygies.sort(key=lambda sd: element_sort_key(*sd))
+    return [s for s, _ in eng.syzygies], eng.source
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +228,11 @@ def minimal_generators(elements):
     elements = [v for v in elements if v]
     if not elements:
         return []
-    _check_homogeneous(elements)
+    degrees = _degrees(elements)
     spec = elements[0].spec
     by_degree = {}
-    for v in sorted(elements, key=element_sort_key):
-        by_degree.setdefault(v.homogeneous_degree(), []).append(v)
+    for v, d in sorted(zip(elements, degrees), key=lambda vd: element_sort_key(*vd)):
+        by_degree.setdefault(d, []).append(v)
     # (degree, element) pairs, already in element_sort_key order
     accepted = []
     for d, candidates in sorted(by_degree.items()):

@@ -183,7 +183,7 @@ def koszul_verdict(spec: RingSpec, e: int) -> KoszulReport:
     """
     gens = trunc_gens(spec, e)
 
-    F = resolve_module(monomial_elements(spec, gens), minimize=True)
+    F = resolve_module(monomial_elements(spec, gens))
     L = linear_part(F, spec)
     acyclic, witnesses = lin_acyclicity(L)
 

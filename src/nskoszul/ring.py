@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Monomial = tuple  # exponent vector, one entry per variable
 
@@ -219,14 +219,6 @@ class RingSpec:
         return "*".join(parts) if parts else "1"
 
 
-def weighted_degree(m: Monomial, spec: RingSpec) -> int:
-    return spec.wdeg(m)
-
-
-def standard_degree(m: Monomial, spec: RingSpec) -> int:
-    return spec.sdeg(m)
-
-
 @lru_cache(maxsize=None)
 def monomials_of_wdeg(spec: RingSpec, d: int) -> tuple:
     """All monomials of weighted degree exactly d, descending lexicographic."""
@@ -248,11 +240,6 @@ def monomials_of_wdeg(spec: RingSpec, d: int) -> tuple:
     return tuple(out)
 
 
-def monomials_up_to_wdeg(spec: RingSpec, d: int) -> Iterator[Monomial]:
-    for k in range(d + 1):
-        yield from monomials_of_wdeg(spec, k)
-
-
 # ---------------------------------------------------------------------------
 # weighted degrevlex order
 
@@ -263,18 +250,6 @@ def monomials_up_to_wdeg(spec: RingSpec, d: int) -> Iterator[Monomial]:
 
 def grevlex_key(spec: RingSpec, m: Monomial):
     return (spec.wdeg(m), tuple(-e for e in reversed(m)))
-
-
-def monomial_compare(a: Monomial, b: Monomial, spec: RingSpec) -> int:
-    """-1, 0 or 1 for a < b, a = b, a > b in weighted degrevlex."""
-    spec._check(a)
-    spec._check(b)
-    ka, kb = grevlex_key(spec, a), grevlex_key(spec, b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 # POT (position over term) module order: lower component index wins, ties

@@ -11,6 +11,8 @@ expands every graded piece in full (``graded_basis``) and ranks it with
 or spans it with ``_EchelonSpace``, a dense incremental row echelon form.
 ``homology_dims`` counts dim H_i(C)_j per degree from the grid walk's cells,
 a second reading of the walk that the tests compare with ``homology_dense``.
+``minimize_complex`` cancels unit entries, the reference for the minimal
+resolution and for the Taylor complexes' minimal models.
 """
 
 from functools import lru_cache
@@ -19,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from nskoszul.complexes import BettiTable, _multidegree_blocks
+from nskoszul.complexes import BettiTable, GradedFreeComplex, _multidegree_blocks
 from nskoszul.ring import FreeModuleSpec, RingSpec, mon_mul, mon_var, monomials_of_wdeg
 
 
@@ -165,6 +167,66 @@ def homology_dims(C, bound: int) -> dict:
                     if count and hi:
                         out[(i, low + d)] = out.get((i, low + d), 0) + count * hi
     return out
+
+
+def minimize_complex(C: GradedFreeComplex) -> GradedFreeComplex:
+    """Cancel unit entries until none remain; quasi-isomorphic minimal model.
+
+    Pivot choice is the lexicographically smallest (differential index, row,
+    column) among unit entries, so the output is deterministic.
+    """
+    spec = C.spec
+    mods = [list(m.twists) for m in C.modules]
+    mats = [[list(row) for row in mat] for mat in C.diffs]
+    p = spec.char
+
+    def find_unit():
+        for k, mat in enumerate(mats):
+            for r, row in enumerate(mat):
+                for c, entry in enumerate(row):
+                    if entry and entry.is_constant():
+                        return k, r, c
+        return None
+
+    while True:
+        hit = find_unit()
+        if hit is None:
+            break
+        k, r, c = hit
+        mat = mats[k]
+        u = mat[r][c].constant_value()
+        uinv = pow(u, -1, p)
+        col = [mat[rr][c] for rr in range(len(mat))]
+        rowvec = mat[r]
+        new_mat = []
+        for rr in range(len(mat)):
+            if rr == r:
+                continue
+            new_row = []
+            for cc in range(len(rowvec)):
+                if cc == c:
+                    continue
+                correction = (col[rr] * rowvec[cc]).scale(uinv)
+                new_row.append(mat[rr][cc] - correction)
+            new_mat.append(new_row)
+        mats[k] = new_mat
+        if k + 1 < len(mats):
+            mats[k + 1] = [row for rr, row in enumerate(mats[k + 1]) if rr != c]
+        if k - 1 >= 0:
+            mats[k - 1] = [
+                [e for cc, e in enumerate(row) if cc != r] for row in mats[k - 1]
+            ]
+        mods[k + 1].pop(c)
+        mods[k].pop(r)
+
+    while len(mods) > 1 and not mods[-1]:
+        mods.pop()
+        mats.pop()
+    return GradedFreeComplex(
+        spec,
+        tuple(FreeModuleSpec(tuple(t)) for t in mods),
+        tuple(tuple(tuple(row) for row in mat) for mat in mats),
+    )
 
 
 def alternating_betti_series(table: BettiTable, bound: int) -> list:

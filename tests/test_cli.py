@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -71,6 +72,20 @@ class TestParseRingSpec:
         with pytest.raises(RingSpecParseError, match="2\\*\\*31"):
             parse_ring_spec("x=1@4294967311")
 
+    @pytest.mark.parametrize(
+        "text,position",
+        # int() would read weight 10, characteristic 31 and weight 1
+        [("x=1_0", 0), ("x=1,y=2@3_1", 8), ("x=\uff11", 0)],
+    )
+    def test_only_ascii_digits(self, text, position, capsys):
+        with pytest.raises(RingSpecParseError) as exc:
+            parse_ring_spec(text)
+        assert exc.value.position == position
+        assert main(["gens", "--ring", text, "--e", "3"]) == EXIT_USAGE
+        assert f"(at position {position})" in capsys.readouterr().err
+        # spaces around a number are still allowed
+        assert parse_ring_spec(" x = 2 , y=3 @ 101 ") == RingSpec((2, 3), ("x", "y"), 101)
+
     def test_round_trip(self):
         for text in ["x=1,y=3", "a=2,b=5@101", "x1=1,x2=2,y=2"]:
             spec = parse_ring_spec(text)
@@ -90,6 +105,29 @@ class TestSubcommands:
         out = capsys.readouterr().out
         for text in ["x^4", "x^2*y", "x*y^2", "y^3"]:
             assert text in out
+
+    def test_raw_is_gone(self, capsys):
+        # resolve computes only the minimal resolution
+        with pytest.raises(SystemExit) as exc:
+            main(["resolve", "--ring", "x=1,y=3", "--e", "5", "--raw"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--raw" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ring,e,digest",
+        [
+            ("x=1,y=3", 5, "e1e069ab907144d69ca476cab5582cda3526c3e10b609049a78be4f150dae381"),
+            ("x=1,y=1,z=2@2", 4, "3f45802e7375be4afc73361343406fc41088800039e2b117b40c3540abbfbf2b"),
+            ("x=1,y=1,z=2,w=3", 3, "ad8b57f723a2b3cfecc693e8691a32c22a13a4d7fb5494ca9a7a5c3a1614439b"),
+        ],
+    )
+    def test_resolve_differentials_bytes(self, ring, e, digest, capsys):
+        # the differentials show which syzygies minimal_generators kept, so a
+        # change of basis or of sort order changes these bytes
+        argv = ["resolve", "--ring", ring, "--e", str(e), "--format", "json"]
+        assert main(argv + ["--show-differentials"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_resolve_json(self, capsys):
         assert (
@@ -160,6 +198,17 @@ class TestSubcommands:
         assert main(["ses-check", "--ring", "x=1,y=3", "--e", "5"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "layer 0: ok" in out and "layer 1: ok" in out
+
+    @pytest.mark.parametrize("ring", ["x=1,y=2", "x=2", "x=1,y=1,z=3"])
+    def test_ses_check_without_layers(self, ring, capsys):
+        # for e <= 0 the truncation is the whole ring, with no layers
+        argv = ["ses-check", "--ring", ring, "--e", "0"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "no layers at e = 0\n"
+        assert main(argv[:-1] + ["-2", "--bound", "3", "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["layers"] == []
+        assert main(argv + ["--layer", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: no layers at e = 0")
 
     def test_lin_check(self, capsys):
         assert main(["lin-check", "--ring", "x=1,y=4", "--e", "5"]) == EXIT_OK

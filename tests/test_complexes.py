@@ -16,8 +16,6 @@ from nskoszul.complexes import (
     free_hilbert,
     homology_witnesses,
     koszul_complex,
-    minimize_complex,
-    positive_homology_vanishes,
     resolve_module,
     taylor_complex,
     totalize_tensor,
@@ -84,21 +82,21 @@ class TestCheckComplex:
 class TestMinimize:
     def test_already_minimal_fixed_point(self):
         C = paper_phi_complex()
-        M = minimize_complex(C)
+        M = oracles.minimize_complex(C)
         assert [m.twists for m in M.modules] == [(5, 5, 6), (8, 8)]
         assert M.diffs == C.diffs
 
     def test_taylor_complex_of_paper_example(self):
         T = taylor_complex(W13, trunc_gens(W13, 5))
         assert [m.rank for m in T.modules] == [3, 3, 1]
-        M = minimize_complex(T)
+        M = oracles.minimize_complex(T)
         assert [sorted(m.twists) for m in M.modules] == [[5, 5, 6], [8, 8]]
         assert check_complex(M).ok
 
     def test_taylor_std2(self):
         # oracle: Koszul-homology Betti numbers of <x^2, xy>
         T = taylor_complex(STD2, [(2, 0), (1, 1)])
-        M = minimize_complex(T)
+        M = oracles.minimize_complex(T)
         assert M.betti_from_twists() == betti_via_koszul(
             monomial_module(STD2, [(2, 0), (1, 1)], bound=8), bound=8
         ).restrict(8)
@@ -117,7 +115,7 @@ class TestMinimize:
             if not gens:
                 continue
             T = taylor_complex(spec, gens)
-            M = minimize_complex(T)
+            M = oracles.minimize_complex(T)
             bound = max(t for mod in T.modules for t in mod.twists) + 3
             assert oracles.homology_dims(T, bound) == oracles.homology_dims(M, bound)
 
@@ -200,11 +198,18 @@ class TestResolve:
         assert [m.twists for m in F.modules] == [(5, 5, 8), (9, 9)]
 
     def test_raw_resolution_minimizes_to_same_table(self):
-        gens = monomial_elements(STD2, trunc_gens(STD2, 3))
-        raw = resolve_module(gens, minimize=False)
-        minimal = resolve_module(gens, minimize=True)
+        # the Taylor complex is a raw, non-minimal resolution of the ideal
+        mons = trunc_gens(STD2, 3)
+        raw = taylor_complex(STD2, mons)
+        minimal = resolve_module(monomial_elements(STD2, mons))
         assert check_complex(raw).ok
-        assert minimize_complex(raw).betti_from_twists() == minimal.betti_from_twists()
+        assert [m.rank for m in raw.modules] == [4, 6, 4, 1]
+        assert oracles.minimize_complex(raw).betti_from_twists() == minimal.betti_from_twists()
+
+    def test_only_the_minimal_resolution(self):
+        gens = monomial_elements(STD2, trunc_gens(STD2, 3))
+        with pytest.raises(ValueError, match="only the minimal resolution"):
+            resolve_module(gens, minimize=False)
 
 
 class TestHomologyDims:
@@ -258,7 +263,7 @@ class TestHomologyDims:
             if not gens:
                 continue
             L = linear_part(resolve_module(monomial_elements(spec, gens)), spec)
-            vanishes = positive_homology_vanishes(L)
+            vanishes = homology_witnesses(L) == []
             bounded = oracles.homology_dims(L, 3 * n + 2)
             # both read the same grid walk, so the dense count is the reference
             assert bounded == oracles.homology_dense(L, 3 * n + 2)
@@ -291,8 +296,8 @@ class TestHomologyDims:
         # last of the eight points of the grid {0, 1}^3
         K = koszul_complex(STD3, [0, 1, 2])
         C = GradedFreeComplex(STD3, K.modules[:-1], K.diffs[:-1])
-        assert positive_homology_vanishes(K) is True
-        assert positive_homology_vanishes(C) is False
+        assert homology_witnesses(K) == []
+        assert homology_witnesses(C) != []
         # the cycle z e_xy - y e_xz + x e_yz generates a free H_2 = S(-3)
         assert {k: d for k, d in oracles.homology_dims(C, 5).items() if k[0] >= 1} == {
             (2, 3): 1,
@@ -304,7 +309,7 @@ class TestHomologyDims:
         entry = Polynomial.variable(STD2, 0) + Polynomial.variable(STD2, 1)
         C = GradedFreeComplex(STD2, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), (((entry,),),))
         with pytest.raises(NoFiniteDecision, match="more than one term"):
-            positive_homology_vanishes(C)
+            homology_witnesses(C)
 
     def test_multiterm_entries_fall_back_to_dense(self):
         # only the dense oracle counts a multi-term complex; the grid refuses it
@@ -324,7 +329,7 @@ class TestHomologyDims:
             STD2, (FreeModuleSpec((0, 0)), FreeModuleSpec((1, 1))), (((x, x), (x, y)),)
         )
         with pytest.raises(NoFiniteDecision, match="no consistent multigrading"):
-            positive_homology_vanishes(C)
+            homology_witnesses(C)
         assert oracles.homology_dense(C, 3)[(0, 0)] == 2
 
 

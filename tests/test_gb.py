@@ -5,12 +5,11 @@ import pytest
 import oracles
 from nskoszul.gb import (
     InhomogeneousInput,
-    buchberger,
+    _Engine,
+    _reduce,
     element_sort_key,
     minimal_generators,
     monomial_elements,
-    normal_form,
-    schreyer_syzygies,
     syzygies,
 )
 from nskoszul.ring import (
@@ -32,21 +31,41 @@ def ideal(spec, mons):
     return monomial_elements(spec, mons)
 
 
+def combine(rep, gens):
+    """The element sum_k rep_k * gens[k] of the module the gens live in."""
+    total = FreeElement.zero(gens[0].spec, gens[0].ambient)
+    for (comp, mon), coeff in rep.coeffs.items():
+        total = total + gens[comp].term_mul(mon, coeff)
+    return total
+
+
+def reduce_by(v, gens, run=False):
+    """v reduced by the syzygy engine's working basis on gens: the monic
+    gens, and after run() a Groebner basis.  Checks the representation the
+    reduction tracks: the remainder is v plus that combination of gens."""
+    eng = _Engine(gens)
+    if run:
+        eng.run()
+    r, rep = _reduce(v, eng.basis, eng.leads, eng.reps, FreeElement.zero(v.spec, eng.source))
+    assert r == v + combine(rep, gens)
+    return r
+
+
 class TestNormalForm:
     def test_self_reduction(self):
         (g,) = ideal(W13, [(2, 1)])
-        assert normal_form(g, [g]).is_zero()
+        assert reduce_by(g, [g]).is_zero()
 
     def test_monomial_divisibility(self):
         v, g = ideal(W13, [(3, 1), (2, 1)])
-        assert normal_form(v, [g]).is_zero()
+        assert reduce_by(v, [g]).is_zero()
 
     def test_single_division_step(self):
         # x^4 + y reduced by x^2 leaves y
         amb = FreeModuleSpec((0,))
         v = FreeElement(W13, amb, {(0, (4, 0)): 1, (0, (0, 1)): 1})
         (g,) = ideal(W13, [(2, 0)])
-        r = normal_form(v, [g])
+        r = reduce_by(v, [g])
         assert r.coeffs == {(0, (0, 1)): 1}
 
     def test_deterministic_reducer_choice(self):
@@ -54,58 +73,78 @@ class TestNormalForm:
         amb = FreeModuleSpec((0,))
         v = FreeElement(W13, amb, {(0, (4, 1)): 1})
         g1, g2 = ideal(W13, [(2, 1), (1, 1)])
-        assert normal_form(v, [g1, g2]).is_zero()
-        assert normal_form(v, [g2, g1]).is_zero()
+        assert reduce_by(v, [g1, g2]).is_zero()
+        assert reduce_by(v, [g2, g1]).is_zero()
 
     def test_non_monic_reducer(self):
-        # x1^2 by 3*x1 + 5*x2: subtract (x1/3) g, then (-5*x2/9) g, leaving (25/9) x2^2
+        # x1^2 by 3*x1 + 5*x2, stored as its monic multiple: subtract (x1/3) g,
+        # then (-5*x2/9) g, leaving (25/9) x2^2
         amb = FreeModuleSpec((0,))
         p = STD2.char
         v = FreeElement(STD2, amb, {(0, (2, 0)): 1})
         g = FreeElement(STD2, amb, {(0, (1, 0)): 3, (0, (0, 1)): 5})
-        r = normal_form(v, [g])
+        r = reduce_by(v, [g])
         assert r.coeffs == {(0, (0, 2)): 25 * pow(9, -1, p) % p}
 
 
 class TestBuchberger:
+    """Buchberger's algorithm as the syzygy engine runs it."""
+
     def test_monomial_minimalization(self):
-        gb = buchberger(ideal(W13, [(5, 0), (2, 1), (3, 1)]))
-        leads = {g.lead()[1] for g in gb.generators}
-        assert leads == {(5, 0), (2, 1)}
+        # x^3 y = x * x^2 y: the engine keeps every input and records the
+        # syzygy x e_1 - e_2; minimal_generators drops x^3 y
+        gens = ideal(W13, [(5, 0), (2, 1), (3, 1)])
+        eng = _Engine(gens)
+        eng.run()
+        assert [g.lead()[1] for g in eng.basis] == [(5, 0), (2, 1), (3, 1)]
+        p = W13.char
+        assert {(1, (1, 0)): 1, (2, (0, 0)): p - 1} in [s.coeffs for s in syzygies(gens)[0]]
+        assert [g.lead()[1] for g in minimal_generators(gens)] == [(5, 0), (2, 1)]
 
     def test_principal_ideal(self):
-        gb = buchberger(monomial_elements(RingSpec((2,), ("x",)), [(1,)]))
-        assert len(gb.generators) == 1
+        gens = monomial_elements(RingSpec((2,), ("x",)), [(1,)])
+        eng = _Engine(gens)
+        eng.run()
+        assert len(eng.basis) == 1
+        syz, src = syzygies(gens)
+        assert syz == [] and src.twists == (2,)
 
     def test_truncation_generators_unchanged(self):
+        # the truncation generators are already a Groebner basis
         gens = [(5, 0), (2, 1), (0, 2)]
-        gb = buchberger(ideal(W13, gens))
-        assert sorted(g.lead()[1] for g in gb.generators) == sorted(gens)
+        eng = _Engine(ideal(W13, gens))
+        eng.run()
+        assert sorted(g.lead()[1] for g in eng.basis) == sorted(gens)
 
     def test_binomial_ideal(self):
         # x^3 - y and x^5: classic weighted-homogeneous pair (deg 3 and 5)
         amb = FreeModuleSpec((0,))
         f = FreeElement(W13, amb, {(0, (3, 0)): 1, (0, (0, 1)): 32002})
         g = FreeElement(W13, amb, {(0, (5, 0)): 1})
-        gb = buchberger([f, g])
-        # x^2 y = x^2(x^3 - y) wrong sign aside, membership must hold:
+        # x^2*y = x^2*x^3 - x^2*(x^3 - y) is in the ideal, and the engine's
+        # basis shows it: the S-pair of f and g adds x^2 y
         probe = FreeElement(W13, amb, {(0, (2, 1)): 1})
-        r = normal_form(probe, list(gb.generators))
-        # x^2*y = x^2*x^3 - x^2*(x^3 - y) is in the ideal
-        assert r.is_zero()
+        assert reduce_by(probe, [f, g], run=True).is_zero()
+        syz, src = syzygies([f, g])
+        assert src.twists == (3, 5)
+        for s in syz:
+            assert combine(s, [f, g]).is_zero()
+        degrees = range(0, 16)
+        assert oracles.graded_span_dims(syz, degrees) == brute_force_kernel_dims(
+            W13, [f, g], degrees
+        )
 
     def test_rejects_inhomogeneous(self):
         amb = FreeModuleSpec((0,))
         bad = FreeElement(W13, amb, {(0, (1, 0)): 1, (0, (0, 1)): 1})
         with pytest.raises(InhomogeneousInput) as exc:
-            buchberger([bad])
+            syzygies([bad])
         assert exc.value.degrees == [1, 3]
 
 
 class TestSchreyerSyzygies:
     def test_paper_truncation_syzygies(self):
-        gb = buchberger(ideal(W13, [(5, 0), (2, 1), (0, 2)]))
-        syz, src = schreyer_syzygies(gb)
+        syz, src = syzygies(ideal(W13, [(5, 0), (2, 1), (0, 2)]))
         assert src.twists == (5, 5, 6)
         min_syz = minimal_generators(syz)
         assert [s.homogeneous_degree() for s in min_syz] == [8, 8]
@@ -118,13 +157,11 @@ class TestSchreyerSyzygies:
         assert [s.coeffs for s in min_syz] == expected
 
     def test_single_element_no_syzygies(self):
-        gb = buchberger(ideal(W13, [(2, 1)]))
-        syz, _ = schreyer_syzygies(gb)
+        syz, _ = syzygies(ideal(W13, [(2, 1)]))
         assert syz == []
 
     def test_koszul_syzygy_of_two_monomials(self):
-        gb = buchberger(ideal(STD2, [(2, 0), (1, 1)]))
-        syz, _ = schreyer_syzygies(gb)
+        syz, _ = syzygies(ideal(STD2, [(2, 0), (1, 1)]))
         syz = minimal_generators(syz)
         assert len(syz) == 1
         assert syz[0].homogeneous_degree() == 3
@@ -166,14 +203,13 @@ class TestSyzygyProperties:
         for _ in range(25):
             spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))))
             gens = ideal(spec, random_monomial_ideal(rng, spec))
-            gb = buchberger(gens)
             # random homogeneous combination of the generators reduces to zero
             combo = FreeElement.zero(spec, gens[0].ambient)
             for g in gens:
                 m = rng.choice(monomials_of_wdeg(spec, rng.randint(0, 4)) or [spec.one()])
                 combo = combo + g.term_mul(m, rng.randint(1, spec.char - 1))
             for piece in _homogeneous_pieces(combo):
-                assert normal_form(piece, list(gb.generators)).is_zero()
+                assert reduce_by(piece, gens, run=True).is_zero()
 
     def test_syzygy_columns_annihilate_generators(self):
         rng = random.Random(6)
@@ -182,10 +218,7 @@ class TestSyzygyProperties:
             gens = ideal(spec, random_monomial_ideal(rng, spec))
             syz, _ = syzygies(gens)
             for s in syz:
-                total = FreeElement.zero(spec, gens[0].ambient)
-                for (comp, mon), coeff in s.coeffs.items():
-                    total = total + gens[comp].term_mul(mon, coeff)
-                assert total.is_zero()
+                assert combine(s, gens).is_zero()
 
     def test_syzygy_completeness_against_linear_algebra(self):
         rng = random.Random(7)
@@ -202,8 +235,9 @@ class TestSyzygyProperties:
         rng = random.Random(8)
         for _ in range(20):
             spec = RingSpec(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3))))
-            gb = buchberger(ideal(spec, random_monomial_ideal(rng, spec)))
-            for g in gb.generators:
+            eng = _Engine(ideal(spec, random_monomial_ideal(rng, spec)))
+            eng.run()
+            for g in eng.basis:
                 assert len(g.coeffs) == 1
 
 
@@ -238,10 +272,14 @@ class TestMinimalGenerators:
         assert [g.lead()[1] for g in mins] == [(1, 0)]
 
 
+def _sort_key(v):
+    return element_sort_key(v, v.homogeneous_degree())
+
+
 def _dense_minimal_generators(elements):
     """The selection of minimal_generators, made with the dense echelon
     oracle over the whole graded piece of each degree."""
-    elements = sorted((v for v in elements if v), key=element_sort_key)
+    elements = sorted((v for v in elements if v), key=_sort_key)
     spec, ambient = elements[0].spec, elements[0].ambient
     accepted = []
     for d in sorted({v.homogeneous_degree() for v in elements}):
@@ -253,7 +291,7 @@ def _dense_minimal_generators(elements):
         for v in elements:
             if v.homogeneous_degree() == d and space.insert(oracles._expand(v, index)):
                 accepted.append(v)
-    return sorted(accepted, key=element_sort_key)
+    return sorted(accepted, key=_sort_key)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
@@ -291,3 +329,23 @@ def test_minimal_generators_match_dense_echelon(p):
             assert minimal_generators(elements) == want
             dropped += len(elements) - len(want)
     assert dropped >= 20
+
+
+def test_element_sort_key_reads_the_lead_term():
+    # the key takes the lead from the lowest component without comparing
+    # degrees; it must equal the key built from FreeElement.lead()
+    rng = random.Random(17)
+    components = 0
+    for _ in range(300):
+        spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4))))
+        ambient = FreeModuleSpec(tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4))))
+        d = rng.randint(3, 8)
+        basis = oracles.graded_basis(spec, ambient, d)
+        if not basis:
+            continue
+        terms = rng.sample(basis, min(len(basis), rng.randint(1, 6)))
+        v = FreeElement(spec, ambient, {key: rng.randint(1, 50) for key in terms})
+        comp, mon, _ = v.lead()
+        assert element_sort_key(v, d) == (v.homogeneous_degree(), comp, tuple(reversed(mon)))
+        components = max(components, len({c for c, _ in v.coeffs}))
+    assert components >= 3

@@ -1,6 +1,7 @@
-"""Every name a test or source module imports is used in it, and every
+"""Every name a test or source module imports is used in it, every
 private module-level function or class of the package has a user in the
-package.
+package, and every public module-level function of the package has one or a
+listed reason to be public without one.
 
 The package's __init__.py is left out of the import check: its imports are
 its public re-exports."""
@@ -47,24 +48,31 @@ def test_scanner_finds_an_unused_import():
 PACKAGE = sorted((HERE.parent / "src" / "nskoszul").glob("*.py"))
 
 
-def unreferenced_private_functions(sources: dict) -> list:
-    """(module, name) of each module-level function or class whose name
-    starts with one underscore and that no source references outside its own
-    definition.
+def is_private(stmt) -> bool:
+    is_def = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    return is_def and stmt.name[:1] == "_" and stmt.name[:2] != "__"
+
+
+def is_public_function(stmt) -> bool:
+    return isinstance(stmt, ast.FunctionDef) and stmt.name[:1] != "_"
+
+
+def unreferenced_definitions(sources: dict, wanted) -> list:
+    """(module, name) of each module-level definition that wanted(stmt)
+    selects and that no source references outside its own definition.
 
     sources maps a module name to its text.  A reference is a name, an
     attribute or an imported name; the references inside a function's or
     class's own body (recursion, or a class naming itself) do not count for
     it."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    private = {}
+    defined = {}
     used = set()
     for mod, tree in trees.items():
         for stmt in tree.body:
             own = getattr(stmt, "name", None)
-            is_def = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            if is_def and own[:1] == "_" and own[:2] != "__":
-                private[own] = mod
+            if wanted(stmt):
+                defined[own] = mod
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -76,14 +84,14 @@ def unreferenced_private_functions(sources: dict) -> list:
                     continue
                 if name != own:
                     used.add(name)
-    return sorted((mod, name) for name, mod in private.items() if name not in used)
+    return sorted((mod, name) for name, mod in defined.items() if name not in used)
 
 
 def test_no_test_only_private_helpers():
     # a private helper that the package never calls serves only the tests,
     # and belongs in tests/oracles.py
     sources = {path.stem: path.read_text() for path in PACKAGE}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_definitions(sources, is_private) == []
 
 
 def test_scanner_finds_an_unreferenced_private_function():
@@ -101,4 +109,41 @@ def test_scanner_finds_an_unreferenced_private_function():
             "class Sub(a._Subclassed): pass\n"
         ),
     }
-    assert unreferenced_private_functions(sources) == [("a", "_Unused"), ("a", "_recursive")]
+    assert unreferenced_definitions(sources, is_private) == [("a", "_Unused"), ("a", "_recursive")]
+
+
+# Public functions that no package module calls, each with its reason.  The
+# re-exports of __init__.py are not calls.
+UNCALLED_PUBLIC = {
+    "check_complex": "test oracle: shapes, homogeneity and d o d = 0 of a complex",
+    "koszul_complex": "test oracle: the Koszul complex on chosen variables",
+    "totalize_tensor": "test oracle: the total complex of a tensor product",
+    "taylor_complex": "test oracle: a non-minimal resolution of a monomial ideal",
+    "free_hilbert": "test oracle: the Hilbert function of a twisted free module",
+    "monomial_module": "test oracle: a monomial module as an explicit graded module",
+    "extend_gr": "test oracle: a module over a subring viewed over the whole ring",
+    "construct_free_betti": "tested capability: the construction for twisted free modules",
+    "trunc_free_gens": "tested capability: truncation generators of a twisted free module",
+    "gr_module": "the benchmark's gr4 workload calls it",
+}
+
+
+def test_public_functions_have_a_package_caller():
+    sources = {path.stem: path.read_text() for path in PACKAGE if path.name != "__init__.py"}
+    uncalled = unreferenced_definitions(sources, is_public_function)
+    assert sorted(name for _, name in uncalled) == sorted(UNCALLED_PUBLIC)
+
+
+def test_scanner_finds_an_uncalled_public_function():
+    sources = {
+        "a": (
+            "def called(): pass\ndef stray(): pass\ndef _private(): pass\n"
+            "def recursive(n): return recursive(n - 1)\nclass Public: pass\n"
+            "def entry(): pass\nif __name__ == '__main__':\n    entry()\n"
+        ),
+        "b": "from a import called\n",
+    }
+    assert unreferenced_definitions(sources, is_public_function) == [
+        ("a", "recursive"),
+        ("a", "stray"),
+    ]

@@ -13,10 +13,7 @@ from nskoszul.ring import (
     is_prime,
     mon_lcm,
     mon_mul,
-    monomial_compare,
     monomials_of_wdeg,
-    standard_degree,
-    weighted_degree,
 )
 
 
@@ -131,21 +128,21 @@ class TestCharacteristic:
 class TestDegrees:
     def test_x2y_weights_1_3(self):
         # degree-5 generator of the e=5 truncation
-        assert weighted_degree((2, 1), W13) == 5
+        assert W13.wdeg((2, 1)) == 5
 
     def test_unit_monomial(self):
-        assert weighted_degree((0, 0), W13) == 0
+        assert W13.wdeg((0, 0)) == 0
 
     def test_x4y2_weights_2_3(self):
         # oracle: 4*2 + 2*3
-        assert weighted_degree((4, 2), W23) == 14
+        assert W23.wdeg((4, 2)) == 14
 
     def test_standard_degree(self):
-        assert standard_degree((4, 2), W23) == 6
+        assert W23.sdeg((4, 2)) == 6
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            weighted_degree((1, 2, 3), W13)
+            W13.wdeg((1, 2, 3))
 
 
 class TestLabel:
@@ -177,22 +174,26 @@ class TestLabel:
 
 
 class TestMonomialCompare:
+    """Weighted degrevlex as grevlex_key orders it: ascending keys, so a
+    larger key is a larger monomial."""
+
     def test_reflexive(self):
-        assert monomial_compare((2, 1), (2, 1), W13) == 0
+        assert grevlex_key(W13, (2, 1)) == grevlex_key(W13, (2, 1))
 
     def test_weighted_tie_break(self):
         # both have weighted degree 5; smaller last exponent wins
-        assert monomial_compare((5, 0), (2, 1), W13) == 1
+        assert grevlex_key(W13, (5, 0)) > grevlex_key(W13, (2, 1))
 
     def test_classical_degrevlex(self):
-        assert monomial_compare((2, 0), (1, 1), STD2) == 1
+        assert grevlex_key(STD2, (2, 0)) > grevlex_key(STD2, (1, 1))
 
     @given(
         st.tuples(st.integers(0, 6), st.integers(0, 6)),
         st.tuples(st.integers(0, 6), st.integers(0, 6)),
     )
     def test_antisymmetric(self, a, b):
-        assert monomial_compare(a, b, W13) == -monomial_compare(b, a, W13)
+        # a total order: equal keys only for equal monomials
+        assert (grevlex_key(W13, a) == grevlex_key(W13, b)) == (a == b)
 
     @given(
         st.tuples(st.integers(0, 5), st.integers(0, 5)),
@@ -200,8 +201,9 @@ class TestMonomialCompare:
         st.tuples(st.integers(0, 5), st.integers(0, 5)),
     )
     def test_transitive_total(self, a, b, c):
-        if monomial_compare(a, b, W13) >= 0 and monomial_compare(b, c, W13) >= 0:
-            assert monomial_compare(a, c, W13) >= 0
+        ka, kb, kc = (grevlex_key(W13, m) for m in (a, b, c))
+        if ka >= kb and kb >= kc:
+            assert ka >= kc
 
     @given(
         st.tuples(st.integers(0, 5), st.integers(0, 5)),
@@ -209,17 +211,16 @@ class TestMonomialCompare:
         st.tuples(st.integers(0, 5), st.integers(0, 5)),
     )
     def test_multiplicative(self, a, b, c):
-        cmp = monomial_compare(a, b, W13)
-        assert monomial_compare(mon_mul(a, c), mon_mul(b, c), W13) == cmp
+        ka, kb = grevlex_key(W13, a), grevlex_key(W13, b)
+        kac, kbc = grevlex_key(W13, mon_mul(a, c)), grevlex_key(W13, mon_mul(b, c))
+        assert (ka < kb, ka == kb) == (kac < kbc, kac == kbc)
 
     @given(
         st.tuples(st.integers(0, 8), st.integers(0, 8)),
         st.tuples(st.integers(0, 8), st.integers(0, 8)),
     )
     def test_degree_additivity(self, a, b):
-        assert weighted_degree(mon_mul(a, b), W13) == weighted_degree(
-            a, W13
-        ) + weighted_degree(b, W13)
+        assert W13.wdeg(mon_mul(a, b)) == W13.wdeg(a) + W13.wdeg(b)
 
 
 poly_strategy = st.lists(
