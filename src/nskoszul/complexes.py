@@ -326,6 +326,10 @@ def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
     then lie in the graded span of generators kept before it, which
     minimal_generators rules out (graded Nakayama).  linear_part still
     refuses a unit entry.
+
+    Each differential is built in one pass over every syzygy's terms; the
+    entries a syzygy does not reach are one shared zero Polynomial, which no
+    caller mutates.
     """
     if not minimize:
         raise ValueError("resolve_module computes only the minimal resolution")
@@ -336,16 +340,19 @@ def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
     current = minimal_generators(gens)
     modules = [FreeModuleSpec(tuple(g.homogeneous_degree() for g in current))]
     diffs = []
+    zero = Polynomial.zero(spec)
     for _ in range(spec.num_vars + 2):
         syz = minimal_generators(syzygies(current)[0])
         if not syz:
             break
-        diffs.append(
-            tuple(
-                tuple(s.component_poly(r) for s in syz)
-                for r in range(len(current))
-            )
-        )
+        rows = [[zero] * len(syz) for _ in current]
+        for col, s in enumerate(syz):
+            parts = {}
+            for (comp, m), c in s.coeffs.items():
+                parts.setdefault(comp, {})[m] = c
+            for comp, terms in parts.items():
+                rows[comp][col] = Polynomial(spec, terms, _clean=True)
+        diffs.append(tuple(map(tuple, rows)))
         modules.append(FreeModuleSpec(tuple(s.homogeneous_degree() for s in syz)))
         current = syz
     else:

@@ -13,11 +13,19 @@ the working basis and only the chain criterion (in its safe proper-divisor
 form) is used to discard pairs, the collected syzygies generate the full
 syzygy module.  The working basis ends as a Groebner basis of the module,
 not a reduced one; only the syzygies leave the engine.
+
+Reduction pops the largest remaining term from a heap and reduces it by the
+lowest-index reducer whose lead divides it.  The chain criterion decides
+divisibility of the pair lcm and properness of both sub-lcms in one pass
+over each third lead's exponents.  Which pairs are dropped and the order of
+every reduction fix the syzygy set, and through it the basis that
+minimal_generators keeps.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import mul
 
 from . import modp
 from .ring import (
@@ -30,7 +38,6 @@ from .ring import (
     mon_mul,
     mon_quotient,
     monomials_of_wdeg,
-    term_key,
 )
 
 
@@ -83,16 +90,23 @@ def _reduce(v: FreeElement, basis, leads, reps, rep):
     Returns (remainder, rep): every multiple of basis[k] subtracted from v is
     subtracted from rep as the same multiple of reps[k].  Deterministic: the
     largest reducible term is reduced first, by the lowest-index reducer whose
-    lead divides it.
+    lead divides it.  The terms wait in a heap keyed (component, -weighted
+    degree, reversed exponents), whose least entry is the largest term in the
+    module order; an entry whose term has cancelled is skipped.
     """
     spec = v.spec
     p = spec.char
+    weights = spec.weights
     work = dict(v.coeffs)
+    heap = [(comp, -sum(map(mul, m, weights)), m[::-1], m) for comp, m in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        key = max(work, key=lambda k: term_key(spec, k[0], k[1]))
-        c = work.pop(key)
-        comp, mon = key
+    while heap:
+        comp, _, _, mon = heapq.heappop(heap)
+        key = (comp, mon)
+        c = work.pop(key, 0)
+        if not c:
+            continue
         hit = -1
         for idx, (lc, lm, _) in enumerate(leads):
             if lc == comp and mon_divides(lm, mon):
@@ -106,12 +120,16 @@ def _reduce(v: FreeElement, basis, leads, reps, rep):
         for (c2, m2), co in basis[hit].coeffs.items():
             if c2 == comp and m2 == lm:
                 continue
-            tkey = (c2, mon_mul(m2, q))
-            nv = (work.get(tkey, 0) - c * co) % p
-            if nv:
-                work[tkey] = nv
-            else:
+            m3 = mon_mul(m2, q)
+            tkey = (c2, m3)
+            old = work.get(tkey)
+            nv = ((old or 0) - c * co) % p
+            if not nv:
                 work.pop(tkey, None)
+                continue
+            if old is None:
+                heapq.heappush(heap, (c2, -sum(map(mul, m3, weights)), m3[::-1], m3))
+            work[tkey] = nv
         rep = rep - reps[hit].term_mul(q, c)
     return FreeElement(spec, v.ambient, remainder, _clean=True), rep
 
@@ -164,14 +182,22 @@ class _Engine:
     def _chain_skip(self, i: int, j: int, lcm: Monomial, comp: int) -> bool:
         # Safe chain criterion: drop (i, j) only when some third lead divides
         # the pair lcm and both sub-lcms are proper divisors, so the induction
-        # on lcm degree stands regardless of processing order.
+        # on lcm degree stands regardless of processing order.  lcm(mi, mk) is
+        # proper iff some exponent of both mi and mk falls short of the lcm's.
         mi = self.leads[i][1]
         mj = self.leads[j][1]
         for k, (ck, mk, _) in enumerate(self.leads):
-            if k == i or k == j or ck != comp:
+            if ck != comp or k == i or k == j:
                 continue
-            if mon_divides(mk, lcm):
-                if mon_lcm(mi, mk) != lcm and mon_lcm(mk, mj) != lcm:
+            short_i = short_j = False
+            for a, b, c, top in zip(mk, mi, mj, lcm):
+                if a > top:
+                    break
+                if a < top:
+                    short_i = short_i or b < top
+                    short_j = short_j or c < top
+            else:
+                if short_i and short_j:
                     return True
         return False
 

@@ -79,25 +79,26 @@ def linear_part(F: GradedFreeComplex, spec: RingSpec | None = None) -> GradedFre
     spec = spec or F.spec
     if spec != F.spec:
         raise ValueError("spec does not match the complex")
-    for k, mat in enumerate(F.diffs):
-        for r, row in enumerate(mat):
-            for c, entry in enumerate(row):
-                if entry and entry.is_constant():
-                    raise NotMinimal(f"unit entry in d_{k + 1} at ({r}, {c})")
     companion = spec.companion()
+    zero = Polynomial.zero(companion)
     modules = tuple(
         FreeModuleSpec((i,) * m.rank) for i, m in enumerate(F.modules)
     )
     diffs = []
-    for mat in F.diffs:
-        new = tuple(
-            tuple(
-                Polynomial(companion, entry.std_degree_part(1).coeffs)
-                for entry in row
-            )
-            for row in mat
-        )
-        diffs.append(new)
+    for k, mat in enumerate(F.diffs):
+        new = []
+        for r, row in enumerate(mat):
+            out = [zero] * len(row)
+            for c, entry in enumerate(row):
+                if not entry:
+                    continue
+                if entry.is_constant():
+                    raise NotMinimal(f"unit entry in d_{k + 1} at ({r}, {c})")
+                part = {m: v for m, v in entry.coeffs.items() if sum(m) == 1}
+                if part:
+                    out[c] = Polynomial(companion, part, _clean=True)
+            new.append(tuple(out))
+        diffs.append(tuple(new))
     return GradedFreeComplex(companion, modules, tuple(diffs))
 
 

@@ -405,14 +405,6 @@ class Polynomial:
         m = max(self.coeffs, key=lambda t: grevlex_key(self.spec, t))
         return m, self.coeffs[m]
 
-    def std_degree_part(self, k: int) -> "Polynomial":
-        """The component whose monomials have standard degree k."""
-        return Polynomial(
-            self.spec,
-            {m: c for m, c in self.coeffs.items() if self.spec.sdeg(m) == k},
-            _clean=True,
-        )
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -557,13 +549,6 @@ class FreeElement:
         if len(degs) != 1:
             raise ValueError(f"no single degree: {sorted(degs)}")
         return degs.pop()
-
-    def component_poly(self, comp: int) -> Polynomial:
-        return Polynomial(
-            self.spec,
-            {m: c for (cc, m), c in self.coeffs.items() if cc == comp},
-            _clean=True,
-        )
 
     def __repr__(self):
         if not self.coeffs:

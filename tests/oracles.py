@@ -12,7 +12,9 @@ or spans it with ``_EchelonSpace``, a dense incremental row echelon form.
 ``homology_dims`` counts dim H_i(C)_j per degree from the grid walk's cells,
 a second reading of the walk that the tests compare with ``homology_dense``.
 ``minimize_complex`` cancels unit entries, the reference for the minimal
-resolution and for the Taylor complexes' minimal models.
+resolution and for the Taylor complexes' minimal models.  ``reduce_max_scan``
+is the syzygy engine's reduction with the largest term found by a scan of
+every remaining term, the reference for the heap order of ``gb._reduce``.
 """
 
 from functools import lru_cache
@@ -22,7 +24,17 @@ from math import comb
 import numpy as np
 
 from nskoszul.complexes import BettiTable, GradedFreeComplex, _multidegree_blocks
-from nskoszul.ring import FreeModuleSpec, RingSpec, mon_mul, mon_var, monomials_of_wdeg
+from nskoszul.ring import (
+    FreeElement,
+    FreeModuleSpec,
+    RingSpec,
+    mon_divides,
+    mon_mul,
+    mon_quotient,
+    mon_var,
+    monomials_of_wdeg,
+    term_key,
+)
 
 
 def pivots_mod(mat, p: int) -> list:
@@ -341,3 +353,38 @@ def graded_span_dims(elements, degrees):
                 space.insert(_expand(w.term_mul(m), index))
         out[d] = len(space.rows)
     return out
+
+
+def reduce_max_scan(v, basis, leads, reps, rep):
+    """gb._reduce's (remainder, rep), each step reducing the largest remaining
+    term in the POT order, found by a max over all of them, by the
+    lowest-index reducer whose lead divides it."""
+    spec = v.spec
+    p = spec.char
+    work = dict(v.coeffs)
+    remainder = {}
+    while work:
+        key = max(work, key=lambda k: term_key(spec, k[0], k[1]))
+        c = work.pop(key)
+        comp, mon = key
+        hit = -1
+        for idx, (lc, lm, _) in enumerate(leads):
+            if lc == comp and mon_divides(lm, mon):
+                hit = idx
+                break
+        if hit < 0:
+            remainder[key] = c
+            continue
+        lm = leads[hit][1]
+        q = mon_quotient(mon, lm)
+        for (c2, m2), co in basis[hit].coeffs.items():
+            if c2 == comp and m2 == lm:
+                continue
+            tkey = (c2, mon_mul(m2, q))
+            nv = (work.get(tkey, 0) - c * co) % p
+            if nv:
+                work[tkey] = nv
+            else:
+                work.pop(tkey, None)
+        rep = rep - reps[hit].term_mul(q, c)
+    return FreeElement(spec, v.ambient, remainder, _clean=True), rep

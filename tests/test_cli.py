@@ -30,6 +30,7 @@ from nskoszul.koszul_check import (
 )
 from nskoszul.ring import DEFAULT_CHAR, FreeModuleSpec, Polynomial, RingSpec
 from nskoszul.sweep import rows_to_csv, run_sweep, sweep_cases, sweep_exit_status
+from nskoszul.truncation import trunc_gens
 
 
 def x2_y2_linear_part(F=None, spec=None):
@@ -128,6 +129,66 @@ class TestSubcommands:
         assert main(argv + ["--show-differentials"]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "ring,e,syz_digest,lin_digest",
+        [
+            (
+                "x=1,y=3",
+                5,
+                "e17dacc0487c4b99730e7ba9b2000519acd72b8acbb4e5eb7fe391201cb36d1d",
+                "e7666eda351b9c2b9dedd8aac9b06afc6a42cf07d2ac5d38a843c82831698a74",
+            ),
+            (
+                "x=1,y=1,z=2@2",
+                4,
+                "b31ab30185cd570ec1204a505b23d1289df0af13ff558644a67188f52bac6554",
+                "d622215318e875c9d80ff7ac6ff5578d0f78161a83bdd011d6bc75973161bfc7",
+            ),
+            (
+                "x=1,y=1,z=2,w=3",
+                3,
+                "b0268b048d9d10ab5b2faac7d991485cab4f340173cc7382c8dc6bb08f3a5328",
+                "618c102fba80e06bd0d21d8dc2c2ebb7a450891799aac3fda509177701266b60",
+            ),
+            # the rings above resolve the same when the chain criterion
+            # ignores lcm(mk, mj); these two do not
+            (
+                "x=1,y=1,z=1@2",
+                3,
+                "f173206f2ca7ffe57cf5ea010a8e18a439fbbbf1dba637db6deaa8098e6d1014",
+                "c4b1aeadc1971122a756ee0b4e60e6cd89da98e53d355c9072ba32f49cb01e9c",
+            ),
+            (
+                "x=1,y=2,z=2",
+                5,
+                "9321338162ee86a9b0317ab58c1cf84cf9e8f1ac644eb48151e6ccd1031ce9a8",
+                "bffd8a376d5c44e556fa7a1f7ab34e16063258c4af1060fdd9f7618742246229",
+            ),
+        ],
+    )
+    def test_resolve_syzygies_and_linear_part_bytes(
+        self, ring, e, syz_digest, lin_digest, monkeypatch
+    ):
+        # every syzygy set the engine returns, before minimal_generators, and
+        # every entry of the linear part: a change in the pairs the chain
+        # criterion drops or in the reduction order shows up here directly
+        syz_hash = hashlib.sha256()
+        engine = complexes.syzygies
+
+        def recording(gens):
+            out, source = engine(gens)
+            syz_hash.update(f"{source.twists}: {out!r}\n".encode())
+            return out, source
+
+        monkeypatch.setattr(complexes, "syzygies", recording)
+        spec = parse_ring_spec(ring)
+        L = linear_part(resolve_module(monomial_elements(spec, trunc_gens(spec, e))), spec)
+        lin_hash = hashlib.sha256(repr([m.twists for m in L.modules]).encode())
+        for mat in L.diffs:
+            for row in mat:
+                lin_hash.update(" ".join(repr(entry) for entry in row).encode() + b"\n")
+        assert (syz_hash.hexdigest(), lin_hash.hexdigest()) == (syz_digest, lin_digest)
 
     def test_resolve_json(self, capsys):
         assert (

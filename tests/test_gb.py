@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from nskoszul.complexes import resolve_module
 from nskoszul.gb import (
     InhomogeneousInput,
     _Engine,
@@ -16,9 +17,12 @@ from nskoszul.ring import (
     FreeElement,
     FreeModuleSpec,
     RingSpec,
+    mon_divides,
+    mon_lcm,
     mon_mul,
     monomials_of_wdeg,
 )
+from nskoszul.truncation import trunc_gens
 
 import numpy as np
 
@@ -349,3 +353,94 @@ def test_element_sort_key_reads_the_lead_term():
         assert element_sort_key(v, d) == (v.homogeneous_degree(), comp, tuple(reversed(mon)))
         components = max(components, len({c for c, _ in v.coeffs}))
     assert components >= 3
+
+
+def _random_element(rng, spec, ambient, d, terms=3):
+    """A random element of degree d with up to terms terms, or 0."""
+    basis = oracles.graded_basis(spec, ambient, d)
+    if not basis:
+        return FreeElement.zero(spec, ambient)
+    keys = rng.sample(basis, min(len(basis), rng.randint(1, terms)))
+    return FreeElement(spec, ambient, {k: rng.randint(1, 3 * spec.char) for k in keys})
+
+
+@pytest.mark.parametrize("twists", [(0,), (0, 1)])
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_heap_reduction_matches_max_scan(p, twists):
+    # the heap in _reduce must pop terms in the order of the max scan, so the
+    # remainder, the representation and their dict orders all agree
+    rng = random.Random(100 * p + len(twists))
+    ambient = FreeModuleSpec(twists)
+    reduced = changed = 0
+    for _ in range(10):
+        spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3))), char=p)
+        gens = [_random_element(rng, spec, ambient, rng.randint(1, 3), 2) for _ in range(3)]
+        gens = [g for g in gens if g]
+        if not gens:
+            continue
+        eng = _Engine(gens)
+        for run in (False, True):
+            if run:
+                eng.run()
+            for _ in range(8):
+                d = rng.randint(2, 5)
+                v = _random_element(rng, spec, ambient, d, 4)
+                for g in rng.sample(gens, min(2, len(gens))):
+                    mons = monomials_of_wdeg(spec, d - g.homogeneous_degree())
+                    if mons:
+                        v = v + g.term_mul(rng.choice(mons), rng.randint(1, p))
+                if rng.random() < 0.3:
+                    v = v + _random_element(rng, spec, ambient, d + 1)
+                if not v:
+                    continue
+                zero = FreeElement.zero(spec, eng.source)
+                r, rep = _reduce(v, eng.basis, eng.leads, eng.reps, zero)
+                want_r, want_rep = oracles.reduce_max_scan(v, eng.basis, eng.leads, eng.reps, zero)
+                assert list(r.coeffs.items()) == list(want_r.coeffs.items())
+                assert list(rep.coeffs.items()) == list(want_rep.coeffs.items())
+                reduced += 1
+                changed += r != v
+    assert reduced >= 100 and changed >= reduced // 2
+
+
+# Truncations whose resolutions run the engine on one- and many-component
+# inputs: weighted and standard, characteristic 2, three and four variables.
+CHAIN_RINGS = [
+    ((1, 3), 5, 32003),
+    ((1, 1, 2), 4, 2),
+    ((1, 1, 2), 6, 32003),
+    ((1, 1, 2, 3), 3, 32003),
+    ((1, 1, 1, 1), 3, 2),
+    ((1, 2, 2, 3), 4, 32003),
+]
+
+
+def test_chain_skip_is_the_literal_criterion(monkeypatch):
+    # every popped pair (i, j) is skipped iff some third lead k in the same
+    # component divides lcm(mi, mj) while lcm(mi, mk) and lcm(mk, mj) both
+    # differ from it
+    decisions = []
+    chain_skip = _Engine._chain_skip
+
+    def recording(self, i, j, lcm, comp):
+        got = chain_skip(self, i, j, lcm, comp)
+        mi, mj = self.leads[i][1], self.leads[j][1]
+        want = any(
+            k not in (i, j)
+            and ck == comp
+            and mon_divides(mk, lcm)
+            and mon_lcm(mi, mk) != lcm
+            and mon_lcm(mk, mj) != lcm
+            for k, (ck, mk, _) in enumerate(self.leads)
+        )
+        decisions.append((got, want, comp))
+        return got
+
+    monkeypatch.setattr(_Engine, "_chain_skip", recording)
+    for weights, e, p in CHAIN_RINGS:
+        spec = RingSpec(weights, char=p)
+        resolve_module(monomial_elements(spec, trunc_gens(spec, e)))
+    assert [got for got, _, _ in decisions] == [want for _, want, _ in decisions]
+    skipped = sum(got for got, _, _ in decisions)
+    assert skipped >= 200 and len(decisions) - skipped >= 200
+    assert any(comp > 0 and got for got, _, comp in decisions)
