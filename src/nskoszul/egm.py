@@ -17,6 +17,13 @@ is the mapping cone of the isomorphism x_t between two strands of the
 Koszul complex on the other variables, hence acyclic.  The tests cross-check
 the blocks against a dense strand assembly.
 
+Both the label maps and the critical values are found on the labels packed
+into int64 arrays: the degree, the exponents and one mixed-radix key per
+label, in which x_t * m and m / x_t are key +- a stride.  Key packing
+raises ValueError when the radices would not fit in 64 bits, rather than
+wrap.  Only the labels that lie in a strand at a critical multidegree
+leave the arrays for the Python loop that builds the strands.
+
 The stored window is the degrees up to ``bound`` and, when ``corner`` is
 set, only the multidegrees m <= corner: the quotient of the module by the
 labels outside the box [0, corner].  Its strands at multidegrees <= corner
@@ -29,8 +36,8 @@ at a is the whole of its Betti table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import add, mul
+from itertools import chain, compress, product
+from operator import add, itemgetter, mul
 
 import numpy as np
 
@@ -52,10 +59,10 @@ class ExplicitGradedModule:
     means x_t * m = c * (x_t m), where m is a stored label of degree j, the
     image x_t m (same component, exponent of t raised by one) is a stored
     label of degree j + w_t, and c is nonzero mod the characteristic.  A
-    label absent from actions[t] is sent to zero by x_t.  Labels are stored
-    for degrees <= bound and, when corner is set, only for exponent
-    multidegrees <= corner; x_t sends a label with exponent corner_t in t
-    out of the window.
+    label absent from actions[t] is sent to zero by x_t.  Each label is
+    stored in one degree only.  Labels are stored for degrees <= bound and,
+    when corner is set, only for exponent multidegrees <= corner; x_t sends
+    a label with exponent corner_t in t out of the window.
     """
 
     spec: RingSpec
@@ -143,20 +150,66 @@ def labelled_module(
     """The module on the given (component, monomial) labels per degree, sorted
     by component and then descending monomial order; x_var sends a label to
     x_var * label when that is a label of degree j + weight, else to zero.
-    corner is the module's multidegree window (see ExplicitGradedModule)."""
+    corner is the module's multidegree window (see ExplicitGradedModule).
+    Raises ValueError when a label is listed twice or the exponents are too
+    large for 64-bit keys (see _PackedLabels)."""
+    packed = _PackedLabels(spec, degrees)
+    # by key within each degree, the degrees in their given order
+    order = np.lexsort((packed.key, np.repeat(np.arange(len(degrees)), packed.sizes)))
+    labels = [packed.labels[i] for i in order.tolist()]
     final = {}
-    degree_of = {}
-    for j, labels in degrees.items():
-        final[j] = tuple(sorted(labels, key=lambda lb: (lb[0], tuple(reversed(lb[1])))))
-        for lb in final[j]:
-            degree_of[lb] = j
-    actions = tuple({} for _ in spec.weights)
-    for lb, j in degree_of.items():
-        comp, m = lb
-        for t, w in enumerate(spec.weights):
-            if degree_of.get((comp, m[:t] + (m[t] + 1,) + m[t + 1:])) == j + w:
-                actions[t][lb] = 1
-    return ExplicitGradedModule(spec, bound, final, actions, corner)
+    start = 0
+    for j, size in zip(degrees, packed.sizes):
+        final[j] = tuple(labels[start:start + size])
+        start += size
+    actions = []
+    for t, w in enumerate(spec.weights):
+        image = packed.find(packed.key + packed.strides[t])
+        hit = (image >= 0) & (packed.deg[image] == packed.deg + w)
+        actions.append(dict.fromkeys(compress(labels, hit[order].tolist()), 1))
+    return ExplicitGradedModule(spec, bound, final, tuple(actions), corner)
+
+
+class _PackedLabels:
+    """The labels of a degrees dict, in their stored order, as int64 arrays:
+    the degree, the exponents and one mixed-radix key per label.
+
+    The key reads a label (c, m) as the digits c, m_{n-1}, ..., m_0, where
+    m_t has radix max m_t + 2.  So keys order the labels by component and
+    then by reversed exponents, key + strides[t] is the key of x_t * m
+    whether or not that is a label, and key - strides[t] is the key of
+    m / x_t, or when m_t = 0 of no label (a digit borrows to its radix - 1,
+    above every stored exponent).  Raises ValueError when the product of the
+    radices reaches 2**63, where int64 keys would wrap, or when a label is
+    stored twice.
+    """
+
+    def __init__(self, spec: RingSpec, degrees: dict):
+        self.labels = [lb for labels in degrees.values() for lb in labels]
+        self.sizes = [len(labels) for labels in degrees.values()]
+        count = len(self.labels)
+        self.deg = np.repeat(np.fromiter(degrees, np.int64, len(degrees)), self.sizes)
+        n = spec.num_vars
+        comp = np.fromiter(map(itemgetter(0), self.labels), np.int64, count)
+        monomials = chain.from_iterable(map(itemgetter(1), self.labels))
+        self.exps = np.fromiter(monomials, np.int64, count * n).reshape(count, n)
+        strides = [1]
+        for top in self.exps.max(axis=0, initial=0).tolist():
+            strides.append(strides[-1] * (top + 2))
+        if strides[-1] * (int(comp.max(initial=0)) + 1) >= 2**63:
+            raise ValueError("label exponents too large for 64-bit keys")
+        self.strides = strides[:-1]
+        self.key = self.exps @ np.array(self.strides, dtype=np.int64) + comp * strides[-1]
+        self._order = np.argsort(self.key, kind="stable")
+        self._sorted = self.key[self._order]
+        twice = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
+        if len(twice):
+            raise ValueError(f"label {self.labels[self._order[twice[0]]]} is stored twice")
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The index of the label with each key, or -1 where there is none."""
+        pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        return np.where(self._sorted[pos] == keys, self._order[pos], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +231,9 @@ def betti_via_koszul(M: ExplicitGradedModule, bound: int | None = None) -> Betti
     return _betti_blocks(M, b)
 
 
-def _critical_values(M: ExplicitGradedModule, bound: int) -> list:
-    """Per coordinate t, the values c at which x_t may fail to be a bijection
-    from the labels with exponent c - 1 in t onto those with exponent c.
+def _critical_labels(M: ExplicitGradedModule, bound: int) -> tuple:
+    """The critical values per coordinate t, and the labels in strands whose
+    every coordinate is critical.
 
     c is critical for t when a label of degree <= bound with exponent c in t
     has no x_t-preimage (c = 0, or the label below is missing or sent to
@@ -188,25 +241,37 @@ def _critical_values(M: ExplicitGradedModule, bound: int) -> list:
     degree <= bound - w_t is sent to zero by x_t.  On a module stored up to a
     corner, a label with exponent corner_t in t is sent out of the window,
     not to zero, so the values above corner_t are dropped.
+
+    A label m of degree <= bound may stay out of T when m_t is critical and
+    enter T when m_t + 1 is.  It is kept when it can do one or the other for
+    every t, as (label, degree, pattern) in stored order, where bit t of
+    pattern says it may stay out and bit n + t that it may enter.
     """
     n = M.spec.num_vars
-    weights = M.spec.weights
-    maps = M.actions
-    crit = [set() for _ in range(n)]
-    for j, labels in M.degrees.items():
-        if j > bound:
-            continue
-        for lb in labels:
-            comp, m = lb
-            for t in range(n):
-                c = m[t]
-                if not c or (comp, m[:t] + (c - 1,) + m[t + 1:]) not in maps[t]:
-                    crit[t].add(c)
-                if j + weights[t] <= bound and lb not in maps[t]:
-                    crit[t].add(c + 1)
-    if M.corner is not None:
-        crit = [{c for c in values if c <= top} for values, top in zip(crit, M.corner)]
-    return crit
+    packed = _PackedLabels(M.spec, M.degrees)
+    count = len(packed.labels)
+    low = packed.deg <= bound
+    keep = low.copy()
+    pattern = np.zeros(count, dtype=np.int64)
+    crit = []
+    for t, (w, image) in enumerate(zip(M.spec.weights, M.actions)):
+        acts = np.fromiter(map(image.__contains__, packed.labels), bool, count)
+        c = packed.exps[:, t]
+        below = packed.find(packed.key - packed.strides[t])
+        reached = (below >= 0) & acts[below]
+        values = set(c[low & ~reached].tolist())
+        values.update((c[low & ~acts & (packed.deg + w <= bound)] + 1).tolist())
+        if M.corner is not None:
+            values = {v for v in values if v <= M.corner[t]}
+        crit.append(values)
+        table = np.zeros(int(c.max(initial=0)) + 2, dtype=bool)
+        table[list(values)] = True
+        stay, enter = table[c], table[c + 1]
+        keep &= stay | enter
+        pattern |= stay.astype(np.int64) << t | enter.astype(np.int64) << (n + t)
+    rows = np.flatnonzero(keep)
+    labels = map(packed.labels.__getitem__, rows.tolist())
+    return crit, list(zip(labels, packed.deg[rows].tolist(), pattern[rows].tolist()))
 
 
 def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
@@ -216,7 +281,7 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
     strands indexed by (component, a, j) with a = m + e_T and j = deg(m) +
     w(T).  Fix t.  The strand at (a, j) is the mapping cone of +-x_t from the
     strand at (a - e_t, j - w_t) to the strand at (a, j), both taken over the
-    subsets not containing t.  If a_t is not critical (:func:`_critical_values`),
+    subsets not containing t.  If a_t is not critical (:func:`_critical_labels`),
     x_t sends the labels of the first strand bijectively, with nonzero
     coefficients, onto those of the second; on a module (the actions
     commute) that is an isomorphism of complexes, so the cone is acyclic.
@@ -225,28 +290,37 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
     inside T when m_t + 1 is.  For gr of a truncation the critical values lie
     among 0 and the generator exponents, and on a corner window none exceeds
     the corner, so no strand outside the window is built.
+
+    The critical values and the labels that take part come from the packed
+    label arrays: per t, the labels x_t acts on form a mask, the preimages
+    m / x_t are found by key, and a lookup table of the critical values
+    gives the masks of the labels that may stay out of T and of those that
+    may enter it.  Only the labels with a choice for every t reach the cell
+    loop, and the subsets T are listed once per distinct (stay, enter)
+    pattern.
     """
     spec = M.spec
     n = spec.num_vars
     p = spec.char
-    crit = _critical_values(M, bound)
     maps = M.actions
+    _, kept = _critical_labels(M, bound)
 
     # multidegree block key: (component, total exponent vector)
     blocks = {}
-    for jdeg, labels in M.degrees.items():
-        if jdeg > bound:
-            continue
-        for lb in labels:
-            comp, m = lb
-            # pick[t] = 1 puts t in T; no pick at all when some t has no choice
-            choices = [[k for k in (0, 1) if m[t] + k in crit[t]] for t in range(n)]
-            for pick in product(*choices):
-                j = jdeg + sum(map(mul, spec.weights, pick))
-                if j <= bound:
-                    T = tuple(t for t in range(n) if pick[t])
-                    a = tuple(map(add, m, pick))
-                    blocks.setdefault((comp, a), []).append((T, lb, j))
+    picks = {}
+    for lb, jdeg, pattern in kept:
+        if pattern not in picks:
+            # pick[t] = 1 puts t in T, allowed where the pattern's bit says so
+            choices = [[k for k in (0, 1) if pattern >> (k * n + t) & 1] for t in range(n)]
+            picks[pattern] = [
+                (tuple(t for t in range(n) if pick[t]), sum(map(mul, spec.weights, pick)), pick)
+                for pick in product(*choices)
+            ]
+        comp, m = lb
+        for T, weight, pick in picks[pattern]:
+            j = jdeg + weight
+            if j <= bound:
+                blocks.setdefault((comp, tuple(map(add, m, pick))), []).append((T, lb, j))
 
     out = {}
     for (comp, a), cells in blocks.items():

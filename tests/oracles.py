@@ -15,6 +15,9 @@ a second reading of the walk that the tests compare with ``homology_dense``.
 resolution and for the Taylor complexes' minimal models.  ``reduce_max_scan``
 is the syzygy engine's reduction with the largest term found by a scan of
 every remaining term, the reference for the heap order of ``gb._reduce``.
+``labelled_module_scan`` and ``critical_values_scan`` build the label maps
+and find the critical values by a dict scan of every label and variable,
+the references for the packed label arrays of ``egm``.
 """
 
 from functools import lru_cache
@@ -24,6 +27,7 @@ from math import comb
 import numpy as np
 
 from nskoszul.complexes import BettiTable, GradedFreeComplex, _multidegree_blocks
+from nskoszul.egm import ExplicitGradedModule
 from nskoszul.ring import (
     FreeElement,
     FreeModuleSpec,
@@ -310,12 +314,17 @@ def betti_dense(M, bound: int) -> BettiTable:
 
 
 def check_label_maps(M) -> None:
-    """Assert the label-map invariant of an ExplicitGradedModule: one map per
-    variable, every key a stored label m of some degree j, its image x_t m a
-    stored label of degree j + w_t, and every coefficient nonzero mod p."""
+    """Assert the label-map invariant of an ExplicitGradedModule: each label
+    stored once, one map per variable, every key a stored label m of some
+    degree j, its image x_t m a stored label of degree j + w_t, and every
+    coefficient nonzero mod p."""
     spec = M.spec
     n = spec.num_vars
-    degree_of = {lb: j for j, labels in M.degrees.items() for lb in labels}
+    degree_of = {}
+    for j, labels in M.degrees.items():
+        for lb in labels:
+            assert lb not in degree_of, f"{lb} is stored twice"
+            degree_of[lb] = j
     assert len(M.actions) == n, f"{len(M.actions)} label maps for {n} variables"
     for t, image in enumerate(M.actions):
         for lb, coeff in image.items():
@@ -327,6 +336,53 @@ def check_label_maps(M) -> None:
                 f"x_{t} sends {lb} to {target}, not a stored label of degree {want}"
             )
             assert coeff % spec.char, f"x_{t} acts on {lb} with coefficient {coeff} = 0 mod p"
+
+
+def labelled_module_scan(
+    spec: RingSpec, bound: int, degrees: dict, corner: tuple | None = None
+) -> ExplicitGradedModule:
+    """egm.labelled_module by a dict scan of every label and variable: each
+    degree's labels sorted by component and then reversed exponents, and x_t
+    sending a label m of degree j to x_t m when that is a label of degree
+    j + w_t.  A label listed in two degrees is kept under both."""
+    final = {}
+    degree_of = {}
+    for j, labels in degrees.items():
+        final[j] = tuple(sorted(labels, key=lambda lb: (lb[0], tuple(reversed(lb[1])))))
+        for lb in final[j]:
+            degree_of[lb] = j
+    actions = tuple({} for _ in spec.weights)
+    for lb, j in degree_of.items():
+        comp, m = lb
+        for t, w in enumerate(spec.weights):
+            if degree_of.get((comp, m[:t] + (m[t] + 1,) + m[t + 1:])) == j + w:
+                actions[t][lb] = 1
+    return ExplicitGradedModule(spec, bound, final, actions, corner)
+
+
+def critical_values_scan(M, bound: int) -> list:
+    """The critical values of egm._critical_labels by a scan of every label
+    and variable: c for t when a label of degree <= bound with exponent c in
+    t has no x_t-preimage, c + 1 when such a label of degree <= bound - w_t
+    is sent to zero, and on a corner window none above corner_t."""
+    n = M.spec.num_vars
+    weights = M.spec.weights
+    maps = M.actions
+    crit = [set() for _ in range(n)]
+    for j, labels in M.degrees.items():
+        if j > bound:
+            continue
+        for lb in labels:
+            comp, m = lb
+            for t in range(n):
+                c = m[t]
+                if not c or (comp, m[:t] + (c - 1,) + m[t + 1:]) not in maps[t]:
+                    crit[t].add(c)
+                if j + weights[t] <= bound and lb not in maps[t]:
+                    crit[t].add(c + 1)
+    if M.corner is not None:
+        crit = [{c for c in values if c <= top} for values, top in zip(crit, M.corner)]
+    return crit
 
 
 def graded_span_dims(elements, degrees):

@@ -1,12 +1,13 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
+from operator import or_
 
 import numpy as np
 import pytest
 
 import oracles
 from nskoszul import modp
-from nskoszul.assoc_graded import OrdContext, extend_gr, gr_module
+from nskoszul.assoc_graded import OrdContext, extend_gr, gr_box_module, gr_module
 from nskoszul.complexes import (
     BettiTable,
     GradedFreeComplex,
@@ -23,12 +24,15 @@ from nskoszul.complexes import (
 from nskoszul.egm import (
     ExplicitGradedModule,
     _betti_blocks,
+    _critical_labels,
     betti_via_koszul,
+    labelled_module,
     monomial_module,
 )
 from nskoszul.gb import monomial_elements
-from nskoszul.koszul_check import linear_part
+from nskoszul.koszul_check import linear_part, recommended_bound
 from nskoszul.ring import FreeModuleSpec, Polynomial, RingSpec, mon_divides
+from nskoszul.sweep import sweep_cases
 from nskoszul.truncation import trunc_gens
 
 W13 = RingSpec((1, 3), ("x", "y"))
@@ -598,6 +602,112 @@ class TestBettiViaKoszul:
         M = monomial_module(W13, trunc_gens(W13, 5), bound=8)
         with pytest.raises(DegreeRangeError):
             betti_via_koszul(M, bound=9)
+
+
+def _label_array_modules():
+    """(module, bounds): the strand oracle modules at half and full bound,
+    and at p = 2, 3 and 32003 gr4's windows (gr of each truncation over
+    four variables, weights <= 2, e <= 3, at its recommended bound) and
+    grid3's boxes (gr_box_module over n <= 3, weights <= 2, e <= 7)."""
+    for M in _strand_oracle_modules():
+        yield M, sorted({M.bound // 2, M.bound})
+    for p in (2, 3, 32003):
+        for weights in combinations_with_replacement((1, 2), 4):
+            spec = RingSpec(weights, char=p)
+            for e in (1, 2, 3):
+                bound = recommended_bound(spec, e)
+                yield gr_module(OrdContext(spec, trunc_gens(spec, e)), bound), [bound]
+        for case in sweep_cases(3, 2, 7, char=p):
+            spec = RingSpec(case.weights, char=p)
+            box = gr_box_module(OrdContext(spec, trunc_gens(spec, case.e)))
+            yield box, [box.bound]
+
+
+class TestLabelArrays:
+    """labelled_module and _critical_labels against the dict scans that they
+    replace (tests/oracles.py)."""
+
+    def test_match_the_scans(self):
+        rng = random.Random(14)
+        modules = labels = kept_total = 0
+        for M, bounds in _label_array_modules():
+            # the same labels, each degree's list and the dict order shuffled
+            degrees = [(j, rng.sample(list(lbs), len(lbs))) for j, lbs in M.degrees.items()]
+            rng.shuffle(degrees)
+            degrees = dict(degrees)
+            got = labelled_module(M.spec, M.bound, degrees, M.corner)
+            want = oracles.labelled_module_scan(M.spec, M.bound, degrees, M.corner)
+            assert list(got.degrees.items()) == list(want.degrees.items())
+            assert got.actions == want.actions
+            assert got.corner == want.corner
+            for bound in bounds:
+                crit, kept = _critical_labels(M, bound)
+                assert crit == oracles.critical_values_scan(M, bound)
+                # kept: every label of degree <= bound whose every m_t or
+                # m_t + 1 is critical, with bit t for m_t and n + t for m_t + 1
+                n = M.spec.num_vars
+                expected = []
+                for j, lbs in M.degrees.items():
+                    for lb in lbs:
+                        m = lb[1]
+                        stay = [m[t] in crit[t] for t in range(n)]
+                        enter = [m[t] + 1 in crit[t] for t in range(n)]
+                        if j <= bound and all(map(or_, stay, enter)):
+                            bits = sum(stay[t] << t | enter[t] << (n + t) for t in range(n))
+                            expected.append((lb, j, bits))
+                assert kept == expected
+                kept_total += len(kept)
+            modules += 1
+            labels += sum(map(len, M.degrees.values()))
+        assert modules == 45 + 3 * (15 + 63)
+        assert kept_total < labels / 10
+
+    def test_key_overflow_rejected(self):
+        # negative control: radices (2**40 + 2)**2 reach 2**63, so int64
+        # keys would wrap
+        big = (0, (2**40, 2**40))
+        with pytest.raises(ValueError, match="64-bit"):
+            labelled_module(STD2, 2**41, {2**41: [big]})
+        M = ExplicitGradedModule(STD2, 2**41, {2**41: (big,)}, ({}, {}))
+        with pytest.raises(ValueError, match="64-bit"):
+            betti_via_koszul(M)
+        # at the edge: radices 2**62 and 2 reach 2**63, one less fits, and
+        # the component's radix counts as well
+        for lb, fits in (
+            ((0, (2**62 - 2, 0)), False),
+            ((0, (2**62 - 3, 0)), True),
+            ((1, (2**61 - 2, 0)), False),
+            ((1, (2**61 - 3, 0)), True),
+        ):
+            if fits:
+                assert labelled_module(STD2, 1, {1: [lb]}).actions == ({}, {})
+            else:
+                with pytest.raises(ValueError, match="64-bit"):
+                    labelled_module(STD2, 1, {1: [lb]})
+
+    def test_label_stored_twice_rejected(self):
+        # negative control: a label in two degrees, or twice in one
+        one = (0, (1, 0))
+        with pytest.raises(ValueError, match="stored twice"):
+            labelled_module(STD2, 2, {1: [one], 2: [one]})
+        with pytest.raises(ValueError, match="stored twice"):
+            labelled_module(STD2, 2, {1: [one, (0, (0, 1)), one]})
+        # the scan keeps it under both degrees; the invariant rejects that
+        M = oracles.labelled_module_scan(STD2, 2, {1: [one], 2: [one]})
+        assert M.degrees == {1: (one,), 2: (one,)}
+        with pytest.raises(AssertionError, match="stored twice"):
+            oracles.check_label_maps(M)
+        with pytest.raises(AssertionError, match="stored twice"):
+            oracles.check_label_maps(ExplicitGradedModule(STD2, 2, {1: (one, one)}, ({}, {})))
+
+    def test_empty_module(self):
+        M = labelled_module(STD3, 0, {0: []}, (1, 0, 2))
+        assert M.degrees == {0: ()}
+        assert M.actions == ({}, {}, {})
+        assert M.corner == (1, 0, 2)
+        assert betti_via_koszul(M) == BettiTable(())
+        assert _critical_labels(M, 0) == ([set(), set(), set()], [])
+        assert labelled_module(STD3, 3, {}).degrees == {}
 
 
 class TestBettiTable:
