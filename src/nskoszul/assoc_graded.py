@@ -16,22 +16,32 @@ J. Algebra 231 (2000); Miller-Sturmfels, GTM 227, Ch. 5), and gr_betti
 computes the whole Betti table, with no degree bound, from the labels in
 that box alone.  gr_module, gr_hilbert and extend_gr keep the whole window
 up to a degree bound.
+
+ord is read off one table per component over the box [0, a]: each
+generator's standard degree is placed at its exponents, and a running
+minimum along every axis (np.minimum.accumulate) leaves at each v <= a the
+least degree of a generator dividing v, so ord(v) = |v| minus that, and v
+is outside the module where nothing reached it.  A monomial v of a window
+reads the cell min(v, a): every generator g satisfies g <= a, so g divides
+v exactly when it divides min(v, a), and ord(v) = |v| - least(min(v, a)),
+which is ord(min(v, a)) + |v - min(v, a)|.  The labels stay numpy arrays
+until egm builds the module from them.
+
+The ords that occur in the box, or in a window up to a bound, are all of
+0..top: when ord(v) = k + 1 and g is a least-degree generator dividing v,
+some v_t > g_t, and v - e_t, still divisible by g, has ord k.  So the
+builders store the degrees 0..top in that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complexes import BettiTable
-from .egm import ExplicitGradedModule, betti_via_koszul, labelled_module
-from .ring import (
-    RingSpec,
-    mon_divides,
-    monomials_of_wdeg,
-)
+from .egm import ExplicitGradedModule, _array_module, betti_via_koszul
+from .ring import RingSpec, as_int, mon_divides
 
 
 class NotInModule(ValueError):
@@ -40,17 +50,29 @@ class NotInModule(ValueError):
 
 @dataclass(frozen=True)
 class OrdContext:
-    """Minimal monomial generators of M with their standard degrees."""
+    """Minimal monomial generators of M with their standard degrees.
+
+    Raises ValueError for a generator with a negative or non-integral
+    exponent.  corner is the componentwise maximum a of all components'
+    generator exponents.
+    """
 
     spec: RingSpec
     generators: tuple
+    corner: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "generators", tuple(sorted(set(map(self.spec.label, self.generators))))
-        )
-        if not self.generators:
+        gens = set()
+        for g in self.generators:
+            comp, m = self.spec.label(g)
+            m = tuple(as_int(e, "exponent") for e in m)
+            if min(m) < 0:
+                raise ValueError(f"generator {m} has a negative exponent")
+            gens.add((comp, m))
+        if not gens:
             raise ValueError("need at least one generator")
+        object.__setattr__(self, "generators", tuple(sorted(gens)))
+        object.__setattr__(self, "corner", tuple(map(max, zip(*(m for _, m in gens)))))
 
     @property
     def num_components(self) -> int:
@@ -58,11 +80,6 @@ class OrdContext:
 
     def component_gens(self, comp: int):
         return [m for c, m in self.generators if c == comp]
-
-    @property
-    def corner(self) -> tuple:
-        """The componentwise maximum a of all components' generator exponents."""
-        return tuple(max(m[t] for _, m in self.generators) for t in range(self.spec.num_vars))
 
     def ord(self, v, comp: int = 0) -> int:
         """The largest i with v in m^i M."""
@@ -78,34 +95,56 @@ class OrdContext:
         return self.spec.sdeg(v) - best
 
 
-def _gen_array(ctx: OrdContext, comp: int) -> np.ndarray:
-    return np.array(ctx.component_gens(comp), dtype=np.int64).reshape(-1, ctx.spec.num_vars)
+_NONE = np.iinfo(np.int64).max
 
 
-def _ords(cand: np.ndarray, gen_arr: np.ndarray) -> np.ndarray:
-    """ord of each candidate row, or -1 where no generator divides it."""
-    div = np.all(cand[:, None, :] >= gen_arr[None, :, :], axis=2)
-    masked = np.where(div, gen_arr.sum(axis=1)[None, :], np.iinfo(np.int64).max)
-    return np.where(div.any(axis=1), cand.sum(axis=1) - masked.min(axis=1), -1)
-
-
-def _component_ord_table(ctx: OrdContext, comp: int, bound: int) -> dict:
-    """monomial -> ord for all v in the component with ord <= bound."""
-    gen_arr = _gen_array(ctx, comp)
-    if not len(gen_arr):
-        return {}
-    n = ctx.spec.num_vars
-    max_gen = int(gen_arr.sum(axis=1).max())
-    companion = ctx.spec.companion()
-    out = {}
-    for sd in range(bound + max_gen + 1):
-        mons = monomials_of_wdeg(companion, sd)
-        if not mons:
+def _least_divisor_degrees(ctx: OrdContext):
+    """(component, least) for each component with a generator: least is the
+    box [0, a] flattened in C order, holding at v the least standard degree
+    of a generator of the component that divides v, or _NONE where none does.
+    Each generator's degree is placed at its exponents, and a running minimum
+    along every axis carries it to each v above it."""
+    shape = tuple(c + 1 for c in ctx.corner)
+    for comp in range(ctx.num_components):
+        gens = ctx.component_gens(comp)
+        if not gens:
             continue
-        ords = _ords(np.array(mons, dtype=np.int64).reshape(len(mons), n), gen_arr)
-        for k in np.nonzero((ords >= 0) & (ords <= bound))[0]:
-            out[mons[k]] = int(ords[k])
-    return out
+        least = np.full(shape, _NONE, dtype=np.int64)
+        least[tuple(np.array(gens, dtype=np.int64).T)] = list(map(sum, gens))
+        for axis in range(len(shape)):
+            np.minimum.accumulate(least, axis=axis, out=least)
+        yield comp, least.ravel()
+
+
+def _gr_labels(ctx: OrdContext, cells: np.ndarray, bound: int) -> tuple:
+    """The labels of gr(M) among the exponent vectors cells, as arrays
+    (component, exponents, ord): each v with 0 <= ord(v) <= bound, component
+    by component, each in the order of cells."""
+    corner = np.array(ctx.corner, dtype=np.int64)
+    flat = np.ravel_multi_index(tuple(np.minimum(cells, corner).T), tuple(corner + 1))
+    sdeg = cells.sum(axis=1)
+    comps, exps, ords = [], [], []
+    for comp, least in _least_divisor_degrees(ctx):
+        o = sdeg - least[flat]
+        rows = np.flatnonzero((o >= 0) & (o <= bound))
+        comps.append(np.full(len(rows), comp, dtype=np.int64))
+        exps.append(cells[rows])
+        ords.append(o[rows])
+    return np.concatenate(comps), np.concatenate(exps), np.concatenate(ords)
+
+
+def _window(ctx: OrdContext, bound: int) -> np.ndarray:
+    """Every monomial that can have ord <= bound: those of standard degree
+    <= bound + the largest generator degree, as rows."""
+    top = bound + max(sum(m) for _, m in ctx.generators)
+    mons = np.arange(top + 1, dtype=np.int64)[:, None]
+    for _ in range(ctx.spec.num_vars - 1):
+        # prepend a variable: (e, rest) for every rest and e <= top - |rest|
+        reps = top + 1 - mons.sum(axis=1)
+        rest = np.repeat(np.arange(len(mons)), reps)
+        e = np.arange(len(rest)) - np.repeat(np.cumsum(reps) - reps, reps)
+        mons = np.column_stack((e, mons[rest]))
+    return mons
 
 
 def gr_module(ctx: OrdContext, bound: int) -> ExplicitGradedModule:
@@ -117,37 +156,29 @@ def gr_module(ctx: OrdContext, bound: int) -> ExplicitGradedModule:
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    degrees = {}
-    for comp in range(ctx.num_components):
-        for m, o in _component_ord_table(ctx, comp, bound).items():
-            degrees.setdefault(o, []).append((comp, m))
-    return labelled_module(ctx.spec.companion(), bound, degrees)
+    labels = _gr_labels(ctx, _window(ctx, bound), bound)
+    return _array_module(ctx.spec.companion(), bound, list(range(bound + 1)), *labels)
 
 
 def gr_hilbert(ctx: OrdContext, bound: int) -> list:
     """Dimensions of the graded pieces of the associated graded module."""
-    dims = [0] * (bound + 1)
-    for comp in range(ctx.num_components):
-        for o in _component_ord_table(ctx, comp, bound).values():
-            dims[o] += 1
-    return dims
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    _, _, ords = _gr_labels(ctx, _window(ctx, bound), bound)
+    return np.bincount(ords, minlength=bound + 1).tolist()
 
 
 def gr_box_module(ctx: OrdContext) -> ExplicitGradedModule:
     """The quotient of gr(M) by the labels outside the box [0, a], a =
     ctx.corner: every label m <= a, stored up to the largest ord among them,
     with a as the module's multidegree window."""
-    box = list(product(*(range(c + 1) for c in ctx.corner)))
-    box_arr = np.array(box, dtype=np.int64)
-    degrees = {}
-    for comp in range(ctx.num_components):
-        gen_arr = _gen_array(ctx, comp)
-        if not len(gen_arr):
-            continue
-        ords = _ords(box_arr, gen_arr)
-        for k in np.nonzero(ords >= 0)[0]:
-            degrees.setdefault(int(ords[k]), []).append((comp, box[k]))
-    return labelled_module(ctx.spec.companion(), max(degrees), degrees, ctx.corner)
+    shape = tuple(c + 1 for c in ctx.corner)
+    box = np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T
+    comp, exps, ords = _gr_labels(ctx, box, sum(ctx.corner))
+    bound = int(ords.max())
+    return _array_module(
+        ctx.spec.companion(), bound, list(range(bound + 1)), comp, exps, ords, ctx.corner
+    )
 
 
 def gr_betti(ctx: OrdContext) -> BettiTable:

@@ -17,12 +17,17 @@ is the mapping cone of the isomorphism x_t between two strands of the
 Koszul complex on the other variables, hence acyclic.  The tests cross-check
 the blocks against a dense strand assembly.
 
-Both the label maps and the critical values are found on the labels packed
-into int64 arrays: the degree, the exponents and one mixed-radix key per
-label, in which x_t * m and m / x_t are key +- a stride.  Key packing
-raises ValueError when the radices would not fit in 64 bits, rather than
-wrap.  Only the labels that lie in a strand at a critical multidegree
-leave the arrays for the Python loop that builds the strands.
+The label maps are found on the labels packed into int64 arrays: the
+component, the exponents, the degree and one mixed-radix key per label, in
+which x_t * m is key + a stride.  Key packing raises ValueError when the
+radices would not fit in 64 bits, rather than wrap.  labelled_module packs
+its labels into these arrays, and the associated graded builders hand
+theirs over as arrays, so both take one path.  The module keeps, in a
+private field, its labels' degrees and exponents and per variable the masks
+of the labels x_t acts on and of those it reaches; the critical values are
+read off those masks, which are packed from the dicts only for a module
+built by hand.  Only the labels that lie in a strand at a critical
+multidegree leave the arrays for the Python loop that builds the strands.
 
 The stored window is the degrees up to ``bound`` and, when ``corner`` is
 set, only the multidegrees m <= corner: the quotient of the module by the
@@ -35,7 +40,7 @@ at a is the whole of its Betti table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, product
 from operator import add, itemgetter, mul
 
@@ -63,6 +68,11 @@ class ExplicitGradedModule:
     stored in one degree only.  Labels are stored for degrees <= bound and,
     when corner is set, only for exponent multidegrees <= corner; x_t sends
     a label with exponent corner_t in t out of the window.
+
+    _arrays, when set, holds the labels in stored order as arrays with the
+    masks of the label maps (_LabelArrays).  The builders set it; it takes
+    no part in comparison or repr, and a module built without it has it
+    packed from the dicts when its strands are taken.
     """
 
     spec: RingSpec
@@ -70,6 +80,7 @@ class ExplicitGradedModule:
     degrees: dict
     actions: tuple
     corner: tuple | None = None
+    _arrays: _LabelArrays | None = field(default=None, compare=False, repr=False)
 
     def dim(self, j: int) -> int:
         if j > self.bound:
@@ -153,61 +164,121 @@ def labelled_module(
     corner is the module's multidegree window (see ExplicitGradedModule).
     Raises ValueError when a label is listed twice or the exponents are too
     large for 64-bit keys (see _PackedLabels)."""
-    packed = _PackedLabels(spec, degrees)
-    # by key within each degree, the degrees in their given order
-    order = np.lexsort((packed.key, np.repeat(np.arange(len(degrees)), packed.sizes)))
-    labels = [packed.labels[i] for i in order.tolist()]
+    return _array_module(spec, bound, list(degrees), *_label_arrays(spec, degrees), corner)
+
+
+def _label_arrays(spec: RingSpec, degrees: dict) -> tuple:
+    """The component, exponent and degree arrays of a degrees dict's labels,
+    in their stored order."""
+    labels = [lb for labels in degrees.values() for lb in labels]
+    count = len(labels)
+    sizes = [len(labels) for labels in degrees.values()]
+    deg = np.repeat(np.fromiter(degrees, np.int64, len(degrees)), sizes)
+    comp = np.fromiter(map(itemgetter(0), labels), np.int64, count)
+    monomials = chain.from_iterable(map(itemgetter(1), labels))
+    exps = np.fromiter(monomials, np.int64, count * spec.num_vars).reshape(count, spec.num_vars)
+    return comp, exps, deg
+
+
+def _array_module(
+    spec: RingSpec,
+    bound: int,
+    keys: list,
+    comp: np.ndarray,
+    exps: np.ndarray,
+    deg: np.ndarray,
+    corner: tuple | None = None,
+) -> ExplicitGradedModule:
+    """labelled_module on labels given as arrays: label i is (comp[i],
+    exps[i]) of degree deg[i], and keys lists the degrees in the order the
+    module stores them (a degree with no label among them is stored empty).
+    The module keeps the label arrays in stored order with its x_t masks."""
+    packed = _PackedLabels(spec, comp, exps, deg)
+    key_arr = np.fromiter(keys, np.int64, len(keys))
+    by_value = np.argsort(key_arr)
+    rank = by_value[np.searchsorted(key_arr[by_value], deg)]
+    # by key within each degree, the degrees in the order of keys
+    order = np.lexsort((packed.key, rank))
+    labels = list(zip(comp[order].tolist(), zip(*exps[order].T.tolist())))
     final = {}
     start = 0
-    for j, size in zip(degrees, packed.sizes):
+    for j, size in zip(keys, np.bincount(rank, minlength=len(keys)).tolist()):
         final[j] = tuple(labels[start:start + size])
         start += size
-    actions = []
+    acts, reached = [], []
     for t, w in enumerate(spec.weights):
-        image = packed.find(packed.key + packed.strides[t])
-        hit = (image >= 0) & (packed.deg[image] == packed.deg + w)
-        actions.append(dict.fromkeys(compress(labels, hit[order].tolist()), 1))
-    return ExplicitGradedModule(spec, bound, final, tuple(actions), corner)
+        image = packed.images(t)
+        hit = (image >= 0) & (deg[image] == deg + w)
+        acts.append(hit[order])
+        reached.append(_reached(image, hit)[order])
+    actions = tuple(dict.fromkeys(compress(labels, hit.tolist()), 1) for hit in acts)
+    arrays = _LabelArrays(deg[order], exps[order], acts, reached)
+    return ExplicitGradedModule(spec, bound, final, actions, corner, arrays)
+
+
+def _reached(image: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """The mask of the labels image[i] for i in hit: those x_t reaches."""
+    reached = np.zeros(len(image), dtype=bool)
+    reached[image[hit & (image >= 0)]] = True
+    return reached
+
+
+@dataclass(frozen=True)
+class _LabelArrays:
+    """A module's labels in stored order as arrays: the degree and the
+    exponents of each, and per variable t the mask of the labels that x_t
+    sends to a label (acts) and of the labels that x_t of a label is
+    (reached)."""
+
+    deg: np.ndarray
+    exps: np.ndarray
+    acts: list
+    reached: list
+
+    @classmethod
+    def of(cls, M: ExplicitGradedModule) -> "_LabelArrays":
+        """The arrays of a module built without them, its label maps read
+        from the dicts."""
+        comp, exps, deg = _label_arrays(M.spec, M.degrees)
+        packed = _PackedLabels(M.spec, comp, exps, deg)
+        labels = list(chain.from_iterable(M.degrees.values()))
+        acts, reached = [], []
+        for t, image in enumerate(M.actions):
+            acts.append(np.fromiter(map(image.__contains__, labels), bool, len(labels)))
+            reached.append(_reached(packed.images(t), acts[-1]))
+        return cls(deg, exps, acts, reached)
 
 
 class _PackedLabels:
-    """The labels of a degrees dict, in their stored order, as int64 arrays:
-    the degree, the exponents and one mixed-radix key per label.
+    """Labels as int64 arrays: the component, the exponents, the degree and
+    one mixed-radix key per label.
 
     The key reads a label (c, m) as the digits c, m_{n-1}, ..., m_0, where
     m_t has radix max m_t + 2.  So keys order the labels by component and
-    then by reversed exponents, key + strides[t] is the key of x_t * m
-    whether or not that is a label, and key - strides[t] is the key of
-    m / x_t, or when m_t = 0 of no label (a digit borrows to its radix - 1,
-    above every stored exponent).  Raises ValueError when the product of the
-    radices reaches 2**63, where int64 keys would wrap, or when a label is
-    stored twice.
+    then by reversed exponents, and key + strides[t] is the key of x_t * m
+    whether or not that is a label (no digit carries).  Raises ValueError
+    when the product of the radices reaches 2**63, where int64 keys would
+    wrap, or when a label is stored twice.
     """
 
-    def __init__(self, spec: RingSpec, degrees: dict):
-        self.labels = [lb for labels in degrees.values() for lb in labels]
-        self.sizes = [len(labels) for labels in degrees.values()]
-        count = len(self.labels)
-        self.deg = np.repeat(np.fromiter(degrees, np.int64, len(degrees)), self.sizes)
-        n = spec.num_vars
-        comp = np.fromiter(map(itemgetter(0), self.labels), np.int64, count)
-        monomials = chain.from_iterable(map(itemgetter(1), self.labels))
-        self.exps = np.fromiter(monomials, np.int64, count * n).reshape(count, n)
+    def __init__(self, spec: RingSpec, comp: np.ndarray, exps: np.ndarray, deg: np.ndarray):
         strides = [1]
-        for top in self.exps.max(axis=0, initial=0).tolist():
+        for top in exps.max(axis=0, initial=0).tolist():
             strides.append(strides[-1] * (top + 2))
         if strides[-1] * (int(comp.max(initial=0)) + 1) >= 2**63:
             raise ValueError("label exponents too large for 64-bit keys")
         self.strides = strides[:-1]
-        self.key = self.exps @ np.array(self.strides, dtype=np.int64) + comp * strides[-1]
+        self.key = exps @ np.array(self.strides, dtype=np.int64) + comp * strides[-1]
         self._order = np.argsort(self.key, kind="stable")
         self._sorted = self.key[self._order]
         twice = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
         if len(twice):
-            raise ValueError(f"label {self.labels[self._order[twice[0]]]} is stored twice")
+            i = self._order[twice[0]]
+            raise ValueError(f"label {(int(comp[i]), tuple(exps[i].tolist()))} is stored twice")
 
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """The index of the label with each key, or -1 where there is none."""
+    def images(self, t: int) -> np.ndarray:
+        """The index of the label x_t * m for each label m, or -1 where there is none."""
+        keys = self.key + self.strides[t]
         pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
         return np.where(self._sorted[pos] == keys, self._order[pos], -1)
 
@@ -248,19 +319,17 @@ def _critical_labels(M: ExplicitGradedModule, bound: int) -> tuple:
     pattern says it may stay out and bit n + t that it may enter.
     """
     n = M.spec.num_vars
-    packed = _PackedLabels(M.spec, M.degrees)
-    count = len(packed.labels)
-    low = packed.deg <= bound
+    arrays = M._arrays if M._arrays is not None else _LabelArrays.of(M)
+    deg = arrays.deg
+    low = deg <= bound
     keep = low.copy()
-    pattern = np.zeros(count, dtype=np.int64)
+    pattern = np.zeros(len(deg), dtype=np.int64)
     crit = []
-    for t, (w, image) in enumerate(zip(M.spec.weights, M.actions)):
-        acts = np.fromiter(map(image.__contains__, packed.labels), bool, count)
-        c = packed.exps[:, t]
-        below = packed.find(packed.key - packed.strides[t])
-        reached = (below >= 0) & acts[below]
+    for t, w in enumerate(M.spec.weights):
+        acts, reached = arrays.acts[t], arrays.reached[t]
+        c = arrays.exps[:, t]
         values = set(c[low & ~reached].tolist())
-        values.update((c[low & ~acts & (packed.deg + w <= bound)] + 1).tolist())
+        values.update((c[low & ~acts & (deg + w <= bound)] + 1).tolist())
         if M.corner is not None:
             values = {v for v in values if v <= M.corner[t]}
         crit.append(values)
@@ -270,8 +339,8 @@ def _critical_labels(M: ExplicitGradedModule, bound: int) -> tuple:
         keep &= stay | enter
         pattern |= stay.astype(np.int64) << t | enter.astype(np.int64) << (n + t)
     rows = np.flatnonzero(keep)
-    labels = map(packed.labels.__getitem__, rows.tolist())
-    return crit, list(zip(labels, packed.deg[rows].tolist(), pattern[rows].tolist()))
+    labels = map(list(chain.from_iterable(M.degrees.values())).__getitem__, rows.tolist())
+    return crit, list(zip(labels, deg[rows].tolist(), pattern[rows].tolist()))
 
 
 def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
@@ -291,11 +360,11 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
     among 0 and the generator exponents, and on a corner window none exceeds
     the corner, so no strand outside the window is built.
 
-    The critical values and the labels that take part come from the packed
-    label arrays: per t, the labels x_t acts on form a mask, the preimages
-    m / x_t are found by key, and a lookup table of the critical values
-    gives the masks of the labels that may stay out of T and of those that
-    may enter it.  Only the labels with a choice for every t reach the cell
+    The critical values and the labels that take part come from the
+    module's label arrays: per t, the masks of the labels x_t acts on and of
+    those it reaches, and a lookup table of the critical values gives the
+    masks of the labels that may stay out of T and of those that may enter
+    it.  Only the labels with a choice for every t reach the cell
     loop, and the subsets T are listed once per distinct (stay, enter)
     pattern.
     """

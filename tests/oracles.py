@@ -18,6 +18,9 @@ every remaining term, the reference for the heap order of ``gb._reduce``.
 ``labelled_module_scan`` and ``critical_values_scan`` build the label maps
 and find the critical values by a dict scan of every label and variable,
 the references for the packed label arrays of ``egm``.
+``_component_ord_table`` lists ord for every monomial of a window by
+comparing each candidate with every generator (``_ords``), the reference
+for the prefix-minimum table of ``assoc_graded``.
 """
 
 from functools import lru_cache
@@ -26,6 +29,7 @@ from math import comb
 
 import numpy as np
 
+from nskoszul.assoc_graded import OrdContext
 from nskoszul.complexes import BettiTable, GradedFreeComplex, _multidegree_blocks
 from nskoszul.egm import ExplicitGradedModule
 from nskoszul.ring import (
@@ -383,6 +387,36 @@ def critical_values_scan(M, bound: int) -> list:
     if M.corner is not None:
         crit = [{c for c in values if c <= top} for values, top in zip(crit, M.corner)]
     return crit
+
+
+def _gen_array(ctx: OrdContext, comp: int) -> np.ndarray:
+    return np.array(ctx.component_gens(comp), dtype=np.int64).reshape(-1, ctx.spec.num_vars)
+
+
+def _ords(cand: np.ndarray, gen_arr: np.ndarray) -> np.ndarray:
+    """ord of each candidate row, or -1 where no generator divides it."""
+    div = np.all(cand[:, None, :] >= gen_arr[None, :, :], axis=2)
+    masked = np.where(div, gen_arr.sum(axis=1)[None, :], np.iinfo(np.int64).max)
+    return np.where(div.any(axis=1), cand.sum(axis=1) - masked.min(axis=1), -1)
+
+
+def _component_ord_table(ctx: OrdContext, comp: int, bound: int) -> dict:
+    """monomial -> ord for all v in the component with ord <= bound."""
+    gen_arr = _gen_array(ctx, comp)
+    if not len(gen_arr):
+        return {}
+    n = ctx.spec.num_vars
+    max_gen = int(gen_arr.sum(axis=1).max())
+    companion = ctx.spec.companion()
+    out = {}
+    for sd in range(bound + max_gen + 1):
+        mons = monomials_of_wdeg(companion, sd)
+        if not mons:
+            continue
+        ords = _ords(np.array(mons, dtype=np.int64).reshape(len(mons), n), gen_arr)
+        for k in np.nonzero((ords >= 0) & (ords <= bound))[0]:
+            out[mons[k]] = int(ords[k])
+    return out
 
 
 def graded_span_dims(elements, degrees):

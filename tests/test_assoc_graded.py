@@ -1,4 +1,6 @@
+import hashlib
 import random
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -9,19 +11,30 @@ from nskoszul.assoc_graded import (
     NotInModule,
     OrdContext,
     SubringError,
+    _least_divisor_degrees,
     extend_gr,
     gr_betti,
     gr_box_module,
     gr_hilbert,
     gr_module,
 )
+from nskoszul.construction import _pick_last_variable, layer_count
 from nskoszul.egm import (
+    ExplicitGradedModule,
+    _critical_labels,
     betti_via_koszul,
     labelled_module,
     monomial_module,
 )
+from nskoszul.koszul_check import recommended_bound
 from nskoszul.ring import RingSpec
-from nskoszul.truncation import minimalize_monomials, trunc_free_gens, trunc_gens
+from nskoszul.sweep import sweep_cases
+from nskoszul.truncation import (
+    filtration_layer,
+    minimalize_monomials,
+    trunc_free_gens,
+    trunc_gens,
+)
 
 W13 = RingSpec((1, 3), ("x", "y"))
 
@@ -49,6 +62,36 @@ class TestOrd:
     def test_outside_module_raises(self):
         with pytest.raises(NotInModule):
             CTX13.ord((1, 0))
+
+    @pytest.mark.parametrize(
+        "gens,match",
+        [
+            (((-1, 2),), "negative exponent"),
+            (((0, (1, -2)),), "negative exponent"),
+            (((1, 0), (0.5, 1)), "exponent must be an integer"),
+            (((1, (2, 1.0)),), "exponent must be an integer"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ctx: gr_hilbert(ctx, 3),
+            lambda ctx: gr_module(ctx, 3),
+            gr_betti,
+        ],
+    )
+    def test_bad_exponent_rejected(self, gens, match, build):
+        # negative control: (-1, 2) used to give gr_hilbert [0, 1, 2, 3] and
+        # an IndexError in gr_box_module; as an index into the ord table a
+        # negative exponent would wrap round
+        with pytest.raises(ValueError, match=match):
+            build(OrdContext(RingSpec((1, 2)), gens))
+
+    def test_integral_exponents_accepted(self):
+        ctx = OrdContext(W13, ((np.int64(1), (np.int64(2), 0)), (0, 2)))
+        assert ctx.generators == ((0, (0, 2)), (1, (2, 0)))
+        assert type(ctx.generators[1][1][0]) is int
+        assert ctx.corner == (2, 2)
 
     def test_ord_monotone_under_variables(self):
         rng = random.Random(3)
@@ -118,6 +161,40 @@ class TestGrModule:
                     continue
                 assert oracles.rank_mod(np.hstack(stack), p) == target
 
+    @pytest.mark.parametrize(
+        "weights,e,module_digest,hilbert_digest",
+        [
+            (
+                (1, 3),
+                5,
+                "fa6c41b119ef082b6ef08189376ce8fbab6e416e5127d8bc24c8b775dc244a19",
+                "37aeacbcc439a9b2aed341c458c772dcccfb18ebbae0886a426914ebb6d42478",
+            ),
+            (
+                (1, 1, 2),
+                4,
+                "239964a6c4ff4e7883a32e906b22d0ae5578a618b0309ea61f9ffdd7dc604c63",
+                "4a0d1b28d9a98a53a666cefc128255bf349afc7f1b88bcbcbc290bdbb89f347d",
+            ),
+            (
+                (1, 1, 2, 3),
+                3,
+                "6e08079ed9ac756a053993139fa215781a7b5d8ecacdb59357f6899245f90ed5",
+                "678b2ab1a2658026c80f667e038d9ad7838dec8949e1aaf72484bcd6ebccb484",
+            ),
+        ],
+    )
+    def test_bytes(self, weights, e, module_digest, hilbert_digest):
+        # the order of the degrees dict, of each degree's labels and of each
+        # label map, at the recommended bound
+        spec = RingSpec(weights)
+        bound = recommended_bound(spec, e)
+        M = gr_module(trunc_ctx(spec, e), bound)
+        digest = hashlib.sha256(repr((M.degrees, M.actions)).encode()).hexdigest()
+        assert digest == module_digest
+        hilbert = repr(gr_hilbert(trunc_ctx(spec, e), bound))
+        assert hashlib.sha256(hilbert.encode()).hexdigest() == hilbert_digest
+
 
 class TestGrHilbert:
     def test_degree_zero_counts_generators(self):
@@ -132,6 +209,12 @@ class TestGrHilbert:
         dims = gr_hilbert(trunc_ctx(spec, 0), 2)
         n = 3
         assert dims == [1, n, n * (n + 1) // 2]
+
+    def test_negative_bound_rejected(self):
+        for build in (gr_hilbert, gr_module):
+            with pytest.raises(ValueError, match="bound must be non-negative"):
+                build(CTX13, -1)
+        assert gr_hilbert(CTX13, 0) == [3]
 
 
 class TestGrBetti:
@@ -262,6 +345,121 @@ class TestGrBettiOnBox:
         E = extend_gr(gr_box_module(ctx), RingSpec((1, 1, 1)).companion())
         assert E.corner == (2, 2, 0)
 
+
+
+def ord_table_contexts():
+    """(ctx, bound): the 408 truncations of the acceptance sweep, at a window
+    one past the ord of the corner; gr4's windows (four variables, weights
+    <= 2, e <= 3, at the recommended bound); construction's filtration
+    layers, which are not truncations; and contexts of two or three
+    components, some with no generator in component 0.  The sweep cycles
+    through p = 2, 3 and 32003, the others take each."""
+    chars = (2, 3, 32003)
+    for k, case in enumerate(sweep_cases(3, 4, 12)):
+        ctx = trunc_ctx(RingSpec(case.weights, char=chars[k % 3]), case.e)
+        yield ctx, box_top_degree(ctx) + 1
+    rng = random.Random(8)
+    for p in chars:
+        for weights in combinations_with_replacement((1, 2), 4):
+            spec = RingSpec(weights, char=p)
+            for e in (1, 2, 3):
+                yield trunc_ctx(spec, e), recommended_bound(spec, e)
+        for weights in combinations_with_replacement((1, 2, 3), 3):
+            spec = RingSpec(weights, char=p)
+            e = rng.randint(2, 7)
+            gens = trunc_gens(spec, e)
+            var = _pick_last_variable(weights)
+            for i in range(layer_count(weights, e) + 1):
+                layer = filtration_layer(gens, i, var)
+                yield OrdContext(spec, tuple((0, m) for m in layer)), recommended_bound(spec, e)
+        for _ in range(10):
+            n = rng.randint(1, 4)
+            spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(n)), char=p)
+            twists = tuple(rng.randint(-2, 2) for _ in range(rng.randint(2, 3)))
+            yield OrdContext(spec, tuple(trunc_free_gens(spec, twists, rng.randint(1, 4)))), 4
+            gens = [
+                (rng.randint(1, 2), tuple(rng.randint(0, 3) for _ in range(n)))
+                for _ in range(rng.randint(1, 5))
+            ]
+            yield OrdContext(spec, gens), rng.randint(0, 5)
+
+
+def scan_window_degrees(ctx, bound):
+    # gr_module's labels as they were listed from the scan's ord dicts
+    degrees = {}
+    for comp in range(ctx.num_components):
+        for m, o in oracles._component_ord_table(ctx, comp, bound).items():
+            degrees.setdefault(o, []).append((comp, m))
+    return degrees
+
+
+def scan_box_degrees(ctx):
+    # gr_box_module's labels as they were listed from the scan of the box
+    box = list(product(*(range(c + 1) for c in ctx.corner)))
+    box_arr = np.array(box, dtype=np.int64)
+    degrees = {}
+    for comp in range(ctx.num_components):
+        gen_arr = oracles._gen_array(ctx, comp)
+        if not len(gen_arr):
+            continue
+        ords = oracles._ords(box_arr, gen_arr)
+        for k in np.nonzero(ords >= 0)[0]:
+            degrees.setdefault(int(ords[k]), []).append((comp, box[k]))
+    return degrees
+
+
+def module_items(M):
+    return list(M.degrees.items()), [list(image.items()) for image in M.actions]
+
+
+class TestOrdTable:
+    """The prefix-minimum ord table and the modules built from it against the
+    scan that compares every candidate with every generator."""
+
+    def test_table_matches_the_scans(self):
+        rng = random.Random(20)
+        contexts = ords_checked = 0
+        for ctx, _ in ord_table_contexts():
+            box = np.array(list(product(*(range(c + 1) for c in ctx.corner))), dtype=np.int64)
+            tables = dict(_least_divisor_degrees(ctx))
+            assert sorted(tables) == sorted({c for c, _ in ctx.generators})
+            for comp, least in tables.items():
+                ords = np.where(least < np.iinfo(np.int64).max, box.sum(axis=1) - least, -1)
+                gen_arr = oracles._gen_array(ctx, comp)
+                assert np.array_equal(ords, oracles._ords(box, gen_arr)), ctx
+                for k in {len(box) - 1, *(rng.randrange(len(box)) for _ in range(4))}:
+                    v = tuple(box[k].tolist())
+                    if ords[k] < 0:
+                        with pytest.raises(NotInModule):
+                            ctx.ord(v, comp)
+                    else:
+                        assert ctx.ord(v, comp) == ords[k]
+                    ords_checked += 1
+            contexts += 1
+        assert contexts >= 408 + 3 * (15 + 10 + 2 * 10)
+        assert ords_checked > 2000
+
+    def test_modules_match_the_scans(self):
+        multi = empty_first = 0
+        for ctx, bound in ord_table_contexts():
+            spec = ctx.spec.companion()
+            degrees = scan_window_degrees(ctx, bound)
+            M = gr_module(ctx, bound)
+            assert module_items(M) == module_items(labelled_module(spec, bound, degrees)), ctx
+            assert gr_hilbert(ctx, bound) == [len(degrees.get(j, ())) for j in range(bound + 1)]
+            degrees = scan_box_degrees(ctx)
+            box = gr_box_module(ctx)
+            want = labelled_module(spec, max(degrees), degrees, ctx.corner)
+            assert module_items(box) == module_items(want), ctx
+            assert box.bound == want.bound and box.corner == want.corner
+            for N in (M, box):
+                # the arrays the module keeps, and those packed from its dicts
+                bare = ExplicitGradedModule(N.spec, N.bound, N.degrees, N.actions, N.corner)
+                assert _critical_labels(N, N.bound) == _critical_labels(bare, N.bound)
+            multi += ctx.num_components > 1
+            empty_first += not ctx.component_gens(0)
+        assert multi >= 40
+        assert empty_first >= 10
 
 
 class TestLabelMaps:
