@@ -19,16 +19,12 @@ from .gb import (
 from .complexes import (
     BettiTable,
     GradedFreeComplex,
-    check_complex,
     homology_witnesses,
-    koszul_complex,
     resolve_module,
-    taylor_complex,
-    totalize_tensor,
 )
-from .egm import ExplicitGradedModule, betti_via_koszul, monomial_module
-from .truncation import filtration_layer, trunc_free_gens, trunc_gens
-from .assoc_graded import NotInModule, OrdContext, extend_gr, gr_betti, gr_hilbert, gr_module
+from .egm import ExplicitGradedModule, betti_via_koszul
+from .truncation import filtration_layer, trunc_gens
+from .assoc_graded import OrdContext, gr_betti, gr_hilbert, gr_module
 from .koszul_check import (
     KoszulReport,
     Verdict,
@@ -39,7 +35,6 @@ from .koszul_check import (
 )
 from .construction import (
     ConstructionTrace,
-    construct_free_betti,
     construct_gr_betti,
     horseshoe_sum,
     ses_hilbert_check,

@@ -14,8 +14,8 @@ divides x^b, so ord rises by exactly one and x_t is an isomorphism.  Every
 Betti multidegree of gr(M) therefore lies in the box [0, a] (Miller,
 J. Algebra 231 (2000); Miller-Sturmfels, GTM 227, Ch. 5), and gr_betti
 computes the whole Betti table, with no degree bound, from the labels in
-that box alone.  gr_module, gr_hilbert and extend_gr keep the whole window
-up to a degree bound.
+that box alone.  gr_module and gr_hilbert keep the whole window up to a
+degree bound.
 
 ord is read off one table per component over the box [0, a]: each
 generator's standard degree is placed at its exponents, and a running
@@ -25,7 +25,8 @@ is outside the module where nothing reached it.  A monomial v of a window
 reads the cell min(v, a): every generator g satisfies g <= a, so g divides
 v exactly when it divides min(v, a), and ord(v) = |v| - least(min(v, a)),
 which is ord(min(v, a)) + |v - min(v, a)|.  The labels stay numpy arrays
-until egm builds the module from them.
+until egm builds the module from them.  The tests check the table against
+ord found by a scan of every generator (tests/oracles.py, ord_scan).
 
 The ords that occur in the box, or in a window up to a bound, are all of
 0..top: when ord(v) = k + 1 and g is a least-degree generator dividing v,
@@ -41,11 +42,7 @@ import numpy as np
 
 from .complexes import BettiTable
 from .egm import ExplicitGradedModule, _array_module, betti_via_koszul
-from .ring import RingSpec, as_int, mon_divides
-
-
-class NotInModule(ValueError):
-    """The monomial lies outside the module (no generator divides it)."""
+from .ring import RingSpec, as_int
 
 
 @dataclass(frozen=True)
@@ -80,19 +77,6 @@ class OrdContext:
 
     def component_gens(self, comp: int):
         return [m for c, m in self.generators if c == comp]
-
-    def ord(self, v, comp: int = 0) -> int:
-        """The largest i with v in m^i M."""
-        comp, v = self.spec.label(v, comp)
-        best = None
-        for c, u in self.generators:
-            if c == comp and mon_divides(u, v):
-                s = self.spec.sdeg(u)
-                if best is None or s < best:
-                    best = s
-        if best is None:
-            raise NotInModule(f"{self.spec.render_monomial(v)} (component {comp}) is not in the module")
-        return self.spec.sdeg(v) - best
 
 
 _NONE = np.iinfo(np.int64).max
@@ -192,36 +176,3 @@ def gr_betti(ctx: OrdContext) -> BettiTable:
     (b - e_T) has degree |b| - min{|g| : g | b - e_T} <= ord(b).
     """
     return betti_via_koszul(gr_box_module(ctx))
-
-
-class SubringError(ValueError):
-    """The module's ring is not a prefix subring of the target ring."""
-
-
-def extend_gr(M: ExplicitGradedModule, full: RingSpec) -> ExplicitGradedModule:
-    """View a module over a prefix subring as a module over the bigger ring.
-
-    The graded pieces are unchanged; the new variables act as zero.
-    """
-    sub = M.spec
-    k = sub.num_vars
-    if k > full.num_vars:
-        raise SubringError("target ring has fewer variables")
-    if (
-        full.weights[:k] != sub.weights
-        or full.names[:k] != sub.names
-        or full.char != sub.char
-    ):
-        raise SubringError("module ring is not a prefix subring of the target")
-    if k == full.num_vars:
-        return M
-    pad = (0,) * (full.num_vars - k)
-    degrees = {
-        j: tuple((comp, m + pad) for comp, m in labels)
-        for j, labels in M.degrees.items()
-    }
-    actions = tuple(
-        {(comp, m + pad): coeff for (comp, m), coeff in image.items()} for image in M.actions
-    ) + tuple({} for _ in pad)
-    corner = None if M.corner is None else M.corner + pad
-    return ExplicitGradedModule(full, M.bound, degrees, actions, corner)

@@ -15,8 +15,9 @@ errors (argparse default, bad ring descriptions, bad --bound, --char or
 --jobs, an --out or --emit-cas file that cannot be written, refused before
 any computation when its directory is missing); 4 internal failures (a
 non-minimal resolution, a degree window overrun, inhomogeneous generators, a
-resolution past its level cap, a linear part with a multi-term entry),
-reported as "internal error (<ExceptionClass>): ...".
+resolution past its level cap, a linear part with a multi-term entry, and
+any other exception that is not a ValueError), reported as "internal error
+(<ExceptionClass>): ...".  Exit 1 is only ever a false verdict.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .truncation import trunc_gens
 EXIT_USAGE = 2
 EXIT_INTERNAL = 4
 
-# Failures of the program rather than of its input.
-INTERNAL_ERRORS = (NotMinimal, DegreeRangeError, InhomogeneousInput, RuntimeError)
+# ValueErrors that are failures of the program; other ValueErrors are bad input.
+INTERNAL_ERRORS = (NotMinimal, DegreeRangeError, InhomogeneousInput)
 
 
 class RingSpecParseError(ValueError):
@@ -445,12 +446,12 @@ def main(argv=None) -> int:
             if path:
                 _check_output_path(path)
         return args.func(args)
-    except INTERNAL_ERRORS as exc:
+    except Exception as exc:
+        if isinstance(exc, ValueError) and not isinstance(exc, INTERNAL_ERRORS):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

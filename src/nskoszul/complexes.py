@@ -1,6 +1,5 @@
-"""Graded free complexes: hygiene checks, Koszul complexes, tensor
-totalization, Taylor complexes, the minimal resolution builder, Betti tables,
-and homology on the generator grid.
+"""Graded free complexes, the minimal resolution builder, Betti tables, and
+homology on the generator grid.
 
 Homology is computed by exact rank computations over the coefficient field,
 on complexes whose differential entries are single terms: such a complex
@@ -9,27 +8,21 @@ grid of generator coordinate values, one sparse column reduction per slice
 along the last coordinate, lists with no degree bound every grid cell where
 some H_i with i >= 1 is nonzero.  A grid point's homology holds on its whole
 cell, so the list is finite and complete.  A complex that does not split
-raises NoFiniteDecision; the tests cross-check the walk against a dense
-expansion of each graded piece.
+raises NoFiniteDecision.  The tests cross-check the walk against a dense
+expansion of each graded piece, and build the Koszul, Taylor and tensor
+complexes they feed it, and the d o d = 0 check, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from . import modp
 from .gb import minimal_generators, syzygies
-from .ring import (
-    FreeModuleSpec,
-    Polynomial,
-    RingSpec,
-    mon_lcm,
-    mon_quotient,
-    monomials_of_wdeg,
-)
+from .ring import FreeModuleSpec, Polynomial, RingSpec
 
 
 # ---------------------------------------------------------------------------
@@ -127,183 +120,6 @@ class GradedFreeComplex:
             for t in mod.twists:
                 d[(i, t)] = d.get((i, t), 0) + 1
         return BettiTable.from_dict(d)
-
-
-def free_hilbert(spec: RingSpec, twists, j: int) -> int:
-    return sum(len(monomials_of_wdeg(spec, j - t)) for t in twists)
-
-
-@dataclass(frozen=True)
-class ComplexReport:
-    ok: bool
-    problems: tuple
-
-    @property
-    def first(self):
-        return self.problems[0] if self.problems else None
-
-
-def check_complex(C: GradedFreeComplex) -> ComplexReport:
-    """Verify shapes, homogeneity of entries, and d o d = 0."""
-    problems = []
-    if len(C.diffs) != len(C.modules) - 1:
-        problems.append(f"{len(C.diffs)} differentials for {len(C.modules)} modules")
-        return ComplexReport(False, tuple(problems))
-    for k, mat in enumerate(C.diffs):
-        tgt, src = C.modules[k], C.modules[k + 1]
-        if len(mat) != tgt.rank or any(len(row) != src.rank for row in mat):
-            problems.append(f"d_{k + 1}: matrix shape does not match module ranks")
-            continue
-        for r in range(tgt.rank):
-            for c in range(src.rank):
-                entry = mat[r][c]
-                if not entry:
-                    continue
-                want = src.twists[c] - tgt.twists[r]
-                if not entry.is_homogeneous() or entry.homogeneous_degree() != want:
-                    problems.append(
-                        f"d_{k + 1}[{r}][{c}] is not homogeneous of degree {want}"
-                    )
-    if not problems:
-        for k in range(len(C.diffs) - 1):
-            a, b = C.diffs[k], C.diffs[k + 1]
-            rows = len(a)
-            mids = len(b)
-            cols = len(b[0]) if b else 0
-            for r in range(rows):
-                for c in range(cols):
-                    acc = Polynomial.zero(C.spec)
-                    for m in range(mids):
-                        if a[r][m] and b[m][c]:
-                            acc = acc + a[r][m] * b[m][c]
-                    if acc:
-                        problems.append(f"(d_{k + 1} o d_{k + 2})[{r}][{c}] != 0")
-    return ComplexReport(not problems, tuple(problems))
-
-
-# ---------------------------------------------------------------------------
-# standard complexes
-
-
-def koszul_complex(spec: RingSpec, var_idxs) -> GradedFreeComplex:
-    """Exterior-algebra complex on the chosen variables, standard signs."""
-    vs = tuple(sorted(set(var_idxs)))
-    if not vs:
-        raise ValueError("need a non-empty set of variables")
-    if any(not 0 <= v < spec.num_vars for v in vs):
-        raise ValueError(f"variable indices out of range: {vs}")
-    k = len(vs)
-    subsets = [list(combinations(vs, i)) for i in range(k + 1)]
-    modules = [
-        FreeModuleSpec(tuple(sum(spec.weights[v] for v in T) for T in level))
-        for level in subsets
-    ]
-    diffs = []
-    for i in range(1, k + 1):
-        tgt_index = {T: r for r, T in enumerate(subsets[i - 1])}
-        mat = [
-            [Polynomial.zero(spec) for _ in subsets[i]] for _ in subsets[i - 1]
-        ]
-        for c, T in enumerate(subsets[i]):
-            for pos, t in enumerate(T):
-                rest = T[:pos] + T[pos + 1:]
-                r = tgt_index[rest]
-                sign = 1 if pos % 2 == 0 else -1
-                mat[r][c] = mat[r][c] + Polynomial.term(spec, spec.variable(t), sign)
-        diffs.append(tuple(tuple(row) for row in mat))
-    return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
-
-
-def totalize_tensor(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeComplex:
-    """Total complex of F (x) G with the sign (-1)^i on the G-differential."""
-    if F.spec != G.spec:
-        raise ValueError("complexes live over different rings")
-    spec = F.spec
-    lmax = F.length + G.length
-    gens = []
-    index = []
-    for k in range(lmax + 1):
-        level = []
-        for i in range(max(0, k - G.length), min(k, F.length) + 1):
-            j = k - i
-            for a in range(F.modules[i].rank):
-                for b in range(G.modules[j].rank):
-                    level.append((i, a, b))
-        gens.append(level)
-        index.append({g: pos for pos, g in enumerate(level)})
-    modules = tuple(
-        FreeModuleSpec(
-            tuple(
-                F.modules[i].twists[a] + G.modules[k - i].twists[b]
-                for (i, a, b) in gens[k]
-            )
-        )
-        for k in range(lmax + 1)
-    )
-    diffs = []
-    for k in range(1, lmax + 1):
-        mat = [
-            [Polynomial.zero(spec) for _ in gens[k]] for _ in gens[k - 1]
-        ]
-        for c, (i, a, b) in enumerate(gens[k]):
-            j = k - i
-            if i >= 1:
-                dF = F.diffs[i - 1]
-                for a2 in range(F.modules[i - 1].rank):
-                    entry = dF[a2][a]
-                    if entry:
-                        r = index[k - 1][(i - 1, a2, b)]
-                        mat[r][c] = mat[r][c] + entry
-            if j >= 1:
-                dG = G.diffs[j - 1]
-                sign = 1 if i % 2 == 0 else -1
-                for b2 in range(G.modules[j - 1].rank):
-                    entry = dG[b2][b]
-                    if entry:
-                        r = index[k - 1][(i, a, b2)]
-                        mat[r][c] = mat[r][c] + entry.scale(sign)
-        diffs.append(tuple(tuple(row) for row in mat))
-    return GradedFreeComplex(spec, modules, tuple(diffs))
-
-
-def taylor_complex(spec: RingSpec, mons) -> GradedFreeComplex:
-    """Taylor complex of a monomial generating set (resolves the ideal).
-
-    Exponential in the number of generators; used as an independent test
-    oracle for the resolution engine, not on hot paths.
-    """
-    mons = [tuple(m) for m in mons]
-    r = len(mons)
-    if r == 0 or r > 12:
-        raise ValueError("taylor_complex supports 1..12 generators")
-
-    def set_lcm(S):
-        acc = mons[S[0]]
-        for s in S[1:]:
-            acc = mon_lcm(acc, mons[s])
-        return acc
-
-    subsets = [list(combinations(range(r), i + 1)) for i in range(r)]
-    modules = [
-        FreeModuleSpec(tuple(spec.wdeg(set_lcm(S)) for S in level))
-        for level in subsets
-    ]
-    diffs = []
-    for i in range(1, r):
-        tgt_index = {S: k for k, S in enumerate(subsets[i - 1])}
-        mat = [
-            [Polynomial.zero(spec) for _ in subsets[i]] for _ in subsets[i - 1]
-        ]
-        for c, S in enumerate(subsets[i]):
-            lc = set_lcm(S)
-            for pos, s in enumerate(S):
-                rest = S[:pos] + S[pos + 1:]
-                rr = tgt_index[rest]
-                q = mon_quotient(lc, set_lcm(rest))
-                sign = 1 if pos % 2 == 0 else -1
-                mat[rr][c] = mat[rr][c] + Polynomial.term(spec, q, sign)
-        diffs.append(tuple(tuple(row) for row in mat))
-    return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
 
 
 # ---------------------------------------------------------------------------

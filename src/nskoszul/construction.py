@@ -98,9 +98,12 @@ class ConstructionTrace:
 def construct_gr_betti(weights, e: int):
     """Predicted Betti table of the associated graded truncation, with trace.
 
-    All entries land on the diagonal j = i by construction.
+    All entries land on the diagonal j = i by construction.  Raises
+    ValueError for a non-positive or non-integral weight, or a non-integral
+    threshold.
     """
     weights = tuple(as_int(w, "weight") for w in weights)
+    e = as_int(e, "threshold")
     if any(w < 1 for w in weights) or not weights:
         raise ValueError(f"weights must be positive, got {weights}")
     if e <= 0 or len(weights) == 1:
@@ -158,19 +161,6 @@ def horseshoe_sum(left: BettiTable, right: BettiTable) -> BettiTable:
     if not left.is_diagonal() or not right.is_diagonal():
         raise ValueError("horseshoe sum requires diagonal (linear) tables")
     return left + right
-
-
-def construct_free_betti(weights, twists, e: int) -> BettiTable:
-    """Predicted table for the truncation of a twisted free module.
-
-    Twists are generator degrees; the summand with generator degree t behaves
-    like the ring truncated at e - t, and the tables add up.
-    """
-    out = BettiTable(())
-    for t in twists:
-        table, _ = construct_gr_betti(weights, e - t)
-        out = out + table
-    return out
 
 
 def ses_hilbert_check(weights, e: int, i: int, bound: int, char: int = DEFAULT_CHAR):

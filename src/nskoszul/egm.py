@@ -20,14 +20,14 @@ the blocks against a dense strand assembly.
 The label maps are found on the labels packed into int64 arrays: the
 component, the exponents, the degree and one mixed-radix key per label, in
 which x_t * m is key + a stride.  Key packing raises ValueError when the
-radices would not fit in 64 bits, rather than wrap.  labelled_module packs
-its labels into these arrays, and the associated graded builders hand
-theirs over as arrays, so both take one path.  The module keeps, in a
-private field, its labels' degrees and exponents and per variable the masks
-of the labels x_t acts on and of those it reaches; the critical values are
-read off those masks, which are packed from the dicts only for a module
-built by hand.  Only the labels that lie in a strand at a critical
-multidegree leave the arrays for the Python loop that builds the strands.
+radices would not fit in 64 bits, rather than wrap.  The associated graded
+builders hand their labels over as arrays (_array_module).  The module
+keeps, in a private field, its labels' degrees and exponents and per
+variable the masks of the labels x_t acts on and of those it reaches; the
+critical values are read off those masks, which are packed from the dicts
+only for a module built by hand.  Only the labels that lie in a strand at a
+critical multidegree leave the arrays for the Python loop that builds the
+strands.  The tests build their modules through the same arrays.
 
 The stored window is the degrees up to ``bound`` and, when ``corner`` is
 set, only the multidegrees m <= corner: the quotient of the module by the
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import modp
 from .complexes import BettiTable
-from .ring import RingSpec, mon_divides, monomials_of_wdeg
+from .ring import RingSpec
 
 
 class DegreeRangeError(ValueError):
@@ -99,73 +99,6 @@ class ExplicitGradedModule:
             raise DegreeRangeError(f"bound {b} beyond stored bound {self.bound}")
         return [len(self.degrees.get(j, ())) for j in range(b + 1)]
 
-    def action_matrix(self, var: int, j: int) -> np.ndarray:
-        """The matrix of x_var from basis(j) to basis(j + w_var)."""
-        target = self.degrees.get(j + self.spec.weights[var], ())
-        rows = {lb: r for r, lb in enumerate(target)}
-        cols = self.degrees.get(j, ())
-        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        image = self.actions[var]
-        for c, lb in enumerate(cols):
-            coeff = image.get(lb)
-            if coeff is not None:
-                comp, m = lb
-                mat[rows[comp, m[:var] + (m[var] + 1,) + m[var + 1:]], c] = coeff
-        return mat
-
-    def commuting_violations(self) -> list:
-        """Pairs of variables whose composed actions differ (should be empty)."""
-        bad = []
-        n = self.spec.num_vars
-        for s in range(n):
-            for t in range(s + 1, n):
-                ws, wt = self.spec.weights[s], self.spec.weights[t]
-                for j in list(self.degrees):
-                    if j + ws + wt > self.bound:
-                        continue
-                    a = self.action_matrix(t, j + ws) @ self.action_matrix(s, j)
-                    b = self.action_matrix(s, j + wt) @ self.action_matrix(t, j)
-                    if ((a - b) % self.spec.char).any():
-                        bad.append((s, t, j))
-        return bad
-
-
-def monomial_module(spec: RingSpec, gens, twists=None, bound: int = 0) -> ExplicitGradedModule:
-    """The monomial submodule generated by gens, stored up to internal degree bound.
-
-    gens may be plain monomials (ideal case) or (component, monomial) pairs;
-    twists lists the generator degrees of the ambient free module.
-    """
-    twists = tuple(twists) if twists is not None else (0,)
-    by_comp = {}
-    for comp, m in map(spec.label, gens):
-        if not 0 <= comp < len(twists):
-            raise ValueError(f"component {comp} out of range")
-        by_comp.setdefault(comp, []).append(m)
-
-    degrees = {}
-    for j in range(min(twists), bound + 1):
-        for comp, t in enumerate(twists):
-            gens_c = by_comp.get(comp, ())
-            if not gens_c:
-                continue
-            for m in monomials_of_wdeg(spec, j - t):
-                if any(mon_divides(u, m) for u in gens_c):
-                    degrees.setdefault(j, []).append((comp, m))
-    return labelled_module(spec, bound, degrees)
-
-
-def labelled_module(
-    spec: RingSpec, bound: int, degrees: dict, corner: tuple | None = None
-) -> ExplicitGradedModule:
-    """The module on the given (component, monomial) labels per degree, sorted
-    by component and then descending monomial order; x_var sends a label to
-    x_var * label when that is a label of degree j + weight, else to zero.
-    corner is the module's multidegree window (see ExplicitGradedModule).
-    Raises ValueError when a label is listed twice or the exponents are too
-    large for 64-bit keys (see _PackedLabels)."""
-    return _array_module(spec, bound, list(degrees), *_label_arrays(spec, degrees), corner)
-
 
 def _label_arrays(spec: RingSpec, degrees: dict) -> tuple:
     """The component, exponent and degree arrays of a degrees dict's labels,
@@ -189,10 +122,14 @@ def _array_module(
     deg: np.ndarray,
     corner: tuple | None = None,
 ) -> ExplicitGradedModule:
-    """labelled_module on labels given as arrays: label i is (comp[i],
-    exps[i]) of degree deg[i], and keys lists the degrees in the order the
-    module stores them (a degree with no label among them is stored empty).
-    The module keeps the label arrays in stored order with its x_t masks."""
+    """The module on labels given as arrays: label i is (comp[i], exps[i]) of
+    degree deg[i], and keys lists the degrees in the order the module stores
+    them (a degree with no label among them is stored empty), each sorted by
+    component and then descending monomial order.  x_t sends a label to
+    x_t * label when that is a label of degree j + w_t, else to zero.
+    Raises ValueError when a label is listed twice or the exponents are too
+    large for 64-bit keys (see _PackedLabels).  The module keeps the label
+    arrays in stored order with its x_t masks."""
     packed = _PackedLabels(spec, comp, exps, deg)
     key_arr = np.fromiter(keys, np.int64, len(keys))
     by_value = np.argsort(key_arr)

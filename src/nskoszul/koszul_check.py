@@ -28,7 +28,7 @@ from .complexes import (
 )
 from .construction import construct_gr_betti
 from .gb import monomial_elements
-from .ring import FreeModuleSpec, Polynomial, RingSpec
+from .ring import FreeModuleSpec, Polynomial, RingSpec, as_int
 from .truncation import trunc_gens
 
 
@@ -180,8 +180,10 @@ def koszul_verdict(spec: RingSpec, e: int) -> KoszulReport:
     """Run all three pipelines on the degree >= e truncation of the ring.
 
     Every verdict is decided in full on its finite support.  Pipeline
-    disagreement is a false verdict, never silently reconciled.
+    disagreement is a false verdict, never silently reconciled.  Raises
+    ValueError for a non-integral threshold.
     """
+    e = as_int(e, "threshold")
     gens = trunc_gens(spec, e)
 
     F = resolve_module(monomial_elements(spec, gens))

@@ -24,8 +24,9 @@ class DimensionMismatch(ValueError):
     """Exponent vector length does not match the ring."""
 
 
-# ExplicitGradedModule.commuting_violations multiplies action matrices in
-# int64, as do the tests' dense oracles, so a product of two residues must fit.
+# The rank kernel works on Python ints and needs no bound.  Only the tests'
+# dense oracles multiply two residues in int64, so the bound is kept as input
+# validation: every supported characteristic is one they can check.
 MAX_CHAR = 2**31
 
 # Miller-Rabin with these bases is exact for every n < 3.3 * 10**24

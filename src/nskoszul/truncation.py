@@ -4,7 +4,7 @@ M intersect <y^i> used by the layer-by-layer construction.
 
 from __future__ import annotations
 
-from .ring import RingSpec, mon_divides, mon_lcm, monomials_of_wdeg
+from .ring import RingSpec, as_int, mon_divides, mon_lcm, monomials_of_wdeg
 
 
 def minimalize_monomials(mons) -> list:
@@ -22,8 +22,9 @@ def trunc_gens(spec: RingSpec, e: int) -> list:
 
     A monomial generates minimally iff its weighted degree is at least e and
     dividing out any present variable drops below e; for e <= 0 the truncation
-    is the whole ring.
+    is the whole ring.  Raises ValueError for a non-integral threshold.
     """
+    e = as_int(e, "threshold")
     if e <= 0:
         return [spec.one()]
     out = []
@@ -32,19 +33,6 @@ def trunc_gens(spec: RingSpec, e: int) -> list:
             if all(d - w < e for exp, w in zip(m, spec.weights) if exp > 0):
                 out.append(m)
     return sorted(out, reverse=True)
-
-
-def trunc_free_gens(spec: RingSpec, twists, e: int) -> list:
-    """Generators of the truncation of a twisted free module, tagged by summand.
-
-    Twists are generator degrees: the summand with generator degree t
-    contributes the generators of the degree >= (e - t) truncation.
-    """
-    out = []
-    for comp, t in enumerate(twists):
-        for m in trunc_gens(spec, e - t):
-            out.append((comp, m))
-    return out
 
 
 def filtration_layer(gens, i: int, last_var: int) -> list:

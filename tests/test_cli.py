@@ -480,6 +480,9 @@ class TestInternalErrors:
             ("linear_part", NotMinimal("unit entry in d_2 at (0, 0)"), ["lin-check"]),
             ("gr_betti", DegreeRangeError("degree 9 beyond stored bound 8"), ["gr-betti"]),
             ("resolve_module", InhomogeneousInput(0, {2, 3}), ["resolve"]),
+            # not a ValueError: never exit 1, which means a false verdict
+            ("gr_betti", KeyError((0, (1, 2))), ["gr-betti"]),
+            ("gr_betti", IndexError("list index out of range"), ["gr-betti"]),
         ],
     )
     def test_exit_code(self, monkeypatch, capsys, attr, exc, argv):

@@ -7,28 +7,16 @@ import pytest
 
 import oracles
 from nskoszul import modp
-from nskoszul.assoc_graded import OrdContext, extend_gr, gr_box_module, gr_module
+from nskoszul.assoc_graded import OrdContext, gr_box_module, gr_module
 from nskoszul.complexes import (
     BettiTable,
     GradedFreeComplex,
     NoFiniteDecision,
     _multidegree_blocks,
-    check_complex,
-    free_hilbert,
     homology_witnesses,
-    koszul_complex,
     resolve_module,
-    taylor_complex,
-    totalize_tensor,
 )
-from nskoszul.egm import (
-    ExplicitGradedModule,
-    _betti_blocks,
-    _critical_labels,
-    betti_via_koszul,
-    labelled_module,
-    monomial_module,
-)
+from nskoszul.egm import ExplicitGradedModule, _betti_blocks, _critical_labels, betti_via_koszul
 from nskoszul.gb import monomial_elements
 from nskoszul.koszul_check import linear_part, recommended_bound
 from nskoszul.ring import FreeModuleSpec, Polynomial, RingSpec, mon_divides
@@ -56,29 +44,29 @@ def paper_phi_complex():
 
 class TestCheckComplex:
     def test_paper_phi_passes(self):
-        assert check_complex(paper_phi_complex()).ok
+        assert oracles.check_complex(paper_phi_complex()).ok
 
     def test_zero_complex(self):
         C = GradedFreeComplex(W13, (FreeModuleSpec(()),), ())
-        assert check_complex(C).ok
+        assert oracles.check_complex(C).ok
 
     def test_flipped_sign_detected(self):
         # corrupt one entry's sign in a length-2 complex: d o d picks it up
-        T = taylor_complex(W13, trunc_gens(W13, 5))
-        assert check_complex(T).ok
+        T = oracles.taylor_complex(W13, trunc_gens(W13, 5))
+        assert oracles.check_complex(T).ok
         bad_mat = [list(row) for row in T.diffs[0]]
         bad_mat[1][0] = -bad_mat[1][0]
         C = GradedFreeComplex(
             W13, T.modules, (tuple(tuple(r) for r in bad_mat),) + T.diffs[1:]
         )
-        report = check_complex(C)
+        report = oracles.check_complex(C)
         assert not report.ok
         assert "o d_" in report.first
 
     def test_inhomogeneous_entry_detected(self):
         mat = (((Polynomial.term(W13, (1, 0)),),),)
         C = GradedFreeComplex(W13, (FreeModuleSpec((0,)), FreeModuleSpec((5,))), mat)
-        report = check_complex(C)
+        report = oracles.check_complex(C)
         assert not report.ok
         assert "homogeneous" in report.first
 
@@ -91,18 +79,18 @@ class TestMinimize:
         assert M.diffs == C.diffs
 
     def test_taylor_complex_of_paper_example(self):
-        T = taylor_complex(W13, trunc_gens(W13, 5))
+        T = oracles.taylor_complex(W13, trunc_gens(W13, 5))
         assert [m.rank for m in T.modules] == [3, 3, 1]
         M = oracles.minimize_complex(T)
         assert [sorted(m.twists) for m in M.modules] == [[5, 5, 6], [8, 8]]
-        assert check_complex(M).ok
+        assert oracles.check_complex(M).ok
 
     def test_taylor_std2(self):
         # oracle: Koszul-homology Betti numbers of <x^2, xy>
-        T = taylor_complex(STD2, [(2, 0), (1, 1)])
+        T = oracles.taylor_complex(STD2, [(2, 0), (1, 1)])
         M = oracles.minimize_complex(T)
         assert M.betti_from_twists() == betti_via_koszul(
-            monomial_module(STD2, [(2, 0), (1, 1)], bound=8), bound=8
+            oracles.monomial_module(STD2, [(2, 0), (1, 1)], bound=8), bound=8
         ).restrict(8)
 
     def test_preserves_homology(self):
@@ -118,7 +106,7 @@ class TestMinimize:
             )
             if not gens:
                 continue
-            T = taylor_complex(spec, gens)
+            T = oracles.taylor_complex(spec, gens)
             M = oracles.minimize_complex(T)
             bound = max(t for mod in T.modules for t in mod.twists) + 3
             assert oracles.homology_dims(T, bound) == oracles.homology_dims(M, bound)
@@ -126,26 +114,26 @@ class TestMinimize:
 
 class TestKoszulComplex:
     def test_single_weighted_variable(self):
-        K = koszul_complex(W13, [1])
+        K = oracles.koszul_complex(W13, [1])
         assert [m.twists for m in K.modules] == [(0,), (3,)]
         assert K.diffs[0][0][0] == Polynomial.variable(W13, 1)
 
     def test_two_standard_variables(self):
-        K = koszul_complex(STD2, [0, 1])
+        K = oracles.koszul_complex(STD2, [0, 1])
         assert [m.twists for m in K.modules] == [(0,), (1, 1), (2,)]
-        assert check_complex(K).ok
+        assert oracles.check_complex(K).ok
 
     def test_exactness_in_positive_degrees(self):
-        K = koszul_complex(STD3, [0, 1, 2])
+        K = oracles.koszul_complex(STD3, [0, 1, 2])
         dims = oracles.homology_dims(K, 8)
         assert all(i == 0 for (i, _), _ in dims.items())
 
     def test_tensoring_shifts_by_one(self):
         # companion-ring Koszul complex on a weight-1 variable shifts twists by 1
         R = STD3
-        K = koszul_complex(R, [2])
-        F = koszul_complex(R, [0, 1])
-        Tot = totalize_tensor(F, K)
+        K = oracles.koszul_complex(R, [2])
+        F = oracles.koszul_complex(R, [0, 1])
+        Tot = oracles.totalize_tensor(F, K)
         assert [sorted(m.twists) for m in Tot.modules] == [
             [0],
             [1, 1, 1],
@@ -158,7 +146,7 @@ class TestTotalize:
     def test_tensor_with_ring_is_identity_shape(self):
         F = paper_phi_complex()
         G = GradedFreeComplex(W13, (FreeModuleSpec((0,)),), ())
-        Tot = totalize_tensor(F, G)
+        Tot = oracles.totalize_tensor(F, G)
         assert [m.twists for m in Tot.modules] == [m.twists for m in F.modules]
         assert Tot.diffs == F.diffs
 
@@ -169,22 +157,23 @@ class TestTotalize:
             (FreeModuleSpec((0, 0)), FreeModuleSpec((1,))),
             (((Polynomial.variable(R, 0),), (Polynomial.variable(R, 1),)),),
         )
-        G = koszul_complex(R, [1])
-        Tot = totalize_tensor(F, G)
+        G = oracles.koszul_complex(R, [1])
+        Tot = oracles.totalize_tensor(F, G)
         assert [m.twists for m in Tot.modules] == [(0, 0), (1, 1, 1), (2,)]
-        assert check_complex(Tot).ok
+        assert oracles.check_complex(Tot).ok
 
     def test_two_length_one_complexes(self):
         R = STD2
-        one = koszul_complex(R, [0])
-        other = koszul_complex(R, [1])
-        Tot = totalize_tensor(one, other)
+        one = oracles.koszul_complex(R, [0])
+        other = oracles.koszul_complex(R, [1])
+        Tot = oracles.totalize_tensor(one, other)
         assert [m.rank for m in Tot.modules] == [1, 2, 1]
-        assert check_complex(Tot).ok
+        assert oracles.check_complex(Tot).ok
 
     def test_mixed_ring_rejected(self):
         with pytest.raises(ValueError):
-            totalize_tensor(koszul_complex(STD2, [0]), koszul_complex(W13, [0]))
+            K2, K13 = oracles.koszul_complex(STD2, [0]), oracles.koszul_complex(W13, [0])
+            oracles.totalize_tensor(K2, K13)
 
 
 class TestResolve:
@@ -204,9 +193,9 @@ class TestResolve:
     def test_raw_resolution_minimizes_to_same_table(self):
         # the Taylor complex is a raw, non-minimal resolution of the ideal
         mons = trunc_gens(STD2, 3)
-        raw = taylor_complex(STD2, mons)
+        raw = oracles.taylor_complex(STD2, mons)
         minimal = resolve_module(monomial_elements(STD2, mons))
-        assert check_complex(raw).ok
+        assert oracles.check_complex(raw).ok
         assert [m.rank for m in raw.modules] == [4, 6, 4, 1]
         assert oracles.minimize_complex(raw).betti_from_twists() == minimal.betti_from_twists()
 
@@ -233,7 +222,7 @@ class TestHomologyDims:
         C = GradedFreeComplex(STD2, (FreeModuleSpec((0,)), FreeModuleSpec((2,))), mat)
         dims = oracles.homology_dims(C, 5)
         for j in range(2, 6):
-            assert dims[(1, j)] == free_hilbert(STD2, (2,), j)
+            assert dims[(1, j)] == oracles.free_hilbert(STD2, (2,), j)
 
     def test_methods_agree(self):
         rng = random.Random(14)
@@ -248,7 +237,7 @@ class TestHomologyDims:
             )
             if not gens:
                 continue
-            T = taylor_complex(spec, gens)
+            T = oracles.taylor_complex(spec, gens)
             bound = max(t for mod in T.modules for t in mod.twists) + 2
             assert oracles.homology_dims(T, bound) == oracles.homology_dense(T, bound)
 
@@ -279,12 +268,12 @@ class TestHomologyDims:
         # Negative controls, whose H_1 fills cells with no upper end, and
         # complexes over weights > 1, where a cell's degrees step by weight.
         W231 = RingSpec((2, 3, 1))
-        K = koszul_complex(RingSpec((1, 2, 3)), [0, 1, 2])
+        K = oracles.koszul_complex(RingSpec((1, 2, 3)), [0, 1, 2])
         cases = [
             linear_part(resolve_module(monomial_elements(STD2, gens)), STD2)
             for gens in ([(2, 0), (0, 2)], [(2, 0), (0, 3)], [(3, 0), (2, 1), (0, 3)])
         ] + [
-            taylor_complex(W231, [(2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1)]),
+            oracles.taylor_complex(W231, [(2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1)]),
             GradedFreeComplex(K.spec, K.modules[:-1], K.diffs[:-1]),
         ]
         for C in cases:
@@ -298,7 +287,7 @@ class TestHomologyDims:
     def test_grid_check_reaches_the_top_grid_point(self):
         # K(x, y, z) without its top generator: H_2 lives only at xyz, the
         # last of the eight points of the grid {0, 1}^3
-        K = koszul_complex(STD3, [0, 1, 2])
+        K = oracles.koszul_complex(STD3, [0, 1, 2])
         C = GradedFreeComplex(STD3, K.modules[:-1], K.diffs[:-1])
         assert homology_witnesses(K) == []
         assert homology_witnesses(C) != []
@@ -392,7 +381,7 @@ def _grid_walk_inputs():
             )
             if not gens:
                 continue
-            T = taylor_complex(spec, gens)
+            T = oracles.taylor_complex(spec, gens)
             yield T
             if T.length >= 2:
                 yield GradedFreeComplex(spec, T.modules[:-1], T.diffs[:-1])
@@ -403,11 +392,11 @@ def _grid_walk_inputs():
         std3 = RingSpec((1, 1, 1), ("x", "y", "z"), p)
         for variables in ([0, 1, 2], [0, 1]):
             # with [0, 1] the last coordinate is 0 on every generator
-            K = koszul_complex(std3, variables)
+            K = oracles.koszul_complex(std3, variables)
             yield GradedFreeComplex(std3, K.modules[:-1], K.diffs[:-1])
-        yield taylor_complex(std3, [(1, 0, 0), (0, 1, 0), (2, 2, 1)])
+        yield oracles.taylor_complex(std3, [(1, 0, 0), (0, 1, 0), (2, 2, 1)])
         one = RingSpec((2,), ("x",), p)
-        yield taylor_complex(one, [(1,), (3,)])
+        yield oracles.taylor_complex(one, [(1,), (3,)])
         yield linear_part(resolve_module(monomial_elements(one, [(3,)])), one)
 
 
@@ -514,7 +503,7 @@ def _strand_oracle_modules():
     truncation, gr of truncations, rescaled monomial quotients at three
     characteristics, quotients whose arrows into J have coefficient p,
     extend_gr modules and the residue field."""
-    yield monomial_module(W13, trunc_gens(W13, 5), bound=11)
+    yield oracles.monomial_module(W13, trunc_gens(W13, 5), bound=11)
     for weights, e in (((1, 3), 5), ((2, 3), 4), ((1, 1, 2), 3), ((1, 2, 2), 2)):
         spec = RingSpec(weights)
         yield gr_module(OrdContext(spec, trunc_gens(spec, e)), 2 * len(weights) + 2)
@@ -525,13 +514,13 @@ def _strand_oracle_modules():
             n = spec.num_vars
             gens = {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))}
             J = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))}
-            M = monomial_module(spec, gens, bound=max(map(spec.wdeg, gens)) + n + 2)
+            M = oracles.monomial_module(spec, gens, bound=max(map(spec.wdeg, gens)) + n + 2)
             yield _rescaled(_quotient(M, J), rng)
             yield _quotient(M, J, into_J=p)
     big = RingSpec((1, 1, 1), ("x", "y", "z"))
     for sub, e in ((RingSpec((1,), ("x",)), 2), (RingSpec((1, 2), ("x", "y")), 3)):
         gr = gr_module(OrdContext(sub, trunc_gens(sub, e)), 5)
-        yield extend_gr(gr, big)
+        yield oracles.extend_gr(gr, big)
     yield ExplicitGradedModule(big, 4, {0: ((0, (0, 0, 0)),)}, ({}, {}, {}))
     yield ExplicitGradedModule(RingSpec((1, 2)), 5, {0: ((0, (0, 0)),)}, ({}, {}))
 
@@ -563,7 +552,7 @@ class TestBettiViaKoszul:
             if not gens:
                 continue
             bound = max(spec.wdeg(m) for m in gens) + 2 * spec.max_weight + 4
-            M = monomial_module(spec, gens, bound=bound)
+            M = oracles.monomial_module(spec, gens, bound=bound)
             table = betti_via_koszul(M, bound=bound)
             F = resolve_module(monomial_elements(spec, gens))
             assert F.betti_from_twists().restrict(bound) == table
@@ -573,7 +562,7 @@ class TestBettiViaKoszul:
         assert len(modules) == 45
         for M in modules:
             oracles.check_label_maps(M)
-            assert M.commuting_violations() == []
+            assert oracles.commuting_violations(M) == []
             for bound in sorted({M.bound // 2, M.bound}):
                 assert (
                     _betti_blocks(M, bound)
@@ -599,7 +588,7 @@ class TestBettiViaKoszul:
     def test_bound_beyond_storage_rejected(self):
         from nskoszul.egm import DegreeRangeError
 
-        M = monomial_module(W13, trunc_gens(W13, 5), bound=8)
+        M = oracles.monomial_module(W13, trunc_gens(W13, 5), bound=8)
         with pytest.raises(DegreeRangeError):
             betti_via_koszul(M, bound=9)
 
@@ -624,8 +613,8 @@ def _label_array_modules():
 
 
 class TestLabelArrays:
-    """labelled_module and _critical_labels against the dict scans that they
-    replace (tests/oracles.py)."""
+    """egm's array path (oracles.labelled_module) and _critical_labels
+    against the dict scans that they replace (tests/oracles.py)."""
 
     def test_match_the_scans(self):
         rng = random.Random(14)
@@ -635,7 +624,7 @@ class TestLabelArrays:
             degrees = [(j, rng.sample(list(lbs), len(lbs))) for j, lbs in M.degrees.items()]
             rng.shuffle(degrees)
             degrees = dict(degrees)
-            got = labelled_module(M.spec, M.bound, degrees, M.corner)
+            got = oracles.labelled_module(M.spec, M.bound, degrees, M.corner)
             want = oracles.labelled_module_scan(M.spec, M.bound, degrees, M.corner)
             assert list(got.degrees.items()) == list(want.degrees.items())
             assert got.actions == want.actions
@@ -667,7 +656,7 @@ class TestLabelArrays:
         # keys would wrap
         big = (0, (2**40, 2**40))
         with pytest.raises(ValueError, match="64-bit"):
-            labelled_module(STD2, 2**41, {2**41: [big]})
+            oracles.labelled_module(STD2, 2**41, {2**41: [big]})
         M = ExplicitGradedModule(STD2, 2**41, {2**41: (big,)}, ({}, {}))
         with pytest.raises(ValueError, match="64-bit"):
             betti_via_koszul(M)
@@ -680,18 +669,18 @@ class TestLabelArrays:
             ((1, (2**61 - 3, 0)), True),
         ):
             if fits:
-                assert labelled_module(STD2, 1, {1: [lb]}).actions == ({}, {})
+                assert oracles.labelled_module(STD2, 1, {1: [lb]}).actions == ({}, {})
             else:
                 with pytest.raises(ValueError, match="64-bit"):
-                    labelled_module(STD2, 1, {1: [lb]})
+                    oracles.labelled_module(STD2, 1, {1: [lb]})
 
     def test_label_stored_twice_rejected(self):
         # negative control: a label in two degrees, or twice in one
         one = (0, (1, 0))
         with pytest.raises(ValueError, match="stored twice"):
-            labelled_module(STD2, 2, {1: [one], 2: [one]})
+            oracles.labelled_module(STD2, 2, {1: [one], 2: [one]})
         with pytest.raises(ValueError, match="stored twice"):
-            labelled_module(STD2, 2, {1: [one, (0, (0, 1)), one]})
+            oracles.labelled_module(STD2, 2, {1: [one, (0, (0, 1)), one]})
         # the scan keeps it under both degrees; the invariant rejects that
         M = oracles.labelled_module_scan(STD2, 2, {1: [one], 2: [one]})
         assert M.degrees == {1: (one,), 2: (one,)}
@@ -701,13 +690,13 @@ class TestLabelArrays:
             oracles.check_label_maps(ExplicitGradedModule(STD2, 2, {1: (one, one)}, ({}, {})))
 
     def test_empty_module(self):
-        M = labelled_module(STD3, 0, {0: []}, (1, 0, 2))
+        M = oracles.labelled_module(STD3, 0, {0: []}, (1, 0, 2))
         assert M.degrees == {0: ()}
         assert M.actions == ({}, {}, {})
         assert M.corner == (1, 0, 2)
         assert betti_via_koszul(M) == BettiTable(())
         assert _critical_labels(M, 0) == ([set(), set(), set()], [])
-        assert labelled_module(STD3, 3, {}).degrees == {}
+        assert oracles.labelled_module(STD3, 3, {}).degrees == {}
 
 
 class TestBettiTable:
@@ -715,10 +704,10 @@ class TestBettiTable:
         # per-degree alternating sum of free module dims equals module dims
         gens = trunc_gens(W13, 5)
         F = resolve_module(monomial_elements(W13, gens))
-        M = monomial_module(W13, gens, bound=12)
+        M = oracles.monomial_module(W13, gens, bound=12)
         for j in range(0, 13):
             euler = sum(
-                (-1) ** i * free_hilbert(W13, F.modules[i].twists, j)
+                (-1) ** i * oracles.free_hilbert(W13, F.modules[i].twists, j)
                 for i in range(F.length + 1)
             )
             assert euler == M.dim(j)

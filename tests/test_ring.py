@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nskoszul.assoc_graded import OrdContext, gr_betti
 from nskoszul.construction import construct_gr_betti, ses_hilbert_check
+from nskoszul.koszul_check import koszul_verdict
 from nskoszul.ring import (
     DimensionMismatch,
     FreeModuleSpec,
@@ -15,6 +18,7 @@ from nskoszul.ring import (
     mon_mul,
     monomials_of_wdeg,
 )
+from nskoszul.truncation import trunc_gens
 
 
 W13 = RingSpec((1, 3), ("x", "y"))
@@ -81,6 +85,24 @@ class TestIntegralInput:
     def test_construction_weights(self):
         with pytest.raises(ValueError, match="weight must be an integer"):
             construct_gr_betti((1, 2.5), 4)
+
+    def test_thresholds(self):
+        spec = RingSpec((1, 2, 2))
+        for e in (2.5, "3"):
+            with pytest.raises(ValueError, match="threshold must be an integer"):
+                construct_gr_betti(spec.weights, e)
+            with pytest.raises(ValueError, match="threshold must be an integer"):
+                trunc_gens(spec, e)
+            with pytest.raises(ValueError, match="threshold must be an integer"):
+                koszul_verdict(spec, e)
+        # a numpy integer is taken as the equal int, also in the recursion's cache
+        table, trace = construct_gr_betti(spec.weights, np.int64(5))
+        assert (table, trace) == construct_gr_betti(spec.weights, 5)
+        assert type(trace.e) is int and all(type(s.sub_threshold) is int for s in trace.steps)
+        assert trunc_gens(spec, np.int64(5)) == trunc_gens(spec, 5)
+        report = koszul_verdict(spec, np.int64(5))
+        assert report == koszul_verdict(spec, 5) and type(report.e) is int
+        assert json.loads(json.dumps(report.to_dict()))["e"] == 5
 
     def test_label_components(self):
         spec = RingSpec((1, 1))
@@ -158,8 +180,8 @@ class TestLabel:
 
     def test_every_parser_checks_the_length(self):
         from nskoszul.assoc_graded import OrdContext
-        from nskoszul.egm import monomial_module
         from nskoszul.gb import monomial_elements
+        from oracles import monomial_module, ord_scan
 
         # a (component, monomial) pair with a 3-exponent monomial in a
         # 2-variable ring used to pass monomial_module and OrdContext
@@ -167,7 +189,7 @@ class TestLabel:
             lambda g: monomial_elements(W13, [g]),
             lambda g: monomial_module(W13, [g], bound=3),
             lambda g: OrdContext(W13, (g,)),
-            lambda g: OrdContext(W13, ((0, (1, 0)),)).ord(g),
+            lambda g: ord_scan(OrdContext(W13, ((0, (1, 0)),)), g),
         ):
             with pytest.raises(DimensionMismatch):
                 build((0, (1, 2, 3)))
