@@ -110,10 +110,6 @@ class GradedFreeComplex:
     modules: tuple
     diffs: tuple
 
-    @property
-    def length(self) -> int:
-        return len(self.modules) - 1
-
     def betti_from_twists(self) -> BettiTable:
         d = {}
         for i, mod in enumerate(self.modules):

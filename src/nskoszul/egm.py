@@ -82,23 +82,6 @@ class ExplicitGradedModule:
     corner: tuple | None = None
     _arrays: _LabelArrays | None = field(default=None, compare=False, repr=False)
 
-    def dim(self, j: int) -> int:
-        if j > self.bound:
-            raise DegreeRangeError(f"degree {j} beyond stored bound {self.bound}")
-        return len(self.degrees.get(j, ()))
-
-    def basis(self, j: int):
-        if j > self.bound:
-            raise DegreeRangeError(f"degree {j} beyond stored bound {self.bound}")
-        return self.degrees.get(j, ())
-
-    def hilbert(self, bound: int | None = None) -> list:
-        """Dimensions of the graded pieces for degrees 0..bound."""
-        b = self.bound if bound is None else bound
-        if b > self.bound:
-            raise DegreeRangeError(f"bound {b} beyond stored bound {self.bound}")
-        return [len(self.degrees.get(j, ())) for j in range(b + 1)]
-
 
 def _label_arrays(spec: RingSpec, degrees: dict) -> tuple:
     """The component, exponent and degree arrays of a degrees dict's labels,

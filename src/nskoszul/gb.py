@@ -14,12 +14,45 @@ form) is used to discard pairs, the collected syzygies generate the full
 syzygy module.  The working basis ends as a Groebner basis of the module,
 not a reduced one; only the syzygies leave the engine.
 
-Reduction pops the largest remaining term from a heap and reduces it by the
-lowest-index reducer whose lead divides it.  The chain criterion decides
-divisibility of the pair lcm and properness of both sub-lcms in one pass
-over each third lead's exponents.  Which pairs are dropped and the order of
-every reduction fix the syzygy set, and through it the basis that
-minimal_generators keeps.
+Inside the engine a module term (component, exponents) is one Python int
+(``_Layout``).  Each exponent has a field of fixed width: value bits with a
+guard bit above them.  x_0 sits in the least significant field, x_{n-1} in
+the most significant one, and the component above all fields.  A term of
+the source module (input index, exponents) is packed the same way.  So:
+
+- multiplying a term by a monomial adds the two ints;
+- l divides t (same component) iff ``((t | G) - l) & G == G``, with G the
+  guard bits: the subtraction borrows a field's guard bit exactly where
+  l's exponent exceeds t's, and no borrow crosses a field;
+- the lcm of two terms is a fieldwise max, taken through the mask of the
+  fields where the guard bit of the same subtraction survives;
+- with y = (lcm | G) - m for a divisor m of the lcm, the guard bits of
+  ``y - ONES`` (ONES has a 1 at the bottom of each field) mark the fields
+  where m falls short of the lcm.
+
+The inputs are packed once, in the same pass that takes their degrees and
+rejects inhomogeneous ones, and only the returned syzygies are unpacked.
+The fields are sized from the largest input exponent, with one value bit
+to spare.  Every product is checked for a carry into a guard bit; a carry
+means the fields are too narrow, and the run starts over with fields twice
+as wide, so no exponent ever wraps into its neighbour.
+
+Reduction pops the largest remaining term from a heap of the packed terms.
+Every term of one component of a homogeneous element has the same weighted
+degree, so the position-over-term order on it is the component, then the
+reversed exponents compared lexicographically, which is exactly the order
+of the ints: ascending ints pop the terms from the largest down, in the
+order of the key (component, -weighted degree, reversed exponents) that the
+reference engine on tuple terms in the tests uses.  The reducers of each
+component are listed in index order and the first whose lead divides the
+term is taken: the lowest-index reducer, the one the reference finds by
+scanning every lead.  The chain
+criterion drops (i, j) when some third lead k of the same component
+divides the pair lcm and lcm(m_i, m_k) and lcm(m_k, m_j) both differ from
+it; lcm(m_i, m_k) differs from the lcm iff some field where m_i falls short
+also has m_k short, one AND of the two short masks.  Which pairs are
+dropped, the pair order (degree, i, j), and the order of every reduction
+fix the syzygy set, and through it the basis that minimal_generators keeps.
 """
 
 from __future__ import annotations
@@ -28,17 +61,7 @@ import heapq
 from operator import mul
 
 from . import modp
-from .ring import (
-    FreeElement,
-    FreeModuleSpec,
-    Monomial,
-    RingSpec,
-    mon_divides,
-    mon_lcm,
-    mon_mul,
-    mon_quotient,
-    monomials_of_wdeg,
-)
+from .ring import FreeElement, FreeModuleSpec, RingSpec, monomials_of_wdeg
 
 
 class InhomogeneousInput(ValueError):
@@ -81,57 +104,45 @@ def _degrees(elements) -> list:
 
 
 # ---------------------------------------------------------------------------
-# reduction
+# packed terms
 
 
-def _reduce(v: FreeElement, basis, leads, reps, rep):
-    """Fully reduce v by the monic reducers basis, whose leads are given.
+class _Overflow(Exception):
+    """A packed product carried into a guard bit: the fields are too narrow."""
 
-    Returns (remainder, rep): every multiple of basis[k] subtracted from v is
-    subtracted from rep as the same multiple of reps[k].  Deterministic: the
-    largest reducible term is reduced first, by the lowest-index reducer whose
-    lead divides it.  The terms wait in a heap keyed (component, -weighted
-    degree, reversed exponents), whose least entry is the largest term in the
-    module order; an entry whose term has cancelled is skipped.
-    """
-    spec = v.spec
-    p = spec.char
-    weights = spec.weights
-    work = dict(v.coeffs)
-    heap = [(comp, -sum(map(mul, m, weights)), m[::-1], m) for comp, m in work]
-    heapq.heapify(heap)
-    remainder = {}
-    while heap:
-        comp, _, _, mon = heapq.heappop(heap)
-        key = (comp, mon)
-        c = work.pop(key, 0)
-        if not c:
-            continue
-        hit = -1
-        for idx, (lc, lm, _) in enumerate(leads):
-            if lc == comp and mon_divides(lm, mon):
-                hit = idx
-                break
-        if hit < 0:
-            remainder[key] = c
-            continue
-        lm = leads[hit][1]
-        q = mon_quotient(mon, lm)
-        for (c2, m2), co in basis[hit].coeffs.items():
-            if c2 == comp and m2 == lm:
-                continue
-            m3 = mon_mul(m2, q)
-            tkey = (c2, m3)
-            old = work.get(tkey)
-            nv = ((old or 0) - c * co) % p
-            if not nv:
-                work.pop(tkey, None)
-                continue
-            if old is None:
-                heapq.heappush(heap, (c2, -sum(map(mul, m3, weights)), m3[::-1], m3))
-            work[tkey] = nv
-        rep = rep - reps[hit].term_mul(q, c)
-    return FreeElement(spec, v.ambient, remainder, _clean=True), rep
+
+class _Layout:
+    """The packing of module terms for n variables in fields of width bits,
+    the top bit of each field its guard bit."""
+
+    def __init__(self, n: int, width: int):
+        self.width = width
+        self.shifts = tuple(range(0, n * width, width))
+        self.shift = n * width                   # the component's place
+        self.field = (1 << (width - 1)) - 1      # the value bits of a field
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.ones = sum(1 << s for s in self.shifts)
+
+    def pack(self, comp: int, m) -> int:
+        t = comp
+        for e in reversed(m):
+            if not 0 <= e <= self.field:
+                if e < 0:
+                    raise ValueError(f"negative exponent in {m}")
+                raise _Overflow
+            t = t << self.width | e
+        return t
+
+    def unpack(self, t: int):
+        field = self.field
+        return t >> self.shift, tuple(t >> s & field for s in self.shifts)
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two packed terms of one component: fieldwise max."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard           # guard bits where a >= b
+        mask = ge - (ge >> (self.width - 1))     # the value bits of those fields
+        return b ^ ((a ^ b) & mask)
 
 
 # ---------------------------------------------------------------------------
@@ -139,83 +150,174 @@ def _reduce(v: FreeElement, basis, leads, reps, rep):
 
 
 class _Engine:
-    """Buchberger's algorithm on the inputs, collecting syzygies."""
+    """Buchberger's algorithm on the packed inputs, collecting syzygies.
 
-    def __init__(self, gens):
-        gens = [g for g in gens if g]
-        if not gens:
-            raise ValueError("need at least one nonzero generator")
-        degrees = _degrees(gens)
-        self.spec = gens[0].spec
-        self.ambient = gens[0].ambient
+    Basis element k is monic, with packed lead leads[k], its other terms
+    tails[k] as (term, coefficient) pairs and its expression in the inputs
+    reps[k], a dict from packed source term to coefficient."""
+
+    def __init__(self, gens, width: int):
+        spec = gens[0].spec
+        ambient = gens[0].ambient
+        self.layout = layout = _Layout(spec.num_vars, width)
+        self.p = spec.char
+        self.weights = spec.weights
+        self.twists = ambient.twists
+        packed, degrees = [], []
+        for idx, g in enumerate(gens):
+            weights, twists = g.spec.weights, g.ambient.twists
+            terms, degs = [], set()
+            for (c, m), coeff in g.coeffs.items():
+                degs.add(sum(map(mul, m, weights)) + twists[c])
+                terms.append((layout.pack(c, m), coeff))
+            if len(degs) > 1:
+                raise InhomogeneousInput(idx, degs)
+            terms.sort()                         # the lead first
+            packed.append(terms)
+            degrees.append(degs.pop())
         for g in gens:
-            if g.spec != self.spec or g.ambient != self.ambient:
+            if g.spec != spec or g.ambient != ambient:
                 raise ValueError("generators live in different modules")
-        self.p = self.spec.char
         self.source = FreeModuleSpec(tuple(degrees))
-        self.basis = []          # monic working elements
-        self.leads = []          # cached (comp, mon, 1) lead terms
-        self.reps = []           # expressions in terms of the inputs
-        self.syzygies = []       # (syzygy, degree) pairs
-        self.pairs = []          # heap of (degree, i, j)
-        for j, g in enumerate(gens):
-            self._insert(g, FreeElement(self.spec, self.source, {(j, self.spec.one()): 1}))
+        self.leads = []
+        self.tails = []
+        self.reps = []
+        self.by_comp = {}        # component -> [(k, leads[k])], k ascending
+        self.syzygies = []       # (rep, degree) pairs
+        self.pairs = []          # heap of (degree, i, j, packed lcm)
+        shift = layout.shift
+        for j, terms in enumerate(packed):
+            self._insert(terms, {j << shift: 1})
 
-    def _insert(self, g: FreeElement, rep):
-        comp, mon, coeff = g.lead()
+    def _insert(self, terms, rep):
+        """Add the element with packed terms (lead first) and expression rep,
+        scaled to be monic, and queue its pairs."""
+        lead, coeff = terms[0]
+        tail = terms[1:]
         if coeff != 1:
-            inv = pow(coeff, -1, self.p)
-            g = g.scale(inv)
-            rep = rep.scale(inv)
-        k = len(self.basis)
-        self.basis.append(g)
-        self.leads.append((comp, mon, 1))
+            p = self.p
+            inv = pow(coeff, -1, p)
+            tail = [(t, c * inv % p) for t, c in tail]
+            rep = {t: c * inv % p for t, c in rep.items()}
+        k = len(self.leads)
+        self.leads.append(lead)
+        self.tails.append(tail)
         self.reps.append(rep)
-        twist = self.ambient.twists[comp]
-        for i in range(k):
-            ci, mi, _ = self.leads[i]
-            if ci == comp:
-                lcm = mon_lcm(mi, mon)
-                deg = self.spec.wdeg(lcm) + twist
-                heapq.heappush(self.pairs, (deg, i, k))
+        layout = self.layout
+        comp = lead >> layout.shift
+        same = self.by_comp.setdefault(comp, [])
+        twist = self.twists[comp]
+        for i, mi in same:
+            lcm = layout.lcm(mi, lead)
+            deg = sum(map(mul, layout.unpack(lcm)[1], self.weights)) + twist
+            heapq.heappush(self.pairs, (deg, i, k, lcm))
+        same.append((k, lead))
 
-    def _chain_skip(self, i: int, j: int, lcm: Monomial, comp: int) -> bool:
+    def _chain_skip(self, i: int, j: int, lcm: int) -> bool:
         # Safe chain criterion: drop (i, j) only when some third lead divides
         # the pair lcm and both sub-lcms are proper divisors, so the induction
-        # on lcm degree stands regardless of processing order.  lcm(mi, mk) is
-        # proper iff some exponent of both mi and mk falls short of the lcm's.
-        mi = self.leads[i][1]
-        mj = self.leads[j][1]
-        for k, (ck, mk, _) in enumerate(self.leads):
-            if ck != comp or k == i or k == j:
-                continue
-            short_i = short_j = False
-            for a, b, c, top in zip(mk, mi, mj, lcm):
-                if a > top:
-                    break
-                if a < top:
-                    short_i = short_i or b < top
-                    short_j = short_j or c < top
-            else:
-                if short_i and short_j:
+        # on lcm degree stands regardless of processing order.  lcm(mi, mk)
+        # is proper iff some field of both mi and mk falls short of the lcm.
+        guard = self.layout.guard
+        ones = self.layout.ones
+        top = lcm | guard
+        short_i = (top - self.leads[i] - ones) & guard
+        short_j = (top - self.leads[j] - ones) & guard
+        for k, mk in self.by_comp[lcm >> self.layout.shift]:
+            y = top - mk
+            if y & guard == guard and k != i and k != j:
+                short_k = (y - ones) & guard
+                if short_k & short_i and short_k & short_j:
                     return True
         return False
 
-    def run(self):
-        while self.pairs:
-            deg, i, j = heapq.heappop(self.pairs)
-            ci, mi, _ = self.leads[i]
-            _, mj, _ = self.leads[j]
-            lcm = mon_lcm(mi, mj)
-            if self._chain_skip(i, j, lcm, ci):
+    def _reduce(self, work: dict, rep: dict):
+        """Fully reduce the homogeneous element work (packed term -> coeff)
+        by the basis; returns its remainder as (term, coefficient) pairs from
+        the lead down, and rep with every multiple of reps[k] subtracted that
+        was subtracted from work as the same multiple of basis element k.
+
+        Deterministic: the largest remaining term is reduced first, by the
+        lowest-index reducer whose lead divides it.  An entry of the heap
+        whose term has cancelled is skipped.
+        """
+        p = self.p
+        guard = self.layout.guard
+        shift = self.layout.shift
+        by_comp, tails, reps = self.by_comp, self.tails, self.reps
+        heap = list(work)
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        remainder = []
+        while heap:
+            t = pop(heap)
+            c = work.pop(t, 0)
+            if not c:
                 continue
-            qi = mon_quotient(lcm, mi)
-            qj = mon_quotient(lcm, mj)
-            spoly = self.basis[i].term_mul(qi) - self.basis[j].term_mul(qj)
-            rep = self.reps[i].term_mul(qi) - self.reps[j].term_mul(qj)
-            r, rep = _reduce(spoly, self.basis, self.leads, self.reps, rep)
-            if r:
-                self._insert(r, rep)
+            top = t | guard
+            for k, lead in by_comp.get(t >> shift, ()):
+                if (top - lead) & guard == guard:
+                    break
+            else:
+                remainder.append((t, c))
+                continue
+            q = t - lead
+            for t2, co in tails[k]:
+                t2 += q
+                if t2 & guard:
+                    raise _Overflow
+                old = work.get(t2)
+                nv = ((old or 0) - c * co) % p
+                if not nv:
+                    del work[t2]
+                    continue
+                if old is None:
+                    push(heap, t2)
+                work[t2] = nv
+            for t2, co in reps[k].items():
+                t2 += q
+                if t2 & guard:
+                    raise _Overflow
+                nv = (rep.get(t2, 0) - c * co) % p
+                if nv:
+                    rep[t2] = nv
+                else:
+                    del rep[t2]
+        return remainder, rep
+
+    def _times(self, terms, q: int) -> dict:
+        """The (term, coefficient) pairs terms multiplied by the packed
+        monomial q, as a dict in the same order."""
+        guard = self.layout.guard
+        out = {}
+        for t, c in terms:
+            t += q
+            if t & guard:
+                raise _Overflow
+            out[t] = c
+        return out
+
+    def run(self):
+        p = self.p
+        leads = self.leads
+        while self.pairs:
+            deg, i, j, lcm = heapq.heappop(self.pairs)
+            if self._chain_skip(i, j, lcm):
+                continue
+            # the S-polynomial without its lead, which cancels
+            qi, qj = lcm - leads[i], lcm - leads[j]
+            work = self._times(self.tails[i], qi)
+            rep = self._times(self.reps[i].items(), qi)
+            for acc, terms in ((work, self.tails[j]), (rep, self.reps[j].items())):
+                for t, c in self._times(terms, qj).items():
+                    c = (acc.get(t, 0) - c) % p
+                    if c:
+                        acc[t] = c
+                    else:
+                        del acc[t]
+            remainder, rep = self._reduce(work, rep)
+            if remainder:
+                self._insert(remainder, rep)
             elif rep:
                 # rep has the degree of the pair's lcm in the source module
                 self.syzygies.append((rep, deg))
@@ -232,10 +334,27 @@ def syzygies(gens):
     (generator degrees = degrees of the inputs) and the elements generate the
     kernel of source -> ambient.
     """
-    eng = _Engine(list(gens))
-    eng.run()
-    eng.syzygies.sort(key=lambda sd: element_sort_key(*sd))
-    return [s for s, _ in eng.syzygies], eng.source
+    gens = [g for g in gens if g]
+    if not gens:
+        raise ValueError("need at least one nonzero generator")
+    # room for twice the largest input exponent, and the guard bit
+    top = max(max(m) for g in gens for _, m in g.coeffs)
+    width = top.bit_length() + 2
+    while True:
+        try:
+            eng = _Engine(gens, width)
+            eng.run()
+            break
+        except _Overflow:
+            width = 2 * width - 1
+    # the lead of a homogeneous rep is its least packed term
+    eng.syzygies.sort(key=lambda sd: (sd[1], min(sd[0])))
+    spec, source, unpack = gens[0].spec, eng.source, eng.layout.unpack
+    out = [
+        FreeElement(spec, source, {unpack(t): c for t, c in rep.items()}, _clean=True)
+        for rep, _ in eng.syzygies
+    ]
+    return out, source
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 Monomial = tuple  # exponent vector, one entry per variable
 
@@ -100,14 +99,6 @@ def mon_mul(a: Monomial, b: Monomial) -> Monomial:
 def mon_divides(a: Monomial, b: Monomial) -> bool:
     """Does a divide b?"""
     return all(x <= y for x, y in zip(a, b))
-
-
-def mon_quotient(a: Monomial, b: Monomial) -> Monomial:
-    """a / b; requires b | a."""
-    q = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in q):
-        raise ValueError(f"{b} does not divide {a}")
-    return q
 
 
 def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -197,11 +188,6 @@ class RingSpec:
         """Weighted degree of a monomial."""
         self._check(m)
         return sum(a * d for a, d in zip(m, self.weights))
-
-    def sdeg(self, m: Monomial) -> int:
-        """Standard degree (sum of exponents)."""
-        self._check(m)
-        return sum(m)
 
     def one(self) -> Monomial:
         return mon_one(self.num_vars)
@@ -295,42 +281,16 @@ class Polynomial:
         return cls(spec, {}, _clean=True)
 
     @classmethod
-    def constant(cls, spec: RingSpec, c: int) -> "Polynomial":
-        return cls(spec, {spec.one(): c})
-
-    @classmethod
-    def term(cls, spec: RingSpec, m: Monomial, c: int = 1) -> "Polynomial":
-        return cls(spec, {tuple(m): c})
-
-    @classmethod
     def variable(cls, spec: RingSpec, i: int) -> "Polynomial":
         return cls(spec, {spec.variable(i): 1}, _clean=True)
 
-    @classmethod
-    def from_terms(cls, spec: RingSpec, terms: Iterable) -> "Polynomial":
-        coeffs = {}
-        for m, c in terms:
-            m = tuple(m)
-            coeffs[m] = coeffs.get(m, 0) + c
-        return cls(spec, coeffs)
-
     # -- predicates
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def is_constant(self) -> bool:
         return not self.coeffs or set(self.coeffs) == {self.spec.one()}
-
-    def constant_value(self) -> int:
-        return self.coeffs.get(self.spec.one(), 0)
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.spec.wdeg(m) for m in self.coeffs}
-        return len(degs) <= 1
 
     def homogeneous_degree(self) -> int:
         """Weighted degree; raises for 0 or inhomogeneous polynomials."""
@@ -400,12 +360,6 @@ class Polynomial:
             self.coeffs.items(), key=lambda t: grevlex_key(self.spec, t[0]), reverse=True
         )
 
-    def lead_term(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no lead term")
-        m = max(self.coeffs, key=lambda t: grevlex_key(self.spec, t))
-        return m, self.coeffs[m]
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -473,9 +427,6 @@ class FreeElement:
     def zero(cls, spec: RingSpec, ambient: FreeModuleSpec) -> "FreeElement":
         return cls(spec, ambient, {}, _clean=True)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -500,24 +451,6 @@ class FreeElement:
                 out.pop(k, None)
         return FreeElement(self.spec, self.ambient, out, _clean=True)
 
-    def __neg__(self) -> "FreeElement":
-        p = self.spec.char
-        return FreeElement(
-            self.spec, self.ambient, {k: p - c for k, c in self.coeffs.items()}, _clean=True
-        )
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + (-other)
-
-    def scale(self, c: int) -> "FreeElement":
-        p = self.spec.char
-        c %= p
-        if c == 0:
-            return FreeElement.zero(self.spec, self.ambient)
-        return FreeElement(
-            self.spec, self.ambient, {k: (v * c) % p for k, v in self.coeffs.items()}, _clean=True
-        )
-
     def term_mul(self, m: Monomial, c: int = 1) -> "FreeElement":
         """Multiply by the ring term c * x^m."""
         p = self.spec.char
@@ -530,13 +463,6 @@ class FreeElement:
             {(comp, mon_mul(mm, m)): (v * c) % p for (comp, mm), v in self.coeffs.items()},
             _clean=True,
         )
-
-    def lead(self):
-        """Lead term (component, monomial, coefficient) in the POT order."""
-        if not self.coeffs:
-            raise ValueError("zero element has no lead term")
-        comp, m = max(self.coeffs, key=lambda k: term_key(self.spec, k[0], k[1]))
-        return comp, m, self.coeffs[(comp, m)]
 
     def terms_sorted(self) -> list:
         return sorted(

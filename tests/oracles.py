@@ -13,9 +13,13 @@ or spans it with ``_EchelonSpace``, a dense incremental row echelon form.
 ``homology_dims`` counts dim H_i(C)_j per degree from the grid walk's cells,
 a second reading of the walk that the tests compare with ``homology_dense``.
 ``minimize_complex`` cancels unit entries, the reference for the minimal
-resolution and for the Taylor complexes' minimal models.  ``reduce_max_scan``
-is the syzygy engine's reduction with the largest term found by a scan of
-every remaining term, the reference for the heap order of ``gb._reduce``.
+resolution and for the Taylor complexes' minimal models.
+``syzygies_reference`` runs the syzygy engine as it was before it packed
+its terms into ints, on (component, exponent tuple) terms: the packed
+engine of ``gb.syzygies`` must return the same list in the same order.
+``reduce_max_scan`` is the engines' reduction with the largest term found
+by a scan of every remaining term, the reference for the heap order of the
+packed engine's reduction.
 ``labelled_module_scan`` and ``critical_values_scan`` build the label maps
 and find the critical values by a dict scan of every label and variable,
 the references for the packed label arrays of ``egm``.
@@ -23,29 +27,35 @@ the references for the packed label arrays of ``egm``.
 comparing each candidate with every generator (``_ords``), and ``ord_scan``
 one ord by a scan of the generators: the references for the prefix-minimum
 table of ``assoc_graded``.  The modules the tests build go through egm's
-array path (``labelled_module``).
+array path (``labelled_module``).  The last section holds the arithmetic
+and the views of the ring's, complexes' and modules' values that only the
+tests use, as functions (``lead``, ``sub``, ``module_dim``, ...).
 """
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import mul
 
 import numpy as np
 
 from nskoszul.assoc_graded import OrdContext
 from nskoszul.complexes import BettiTable, GradedFreeComplex, _multidegree_blocks
 from nskoszul.construction import construct_gr_betti
-from nskoszul.egm import ExplicitGradedModule, _array_module, _label_arrays
+from nskoszul.egm import DegreeRangeError, ExplicitGradedModule, _array_module, _label_arrays
+from nskoszul.gb import _degrees, element_sort_key
 from nskoszul.ring import (
+    DimensionMismatch,
     FreeElement,
     FreeModuleSpec,
     Polynomial,
     RingSpec,
+    grevlex_key,
     mon_divides,
     mon_lcm,
     mon_mul,
-    mon_quotient,
     mon_var,
     monomials_of_wdeg,
     term_key,
@@ -145,8 +155,8 @@ def homology_dense(C, bound: int) -> dict:
     out = {}
     for j in range(min_twist, bound + 1):
         bases = [graded_basis(spec, m, j) for m in C.modules]
-        ranks = [0] * (C.length + 2)
-        for i in range(1, C.length + 1):
+        ranks = [0] * (complex_length(C) + 2)
+        for i in range(1, complex_length(C) + 1):
             rows = {key: idx for idx, key in enumerate(bases[i - 1])}
             cols = bases[i]
             if not rows or not cols:
@@ -159,7 +169,7 @@ def homology_dense(C, bound: int) -> dict:
                     for mm, coeff in entry.coeffs.items():
                         mat[rows[(r, mon_mul(mon, mm))], cidx] = coeff
             ranks[i] = rank_mod(mat, p)
-        for i in range(C.length + 1):
+        for i in range(complex_length(C) + 1):
             h = len(bases[i]) - ranks[i] - ranks[i + 1]
             if h:
                 out[(i, j)] = h
@@ -222,7 +232,7 @@ def minimize_complex(C: GradedFreeComplex) -> GradedFreeComplex:
             break
         k, r, c = hit
         mat = mats[k]
-        u = mat[r][c].constant_value()
+        u = constant_value(mat[r][c])
         uinv = pow(u, -1, p)
         col = [mat[rr][c] for rr in range(len(mat))]
         rowvec = mat[r]
@@ -289,7 +299,7 @@ def check_complex(C: GradedFreeComplex) -> ComplexReport:
                 if not entry:
                     continue
                 want = src.twists[c] - tgt.twists[r]
-                if not entry.is_homogeneous() or entry.homogeneous_degree() != want:
+                if not is_homogeneous(entry) or entry.homogeneous_degree() != want:
                     problems.append(
                         f"d_{k + 1}[{r}][{c}] is not homogeneous of degree {want}"
                     )
@@ -334,7 +344,7 @@ def koszul_complex(spec: RingSpec, var_idxs) -> GradedFreeComplex:
                 rest = T[:pos] + T[pos + 1:]
                 r = tgt_index[rest]
                 sign = 1 if pos % 2 == 0 else -1
-                mat[r][c] = mat[r][c] + Polynomial.term(spec, spec.variable(t), sign)
+                mat[r][c] = mat[r][c] + poly_term(spec, spec.variable(t), sign)
         diffs.append(tuple(tuple(row) for row in mat))
     return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
 
@@ -344,12 +354,12 @@ def totalize_tensor(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeCom
     if F.spec != G.spec:
         raise ValueError("complexes live over different rings")
     spec = F.spec
-    lmax = F.length + G.length
+    lmax = complex_length(F) + complex_length(G)
     gens = []
     index = []
     for k in range(lmax + 1):
         level = []
-        for i in range(max(0, k - G.length), min(k, F.length) + 1):
+        for i in range(max(0, k - complex_length(G)), min(k, complex_length(F)) + 1):
             j = k - i
             for a in range(F.modules[i].rank):
                 for b in range(G.modules[j].rank):
@@ -425,7 +435,7 @@ def taylor_complex(spec: RingSpec, mons) -> GradedFreeComplex:
                 rr = tgt_index[rest]
                 q = mon_quotient(lc, set_lcm(rest))
                 sign = 1 if pos % 2 == 0 else -1
-                mat[rr][c] = mat[rr][c] + Polynomial.term(spec, q, sign)
+                mat[rr][c] = mat[rr][c] + poly_term(spec, q, sign)
         diffs.append(tuple(tuple(row) for row in mat))
     return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
 
@@ -452,6 +462,14 @@ def truncated_series_product(a: list, b: list, bound: int) -> list:
 def one_minus_t_power(n: int, bound: int) -> list:
     """Coefficients of (1 - t)^n up to t^bound."""
     return [((-1) ** k) * comb(n, k) if k <= n else 0 for k in range(bound + 1)]
+
+
+def one_minus_t_powers(weights, bound: int) -> list:
+    """Coefficients of prod_k (1 - t^{w_k}) up to t^bound."""
+    out = [1] + [0] * bound
+    for w in weights:
+        out = [out[d] - (out[d - w] if d >= w else 0) for d in range(bound + 1)]
+    return out
 
 
 def betti_dense(M, bound: int) -> BettiTable:
@@ -680,12 +698,12 @@ def ord_scan(ctx: OrdContext, v, comp: int = 0) -> int:
     best = None
     for c, u in ctx.generators:
         if c == comp and mon_divides(u, v):
-            s = ctx.spec.sdeg(u)
+            s = sdeg(ctx.spec, u)
             if best is None or s < best:
                 best = s
     if best is None:
         raise NotInModule(f"{ctx.spec.render_monomial(v)} (component {comp}) is not in the module")
-    return ctx.spec.sdeg(v) - best
+    return sdeg(ctx.spec, v) - best
 
 
 def _gen_array(ctx: OrdContext, comp: int) -> np.ndarray:
@@ -745,9 +763,9 @@ def graded_span_dims(elements, degrees):
 
 
 def reduce_max_scan(v, basis, leads, reps, rep):
-    """gb._reduce's (remainder, rep), each step reducing the largest remaining
-    term in the POT order, found by a max over all of them, by the
-    lowest-index reducer whose lead divides it."""
+    """The reduction of the syzygy engines, (remainder, rep), each step
+    reducing the largest remaining term in the POT order, found by a max
+    over all of them, by the lowest-index reducer whose lead divides it."""
     spec = v.spec
     p = spec.char
     work = dict(v.coeffs)
@@ -775,7 +793,7 @@ def reduce_max_scan(v, basis, leads, reps, rep):
                 work[tkey] = nv
             else:
                 work.pop(tkey, None)
-        rep = rep - reps[hit].term_mul(q, c)
+        rep = sub(rep, reps[hit].term_mul(q, c))
     return FreeElement(spec, v.ambient, remainder, _clean=True), rep
 
 
@@ -803,3 +821,250 @@ def construct_free_betti(weights, twists, e: int) -> BettiTable:
         table, _ = construct_gr_betti(weights, e - t)
         out = out + table
     return out
+
+
+# ---------------------------------------------------------------------------
+# the reference syzygy engine: Buchberger's algorithm on tuple terms
+
+
+def _reduce_reference(v, basis, leads, reps, rep):
+    """Fully reduce v by the monic reducers basis, whose leads are given.
+
+    Returns (remainder, rep): every multiple of basis[k] subtracted from v is
+    subtracted from rep as the same multiple of reps[k].  The largest
+    reducible term is reduced first, by the lowest-index reducer whose lead
+    divides it.  The terms wait in a heap keyed (component, -weighted degree,
+    reversed exponents), whose least entry is the largest term in the module
+    order; an entry whose term has cancelled is skipped.
+    """
+    spec = v.spec
+    p = spec.char
+    weights = spec.weights
+    work = dict(v.coeffs)
+    heap = [(comp, -sum(map(mul, m, weights)), m[::-1], m) for comp, m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        comp, _, _, mon = heapq.heappop(heap)
+        key = (comp, mon)
+        c = work.pop(key, 0)
+        if not c:
+            continue
+        hit = -1
+        for idx, (lc, lm, _) in enumerate(leads):
+            if lc == comp and mon_divides(lm, mon):
+                hit = idx
+                break
+        if hit < 0:
+            remainder[key] = c
+            continue
+        lm = leads[hit][1]
+        q = mon_quotient(mon, lm)
+        for (c2, m2), co in basis[hit].coeffs.items():
+            if c2 == comp and m2 == lm:
+                continue
+            m3 = mon_mul(m2, q)
+            tkey = (c2, m3)
+            old = work.get(tkey)
+            nv = ((old or 0) - c * co) % p
+            if not nv:
+                work.pop(tkey, None)
+                continue
+            if old is None:
+                heapq.heappush(heap, (c2, -sum(map(mul, m3, weights)), m3[::-1], m3))
+            work[tkey] = nv
+        rep = sub(rep, reps[hit].term_mul(q, c))
+    return FreeElement(spec, v.ambient, remainder, _clean=True), rep
+
+
+class _ReferenceEngine:
+    """Buchberger's algorithm on the inputs, collecting syzygies, with
+    (component, exponent tuple) terms: the engine gb.syzygies had before it
+    packed its terms into ints, the reference its output must equal."""
+
+    def __init__(self, gens):
+        gens = [g for g in gens if g]
+        if not gens:
+            raise ValueError("need at least one nonzero generator")
+        degrees = _degrees(gens)
+        self.spec = gens[0].spec
+        self.ambient = gens[0].ambient
+        for g in gens:
+            if g.spec != self.spec or g.ambient != self.ambient:
+                raise ValueError("generators live in different modules")
+        self.p = self.spec.char
+        self.source = FreeModuleSpec(tuple(degrees))
+        self.basis = []          # monic working elements
+        self.leads = []          # cached (comp, mon, 1) lead terms
+        self.reps = []           # expressions in terms of the inputs
+        self.syzygies = []       # (syzygy, degree) pairs
+        self.pairs = []          # heap of (degree, i, j)
+        for j, g in enumerate(gens):
+            self._insert(g, FreeElement(self.spec, self.source, {(j, self.spec.one()): 1}))
+
+    def _insert(self, g, rep):
+        comp, mon, coeff = lead(g)
+        if coeff != 1:
+            inv = pow(coeff, -1, self.p)
+            g = scale(g, inv)
+            rep = scale(rep, inv)
+        k = len(self.basis)
+        self.basis.append(g)
+        self.leads.append((comp, mon, 1))
+        self.reps.append(rep)
+        twist = self.ambient.twists[comp]
+        for i in range(k):
+            ci, mi, _ = self.leads[i]
+            if ci == comp:
+                deg = self.spec.wdeg(mon_lcm(mi, mon)) + twist
+                heapq.heappush(self.pairs, (deg, i, k))
+
+    def _chain_skip(self, i: int, j: int, lcm, comp: int) -> bool:
+        # drop (i, j) when some third lead divides the pair lcm and both
+        # sub-lcms are proper divisors; lcm(mi, mk) is proper iff some
+        # exponent of both mi and mk falls short of the lcm's
+        mi = self.leads[i][1]
+        mj = self.leads[j][1]
+        for k, (ck, mk, _) in enumerate(self.leads):
+            if ck != comp or k == i or k == j:
+                continue
+            short_i = short_j = False
+            for a, b, c, top in zip(mk, mi, mj, lcm):
+                if a > top:
+                    break
+                if a < top:
+                    short_i = short_i or b < top
+                    short_j = short_j or c < top
+            else:
+                if short_i and short_j:
+                    return True
+        return False
+
+    def run(self):
+        while self.pairs:
+            deg, i, j = heapq.heappop(self.pairs)
+            ci, mi, _ = self.leads[i]
+            _, mj, _ = self.leads[j]
+            lcm = mon_lcm(mi, mj)
+            if self._chain_skip(i, j, lcm, ci):
+                continue
+            qi = mon_quotient(lcm, mi)
+            qj = mon_quotient(lcm, mj)
+            spoly = sub(self.basis[i].term_mul(qi), self.basis[j].term_mul(qj))
+            rep = sub(self.reps[i].term_mul(qi), self.reps[j].term_mul(qj))
+            r, rep = _reduce_reference(spoly, self.basis, self.leads, self.reps, rep)
+            if r:
+                self._insert(r, rep)
+            elif rep:
+                self.syzygies.append((rep, deg))
+
+
+def syzygies_reference(gens):
+    """gb.syzygies computed by the reference engine: the same
+    (elements, source), in the same order."""
+    eng = _ReferenceEngine(list(gens))
+    eng.run()
+    eng.syzygies.sort(key=lambda sd: element_sort_key(*sd))
+    return [s for s, _ in eng.syzygies], eng.source
+
+
+# ---------------------------------------------------------------------------
+# arithmetic and views that only the tests use
+
+
+def mon_quotient(a, b):
+    """a / b; requires b | a."""
+    q = tuple(x - y for x, y in zip(a, b))
+    if any(x < 0 for x in q):
+        raise ValueError(f"{b} does not divide {a}")
+    return q
+
+
+def sdeg(spec: RingSpec, m) -> int:
+    """Standard degree (sum of exponents) of a monomial of the ring."""
+    if len(m) != spec.num_vars:
+        raise DimensionMismatch(
+            f"monomial has {len(m)} exponents, ring has {spec.num_vars} variables"
+        )
+    return sum(m)
+
+
+def poly_term(spec: RingSpec, m, c: int = 1) -> Polynomial:
+    return Polynomial(spec, {tuple(m): c})
+
+
+def poly_constant(spec: RingSpec, c: int) -> Polynomial:
+    return Polynomial(spec, {spec.one(): c})
+
+
+def poly_from_terms(spec: RingSpec, terms) -> Polynomial:
+    """The polynomial sum c * x^m over the (m, c) in terms."""
+    coeffs = {}
+    for m, c in terms:
+        m = tuple(m)
+        coeffs[m] = coeffs.get(m, 0) + c
+    return Polynomial(spec, coeffs)
+
+
+def constant_value(f: Polynomial) -> int:
+    return f.coeffs.get(f.spec.one(), 0)
+
+
+def is_homogeneous(f: Polynomial) -> bool:
+    return len({f.spec.wdeg(m) for m in f.coeffs}) <= 1
+
+
+def lead_term(f: Polynomial):
+    """(monomial, coefficient) of f's largest term in weighted degrevlex."""
+    if not f.coeffs:
+        raise ValueError("zero polynomial has no lead term")
+    m = max(f.coeffs, key=lambda t: grevlex_key(f.spec, t))
+    return m, f.coeffs[m]
+
+
+def lead(v: FreeElement):
+    """Lead term (component, monomial, coefficient) in the POT order."""
+    if not v.coeffs:
+        raise ValueError("zero element has no lead term")
+    comp, m = max(v.coeffs, key=lambda k: term_key(v.spec, k[0], k[1]))
+    return comp, m, v.coeffs[(comp, m)]
+
+
+def scale(v: FreeElement, c: int) -> FreeElement:
+    p = v.spec.char
+    return FreeElement(v.spec, v.ambient, {k: x * c % p for k, x in v.coeffs.items()})
+
+
+def sub(a: FreeElement, b: FreeElement) -> FreeElement:
+    """a - b, with a's terms first, then b's new ones in b's order."""
+    p = a.spec.char
+    out = dict(a.coeffs)
+    for k, c in b.coeffs.items():
+        v = (out.get(k, 0) - c) % p
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return FreeElement(a.spec, a.ambient, out, _clean=True)
+
+
+def complex_length(C: GradedFreeComplex) -> int:
+    return len(C.modules) - 1
+
+
+def module_dim(M: ExplicitGradedModule, j: int) -> int:
+    return len(module_basis(M, j))
+
+
+def module_basis(M: ExplicitGradedModule, j: int):
+    if j > M.bound:
+        raise DegreeRangeError(f"degree {j} beyond stored bound {M.bound}")
+    return M.degrees.get(j, ())
+
+
+def module_hilbert(M: ExplicitGradedModule, bound: int | None = None) -> list:
+    """Dimensions of the graded pieces of M for degrees 0..bound."""
+    b = M.bound if bound is None else bound
+    if b > M.bound:
+        raise DegreeRangeError(f"bound {b} beyond stored bound {M.bound}")
+    return [len(M.degrees.get(j, ())) for j in range(b + 1)]

@@ -16,12 +16,12 @@ import pytest
 
 import oracles
 from nskoszul.assoc_graded import OrdContext, gr_betti, gr_hilbert
-from nskoszul.complexes import resolve_module
+from nskoszul.complexes import BettiTable, resolve_module
 from nskoszul.construction import construct_gr_betti, ses_hilbert_check
 from nskoszul.egm import betti_via_koszul
 from nskoszul.gb import monomial_elements
-from nskoszul.koszul_check import linear_part, lin_acyclicity
-from nskoszul.ring import RingSpec
+from nskoszul.koszul_check import koszul_verdict, linear_part, lin_acyclicity
+from nskoszul.ring import RingSpec, monomials_of_wdeg
 from nskoszul.sweep import rows_to_csv, rows_to_dicts, run_sweep
 from nskoszul.truncation import trunc_gens
 
@@ -300,3 +300,51 @@ def test_criterion_9_complex_hygiene():
         checked += 1
     report(9, "complex hygiene on randomized inputs", ok and checked >= 1000,
            f"{produced} complexes from {checked} inputs")
+
+
+FOUR_VARIABLE_CASES = [
+    (weights, e)
+    for weights in itertools.combinations_with_replacement(range(1, 4), 4)
+    for e in range(1, 7)
+]
+
+
+def weighted_hilbert_identity(spec, e, table) -> bool:
+    """sum_i (-1)^i sum_j beta_ij t^j == H(R_{>=e}, t) * prod_k (1 - t^{w_k})
+    for the weighted Betti table of a resolution of the degree >= e
+    truncation, compared up to past its top degree."""
+    top = max(j for _, j, _ in table.entries) + sum(spec.weights) + 1
+    hilb = [len(monomials_of_wdeg(spec, d)) if d >= e else 0 for d in range(top + 1)]
+    rhs = oracles.truncated_series_product(
+        hilb, oracles.one_minus_t_powers(spec.weights, top), top
+    )
+    return oracles.alternating_betti_series(table, top) == rhs
+
+
+@pytest.mark.parametrize("char", [32003, 2])
+def test_criterion_10_four_variables(char):
+    # n = 4, weights <= 3, e <= 6: every verdict true, the construction's
+    # table equal to the gr table, and the resolution's weighted Betti
+    # numbers satisfying the Hilbert series identity
+    start = time.perf_counter()
+    ok = len(FOUR_VARIABLE_CASES) == 90
+    for weights, e in FOUR_VARIABLE_CASES:
+        spec = RingSpec(weights, char=char)
+        r = koszul_verdict(spec, e)
+        ok = ok and r.all_true and r.construct_table == r.gr_table
+        ok = ok and weighted_hilbert_identity(spec, e, r.resolution_betti)
+        if not ok:
+            break
+    elapsed = time.perf_counter() - start
+    report(10, f"four variables w<=3 e<=6 p={char}", ok,
+           f"{len(FOUR_VARIABLE_CASES)} cases in {elapsed:.1f} s")
+
+
+def test_weighted_hilbert_identity_rejects_a_wrong_table():
+    # negative control: one Betti number off breaks the identity
+    spec = RingSpec((1, 3))
+    F = resolve_module(monomial_elements(spec, trunc_gens(spec, 5)))
+    table = F.betti_from_twists()
+    assert weighted_hilbert_identity(spec, 5, table)
+    (i, j, r), *rest = table.entries
+    assert not weighted_hilbert_identity(spec, 5, BettiTable(((i, j, r + 1), *rest)))

@@ -33,9 +33,9 @@ def paper_phi_complex():
     """0 -> S^2(-8) -> S^2(-5) + S(-6), the displayed resolution."""
     p = W13.char
     phi = (
-        (Polynomial.term(W13, (0, 1)), Polynomial.zero(W13)),
-        (Polynomial.term(W13, (3, 0), p - 1), Polynomial.term(W13, (0, 1))),
-        (Polynomial.zero(W13), Polynomial.term(W13, (2, 0), p - 1)),
+        (oracles.poly_term(W13, (0, 1)), Polynomial.zero(W13)),
+        (oracles.poly_term(W13, (3, 0), p - 1), oracles.poly_term(W13, (0, 1))),
+        (Polynomial.zero(W13), oracles.poly_term(W13, (2, 0), p - 1)),
     )
     return GradedFreeComplex(
         W13, (FreeModuleSpec((5, 5, 6)), FreeModuleSpec((8, 8))), (phi,)
@@ -64,7 +64,7 @@ class TestCheckComplex:
         assert "o d_" in report.first
 
     def test_inhomogeneous_entry_detected(self):
-        mat = (((Polynomial.term(W13, (1, 0)),),),)
+        mat = (((oracles.poly_term(W13, (1, 0)),),),)
         C = GradedFreeComplex(W13, (FreeModuleSpec((0,)), FreeModuleSpec((5,))), mat)
         report = oracles.check_complex(C)
         assert not report.ok
@@ -179,7 +179,7 @@ class TestTotalize:
 class TestResolve:
     def test_free_module_has_length_zero(self):
         F = resolve_module(monomial_elements(W13, [(0, 2)]))
-        assert F.length == 0
+        assert oracles.complex_length(F) == 0
         assert F.modules[0].twists == (6,)
 
     def test_paper_example_1_3(self):
@@ -383,7 +383,7 @@ def _grid_walk_inputs():
                 continue
             T = oracles.taylor_complex(spec, gens)
             yield T
-            if T.length >= 2:
+            if oracles.complex_length(T) >= 2:
                 yield GradedFreeComplex(spec, T.modules[:-1], T.diffs[:-1])
             yield linear_part(resolve_module(monomial_elements(spec, gens)), spec)
         std2 = RingSpec((1, 1), ("x", "y"), p)
@@ -708,9 +708,9 @@ class TestBettiTable:
         for j in range(0, 13):
             euler = sum(
                 (-1) ** i * oracles.free_hilbert(W13, F.modules[i].twists, j)
-                for i in range(F.length + 1)
+                for i in range(oracles.complex_length(F) + 1)
             )
-            assert euler == M.dim(j)
+            assert euler == oracles.module_dim(M, j)
 
     def test_restrict_and_total(self):
         t = BettiTable(((0, 0, 3), (1, 1, 2), (2, 5, 7)))

@@ -1,13 +1,14 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 import oracles
+from nskoszul import complexes, gb
 from nskoszul.complexes import resolve_module
 from nskoszul.gb import (
     InhomogeneousInput,
     _Engine,
-    _reduce,
     element_sort_key,
     minimal_generators,
     monomial_elements,
@@ -22,6 +23,7 @@ from nskoszul.ring import (
     mon_mul,
     monomials_of_wdeg,
 )
+from nskoszul.sweep import sweep_cases
 from nskoszul.truncation import trunc_gens
 
 import numpy as np
@@ -43,14 +45,31 @@ def combine(rep, gens):
     return total
 
 
+# fields wide enough for every test that builds an engine by hand
+WIDTH = 16
+
+
+def packed_reduce(eng, v):
+    """The engine's reduction of v, unpacked: (remainder, rep)."""
+    pack, unpack = eng.layout.pack, eng.layout.unpack
+    work = {pack(c, m): coeff for (c, m), coeff in v.coeffs.items()}
+    remainder, rep = eng._reduce(work, {})
+    r = FreeElement(v.spec, v.ambient, {unpack(t): c for t, c in remainder}, _clean=True)
+    return r, FreeElement(v.spec, eng.source, {unpack(t): c for t, c in rep.items()}, _clean=True)
+
+
+def lead_monomials(eng):
+    return [eng.layout.unpack(lead)[1] for lead in eng.leads]
+
+
 def reduce_by(v, gens, run=False):
     """v reduced by the syzygy engine's working basis on gens: the monic
     gens, and after run() a Groebner basis.  Checks the representation the
     reduction tracks: the remainder is v plus that combination of gens."""
-    eng = _Engine(gens)
+    eng = _Engine(gens, WIDTH)
     if run:
         eng.run()
-    r, rep = _reduce(v, eng.basis, eng.leads, eng.reps, FreeElement.zero(v.spec, eng.source))
+    r, rep = packed_reduce(eng, v)
     assert r == v + combine(rep, gens)
     return r
 
@@ -58,11 +77,11 @@ def reduce_by(v, gens, run=False):
 class TestNormalForm:
     def test_self_reduction(self):
         (g,) = ideal(W13, [(2, 1)])
-        assert reduce_by(g, [g]).is_zero()
+        assert not reduce_by(g, [g])
 
     def test_monomial_divisibility(self):
         v, g = ideal(W13, [(3, 1), (2, 1)])
-        assert reduce_by(v, [g]).is_zero()
+        assert not reduce_by(v, [g])
 
     def test_single_division_step(self):
         # x^4 + y reduced by x^2 leaves y
@@ -77,8 +96,8 @@ class TestNormalForm:
         amb = FreeModuleSpec((0,))
         v = FreeElement(W13, amb, {(0, (4, 1)): 1})
         g1, g2 = ideal(W13, [(2, 1), (1, 1)])
-        assert reduce_by(v, [g1, g2]).is_zero()
-        assert reduce_by(v, [g2, g1]).is_zero()
+        assert not reduce_by(v, [g1, g2])
+        assert not reduce_by(v, [g2, g1])
 
     def test_non_monic_reducer(self):
         # x1^2 by 3*x1 + 5*x2, stored as its monic multiple: subtract (x1/3) g,
@@ -98,27 +117,27 @@ class TestBuchberger:
         # x^3 y = x * x^2 y: the engine keeps every input and records the
         # syzygy x e_1 - e_2; minimal_generators drops x^3 y
         gens = ideal(W13, [(5, 0), (2, 1), (3, 1)])
-        eng = _Engine(gens)
+        eng = _Engine(gens, WIDTH)
         eng.run()
-        assert [g.lead()[1] for g in eng.basis] == [(5, 0), (2, 1), (3, 1)]
+        assert lead_monomials(eng) == [(5, 0), (2, 1), (3, 1)]
         p = W13.char
         assert {(1, (1, 0)): 1, (2, (0, 0)): p - 1} in [s.coeffs for s in syzygies(gens)[0]]
-        assert [g.lead()[1] for g in minimal_generators(gens)] == [(5, 0), (2, 1)]
+        assert [oracles.lead(g)[1] for g in minimal_generators(gens)] == [(5, 0), (2, 1)]
 
     def test_principal_ideal(self):
         gens = monomial_elements(RingSpec((2,), ("x",)), [(1,)])
-        eng = _Engine(gens)
+        eng = _Engine(gens, WIDTH)
         eng.run()
-        assert len(eng.basis) == 1
+        assert len(eng.leads) == 1
         syz, src = syzygies(gens)
         assert syz == [] and src.twists == (2,)
 
     def test_truncation_generators_unchanged(self):
         # the truncation generators are already a Groebner basis
         gens = [(5, 0), (2, 1), (0, 2)]
-        eng = _Engine(ideal(W13, gens))
+        eng = _Engine(ideal(W13, gens), WIDTH)
         eng.run()
-        assert sorted(g.lead()[1] for g in eng.basis) == sorted(gens)
+        assert sorted(lead_monomials(eng)) == sorted(gens)
 
     def test_binomial_ideal(self):
         # x^3 - y and x^5: classic weighted-homogeneous pair (deg 3 and 5)
@@ -128,11 +147,11 @@ class TestBuchberger:
         # x^2*y = x^2*x^3 - x^2*(x^3 - y) is in the ideal, and the engine's
         # basis shows it: the S-pair of f and g adds x^2 y
         probe = FreeElement(W13, amb, {(0, (2, 1)): 1})
-        assert reduce_by(probe, [f, g], run=True).is_zero()
+        assert not reduce_by(probe, [f, g], run=True)
         syz, src = syzygies([f, g])
         assert src.twists == (3, 5)
         for s in syz:
-            assert combine(s, [f, g]).is_zero()
+            assert not combine(s, [f, g])
         degrees = range(0, 16)
         assert oracles.graded_span_dims(syz, degrees) == brute_force_kernel_dims(
             W13, [f, g], degrees
@@ -213,7 +232,7 @@ class TestSyzygyProperties:
                 m = rng.choice(monomials_of_wdeg(spec, rng.randint(0, 4)) or [spec.one()])
                 combo = combo + g.term_mul(m, rng.randint(1, spec.char - 1))
             for piece in _homogeneous_pieces(combo):
-                assert reduce_by(piece, gens, run=True).is_zero()
+                assert not reduce_by(piece, gens, run=True)
 
     def test_syzygy_columns_annihilate_generators(self):
         rng = random.Random(6)
@@ -222,7 +241,7 @@ class TestSyzygyProperties:
             gens = ideal(spec, random_monomial_ideal(rng, spec))
             syz, _ = syzygies(gens)
             for s in syz:
-                assert combine(s, gens).is_zero()
+                assert not combine(s, gens)
 
     def test_syzygy_completeness_against_linear_algebra(self):
         rng = random.Random(7)
@@ -239,10 +258,10 @@ class TestSyzygyProperties:
         rng = random.Random(8)
         for _ in range(20):
             spec = RingSpec(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3))))
-            eng = _Engine(ideal(spec, random_monomial_ideal(rng, spec)))
+            eng = _Engine(ideal(spec, random_monomial_ideal(rng, spec)), WIDTH)
             eng.run()
-            for g in eng.basis:
-                assert len(g.coeffs) == 1
+            for tail in eng.tails:
+                assert tail == []
 
 
 def _homogeneous_pieces(v):
@@ -260,7 +279,7 @@ class TestMinimalGenerators:
     def test_redundant_monomial_dropped(self):
         gens = ideal(W13, [(5, 0), (2, 1), (3, 1)])
         mins = minimal_generators(gens)
-        assert sorted(g.lead()[1] for g in mins) == [(2, 1), (5, 0)]
+        assert sorted(oracles.lead(g)[1] for g in mins) == [(2, 1), (5, 0)]
 
     def test_scalar_dependence_within_degree(self):
         amb = FreeModuleSpec((0,))
@@ -273,7 +292,7 @@ class TestMinimalGenerators:
         # x1^2 in the span of x1 via multiplication
         gens = ideal(STD2, [(1, 0), (2, 0)])
         mins = minimal_generators(gens)
-        assert [g.lead()[1] for g in mins] == [(1, 0)]
+        assert [oracles.lead(g)[1] for g in mins] == [(1, 0)]
 
 
 def _sort_key(v):
@@ -337,7 +356,7 @@ def test_minimal_generators_match_dense_echelon(p):
 
 def test_element_sort_key_reads_the_lead_term():
     # the key takes the lead from the lowest component without comparing
-    # degrees; it must equal the key built from FreeElement.lead()
+    # degrees; it must equal the key built from the lead term
     rng = random.Random(17)
     components = 0
     for _ in range(300):
@@ -349,7 +368,7 @@ def test_element_sort_key_reads_the_lead_term():
             continue
         terms = rng.sample(basis, min(len(basis), rng.randint(1, 6)))
         v = FreeElement(spec, ambient, {key: rng.randint(1, 50) for key in terms})
-        comp, mon, _ = v.lead()
+        comp, mon, _ = oracles.lead(v)
         assert element_sort_key(v, d) == (v.homogeneous_degree(), comp, tuple(reversed(mon)))
         components = max(components, len({c for c, _ in v.coeffs}))
     assert components >= 3
@@ -364,11 +383,31 @@ def _random_element(rng, spec, ambient, d, terms=3):
     return FreeElement(spec, ambient, {k: rng.randint(1, 3 * spec.char) for k in keys})
 
 
+def engine_basis(eng, ref):
+    """The packed engine's basis as the reference engine keeps it:
+    (basis, leads, reps) as FreeElements and (component, monomial, 1)
+    triples.  Asserts that it is the reference's, dict orders aside."""
+    unpack = eng.layout.unpack
+    spec, ambient = ref.spec, ref.ambient
+    basis, leads, reps = [], [], []
+    for lead, tail, rep in zip(eng.leads, eng.tails, eng.reps):
+        comp, mon = unpack(lead)
+        terms = {(comp, mon): 1, **{unpack(t): c for t, c in tail}}
+        basis.append(FreeElement(spec, ambient, terms, _clean=True))
+        leads.append((comp, mon, 1))
+        reps.append(FreeElement(spec, eng.source, {unpack(t): c for t, c in rep.items()}))
+    assert (basis, leads, reps) == (ref.basis, ref.leads, ref.reps)
+    assert [list(r.coeffs.items()) for r in reps] == [list(r.coeffs.items()) for r in ref.reps]
+    return basis, leads, reps
+
+
 @pytest.mark.parametrize("twists", [(0,), (0, 1)])
 @pytest.mark.parametrize("p", [2, 3, 32003])
 def test_heap_reduction_matches_max_scan(p, twists):
-    # the heap in _reduce must pop terms in the order of the max scan, so the
-    # remainder, the representation and their dict orders all agree
+    # the heap of packed terms must pop them in the order of the max scan, so
+    # the remainder, the representation and their dict orders all agree.  The
+    # engine reduces homogeneous elements only, so an element that mixes
+    # degrees is reduced one homogeneous piece at a time.
     rng = random.Random(100 * p + len(twists))
     ambient = FreeModuleSpec(twists)
     reduced = changed = 0
@@ -378,10 +417,13 @@ def test_heap_reduction_matches_max_scan(p, twists):
         gens = [g for g in gens if g]
         if not gens:
             continue
-        eng = _Engine(gens)
+        eng = _Engine(gens, WIDTH)
+        ref = oracles._ReferenceEngine(gens)
         for run in (False, True):
             if run:
                 eng.run()
+                ref.run()
+            basis, leads, reps = engine_basis(eng, ref)
             for _ in range(8):
                 d = rng.randint(2, 5)
                 v = _random_element(rng, spec, ambient, d, 4)
@@ -391,15 +433,14 @@ def test_heap_reduction_matches_max_scan(p, twists):
                         v = v + g.term_mul(rng.choice(mons), rng.randint(1, p))
                 if rng.random() < 0.3:
                     v = v + _random_element(rng, spec, ambient, d + 1)
-                if not v:
-                    continue
-                zero = FreeElement.zero(spec, eng.source)
-                r, rep = _reduce(v, eng.basis, eng.leads, eng.reps, zero)
-                want_r, want_rep = oracles.reduce_max_scan(v, eng.basis, eng.leads, eng.reps, zero)
-                assert list(r.coeffs.items()) == list(want_r.coeffs.items())
-                assert list(rep.coeffs.items()) == list(want_rep.coeffs.items())
-                reduced += 1
-                changed += r != v
+                for piece in _homogeneous_pieces(v):
+                    zero = FreeElement.zero(spec, eng.source)
+                    r, rep = packed_reduce(eng, piece)
+                    want_r, want_rep = oracles.reduce_max_scan(piece, basis, leads, reps, zero)
+                    assert list(r.coeffs.items()) == list(want_r.coeffs.items())
+                    assert list(rep.coeffs.items()) == list(want_rep.coeffs.items())
+                    reduced += 1
+                    changed += r != piece
     assert reduced >= 100 and changed >= reduced // 2
 
 
@@ -422,16 +463,19 @@ def test_chain_skip_is_the_literal_criterion(monkeypatch):
     decisions = []
     chain_skip = _Engine._chain_skip
 
-    def recording(self, i, j, lcm, comp):
-        got = chain_skip(self, i, j, lcm, comp)
-        mi, mj = self.leads[i][1], self.leads[j][1]
+    def recording(self, i, j, lcm):
+        got = chain_skip(self, i, j, lcm)
+        leads = [self.layout.unpack(lead) for lead in self.leads]
+        comp, top = self.layout.unpack(lcm)
+        (ci, mi), (cj, mj) = leads[i], leads[j]
+        assert ci == cj == comp and top == mon_lcm(mi, mj)
         want = any(
             k not in (i, j)
             and ck == comp
-            and mon_divides(mk, lcm)
-            and mon_lcm(mi, mk) != lcm
-            and mon_lcm(mk, mj) != lcm
-            for k, (ck, mk, _) in enumerate(self.leads)
+            and mon_divides(mk, top)
+            and mon_lcm(mi, mk) != top
+            and mon_lcm(mk, mj) != top
+            for k, (ck, mk) in enumerate(leads)
         )
         decisions.append((got, want, comp))
         return got
@@ -444,3 +488,136 @@ def test_chain_skip_is_the_literal_criterion(monkeypatch):
     skipped = sum(got for got, _, _ in decisions)
     assert skipped >= 200 and len(decisions) - skipped >= 200
     assert any(comp > 0 and got for got, _, comp in decisions)
+
+
+# ---------------------------------------------------------------------------
+# the packed engine against the reference engine
+
+
+def assert_same_syzygies(gens):
+    """gb.syzygies(gens) equals the reference engine's output: the same
+    elements in the same order, each with its terms in the same order."""
+    got, source = syzygies(gens)
+    want, want_source = oracles.syzygies_reference(gens)
+    assert source == want_source
+    assert got == want
+    assert [list(s.coeffs.items()) for s in got] == [list(s.coeffs.items()) for s in want]
+    return got
+
+
+def checked_resolutions(monkeypatch, cases, p):
+    """Resolve the truncation of each (weights, e) case at characteristic p
+    with every syzygies call checked against the reference; returns the
+    number of calls."""
+    calls = []
+
+    def checking(gens):
+        calls.append(assert_same_syzygies(gens))
+        return syzygies(gens)
+
+    monkeypatch.setattr(complexes, "syzygies", checking)
+    for weights, e in cases:
+        spec = RingSpec(weights, char=p)
+        resolve_module(monomial_elements(spec, trunc_gens(spec, e)))
+    return len(calls)
+
+
+def test_syzygies_match_the_reference_on_four_variables(monkeypatch):
+    # the 90 cases of the resolve4 benchmark workload: n = 4, weights <= 3
+    cases = [
+        (w, e) for w in combinations_with_replacement(range(1, 4), 4) for e in range(1, 7)
+    ]
+    assert checked_resolutions(monkeypatch, cases, 32003) == 360
+
+
+def test_syzygies_match_the_reference_on_the_sweep(monkeypatch):
+    # the cases of the 408-case acceptance sweep: n <= 3, weights <= 4, e <= 12
+    cases = [(c.weights, c.e) for c in sweep_cases(3, 4, 12)]
+    assert len(cases) == 408
+    assert checked_resolutions(monkeypatch, cases, 32003) >= 408
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_syzygies_match_the_reference_on_random_inputs(p):
+    # homogeneous generators, at least one of them with several terms, with
+    # non-unit coefficients, in twisted free modules of rank up to 3
+    rng = random.Random(1000 + p)
+    inputs = multi = non_monic = found = 0
+    while inputs < 110:
+        spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))), char=p)
+        ambient = FreeModuleSpec(tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3))))
+        low = min(ambient.twists)
+        gens = [
+            _random_element(rng, spec, ambient, rng.randint(low + 1, low + 6), 4)
+            for _ in range(rng.randint(3, 7))
+        ]
+        gens = [g for g in gens if g]
+        if len(gens) < 2 or all(len(g.coeffs) == 1 for g in gens):
+            continue
+        found += len(assert_same_syzygies(gens))
+        inputs += 1
+        multi += len({c for g in gens for c, _ in g.coeffs}) > 1
+        non_monic += any(oracles.lead(g)[2] != 1 for g in gens)
+    assert multi >= 50 and found >= 250
+    assert p == 2 or non_monic >= 100
+
+
+# ---------------------------------------------------------------------------
+# field widths
+
+
+def test_large_exponents_in_one_variable():
+    spec = RingSpec((1,), ("x",))
+    big = 2**20
+    gens = monomial_elements(spec, [(big,), (big + 3,)])
+    (s,) = assert_same_syzygies(gens)
+    assert s.coeffs == {(0, (3,)): 1, (1, (0,)): spec.char - 1}
+
+
+def test_truncation_with_exponents_past_one_byte(monkeypatch):
+    # exponents up to 600 on two variables, fields far wider than the
+    # narrowest ones
+    spec = RingSpec((1, 300), ("x", "y"))
+    assert trunc_gens(spec, 600) == [(600, 0), (300, 1), (0, 2)]
+    assert checked_resolutions(monkeypatch, [((1, 300), 600)], spec.char) == 2
+
+
+def test_a_carry_into_a_guard_bit_widens_the_fields(monkeypatch):
+    # x^127 sizes the fields for exponents up to 255, but reducing the S-pair
+    # of g1 and g2 by g3 multiplies x^127 e2 by x^252
+    widths = []
+
+    class Recording(gb._Layout):
+        def __init__(self, n, width):
+            widths.append(width)
+            super().__init__(n, width)
+
+    monkeypatch.setattr(gb, "_Layout", Recording)
+    spec = RingSpec((1,), ("x",))
+    ambient = FreeModuleSpec((0, -126, -252))
+    g1 = FreeElement(spec, ambient, {(0, (1,)): 1, (1, (127,)): 1})
+    g2 = FreeElement(spec, ambient, {(0, (127,)): 1})
+    g3 = FreeElement(spec, ambient, {(1, (1,)): 1, (2, (127,)): 1})
+    syz = assert_same_syzygies([g1, g2, g3])
+    assert len(widths) == 2 and widths[0] < widths[1]
+    assert (1 << (widths[0] - 1)) <= 379 < (1 << (widths[1] - 1))
+    for s in syz:
+        assert not combine(s, [g1, g2, g3])
+
+
+def test_inhomogeneous_input_with_large_exponents():
+    spec = RingSpec((1, 2), ("x", "y"))
+    ambient = FreeModuleSpec((0, 5))
+    good = FreeElement(spec, ambient, {(0, (2**20, 0)): 1})
+    bad = FreeElement(spec, ambient, {(0, (2**20, 1)): 1, (1, (0, 1)): 3})
+    with pytest.raises(InhomogeneousInput) as exc:
+        syzygies([good, bad])
+    assert exc.value.index == 1 and exc.value.degrees == [7, 2**20 + 2]
+
+
+def test_negative_exponent_rejected():
+    # a negative exponent has no field to go in
+    amb = FreeModuleSpec((0,))
+    bad = FreeElement(W13, amb, {(0, (-1, 2)): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        syzygies([bad])

@@ -1,8 +1,8 @@
 """Every name a test or source module imports is used in it, every
 private module-level function or class of the package has a user in the
-package, every public module-level function of the package has one or a
-listed reason to be public without one, and no module-level name is defined
-both in the package and in tests/oracles.py.
+package, every public module-level function and every public method of a
+package class has one or a listed reason to be public without one, and no
+module-level name is defined both in the package and in tests/oracles.py.
 
 The package's __init__.py is left out of the import check: its imports are
 its public re-exports."""
@@ -137,6 +137,64 @@ def test_scanner_finds_an_uncalled_public_function():
         ("a", "recursive"),
         ("a", "stray"),
     ]
+
+
+def uncalled_methods(sources: dict) -> list:
+    """(module, class, method) of each public method of a module-level class
+    that no source reads as an attribute outside the method's own body.
+
+    Dunder methods are left out: the language calls them.  Methods match by
+    name, not by class, so a method shares the callers of every attribute
+    of the same name."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    methods = []
+    read = set()
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                scopes = stmt.body + stmt.bases + stmt.decorator_list
+                for node in stmt.body:
+                    if isinstance(node, ast.FunctionDef) and node.name[:1] != "_":
+                        methods.append((mod, stmt.name, node.name))
+            else:
+                scopes = [stmt]
+            for scope in scopes:
+                own = getattr(scope, "name", None)
+                read.update(
+                    node.attr
+                    for node in ast.walk(scope)
+                    if isinstance(node, ast.Attribute) and node.attr != own
+                )
+    return sorted(m for m in methods if m[2] not in read)
+
+
+# Public methods that no package module calls, each with its reason.
+UNCALLED_METHODS = {"BettiTable.restrict": "the benchmark's gr4 workload calls it"}
+
+
+def test_public_methods_have_a_package_caller():
+    sources = {path.stem: path.read_text() for path in PACKAGE if path.name != "__init__.py"}
+    uncalled = [f"{cls}.{name}" for _, cls, name in uncalled_methods(sources)]
+    assert sorted(uncalled) == sorted(UNCALLED_METHODS)
+
+
+def test_scanner_finds_an_uncalled_method():
+    sources = {
+        "a": (
+            "class K:\n"
+            "    def called(self): return self.helper()\n"
+            "    def helper(self): pass\n"
+            "    def stray(self): pass\n"
+            "    def recursive(self): return self.recursive()\n"
+            "    def _private(self): pass\n"
+            "    def __len__(self): return 0\n"
+            "    @property\n"
+            "    def size(self): return 1\n"
+            "def f(k): return k.size\n"
+        ),
+        "b": "import a\na.K().called()\n",
+    }
+    assert uncalled_methods(sources) == [("a", "K", "recursive"), ("a", "K", "stray")]
 
 
 def module_level_names(source: str) -> set:
