@@ -13,8 +13,8 @@ from .ring import (
 from .gb import (
     InhomogeneousInput,
     minimal_generators,
+    minimal_syzygies,
     monomial_elements,
-    syzygies,
 )
 from .complexes import (
     BettiTable,

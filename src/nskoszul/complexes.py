@@ -21,8 +21,8 @@ from itertools import product
 import numpy as np
 
 from . import modp
-from .gb import minimal_generators, syzygies
-from .ring import FreeModuleSpec, Polynomial, RingSpec
+from .gb import minimal_generators, minimal_syzygies
+from .ring import Polynomial, RingSpec
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +125,24 @@ class GradedFreeComplex:
 def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
     """Minimal free resolution of the submodule generated by homogeneous gens.
 
-    Each level is a minimal generating set (minimal_generators) of the
-    Schreyer syzygies of the level before, so the resolution is minimal and,
-    by Hilbert's syzygy theorem, ends within num_vars steps.  Only the minimal
-    resolution is computed: minimize=False raises ValueError, and the keyword
-    takes no other value.
+    Level 0 is a minimal generating set of gens (minimal_generators), and
+    each later level a minimal generating set of the Schreyer syzygies of
+    the level before (gb.minimal_syzygies), so the resolution is minimal
+    and, by Hilbert's syzygy theorem, ends within num_vars steps.  Only the
+    minimal resolution is computed: minimize=False raises ValueError, and
+    the keyword takes no other value.
 
     The minimal resolution has no unit entry.  A unit entry u in row r of a
     syzygy s would give u g_r = -sum of s_k g_k over k != r, where every g_k
     with a unit coefficient has the degree of g_r and every other one a lower
     degree.  The last kept of the generators with unit coefficients would
-    then lie in the graded span of generators kept before it, which
-    minimal_generators rules out (graded Nakayama).  linear_part still
-    refuses a unit entry.
+    then lie in the graded span of generators kept before it, which the
+    selection rules out (graded Nakayama).  linear_part still refuses a unit
+    entry.
 
-    Each differential is built in one pass over every syzygy's terms; the
-    entries a syzygy does not reach are one shared zero Polynomial, which no
-    caller mutates.
+    Each differential is built in one pass over every kept syzygy's terms;
+    the entries a syzygy does not reach are one shared zero Polynomial, which
+    no caller mutates.
     """
     if not minimize:
         raise ValueError("resolve_module computes only the minimal resolution")
@@ -149,24 +150,22 @@ def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
     if not gens:
         raise ValueError("need at least one nonzero generator")
     spec = gens[0].spec
-    current = minimal_generators(gens)
-    modules = [FreeModuleSpec(tuple(g.homogeneous_degree() for g in current))]
+    modules = []
     diffs = []
     zero = Polynomial.zero(spec)
-    for _ in range(spec.num_vars + 2):
-        syz = minimal_generators(syzygies(current)[0])
+    levels = minimal_syzygies(minimal_generators(gens))
+    for _, (source, syz) in zip(range(spec.num_vars + 2), levels):
+        modules.append(source)
         if not syz:
             break
-        rows = [[zero] * len(syz) for _ in current]
+        rows = [[zero] * len(syz) for _ in source.twists]
         for col, s in enumerate(syz):
             parts = {}
-            for (comp, m), c in s.coeffs.items():
+            for (comp, m), c in s.items():
                 parts.setdefault(comp, {})[m] = c
             for comp, terms in parts.items():
                 rows[comp][col] = Polynomial(spec, terms, _clean=True)
         diffs.append(tuple(map(tuple, rows)))
-        modules.append(FreeModuleSpec(tuple(s.homogeneous_degree() for s in syz)))
-        current = syz
     else:
         raise RuntimeError("resolution did not terminate within the level cap")
     return GradedFreeComplex(spec, tuple(modules), tuple(diffs))

@@ -1,5 +1,6 @@
 """Schreyer syzygies and minimal generators for submodules of twisted free
-modules over the weighted ring.
+modules over the weighted ring, kept packed from one resolution level to
+the next.
 
 The module order is position-over-term on top of weighted degrevlex.  The
 engine works on homogeneous inputs only; every module this package touches is
@@ -30,13 +31,6 @@ the source module (input index, exponents) is packed the same way.  So:
   ``y - ONES`` (ONES has a 1 at the bottom of each field) mark the fields
   where m falls short of the lcm.
 
-The inputs are packed once, in the same pass that takes their degrees and
-rejects inhomogeneous ones, and only the returned syzygies are unpacked.
-The fields are sized from the largest input exponent, with one value bit
-to spare.  Every product is checked for a carry into a guard bit; a carry
-means the fields are too narrow, and the run starts over with fields twice
-as wide, so no exponent ever wraps into its neighbour.
-
 Reduction pops the largest remaining term from a heap of the packed terms.
 Every term of one component of a homogeneous element has the same weighted
 degree, so the position-over-term order on it is the component, then the
@@ -50,14 +44,41 @@ scanning every lead.  The chain
 criterion drops (i, j) when some third lead k of the same component
 divides the pair lcm and lcm(m_i, m_k) and lcm(m_k, m_j) both differ from
 it; lcm(m_i, m_k) differs from the lcm iff some field where m_i falls short
-also has m_k short, one AND of the two short masks.  Which pairs are
-dropped, the pair order (degree, i, j), and the order of every reduction
-fix the syzygy set, and through it the basis that minimal_generators keeps.
+also has m_k short, one AND of the two short masks.  A pair's degree is
+the sum of the fieldwise max of the two leads' weighted exponents, kept
+once per basis element.  Which pairs are dropped, the pair order
+(degree, i, j), and the order of every reduction fix the syzygy set, and
+through it the basis that the selection keeps.
+
+The selection of minimal generators (``_select``) runs on the same packed
+terms.  The syzygies are sorted by (degree, least packed term), which is
+(degree, component and reversed exponents of the lead), and each is kept
+iff it lies outside the graded span of those kept before it: one sparse
+column reduction (``modp.pivots``) per degree d, whose columns are every
+kept element of degree d_w times every monomial of degree d - d_w (its
+packed terms plus the packed monomial), then the candidates of degree d.
+The candidates kept are the column rank profile among them, and whether a
+column lies in the span of the columns before it does not depend on how
+the keys of the reduction are ordered; so packed ints as keys keep the
+same elements as (component, monomial) labels.  A span column is checked
+for a carry into a guard bit like every product of the engine.
+
+A level packs its inputs once, in the same pass that takes their degrees
+and rejects inhomogeneous ones (``_pack``); its syzygies are selected
+packed, and only the kept ones are unpacked, once each, for the
+differential.  They go into the next level's engine as they are, packed,
+with their degrees as its source twists.  The first fields are sized from
+the largest input exponent, with one value bit to spare.  A carry, in the
+engine or in a span column, means the fields are too narrow: the level
+starts over with fields twice as wide, its inputs repacked, and the levels
+after it keep the wider fields, so no exponent ever wraps into its
+neighbour.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import groupby
 from operator import mul
 
 from . import modp
@@ -79,28 +100,6 @@ def monomial_elements(spec: RingSpec, mons, ambient: FreeModuleSpec | None = Non
     """Wrap plain monomials (or (component, monomial) pairs) as FreeElements."""
     ambient = ambient or FreeModuleSpec((0,))
     return [FreeElement(spec, ambient, {spec.label(m): 1}) for m in mons]
-
-
-def element_sort_key(v: FreeElement, deg: int):
-    """Ascending key of a homogeneous element of degree deg: the degree, then
-    the component and reversed exponents of its lead term.
-
-    The lead lies in the lowest component, where every term has the weighted
-    degree deg minus that component's twist, so it is the term whose reversed
-    exponent vector is smallest there (weighted degrevlex)."""
-    return (deg, *min((c, m[::-1]) for c, m in v.coeffs))
-
-
-def _degrees(elements) -> list:
-    """The weighted degree of each element; raises InhomogeneousInput on one
-    whose terms differ in degree."""
-    out = []
-    for idx, g in enumerate(elements):
-        degs = {g.spec.wdeg(m) + g.ambient.twists[c] for c, m in g.coeffs}
-        if len(degs) > 1:
-            raise InhomogeneousInput(idx, degs)
-        out.append(degs.pop())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -145,48 +144,67 @@ class _Layout:
         return b ^ ((a ^ b) & mask)
 
 
+def _first_layout(elements) -> _Layout:
+    """Fields with room for twice the largest exponent of the elements."""
+    top = max(max(m) for v in elements for _, m in v.coeffs)
+    return _Layout(elements[0].spec.num_vars, top.bit_length() + 2)
+
+
+def _wider(layout: _Layout) -> _Layout:
+    return _Layout(len(layout.shifts), 2 * layout.width - 1)
+
+
+def _pack(elements, layout: _Layout) -> list:
+    """Each element as (terms, degree): its packed (term, coefficient) pairs,
+    the lead first, and its weighted degree.  Raises InhomogeneousInput on
+    an element whose terms differ in degree."""
+    spec, ambient = elements[0].spec, elements[0].ambient
+    weights, twists = spec.weights, ambient.twists
+    out = []
+    for idx, v in enumerate(elements):
+        if v.spec != spec or v.ambient != ambient:
+            raise ValueError("generators live in different modules")
+        terms, degs = [], set()
+        for (c, m), coeff in v.coeffs.items():
+            degs.add(sum(map(mul, m, weights)) + twists[c])
+            terms.append((layout.pack(c, m), coeff))
+        if len(degs) > 1:
+            raise InhomogeneousInput(idx, degs)
+        terms.sort()                             # the lead first
+        out.append((terms, degs.pop()))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Buchberger's algorithm, carrying representations
 
 
 class _Engine:
-    """Buchberger's algorithm on the packed inputs, collecting syzygies.
+    """Buchberger's algorithm on packed inputs, collecting syzygies.
 
-    Basis element k is monic, with packed lead leads[k], its other terms
-    tails[k] as (term, coefficient) pairs and its expression in the inputs
-    reps[k], a dict from packed source term to coefficient."""
+    inputs lists (terms, degree) per generator of the submodule of the free
+    module with the given twists, terms its packed (term, coefficient) pairs
+    with the lead first.  Basis element k is monic, with packed lead
+    leads[k], its other terms tails[k] as (term, coefficient) pairs and its
+    expression in the inputs reps[k], a dict from packed source term to
+    coefficient.  The source twists are the input degrees.  run() collects
+    the syzygies as (rep, degree) pairs."""
 
-    def __init__(self, gens, width: int):
-        spec = gens[0].spec
-        ambient = gens[0].ambient
-        self.layout = layout = _Layout(spec.num_vars, width)
+    def __init__(self, spec: RingSpec, twists: tuple, inputs, layout: _Layout):
+        self.layout = layout
         self.p = spec.char
         self.weights = spec.weights
-        self.twists = ambient.twists
-        packed, degrees = [], []
-        for idx, g in enumerate(gens):
-            weights, twists = g.spec.weights, g.ambient.twists
-            terms, degs = [], set()
-            for (c, m), coeff in g.coeffs.items():
-                degs.add(sum(map(mul, m, weights)) + twists[c])
-                terms.append((layout.pack(c, m), coeff))
-            if len(degs) > 1:
-                raise InhomogeneousInput(idx, degs)
-            terms.sort()                         # the lead first
-            packed.append(terms)
-            degrees.append(degs.pop())
-        for g in gens:
-            if g.spec != spec or g.ambient != ambient:
-                raise ValueError("generators live in different modules")
-        self.source = FreeModuleSpec(tuple(degrees))
+        self.twists = twists
+        self.source = FreeModuleSpec(tuple(d for _, d in inputs))
         self.leads = []
         self.tails = []
         self.reps = []
+        self.wexps = []          # the weighted exponents of leads[k]
         self.by_comp = {}        # component -> [(k, leads[k])], k ascending
         self.syzygies = []       # (rep, degree) pairs
         self.pairs = []          # heap of (degree, i, j, packed lcm)
         shift = layout.shift
-        for j, terms in enumerate(packed):
+        for j, (terms, _) in enumerate(inputs):
             self._insert(terms, {j << shift: 1})
 
     def _insert(self, terms, rep):
@@ -203,14 +221,15 @@ class _Engine:
         self.leads.append(lead)
         self.tails.append(tail)
         self.reps.append(rep)
-        layout = self.layout
-        comp = lead >> layout.shift
+        comp, exps = self.layout.unpack(lead)
+        wexp = tuple(map(mul, exps, self.weights))
+        self.wexps.append(wexp)
         same = self.by_comp.setdefault(comp, [])
         twist = self.twists[comp]
+        lcm, wexps = self.layout.lcm, self.wexps
         for i, mi in same:
-            lcm = layout.lcm(mi, lead)
-            deg = sum(map(mul, layout.unpack(lcm)[1], self.weights)) + twist
-            heapq.heappush(self.pairs, (deg, i, k, lcm))
+            deg = sum(map(max, wexps[i], wexp)) + twist
+            heapq.heappush(self.pairs, (deg, i, k, lcm(mi, lead)))
         same.append((k, lead))
 
     def _chain_skip(self, i: int, j: int, lcm: int) -> bool:
@@ -323,69 +342,109 @@ class _Engine:
                 self.syzygies.append((rep, deg))
 
 
-# ---------------------------------------------------------------------------
-# public operations
-
-
-def syzygies(gens):
-    """Generators of the syzygy module of gens, with Schreyer twists.
-
-    Returns (elements, source) where source is the free module on the inputs
-    (generator degrees = degrees of the inputs) and the elements generate the
-    kernel of source -> ambient.
-    """
-    gens = [g for g in gens if g]
-    if not gens:
-        raise ValueError("need at least one nonzero generator")
-    # room for twice the largest input exponent, and the guard bit
-    top = max(max(m) for g in gens for _, m in g.coeffs)
-    width = top.bit_length() + 2
-    while True:
-        try:
-            eng = _Engine(gens, width)
-            eng.run()
-            break
-        except _Overflow:
-            width = 2 * width - 1
-    # the lead of a homogeneous rep is its least packed term
-    eng.syzygies.sort(key=lambda sd: (sd[1], min(sd[0])))
-    spec, source, unpack = gens[0].spec, eng.source, eng.layout.unpack
-    out = [
-        FreeElement(spec, source, {unpack(t): c for t, c in rep.items()}, _clean=True)
-        for rep, _ in eng.syzygies
-    ]
-    return out, source
+def _sort_key(element):
+    """(degree, lead) of a (rep, degree) pair: the lead of a homogeneous rep
+    is its least packed term."""
+    rep, deg = element
+    return deg, min(rep)
 
 
 # ---------------------------------------------------------------------------
 # minimal generators
 
 
+def _select(spec: RingSpec, layout: _Layout, elements) -> list:
+    """Indices of the elements that a minimal generating set keeps.
+
+    elements lists (rep, degree) pairs, rep a dict from packed term to
+    coefficient, sorted by (degree, least packed term).  An element is kept
+    iff it lies outside the graded span of those kept before it, multiples
+    included: one sparse column reduction per degree.  By graded Nakayama
+    the kept elements generate what all of them generate, minimally.
+    Raises _Overflow when a span column carries into a guard bit.
+    """
+    guard = layout.guard
+    shifts = {}      # degree e -> the packed monomials of weighted degree e
+    kept = []
+    for d, group in groupby(range(len(elements)), key=lambda k: elements[k][1]):
+        columns = []
+        for k in kept:
+            rep, dk = elements[k]
+            qs = shifts.get(d - dk)
+            if qs is None:
+                qs = [layout.pack(0, m) for m in monomials_of_wdeg(spec, d - dk)]
+                shifts[d - dk] = qs
+            for q in qs:
+                column = {t + q: c for t, c in rep.items()}
+                if any(t & guard for t in column):
+                    raise _Overflow
+                columns.append(column)
+        group = list(group)
+        base = len(columns)
+        independent = modp.pivots(columns + [elements[k][0] for k in group], spec.char)
+        kept.extend(group[i - base] for i in independent if i >= base)
+    return kept
+
+
 def minimal_generators(elements):
     """Prune a homogeneous generating set to a minimal one.
 
-    Candidates are processed in ascending degree; each is kept iff it falls
-    outside the graded span of everything kept so far (multiples included),
-    decided by one sparse column reduction per degree over the coefficient
-    field, the columns keyed by (component, monomial) label.  By graded
-    Nakayama the survivors are a minimal generating set.
+    Candidates are processed in ascending degree, then by lead term; each is
+    kept iff it falls outside the graded span of everything kept so far
+    (multiples included), decided on packed terms by ``_select``.  Returns
+    the kept elements themselves, in that order.  By graded Nakayama the
+    survivors are a minimal generating set.
     """
     elements = [v for v in elements if v]
     if not elements:
         return []
-    degrees = _degrees(elements)
-    spec = elements[0].spec
-    by_degree = {}
-    for v, d in sorted(zip(elements, degrees), key=lambda vd: element_sort_key(*vd)):
-        by_degree.setdefault(d, []).append(v)
-    # (degree, element) pairs, already in element_sort_key order
-    accepted = []
-    for d, candidates in sorted(by_degree.items()):
-        columns = [
-            w.term_mul(m).coeffs
-            for dw, w in accepted
-            for m in monomials_of_wdeg(spec, d - dw)
-        ]
-        kept = set(modp.pivots(columns + [v.coeffs for v in candidates], spec.char))
-        accepted.extend((d, v) for k, v in enumerate(candidates, len(columns)) if k in kept)
-    return [v for _, v in accepted]
+    layout = _first_layout(elements)
+    while True:
+        try:
+            packed = [(dict(terms), d) for terms, d in _pack(elements, layout)]
+            order = sorted(range(len(packed)), key=lambda k: _sort_key(packed[k]))
+            kept = _select(elements[0].spec, layout, [packed[k] for k in order])
+            return [elements[order[k]] for k in kept]
+        except _Overflow:
+            layout = _wider(layout)
+
+
+def minimal_syzygies(gens):
+    """The minimal free resolution of the submodule gens generate, level by
+    level.
+
+    gens must be a minimal generating set (``minimal_generators``).  Yields
+    (source, columns) per level, the first for gens: source is the free
+    module on the level's generators, its twists their degrees, and columns
+    the minimal generators of their syzygy module, each a dict from
+    (component, exponents) to coefficient, the component an index into the
+    level's generators.  The columns are the next level's generators; the
+    last level yielded has no columns.
+    """
+    gens = [g for g in gens if g]
+    if not gens:
+        raise ValueError("need at least one nonzero generator")
+    spec, twists = gens[0].spec, gens[0].ambient.twists
+    layout = _first_layout(gens)
+    inputs = _pack(gens, layout)
+    while True:
+        while True:
+            try:
+                eng = _Engine(spec, twists, inputs, layout)
+                eng.run()
+                syz = sorted(eng.syzygies, key=_sort_key)
+                kept = [syz[k] for k in _select(spec, layout, syz)]
+                break
+            except _Overflow:
+                wider = _wider(layout)
+                inputs = [
+                    ([(wider.pack(*layout.unpack(t)), c) for t, c in terms], d)
+                    for terms, d in inputs
+                ]
+                layout = wider
+        unpack = layout.unpack
+        yield eng.source, [{unpack(t): c for t, c in rep.items()} for rep, _ in kept]
+        if not kept:
+            return
+        twists = eng.source.twists
+        inputs = [(sorted(rep.items()), d) for rep, d in kept]

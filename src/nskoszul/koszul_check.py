@@ -84,17 +84,19 @@ def linear_part(F: GradedFreeComplex, spec: RingSpec | None = None) -> GradedFre
     modules = tuple(
         FreeModuleSpec((i,) * m.rank) for i, m in enumerate(F.modules)
     )
+    one = spec.one()
     diffs = []
     for k, mat in enumerate(F.diffs):
         new = []
         for r, row in enumerate(mat):
             out = [zero] * len(row)
             for c, entry in enumerate(row):
-                if not entry:
+                coeffs = entry.coeffs
+                if not coeffs:
                     continue
-                if entry.is_constant():
+                if one in coeffs:
                     raise NotMinimal(f"unit entry in d_{k + 1} at ({r}, {c})")
-                part = {m: v for m, v in entry.coeffs.items() if sum(m) == 1}
+                part = {m: v for m, v in coeffs.items() if sum(m) == 1}
                 if part:
                     out[c] = Polynomial(companion, part, _clean=True)
             new.append(tuple(out))

@@ -289,16 +289,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_constant(self) -> bool:
-        return not self.coeffs or set(self.coeffs) == {self.spec.one()}
-
-    def homogeneous_degree(self) -> int:
-        """Weighted degree; raises for 0 or inhomogeneous polynomials."""
-        degs = {self.spec.wdeg(m) for m in self.coeffs}
-        if len(degs) != 1:
-            raise ValueError(f"no single weighted degree: {sorted(degs)}")
-        return degs.pop()
-
     # -- arithmetic
 
     def __eq__(self, other) -> bool:
@@ -451,31 +441,12 @@ class FreeElement:
                 out.pop(k, None)
         return FreeElement(self.spec, self.ambient, out, _clean=True)
 
-    def term_mul(self, m: Monomial, c: int = 1) -> "FreeElement":
-        """Multiply by the ring term c * x^m."""
-        p = self.spec.char
-        c %= p
-        if c == 0:
-            return FreeElement.zero(self.spec, self.ambient)
-        return FreeElement(
-            self.spec,
-            self.ambient,
-            {(comp, mon_mul(mm, m)): (v * c) % p for (comp, mm), v in self.coeffs.items()},
-            _clean=True,
-        )
-
     def terms_sorted(self) -> list:
         return sorted(
             self.coeffs.items(),
             key=lambda kv: term_key(self.spec, kv[0][0], kv[0][1]),
             reverse=True,
         )
-
-    def homogeneous_degree(self) -> int:
-        degs = {self.spec.wdeg(m) + self.ambient.twists[c] for c, m in self.coeffs}
-        if len(degs) != 1:
-            raise ValueError(f"no single degree: {sorted(degs)}")
-        return degs.pop()
 
     def __repr__(self):
         if not self.coeffs:

@@ -15,8 +15,14 @@ a second reading of the walk that the tests compare with ``homology_dense``.
 ``minimize_complex`` cancels unit entries, the reference for the minimal
 resolution and for the Taylor complexes' minimal models.
 ``syzygies_reference`` runs the syzygy engine as it was before it packed
-its terms into ints, on (component, exponent tuple) terms: the packed
-engine of ``gb.syzygies`` must return the same list in the same order.
+its terms into ints, on (component, exponent tuple) terms: the whole
+syzygy set of one run of the packed engine, ``syzygies`` here (the seam
+over ``gb._Engine``; ``record_engine_runs`` records the runs of a
+resolution), must be the same list in the same order.
+``minimal_generators_reference`` is the minimal-generator selection on
+(component, monomial) labels, as it was before it ran on packed terms:
+``gb.minimal_generators`` and each level of ``gb.minimal_syzygies`` must
+keep the same elements in the same order.
 ``reduce_max_scan`` is the engines' reduction with the largest term found
 by a scan of every remaining term, the reference for the heap order of the
 packed engine's reduction.
@@ -41,11 +47,12 @@ from operator import mul
 
 import numpy as np
 
+from nskoszul import gb, modp
 from nskoszul.assoc_graded import OrdContext
 from nskoszul.complexes import BettiTable, GradedFreeComplex, _multidegree_blocks
 from nskoszul.construction import construct_gr_betti
 from nskoszul.egm import DegreeRangeError, ExplicitGradedModule, _array_module, _label_arrays
-from nskoszul.gb import _degrees, element_sort_key
+from nskoszul.gb import InhomogeneousInput
 from nskoszul.ring import (
     DimensionMismatch,
     FreeElement,
@@ -222,7 +229,7 @@ def minimize_complex(C: GradedFreeComplex) -> GradedFreeComplex:
         for k, mat in enumerate(mats):
             for r, row in enumerate(mat):
                 for c, entry in enumerate(row):
-                    if entry and entry.is_constant():
+                    if entry and is_constant(entry):
                         return k, r, c
         return None
 
@@ -299,7 +306,7 @@ def check_complex(C: GradedFreeComplex) -> ComplexReport:
                 if not entry:
                     continue
                 want = src.twists[c] - tgt.twists[r]
-                if not is_homogeneous(entry) or entry.homogeneous_degree() != want:
+                if not is_homogeneous(entry) or homogeneous_degree(entry) != want:
                     problems.append(
                         f"d_{k + 1}[{r}][{c}] is not homogeneous of degree {want}"
                     )
@@ -753,11 +760,11 @@ def graded_span_dims(elements, degrees):
         index = {key: i for i, key in enumerate(basis)}
         space = _EchelonSpace(len(basis), spec.char)
         for w in elements:
-            dw = w.homogeneous_degree()
+            dw = homogeneous_degree(w)
             if dw > d:
                 continue
             for m in monomials_of_wdeg(spec, d - dw):
-                space.insert(_expand(w.term_mul(m), index))
+                space.insert(_expand(term_mul(w, m), index))
         out[d] = len(space.rows)
     return out
 
@@ -793,7 +800,7 @@ def reduce_max_scan(v, basis, leads, reps, rep):
                 work[tkey] = nv
             else:
                 work.pop(tkey, None)
-        rep = sub(rep, reps[hit].term_mul(q, c))
+        rep = sub(rep, term_mul(reps[hit], q, c))
     return FreeElement(spec, v.ambient, remainder, _clean=True), rep
 
 
@@ -873,7 +880,7 @@ def _reduce_reference(v, basis, leads, reps, rep):
             if old is None:
                 heapq.heappush(heap, (c2, -sum(map(mul, m3, weights)), m3[::-1], m3))
             work[tkey] = nv
-        rep = sub(rep, reps[hit].term_mul(q, c))
+        rep = sub(rep, term_mul(reps[hit], q, c))
     return FreeElement(spec, v.ambient, remainder, _clean=True), rep
 
 
@@ -950,8 +957,8 @@ class _ReferenceEngine:
                 continue
             qi = mon_quotient(lcm, mi)
             qj = mon_quotient(lcm, mj)
-            spoly = sub(self.basis[i].term_mul(qi), self.basis[j].term_mul(qj))
-            rep = sub(self.reps[i].term_mul(qi), self.reps[j].term_mul(qj))
+            spoly = sub(term_mul(self.basis[i], qi), term_mul(self.basis[j], qj))
+            rep = sub(term_mul(self.reps[i], qi), term_mul(self.reps[j], qj))
             r, rep = _reduce_reference(spoly, self.basis, self.leads, self.reps, rep)
             if r:
                 self._insert(r, rep)
@@ -960,12 +967,135 @@ class _ReferenceEngine:
 
 
 def syzygies_reference(gens):
-    """gb.syzygies computed by the reference engine: the same
+    """syzygies(gens) computed by the reference engine: the same
     (elements, source), in the same order."""
     eng = _ReferenceEngine(list(gens))
     eng.run()
     eng.syzygies.sort(key=lambda sd: element_sort_key(*sd))
     return [s for s, _ in eng.syzygies], eng.source
+
+
+def element_sort_key(v: FreeElement, deg: int):
+    """Ascending key of a homogeneous element of degree deg: the degree, then
+    the component and reversed exponents of its lead term.
+
+    The lead lies in the lowest component, where every term has the weighted
+    degree deg minus that component's twist, so it is the term whose reversed
+    exponent vector is smallest there (weighted degrevlex)."""
+    return (deg, *min((c, m[::-1]) for c, m in v.coeffs))
+
+
+def _degrees(elements) -> list:
+    """The weighted degree of each element; raises InhomogeneousInput on one
+    whose terms differ in degree."""
+    out = []
+    for idx, g in enumerate(elements):
+        degs = {g.spec.wdeg(m) + g.ambient.twists[c] for c, m in g.coeffs}
+        if len(degs) > 1:
+            raise InhomogeneousInput(idx, degs)
+        out.append(degs.pop())
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the packed engine's full syzygy sets, and the reference selection
+
+
+def engine_syzygies(eng, spec: RingSpec):
+    """The syzygies a finished gb._Engine hands to the selection, unpacked:
+    (elements, source), sorted by (degree, lead term)."""
+    unpack = eng.layout.unpack
+    syz = sorted(eng.syzygies, key=gb._sort_key)
+    out = [
+        FreeElement(spec, eng.source, {unpack(t): c for t, c in rep.items()}, _clean=True)
+        for rep, _ in syz
+    ]
+    return out, eng.source
+
+
+def syzygies(gens):
+    """Generators of the syzygy module of gens, with Schreyer twists: the
+    whole syzygy set of one run of the packed engine, before any selection.
+
+    Returns (elements, source) where source is the free module on the inputs
+    (generator degrees = degrees of the inputs) and the elements generate the
+    kernel of source -> ambient.  The fields start as a resolution level's
+    first fields do and widen the same way on a carry.
+    """
+    gens = [g for g in gens if g]
+    if not gens:
+        raise ValueError("need at least one nonzero generator")
+    spec = gens[0].spec
+    layout = gb._first_layout(gens)
+    while True:
+        try:
+            eng = gb._Engine(spec, gens[0].ambient.twists, gb._pack(gens, layout), layout)
+            eng.run()
+            return engine_syzygies(eng, spec)
+        except gb._Overflow:
+            layout = gb._wider(layout)
+
+
+def record_engine_runs(monkeypatch) -> dict:
+    """Wrap gb._Engine so that every run it finishes is recorded.
+
+    Returns a dict, filled as the runs finish, from each run's inputs to
+    (gens, syzygies, source): gens the inputs as FreeElements, and
+    (syzygies, source) what syzygies(gens) returns.  A level that starts
+    over with wider fields runs again on the same inputs and its record
+    replaces the first, so after one resolution the dict holds one record
+    per level, in the order of the levels.  Levels of two resolutions can
+    run on the same inputs: clear the dict between resolutions.
+    """
+    runs = {}
+
+    class Recording(gb._Engine):
+        def __init__(self, spec, twists, inputs, layout):
+            super().__init__(spec, twists, inputs, layout)
+            ambient = FreeModuleSpec(twists)
+            self.spec = spec
+            self.gens = [
+                FreeElement(spec, ambient, {layout.unpack(t): c for t, c in terms}, _clean=True)
+                for terms, _ in inputs
+            ]
+
+        def run(self):
+            super().run()
+            key = (self.spec, self.twists, tuple(tuple(g.coeffs.items()) for g in self.gens))
+            runs[key] = (self.gens, *engine_syzygies(self, self.spec))
+
+    monkeypatch.setattr(gb, "_Engine", Recording)
+    return runs
+
+
+def minimal_generators_reference(elements):
+    """gb.minimal_generators on (component, monomial) labels: the selection
+    as it was before it ran on packed terms, the reference the packed one
+    must equal.
+
+    Candidates are processed in ascending degree; each is kept iff it falls
+    outside the graded span of everything kept so far (multiples included),
+    decided by one sparse column reduction per degree over the coefficient
+    field, the columns keyed by (component, monomial) label.
+    """
+    elements = [v for v in elements if v]
+    if not elements:
+        return []
+    degrees = _degrees(elements)
+    spec = elements[0].spec
+    by_degree = {}
+    for v, d in sorted(zip(elements, degrees), key=lambda vd: element_sort_key(*vd)):
+        by_degree.setdefault(d, []).append(v)
+    accepted = []
+    for d, candidates in sorted(by_degree.items()):
+        columns = [
+            term_mul(w, m).coeffs
+            for dw, w in accepted
+            for m in monomials_of_wdeg(spec, d - dw)
+        ]
+        kept = set(modp.pivots(columns + [v.coeffs for v in candidates], spec.char))
+        accepted.extend((d, v) for k, v in enumerate(candidates, len(columns)) if k in kept)
+    return [v for _, v in accepted]
 
 
 # ---------------------------------------------------------------------------
@@ -1028,6 +1158,34 @@ def lead(v: FreeElement):
         raise ValueError("zero element has no lead term")
     comp, m = max(v.coeffs, key=lambda k: term_key(v.spec, k[0], k[1]))
     return comp, m, v.coeffs[(comp, m)]
+
+
+def homogeneous_degree(v) -> int:
+    """Weighted degree of a homogeneous Polynomial, or of a FreeElement with
+    its twists; raises ValueError for 0 or an inhomogeneous one."""
+    if isinstance(v, FreeElement):
+        degs = {v.spec.wdeg(m) + v.ambient.twists[c] for c, m in v.coeffs}
+    else:
+        degs = {v.spec.wdeg(m) for m in v.coeffs}
+    if len(degs) != 1:
+        raise ValueError(f"no single weighted degree: {sorted(degs)}")
+    return degs.pop()
+
+
+def is_constant(f: Polynomial) -> bool:
+    return not f.coeffs or set(f.coeffs) == {f.spec.one()}
+
+
+def term_mul(v: FreeElement, m, c: int = 1) -> FreeElement:
+    """v multiplied by the ring term c * x^m."""
+    p = v.spec.char
+    c %= p
+    return FreeElement(
+        v.spec,
+        v.ambient,
+        {(comp, mon_mul(mm, m)): x * c % p for (comp, mm), x in v.coeffs.items()} if c else {},
+        _clean=True,
+    )
 
 
 def scale(v: FreeElement, c: int) -> FreeElement:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import nskoszul
-from nskoszul import cli, complexes, koszul_check, sweep
+import oracles
+from nskoszul import cli, gb, koszul_check, sweep
 from nskoszul.cli import (
     EXIT_INTERNAL,
     EXIT_USAGE,
@@ -170,20 +171,15 @@ class TestSubcommands:
     def test_resolve_syzygies_and_linear_part_bytes(
         self, ring, e, syz_digest, lin_digest, monkeypatch
     ):
-        # every syzygy set the engine returns, before minimal_generators, and
+        # every syzygy set the engine finds, before the selection, and
         # every entry of the linear part: a change in the pairs the chain
         # criterion drops or in the reduction order shows up here directly
-        syz_hash = hashlib.sha256()
-        engine = complexes.syzygies
-
-        def recording(gens):
-            out, source = engine(gens)
-            syz_hash.update(f"{source.twists}: {out!r}\n".encode())
-            return out, source
-
-        monkeypatch.setattr(complexes, "syzygies", recording)
+        runs = oracles.record_engine_runs(monkeypatch)
         spec = parse_ring_spec(ring)
         L = linear_part(resolve_module(monomial_elements(spec, trunc_gens(spec, e))), spec)
+        syz_hash = hashlib.sha256()
+        for _, out, source in runs.values():
+            syz_hash.update(f"{source.twists}: {out!r}\n".encode())
         lin_hash = hashlib.sha256(repr([m.twists for m in L.modules]).encode())
         for mat in L.diffs:
             for row in mat:
@@ -507,8 +503,14 @@ class TestInternalErrors:
         assert capsys.readouterr().err.startswith("internal error (NoFiniteDecision): ")
 
     def test_resolution_level_cap(self, monkeypatch, capsys):
-        # syzygies that never run out drive resolve_module into its level cap
-        monkeypatch.setattr(complexes, "syzygies", lambda gens: (list(gens), None))
+        # syzygies that never run out drive resolve_module into its level cap:
+        # each generator of every level is found as its own syzygy
+        class Endless(gb._Engine):
+            def run(self):
+                shift = self.layout.shift
+                self.syzygies = [({j << shift: 1}, d) for j, d in enumerate(self.source.twists)]
+
+        monkeypatch.setattr(gb, "_Engine", Endless)
         assert main(["resolve", "--ring", "x=1,y=1", "--e", "2"]) == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert err.startswith("internal error (RuntimeError): resolution did not terminate")

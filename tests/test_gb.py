@@ -9,10 +9,9 @@ from nskoszul.complexes import resolve_module
 from nskoszul.gb import (
     InhomogeneousInput,
     _Engine,
-    element_sort_key,
     minimal_generators,
+    minimal_syzygies,
     monomial_elements,
-    syzygies,
 )
 from nskoszul.ring import (
     FreeElement,
@@ -41,12 +40,19 @@ def combine(rep, gens):
     """The element sum_k rep_k * gens[k] of the module the gens live in."""
     total = FreeElement.zero(gens[0].spec, gens[0].ambient)
     for (comp, mon), coeff in rep.coeffs.items():
-        total = total + gens[comp].term_mul(mon, coeff)
+        total = total + oracles.term_mul(gens[comp], mon, coeff)
     return total
 
 
 # fields wide enough for every test that builds an engine by hand
 WIDTH = 16
+
+
+def engine(gens):
+    """The syzygy engine on gens, packed in fields of WIDTH bits, not run."""
+    spec, ambient = gens[0].spec, gens[0].ambient
+    layout = gb._Layout(spec.num_vars, WIDTH)
+    return _Engine(spec, ambient.twists, gb._pack(gens, layout), layout)
 
 
 def packed_reduce(eng, v):
@@ -66,7 +72,7 @@ def reduce_by(v, gens, run=False):
     """v reduced by the syzygy engine's working basis on gens: the monic
     gens, and after run() a Groebner basis.  Checks the representation the
     reduction tracks: the remainder is v plus that combination of gens."""
-    eng = _Engine(gens, WIDTH)
+    eng = engine(gens)
     if run:
         eng.run()
     r, rep = packed_reduce(eng, v)
@@ -117,25 +123,26 @@ class TestBuchberger:
         # x^3 y = x * x^2 y: the engine keeps every input and records the
         # syzygy x e_1 - e_2; minimal_generators drops x^3 y
         gens = ideal(W13, [(5, 0), (2, 1), (3, 1)])
-        eng = _Engine(gens, WIDTH)
+        eng = engine(gens)
         eng.run()
         assert lead_monomials(eng) == [(5, 0), (2, 1), (3, 1)]
         p = W13.char
-        assert {(1, (1, 0)): 1, (2, (0, 0)): p - 1} in [s.coeffs for s in syzygies(gens)[0]]
+        syz, _ = oracles.syzygies(gens)
+        assert {(1, (1, 0)): 1, (2, (0, 0)): p - 1} in [s.coeffs for s in syz]
         assert [oracles.lead(g)[1] for g in minimal_generators(gens)] == [(5, 0), (2, 1)]
 
     def test_principal_ideal(self):
         gens = monomial_elements(RingSpec((2,), ("x",)), [(1,)])
-        eng = _Engine(gens, WIDTH)
+        eng = engine(gens)
         eng.run()
         assert len(eng.leads) == 1
-        syz, src = syzygies(gens)
+        syz, src = oracles.syzygies(gens)
         assert syz == [] and src.twists == (2,)
 
     def test_truncation_generators_unchanged(self):
         # the truncation generators are already a Groebner basis
         gens = [(5, 0), (2, 1), (0, 2)]
-        eng = _Engine(ideal(W13, gens), WIDTH)
+        eng = engine(ideal(W13, gens))
         eng.run()
         assert sorted(lead_monomials(eng)) == sorted(gens)
 
@@ -148,7 +155,7 @@ class TestBuchberger:
         # basis shows it: the S-pair of f and g adds x^2 y
         probe = FreeElement(W13, amb, {(0, (2, 1)): 1})
         assert not reduce_by(probe, [f, g], run=True)
-        syz, src = syzygies([f, g])
+        syz, src = oracles.syzygies([f, g])
         assert src.twists == (3, 5)
         for s in syz:
             assert not combine(s, [f, g])
@@ -161,16 +168,16 @@ class TestBuchberger:
         amb = FreeModuleSpec((0,))
         bad = FreeElement(W13, amb, {(0, (1, 0)): 1, (0, (0, 1)): 1})
         with pytest.raises(InhomogeneousInput) as exc:
-            syzygies([bad])
+            oracles.syzygies([bad])
         assert exc.value.degrees == [1, 3]
 
 
 class TestSchreyerSyzygies:
     def test_paper_truncation_syzygies(self):
-        syz, src = syzygies(ideal(W13, [(5, 0), (2, 1), (0, 2)]))
+        syz, src = oracles.syzygies(ideal(W13, [(5, 0), (2, 1), (0, 2)]))
         assert src.twists == (5, 5, 6)
         min_syz = minimal_generators(syz)
-        assert [s.homogeneous_degree() for s in min_syz] == [8, 8]
+        assert [oracles.homogeneous_degree(s) for s in min_syz] == [8, 8]
         # columns of the displayed first differential
         p = W13.char
         expected = [
@@ -180,14 +187,14 @@ class TestSchreyerSyzygies:
         assert [s.coeffs for s in min_syz] == expected
 
     def test_single_element_no_syzygies(self):
-        syz, _ = syzygies(ideal(W13, [(2, 1)]))
+        syz, _ = oracles.syzygies(ideal(W13, [(2, 1)]))
         assert syz == []
 
     def test_koszul_syzygy_of_two_monomials(self):
-        syz, _ = syzygies(ideal(STD2, [(2, 0), (1, 1)]))
+        syz, _ = oracles.syzygies(ideal(STD2, [(2, 0), (1, 1)]))
         syz = minimal_generators(syz)
         assert len(syz) == 1
-        assert syz[0].homogeneous_degree() == 3
+        assert oracles.homogeneous_degree(syz[0]) == 3
         p = STD2.char
         assert syz[0].coeffs == {(0, (0, 1)): 1, (1, (1, 0)): p - 1}
 
@@ -203,7 +210,7 @@ def random_monomial_ideal(rng, spec, max_gens=6, max_exp=5):
 
 def brute_force_kernel_dims(spec, gens_elements, degrees):
     """Kernel dimensions of (free module on gens) -> ambient, degree by degree."""
-    src = FreeModuleSpec(tuple(g.homogeneous_degree() for g in gens_elements))
+    src = FreeModuleSpec(tuple(oracles.homogeneous_degree(g) for g in gens_elements))
     ambient = gens_elements[0].ambient
     out = {}
     for d in degrees:
@@ -230,7 +237,7 @@ class TestSyzygyProperties:
             combo = FreeElement.zero(spec, gens[0].ambient)
             for g in gens:
                 m = rng.choice(monomials_of_wdeg(spec, rng.randint(0, 4)) or [spec.one()])
-                combo = combo + g.term_mul(m, rng.randint(1, spec.char - 1))
+                combo = combo + oracles.term_mul(g, m, rng.randint(1, spec.char - 1))
             for piece in _homogeneous_pieces(combo):
                 assert not reduce_by(piece, gens, run=True)
 
@@ -239,7 +246,7 @@ class TestSyzygyProperties:
         for _ in range(25):
             spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3))))
             gens = ideal(spec, random_monomial_ideal(rng, spec))
-            syz, _ = syzygies(gens)
+            syz, _ = oracles.syzygies(gens)
             for s in syz:
                 assert not combine(s, gens)
 
@@ -248,7 +255,7 @@ class TestSyzygyProperties:
         for _ in range(12):
             spec = RingSpec(tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3))))
             gens = ideal(spec, random_monomial_ideal(rng, spec, max_exp=4))
-            syz, _ = syzygies(gens)
+            syz, _ = oracles.syzygies(gens)
             degrees = range(0, 13)
             expected = brute_force_kernel_dims(spec, gens, degrees)
             got = oracles.graded_span_dims(syz, degrees)
@@ -258,7 +265,7 @@ class TestSyzygyProperties:
         rng = random.Random(8)
         for _ in range(20):
             spec = RingSpec(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3))))
-            eng = _Engine(ideal(spec, random_monomial_ideal(rng, spec)), WIDTH)
+            eng = engine(ideal(spec, random_monomial_ideal(rng, spec)))
             eng.run()
             for tail in eng.tails:
                 assert tail == []
@@ -296,7 +303,7 @@ class TestMinimalGenerators:
 
 
 def _sort_key(v):
-    return element_sort_key(v, v.homogeneous_degree())
+    return oracles.element_sort_key(v, oracles.homogeneous_degree(v))
 
 
 def _dense_minimal_generators(elements):
@@ -305,14 +312,16 @@ def _dense_minimal_generators(elements):
     elements = sorted((v for v in elements if v), key=_sort_key)
     spec, ambient = elements[0].spec, elements[0].ambient
     accepted = []
-    for d in sorted({v.homogeneous_degree() for v in elements}):
+    for d in sorted({oracles.homogeneous_degree(v) for v in elements}):
         index = {key: i for i, key in enumerate(oracles.graded_basis(spec, ambient, d))}
         space = oracles._EchelonSpace(len(index), spec.char)
         for w in accepted:
-            for m in monomials_of_wdeg(spec, d - w.homogeneous_degree()):
-                space.insert(oracles._expand(w.term_mul(m), index))
+            for m in monomials_of_wdeg(spec, d - oracles.homogeneous_degree(w)):
+                space.insert(oracles._expand(oracles.term_mul(w, m), index))
         for v in elements:
-            if v.homogeneous_degree() == d and space.insert(oracles._expand(v, index)):
+            if oracles.homogeneous_degree(v) != d:
+                continue
+            if space.insert(oracles._expand(v, index)):
                 accepted.append(v)
     return sorted(accepted, key=_sort_key)
 
@@ -341,15 +350,16 @@ def test_minimal_generators_match_dense_echelon(p):
                 d = rng.randint(min(twists) + 1, min(twists) + 6)
                 combo = FreeElement.zero(spec, ambient)
                 for w in rng.sample(elements, min(len(elements), 2)):
-                    mons = monomials_of_wdeg(spec, d - w.homogeneous_degree())
+                    mons = monomials_of_wdeg(spec, d - oracles.homogeneous_degree(w))
                     if mons:
-                        combo = combo + w.term_mul(rng.choice(mons), rng.randint(2, 3 * p))
+                        c = rng.randint(2, 3 * p)
+                        combo = combo + oracles.term_mul(w, rng.choice(mons), c)
                 if combo:
                     elements.append(combo)
             if not elements:
                 continue
             want = _dense_minimal_generators(elements)
-            assert minimal_generators(elements) == want
+            assert assert_same_selection(elements) == want
             dropped += len(elements) - len(want)
     assert dropped >= 20
 
@@ -369,7 +379,8 @@ def test_element_sort_key_reads_the_lead_term():
         terms = rng.sample(basis, min(len(basis), rng.randint(1, 6)))
         v = FreeElement(spec, ambient, {key: rng.randint(1, 50) for key in terms})
         comp, mon, _ = oracles.lead(v)
-        assert element_sort_key(v, d) == (v.homogeneous_degree(), comp, tuple(reversed(mon)))
+        want = (oracles.homogeneous_degree(v), comp, tuple(reversed(mon)))
+        assert oracles.element_sort_key(v, d) == want
         components = max(components, len({c for c, _ in v.coeffs}))
     assert components >= 3
 
@@ -417,7 +428,7 @@ def test_heap_reduction_matches_max_scan(p, twists):
         gens = [g for g in gens if g]
         if not gens:
             continue
-        eng = _Engine(gens, WIDTH)
+        eng = engine(gens)
         ref = oracles._ReferenceEngine(gens)
         for run in (False, True):
             if run:
@@ -428,9 +439,9 @@ def test_heap_reduction_matches_max_scan(p, twists):
                 d = rng.randint(2, 5)
                 v = _random_element(rng, spec, ambient, d, 4)
                 for g in rng.sample(gens, min(2, len(gens))):
-                    mons = monomials_of_wdeg(spec, d - g.homogeneous_degree())
+                    mons = monomials_of_wdeg(spec, d - oracles.homogeneous_degree(g))
                     if mons:
-                        v = v + g.term_mul(rng.choice(mons), rng.randint(1, p))
+                        v = v + oracles.term_mul(g, rng.choice(mons), rng.randint(1, p))
                 if rng.random() < 0.3:
                     v = v + _random_element(rng, spec, ambient, d + 1)
                 for piece in _homogeneous_pieces(v):
@@ -495,9 +506,10 @@ def test_chain_skip_is_the_literal_criterion(monkeypatch):
 
 
 def assert_same_syzygies(gens):
-    """gb.syzygies(gens) equals the reference engine's output: the same
-    elements in the same order, each with its terms in the same order."""
-    got, source = syzygies(gens)
+    """oracles.syzygies(gens), the packed engine's whole syzygy set, equals
+    the reference engine's output: the same elements in the same order, each
+    with its terms in the same order."""
+    got, source = oracles.syzygies(gens)
     want, want_source = oracles.syzygies_reference(gens)
     assert source == want_source
     assert got == want
@@ -505,21 +517,54 @@ def assert_same_syzygies(gens):
     return got
 
 
+def assert_same_selection(elements):
+    """minimal_generators keeps the elements that the reference selection on
+    (component, monomial) labels keeps, in the same order; returns them."""
+    got = minimal_generators(elements)
+    want = oracles.minimal_generators_reference(elements)
+    assert [id(v) for v in got] == [id(v) for v in want]
+    return got
+
+
+def assert_same_kept(columns, syz):
+    """The columns a level keeps, term dicts, are the reference selection
+    from the level's whole syzygy set syz, with their terms in its order."""
+    want = oracles.minimal_generators_reference(syz)
+    assert [list(c.items()) for c in columns] == [list(s.coeffs.items()) for s in want]
+
+
 def checked_resolutions(monkeypatch, cases, p):
     """Resolve the truncation of each (weights, e) case at characteristic p
-    with every syzygies call checked against the reference; returns the
-    number of calls."""
-    calls = []
+    and check every level: the engine's whole syzygy set against the
+    reference engine's, and the syzygies the level keeps against the
+    reference selection from that set.  Returns the number of levels."""
+    runs = oracles.record_engine_runs(monkeypatch)
+    kept = []
+    levels = gb.minimal_syzygies
 
-    def checking(gens):
-        calls.append(assert_same_syzygies(gens))
-        return syzygies(gens)
+    def recording(gens):
+        for source, columns in levels(gens):
+            kept.append(columns)
+            yield source, columns
 
-    monkeypatch.setattr(complexes, "syzygies", checking)
+    monkeypatch.setattr(complexes, "minimal_syzygies", recording)
+    levels_checked = 0
     for weights, e in cases:
+        runs.clear()
+        kept.clear()
         spec = RingSpec(weights, char=p)
         resolve_module(monomial_elements(spec, trunc_gens(spec, e)))
-    return len(calls)
+        assert len(kept) == len(runs)
+        for (gens, syz, source), columns in zip(runs.values(), kept):
+            want, want_source = oracles.syzygies_reference(gens)
+            assert source == want_source
+            assert syz == want
+            assert [list(s.coeffs.items()) for s in syz] == [
+                list(s.coeffs.items()) for s in want
+            ]
+            assert_same_kept(columns, syz)
+        levels_checked += len(runs)
+    return levels_checked
 
 
 def test_syzygies_match_the_reference_on_four_variables(monkeypatch):
@@ -540,9 +585,11 @@ def test_syzygies_match_the_reference_on_the_sweep(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 32003])
 def test_syzygies_match_the_reference_on_random_inputs(p):
     # homogeneous generators, at least one of them with several terms, with
-    # non-unit coefficients, in twisted free modules of rank up to 3
+    # non-unit coefficients, in twisted free modules of rank up to 3; the
+    # selection from the generators, from their whole syzygy set, and the
+    # first level of their resolution
     rng = random.Random(1000 + p)
-    inputs = multi = non_monic = found = 0
+    inputs = multi = non_monic = found = dropped = kept = 0
     while inputs < 110:
         spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))), char=p)
         ambient = FreeModuleSpec(tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3))))
@@ -554,11 +601,19 @@ def test_syzygies_match_the_reference_on_random_inputs(p):
         gens = [g for g in gens if g]
         if len(gens) < 2 or all(len(g.coeffs) == 1 for g in gens):
             continue
-        found += len(assert_same_syzygies(gens))
+        syz = assert_same_syzygies(gens)
+        found += len(syz)
+        dropped += len(syz) - len(assert_same_selection(syz))
+        mins = assert_same_selection(gens)
+        source, columns = next(minimal_syzygies(mins))
+        syz, want_source = oracles.syzygies_reference(mins)
+        assert source == want_source
+        assert_same_kept(columns, syz)
+        kept += len(columns)
         inputs += 1
         multi += len({c for g in gens for c, _ in g.coeffs}) > 1
         non_monic += any(oracles.lead(g)[2] != 1 for g in gens)
-    assert multi >= 50 and found >= 250
+    assert multi >= 50 and found >= 250 and dropped >= 90 and kept >= 90
     assert p == 2 or non_monic >= 100
 
 
@@ -582,9 +637,8 @@ def test_truncation_with_exponents_past_one_byte(monkeypatch):
     assert checked_resolutions(monkeypatch, [((1, 300), 600)], spec.char) == 2
 
 
-def test_a_carry_into_a_guard_bit_widens_the_fields(monkeypatch):
-    # x^127 sizes the fields for exponents up to 255, but reducing the S-pair
-    # of g1 and g2 by g3 multiplies x^127 e2 by x^252
+def record_widths(monkeypatch) -> list:
+    """Wrap gb._Layout so that the width of every layout made is listed."""
     widths = []
 
     class Recording(gb._Layout):
@@ -593,6 +647,13 @@ def test_a_carry_into_a_guard_bit_widens_the_fields(monkeypatch):
             super().__init__(n, width)
 
     monkeypatch.setattr(gb, "_Layout", Recording)
+    return widths
+
+
+def test_a_carry_into_a_guard_bit_widens_the_fields(monkeypatch):
+    # x^127 sizes the fields for exponents up to 255, but reducing the S-pair
+    # of g1 and g2 by g3 multiplies x^127 e2 by x^252
+    widths = record_widths(monkeypatch)
     spec = RingSpec((1,), ("x",))
     ambient = FreeModuleSpec((0, -126, -252))
     g1 = FreeElement(spec, ambient, {(0, (1,)): 1, (1, (127,)): 1})
@@ -605,13 +666,36 @@ def test_a_carry_into_a_guard_bit_widens_the_fields(monkeypatch):
         assert not combine(s, [g1, g2, g3])
 
 
+def test_a_carry_in_a_span_column_widens_the_fields(monkeypatch):
+    # x^255 sizes the fields for exponents up to 511 and no engine runs, but
+    # the span column x^255 * x^300 of degree 555 carries into a guard bit
+    widths = record_widths(monkeypatch)
+    spec = RingSpec((1, 3), ("x", "y"))
+    ambient = FreeModuleSpec((0,))
+    a = FreeElement(spec, ambient, {(0, (255, 0)): 1})
+    b = FreeElement(spec, ambient, {(0, (255, 100)): 1, (0, (0, 185)): 2})
+    c = FreeElement(spec, ambient, {(0, (255, 100)): 3})
+    assert [id(v) for v in assert_same_selection([a, c, b])] == [id(a), id(b)]
+    assert len(widths) == 2
+    assert (1 << (widths[0] - 1)) <= 555 < (1 << (widths[1] - 1))
+
+
+def test_a_carry_in_a_span_column_restarts_the_level(monkeypatch):
+    # weights (1, 1, 4), e = 1: the fields hold exponents up to 3, and while
+    # the first syzygies are selected the span column x1^3 (x2 e0 - x1 e1)
+    # carries, so that level starts over with its inputs repacked wider
+    widths = record_widths(monkeypatch)
+    assert checked_resolutions(monkeypatch, [((1, 1, 4), 1)], 32003) == 3
+    assert widths == [3, 5, 3, 5]
+
+
 def test_inhomogeneous_input_with_large_exponents():
     spec = RingSpec((1, 2), ("x", "y"))
     ambient = FreeModuleSpec((0, 5))
     good = FreeElement(spec, ambient, {(0, (2**20, 0)): 1})
     bad = FreeElement(spec, ambient, {(0, (2**20, 1)): 1, (1, (0, 1)): 3})
     with pytest.raises(InhomogeneousInput) as exc:
-        syzygies([good, bad])
+        oracles.syzygies([good, bad])
     assert exc.value.index == 1 and exc.value.degrees == [7, 2**20 + 2]
 
 
@@ -620,4 +704,4 @@ def test_negative_exponent_rejected():
     amb = FreeModuleSpec((0,))
     bad = FreeElement(W13, amb, {(0, (-1, 2)): 1})
     with pytest.raises(ValueError, match="negative exponent"):
-        syzygies([bad])
+        oracles.syzygies([bad])

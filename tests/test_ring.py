@@ -266,7 +266,7 @@ class TestPolynomialArithmetic:
         x3 = oracles.poly_term(W13, (3, 0))
         prod = y * x3
         assert prod == oracles.poly_term(W13, (3, 1))
-        assert prod.homogeneous_degree() == 6
+        assert oracles.homogeneous_degree(prod) == 6
 
     def test_difference_of_squares(self):
         x = Polynomial.variable(W13, 0)
