@@ -12,12 +12,12 @@ list.
 
 Exit codes: 0 all requested verdicts true; 1 some verdict false; 2 usage
 errors (argparse default, bad ring descriptions, bad --bound, --char or
---jobs, an --out or --emit-cas file that cannot be written, refused before
-any computation when its directory is missing); 4 internal failures (a
-non-minimal resolution, a degree window overrun, inhomogeneous generators, a
-resolution past its level cap, a linear part with a multi-term entry, and
-any other exception that is not a ValueError), reported as "internal error
-(<ExceptionClass>): ...".  Exit 1 is only ever a false verdict.
+--jobs, an --out or --emit-cas file that cannot be written, and --out and
+--emit-cas naming the same file, refused before any computation); 4
+internal failures (a non-minimal resolution, a degree window overrun,
+inhomogeneous generators, a resolution past its level cap, a linear part
+with a multi-term entry, and any other exception that is not a
+ValueError), reported as "internal error (<ExceptionClass>): ...".  Exit 1 is only ever a false verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 import time
 
 from .assoc_graded import OrdContext, gr_betti, gr_hilbert
-from .complexes import BettiTable, resolve_module
+from .complexes import BettiTable, GradedFreeComplex, resolve_module
 from .construction import construct_gr_betti, layer_count, ses_hilbert_check
 from .egm import DegreeRangeError
 from .gb import InhomogeneousInput, monomial_elements
@@ -44,7 +44,7 @@ from .koszul_check import (
     lin_acyclicity,
     recommended_bound,
 )
-from .ring import DEFAULT_CHAR, RingSpec, check_characteristic
+from .ring import DEFAULT_CHAR, Polynomial, RingSpec, check_characteristic
 from .sweep import rows_to_csv, rows_to_dicts, run_sweep, sweep_exit_status
 from .truncation import trunc_gens
 
@@ -181,6 +181,23 @@ def cmd_gens(args) -> int:
     return EXIT_OK
 
 
+def differential_strings(C: GradedFreeComplex) -> list:
+    """Each differential of C as its rows of entry strings, "0" where a
+    column has no term in the row: the dense view that resolve
+    --show-differentials prints."""
+    out = []
+    for k, columns in enumerate(C.diffs):
+        rows = [["0"] * len(columns) for _ in range(C.modules[k].rank)]
+        for c, column in enumerate(columns):
+            entries = {}
+            for (r, m), v in column.items():
+                entries.setdefault(r, {})[m] = v
+            for r, terms in entries.items():
+                rows[r][c] = repr(Polynomial(C.spec, terms, _clean=True))
+        out.append(rows)
+    return out
+
+
 def cmd_resolve(args) -> int:
     spec = parse_ring_spec(args.ring)
     gens = trunc_gens(spec, args.e)
@@ -196,13 +213,11 @@ def cmd_resolve(args) -> int:
     for i, m in enumerate(C.modules):
         lines.append(f"  F_{i}: twists {tuple(m.twists)}")
     if args.show_differentials:
-        payload["differentials"] = [
-            [[repr(entry) for entry in row] for row in mat] for mat in C.diffs
-        ]
-        for k, mat in enumerate(C.diffs):
+        payload["differentials"] = differential_strings(C)
+        for k, mat in enumerate(payload["differentials"]):
             lines.append(f"  d_{k + 1}:")
             for row in mat:
-                lines.append("    [" + ", ".join(repr(e) for e in row) + "]")
+                lines.append("    [" + ", ".join(row) + "]")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
@@ -442,9 +457,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for path in (getattr(args, "out", None), getattr(args, "emit_cas", None)):
-            if path:
-                _check_output_path(path)
+        paths = [getattr(args, name, None) for name in ("out", "emit_cas")]
+        for path in filter(None, paths):
+            _check_output_path(path)
+        if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+            raise ValueError(f"--out and --emit-cas both name {paths[0]}")
         return args.func(args)
     except Exception as exc:
         if isinstance(exc, ValueError) and not isinstance(exc, INTERNAL_ERRORS):

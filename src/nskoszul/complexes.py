@@ -8,9 +8,11 @@ grid of generator coordinate values, one sparse column reduction per slice
 along the last coordinate, lists with no degree bound every grid cell where
 some H_i with i >= 1 is nonzero.  A grid point's homology holds on its whole
 cell, so the list is finite and complete.  A complex that does not split
-raises NoFiniteDecision.  The tests cross-check the walk against a dense
-expansion of each graded piece, and build the Koszul, Taylor and tensor
-complexes they feed it, and the d o d = 0 check, in tests/oracles.py.
+raises NoFiniteDecision.  A differential is stored as its columns, the
+shape in which the syzygy engine yields them, and the blocks are read off
+the columns.  The tests cross-check the walk against a dense expansion of
+each graded piece, and build the Koszul, Taylor and tensor complexes they
+feed it, and the d o d = 0 check, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import modp
 from .gb import minimal_generators, minimal_syzygies
-from .ring import Polynomial, RingSpec
+from .ring import DimensionMismatch, RingSpec
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +104,10 @@ class BettiTable:
 class GradedFreeComplex:
     """Twisted free modules F_0..F_len with differentials d_i : F_i -> F_{i-1}.
 
-    diffs[k] is the matrix of d_{k+1} (rows indexed by F_k generators, columns
-    by F_{k+1} generators), entries homogeneous polynomials.
+    diffs[k] is the tuple of columns of d_{k+1}, one per generator of
+    F_{k+1}.  Column c is a dict from (r, exponents) to a nonzero
+    coefficient, r a generator of F_k: the entry of d_{k+1} at (r, c) is the
+    sum of its terms in row r, and zero when the column has none.
     """
 
     spec: RingSpec
@@ -140,9 +144,8 @@ def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
     selection rules out (graded Nakayama).  linear_part still refuses a unit
     entry.
 
-    Each differential is built in one pass over every kept syzygy's terms;
-    the entries a syzygy does not reach are one shared zero Polynomial, which
-    no caller mutates.
+    The differentials are the kept syzygies themselves: diffs[k] lists the
+    columns that minimal_syzygies yields for level k, in order.
     """
     if not minimize:
         raise ValueError("resolve_module computes only the minimal resolution")
@@ -152,20 +155,12 @@ def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
     spec = gens[0].spec
     modules = []
     diffs = []
-    zero = Polynomial.zero(spec)
     levels = minimal_syzygies(minimal_generators(gens))
     for _, (source, syz) in zip(range(spec.num_vars + 2), levels):
         modules.append(source)
         if not syz:
             break
-        rows = [[zero] * len(syz) for _ in source.twists]
-        for col, s in enumerate(syz):
-            parts = {}
-            for (comp, m), c in s.items():
-                parts.setdefault(comp, {})[m] = c
-            for comp, terms in parts.items():
-                rows[comp][col] = Polynomial(spec, terms, _clean=True)
-        diffs.append(tuple(map(tuple, rows)))
+        diffs.append(tuple(syz))
     else:
         raise RuntimeError("resolution did not terminate within the level cap")
     return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
@@ -250,34 +245,41 @@ def _multidegree_blocks(C: GradedFreeComplex) -> list:
     """Split a single-term complex into its connected multigraded components.
 
     Raises NoFiniteDecision when some entry has more than one term, or when
-    the entries admit no consistent multigrading.
+    the entries admit no consistent multigrading.  A column key whose
+    exponents do not match the ring raises DimensionMismatch; a row outside
+    the target module, a column count other than the source's rank, or a
+    coefficient that is zero mod p raises ValueError.
     """
     spec = C.spec
-    n = spec.num_vars
-    # per level: (row, col) -> (monomial, coeff)
-    term_data = []
-    for mat in C.diffs:
-        entries = {}
-        for r, row in enumerate(mat):
-            for c, entry in enumerate(row):
-                if not entry:
-                    continue
-                if len(entry.coeffs) != 1:
+    n, p = spec.num_vars, spec.char
+    nodes = [(i, g) for i, m in enumerate(C.modules) for g in range(m.rank)]
+    adj = {node: [] for node in nodes}
+    for k, columns in enumerate(C.diffs):
+        rank = C.modules[k].rank
+        if len(columns) != C.modules[k + 1].rank:
+            raise ValueError(
+                f"d_{k + 1} has {len(columns)} columns for rank {C.modules[k + 1].rank}"
+            )
+        for c, column in enumerate(columns):
+            rows = set()
+            for (r, mon), coeff in column.items():
+                if len(mon) != n:
+                    raise DimensionMismatch(
+                        f"monomial has {len(mon)} exponents, ring has {n} variables"
+                    )
+                if not 0 <= r < rank:
+                    raise ValueError(f"row {r} of d_{k + 1} out of range for rank {rank}")
+                if not coeff % p:
+                    raise ValueError(f"zero coefficient in d_{k + 1} at ({r}, {c})")
+                if r in rows:
                     raise NoFiniteDecision(
                         "an entry has more than one term, so the complex does not "
                         "split into multidegree blocks"
                     )
-                ((mon, coeff),) = entry.coeffs.items()
-                entries[(r, c)] = (mon, coeff)
-        term_data.append(entries)
-
-    nodes = [(i, g) for i, m in enumerate(C.modules) for g in range(m.rank)]
-    adj = {node: [] for node in nodes}
-    for k, entries in enumerate(term_data):
-        for (r, c), (mon, _) in entries.items():
-            # source gen (k+1, c) sits at target multidegree plus exp(mon)
-            adj[(k + 1, c)].append(((k, r), mon, +1))
-            adj[(k, r)].append((((k + 1), c), mon, -1))
+                rows.add(r)
+                # source gen (k+1, c) sits at target multidegree plus exp(mon)
+                adj[(k + 1, c)].append(((k, r), mon, +1))
+                adj[(k, r)].append(((k + 1, c), mon, -1))
 
     multideg = {}
     components = []
@@ -323,15 +325,15 @@ def _multidegree_blocks(C: GradedFreeComplex) -> list:
             )
             for i, lv in enumerate(local)
         )
-        D = []
-        for k in range(levels - 1):
-            columns = [{} for _ in local[k + 1]]
-            for (r, c), (_, coeff) in term_data[k].items():
-                if c in local_pos[k + 1]:
-                    columns[local_pos[k + 1][c]][local_pos[k][r]] = coeff
-            D.append(tuple(columns))
+        D = tuple(
+            tuple(
+                {local_pos[k][r]: coeff for (r, _), coeff in C.diffs[k][c].items()}
+                for c in local[k + 1]
+            )
+            for k in range(levels - 1)
+        )
         grid = tuple(tuple(sorted(set(col))) for col in np.concatenate(M).T.tolist())
-        blocks.append(_MultidegreeBlock(offsets.pop(), M, tuple(D), grid))
+        blocks.append(_MultidegreeBlock(offsets.pop(), M, D, grid))
     return blocks
 
 

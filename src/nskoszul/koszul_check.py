@@ -28,7 +28,7 @@ from .complexes import (
 )
 from .construction import construct_gr_betti
 from .gb import monomial_elements
-from .ring import FreeModuleSpec, Polynomial, RingSpec, as_int
+from .ring import FreeModuleSpec, RingSpec, as_int
 from .truncation import trunc_gens
 
 
@@ -69,39 +69,33 @@ class NotMinimal(ValueError):
 
 
 def linear_part(F: GradedFreeComplex, spec: RingSpec | None = None) -> GradedFreeComplex:
-    """lin(F): keep the standard-degree-1 component of every entry.
+    """lin(F): keep the standard-degree-1 terms of every column.
 
     The i-th module becomes rank(F_i) copies of the companion ring with
-    generator degree i.  Entries of standard degree one survive whatever
+    generator degree i.  Terms of standard degree one survive whatever
     their weighted degree (a weight-3 variable y stays, a cube x^3 of a
-    weight-1 variable drops).
+    weight-1 variable drops).  A constant term raises NotMinimal.
     """
     spec = spec or F.spec
     if spec != F.spec:
         raise ValueError("spec does not match the complex")
-    companion = spec.companion()
-    zero = Polynomial.zero(companion)
     modules = tuple(
         FreeModuleSpec((i,) * m.rank) for i, m in enumerate(F.modules)
     )
-    one = spec.one()
     diffs = []
-    for k, mat in enumerate(F.diffs):
+    for k, columns in enumerate(F.diffs):
         new = []
-        for r, row in enumerate(mat):
-            out = [zero] * len(row)
-            for c, entry in enumerate(row):
-                coeffs = entry.coeffs
-                if not coeffs:
-                    continue
-                if one in coeffs:
+        for c, column in enumerate(columns):
+            part = {}
+            for (r, m), v in column.items():
+                degree = sum(m)
+                if degree == 1:
+                    part[r, m] = v
+                elif not degree:
                     raise NotMinimal(f"unit entry in d_{k + 1} at ({r}, {c})")
-                part = {m: v for m, v in coeffs.items() if sum(m) == 1}
-                if part:
-                    out[c] = Polynomial(companion, part, _clean=True)
-            new.append(tuple(out))
+            new.append(part)
         diffs.append(tuple(new))
-    return GradedFreeComplex(companion, modules, tuple(diffs))
+    return GradedFreeComplex(spec.companion(), modules, tuple(diffs))
 
 
 def lin_acyclicity(L: GradedFreeComplex):

@@ -4,7 +4,9 @@ M intersect <y^i> used by the layer-by-layer construction.
 
 from __future__ import annotations
 
-from .ring import RingSpec, as_int, mon_divides, mon_lcm, monomials_of_wdeg
+import math
+
+from .ring import RingSpec, as_int, mon_divides, mon_lcm
 
 
 def minimalize_monomials(mons) -> list:
@@ -23,15 +25,36 @@ def trunc_gens(spec: RingSpec, e: int) -> list:
     A monomial generates minimally iff its weighted degree is at least e and
     dividing out any present variable drops below e; for e <= 0 the truncation
     is the whole ring.  Raises ValueError for a non-integral threshold.
+
+    Each generator g is m * x_t for its last present variable x_t and the
+    monomial m = g / x_t in x_1..x_t, of degree below e, so the walk visits
+    only monomials of degree below e, however large a weight is.
     """
     e = as_int(e, "threshold")
     if e <= 0:
         return [spec.one()]
+    weights = spec.weights
+    n = len(weights)
     out = []
-    for d in range(e, e + spec.max_weight):
-        for m in monomials_of_wdeg(spec, d):
-            if all(d - w < e for exp, w in zip(m, spec.weights) if exp > 0):
-                out.append(m)
+
+    def walk(prefix: tuple, d: int, low):
+        # prefix: the exponents of m in the first i variables, d its degree
+        # (below e), low the least weight of a variable present in it
+        i = len(prefix)
+        if i == n:
+            return
+        w = weights[i]
+        a = 0
+        while d + a * w < e:
+            # m has exponent a in variable i, and g = m * x_(i+1) has degree
+            # top; dividing g by x_(i+1) gives m, below e by construction
+            top = d + a * w + w
+            if top >= e and top - low < e:
+                out.append(prefix + (a + 1,) + (0,) * (n - i - 1))
+            walk(prefix + (a,), d + a * w, min(low, w) if a else low)
+            a += 1
+
+    walk((), 0, math.inf)
     return sorted(out, reverse=True)
 
 

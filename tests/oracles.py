@@ -13,7 +13,11 @@ or spans it with ``_EchelonSpace``, a dense incremental row echelon form.
 ``homology_dims`` counts dim H_i(C)_j per degree from the grid walk's cells,
 a second reading of the walk that the tests compare with ``homology_dense``.
 ``minimize_complex`` cancels unit entries, the reference for the minimal
-resolution and for the Taylor complexes' minimal models.
+resolution and for the Taylor complexes' minimal models.  The complexes
+store each differential as its columns; ``minimize_complex``,
+``check_complex``, ``homology_dense`` and the Koszul, Taylor and tensor
+builders compute on row-major matrices of Polynomials, and
+``dense_matrix`` and ``complex_from_dense`` convert at that seam.
 ``syzygies_reference`` runs the syzygy engine as it was before it packed
 its terms into ints, on (component, exponent tuple) terms: the whole
 syzygy set of one run of the packed engine, ``syzygies`` here (the seam
@@ -154,11 +158,40 @@ class _EchelonSpace:
         return True
 
 
+def dense_matrix(C: GradedFreeComplex, k: int) -> list:
+    """d_{k+1} of C as a row-major matrix of Polynomials, the zero polynomial
+    where a column has no term in the row: the dense view the oracles below
+    compute on."""
+    rows = [[Polynomial.zero(C.spec)] * len(C.diffs[k]) for _ in C.modules[k].twists]
+    for c, column in enumerate(C.diffs[k]):
+        entries = {}
+        for (r, m), v in column.items():
+            entries.setdefault(r, {})[m] = v
+        for r, terms in entries.items():
+            rows[r][c] = Polynomial(C.spec, terms)
+    return rows
+
+
+def complex_from_dense(spec: RingSpec, modules, mats) -> GradedFreeComplex:
+    """The complex with these modules whose d_{k+1} is the row-major matrix
+    of Polynomials mats[k], stored as columns."""
+    diffs = []
+    for k, mat in enumerate(mats):
+        columns = [{} for _ in modules[k + 1].twists]
+        for r, row in enumerate(mat):
+            for c, entry in enumerate(row):
+                for m, v in entry.coeffs.items():
+                    columns[c][(r, m)] = v
+        diffs.append(tuple(columns))
+    return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
+
+
 def homology_dense(C, bound: int) -> dict:
     """dim H_i(C)_j for j <= bound, from the dense matrix of each graded piece."""
     spec = C.spec
     p = spec.char
     min_twist = min((t for m in C.modules for t in m.twists), default=0)
+    mats = [dense_matrix(C, k) for k in range(len(C.diffs))]
     out = {}
     for j in range(min_twist, bound + 1):
         bases = [graded_basis(spec, m, j) for m in C.modules]
@@ -169,7 +202,7 @@ def homology_dense(C, bound: int) -> dict:
             if not rows or not cols:
                 continue
             mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-            dmat = C.diffs[i - 1]
+            dmat = mats[i - 1]
             for cidx, (comp, mon) in enumerate(cols):
                 for r in range(C.modules[i - 1].rank):
                     entry = dmat[r][comp]
@@ -222,7 +255,7 @@ def minimize_complex(C: GradedFreeComplex) -> GradedFreeComplex:
     """
     spec = C.spec
     mods = [list(m.twists) for m in C.modules]
-    mats = [[list(row) for row in mat] for mat in C.diffs]
+    mats = [dense_matrix(C, k) for k in range(len(C.diffs))]
     p = spec.char
 
     def find_unit():
@@ -267,11 +300,7 @@ def minimize_complex(C: GradedFreeComplex) -> GradedFreeComplex:
     while len(mods) > 1 and not mods[-1]:
         mods.pop()
         mats.pop()
-    return GradedFreeComplex(
-        spec,
-        tuple(FreeModuleSpec(tuple(t)) for t in mods),
-        tuple(tuple(tuple(row) for row in mat) for mat in mats),
-    )
+    return complex_from_dense(spec, [FreeModuleSpec(tuple(t)) for t in mods], mats)
 
 
 def free_hilbert(spec: RingSpec, twists, j: int) -> int:
@@ -295,11 +324,16 @@ def check_complex(C: GradedFreeComplex) -> ComplexReport:
     if len(C.diffs) != len(C.modules) - 1:
         problems.append(f"{len(C.diffs)} differentials for {len(C.modules)} modules")
         return ComplexReport(False, tuple(problems))
-    for k, mat in enumerate(C.diffs):
+    mats = []
+    for k, columns in enumerate(C.diffs):
         tgt, src = C.modules[k], C.modules[k + 1]
-        if len(mat) != tgt.rank or any(len(row) != src.rank for row in mat):
+        if len(columns) != src.rank or any(
+            not 0 <= r < tgt.rank for column in columns for r, _ in column
+        ):
             problems.append(f"d_{k + 1}: matrix shape does not match module ranks")
             continue
+        mat = dense_matrix(C, k)
+        mats.append(mat)
         for r in range(tgt.rank):
             for c in range(src.rank):
                 entry = mat[r][c]
@@ -312,7 +346,7 @@ def check_complex(C: GradedFreeComplex) -> ComplexReport:
                     )
     if not problems:
         for k in range(len(C.diffs) - 1):
-            a, b = C.diffs[k], C.diffs[k + 1]
+            a, b = mats[k], mats[k + 1]
             rows = len(a)
             mids = len(b)
             cols = len(b[0]) if b else 0
@@ -352,8 +386,8 @@ def koszul_complex(spec: RingSpec, var_idxs) -> GradedFreeComplex:
                 r = tgt_index[rest]
                 sign = 1 if pos % 2 == 0 else -1
                 mat[r][c] = mat[r][c] + poly_term(spec, spec.variable(t), sign)
-        diffs.append(tuple(tuple(row) for row in mat))
-    return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
+        diffs.append(mat)
+    return complex_from_dense(spec, modules, diffs)
 
 
 def totalize_tensor(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeComplex:
@@ -382,6 +416,8 @@ def totalize_tensor(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeCom
         )
         for k in range(lmax + 1)
     )
+    F_mats = [dense_matrix(F, k) for k in range(len(F.diffs))]
+    G_mats = [dense_matrix(G, k) for k in range(len(G.diffs))]
     diffs = []
     for k in range(1, lmax + 1):
         mat = [
@@ -390,22 +426,22 @@ def totalize_tensor(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeCom
         for c, (i, a, b) in enumerate(gens[k]):
             j = k - i
             if i >= 1:
-                dF = F.diffs[i - 1]
+                dF = F_mats[i - 1]
                 for a2 in range(F.modules[i - 1].rank):
                     entry = dF[a2][a]
                     if entry:
                         r = index[k - 1][(i - 1, a2, b)]
                         mat[r][c] = mat[r][c] + entry
             if j >= 1:
-                dG = G.diffs[j - 1]
+                dG = G_mats[j - 1]
                 sign = 1 if i % 2 == 0 else -1
                 for b2 in range(G.modules[j - 1].rank):
                     entry = dG[b2][b]
                     if entry:
                         r = index[k - 1][(i, a, b2)]
                         mat[r][c] = mat[r][c] + entry.scale(sign)
-        diffs.append(tuple(tuple(row) for row in mat))
-    return GradedFreeComplex(spec, modules, tuple(diffs))
+        diffs.append(mat)
+    return complex_from_dense(spec, modules, diffs)
 
 
 def taylor_complex(spec: RingSpec, mons) -> GradedFreeComplex:
@@ -443,8 +479,8 @@ def taylor_complex(spec: RingSpec, mons) -> GradedFreeComplex:
                 q = mon_quotient(lc, set_lcm(rest))
                 sign = 1 if pos % 2 == 0 else -1
                 mat[rr][c] = mat[rr][c] + poly_term(spec, q, sign)
-        diffs.append(tuple(tuple(row) for row in mat))
-    return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
+        diffs.append(mat)
+    return complex_from_dense(spec, modules, diffs)
 
 
 def alternating_betti_series(table: BettiTable, bound: int) -> list:

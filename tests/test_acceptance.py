@@ -93,7 +93,7 @@ def test_criterion_1_intro_example():
     y = Polynomial.variable(R, 1)
     zero = Polynomial.zero(R)
     expected = [[y, zero], [zero, y], [zero, zero]]
-    got = [list(row) for row in L.diffs[0]]
+    got = oracles.dense_matrix(L, 0)
     ok = ok and _matrices_match_up_to_units(
         got, expected, F.modules[0].twists, F.modules[1].twists, spec.char
     )

@@ -29,7 +29,7 @@ from nskoszul.koszul_check import (
     koszul_verdict,
     linear_part,
 )
-from nskoszul.ring import DEFAULT_CHAR, FreeModuleSpec, Polynomial, RingSpec
+from nskoszul.ring import DEFAULT_CHAR, FreeModuleSpec, RingSpec
 from nskoszul.sweep import rows_to_csv, run_sweep, sweep_cases, sweep_exit_status
 from nskoszul.truncation import trunc_gens
 
@@ -181,9 +181,9 @@ class TestSubcommands:
         for _, out, source in runs.values():
             syz_hash.update(f"{source.twists}: {out!r}\n".encode())
         lin_hash = hashlib.sha256(repr([m.twists for m in L.modules]).encode())
-        for mat in L.diffs:
+        for mat in cli.differential_strings(L):
             for row in mat:
-                lin_hash.update(" ".join(repr(entry) for entry in row).encode() + b"\n")
+                lin_hash.update(" ".join(row).encode() + b"\n")
         assert (syz_hash.hexdigest(), lin_hash.hexdigest()) == (syz_digest, lin_digest)
 
     def test_resolve_json(self, capsys):
@@ -345,6 +345,28 @@ class TestOutputPaths:
         assert err.startswith("error: cannot write") and "missing" in err
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("same", ["f", "./f", "link"])
+    def test_out_and_emit_cas_on_one_file_are_refused_before_any_work(
+        self, same, tmp_path, monkeypatch, capsys
+    ):
+        # the report would overwrite the script that the output says it wrote
+        def never(*args, **kwargs):
+            raise AssertionError("computed before checking the output paths")
+
+        monkeypatch.setattr(cli, "koszul_verdict", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(tmp_path / "f")
+        argv = ["koszul", "--ring", "x=1,y=3", "--e", "5", "--out", "f", "--emit-cas", same]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --out and --emit-cas both name f\n"
+        assert not (tmp_path / "f").exists()
+        # distinct files get both outputs
+        monkeypatch.undo()
+        monkeypatch.chdir(tmp_path)
+        assert main(argv[:-1] + ["g"]) == EXIT_OK
+        assert "res" in (tmp_path / "g").read_text()
+        assert "wrote cross-validation script to g" in (tmp_path / "f").read_text()
+
     def test_directory_as_output_file(self, tmp_path, capsys):
         assert main(["gens", "--ring", "x=1,y=2", "--e", "3", "--out", str(tmp_path)]) == EXIT_USAGE
         assert "is a directory" in capsys.readouterr().err
@@ -495,7 +517,7 @@ class TestInternalErrors:
         # d_1 = (x + y) does not split into multidegree blocks, so lin
         # acyclicity has no finite decision; it is never a bounded guess
         R = RingSpec((1, 1), ("x", "y"))
-        d1 = (((Polynomial(R, {(1, 0): 1, (0, 1): 1}),),),)
+        d1 = (({(0, (1, 0)): 1, (0, (0, 1)): 1},),)
         L = GradedFreeComplex(R, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), d1)
         for module in (cli, koszul_check):
             monkeypatch.setattr(module, "linear_part", lambda F, spec=None: L)

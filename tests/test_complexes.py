@@ -1,12 +1,14 @@
+import json
 import random
 from itertools import combinations_with_replacement, product
 from operator import or_
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from nskoszul import modp
+from nskoszul import complexes, gb, modp
 from nskoszul.assoc_graded import OrdContext, gr_box_module, gr_module
 from nskoszul.complexes import (
     BettiTable,
@@ -19,7 +21,7 @@ from nskoszul.complexes import (
 from nskoszul.egm import ExplicitGradedModule, _betti_blocks, _critical_labels, betti_via_koszul
 from nskoszul.gb import monomial_elements
 from nskoszul.koszul_check import linear_part, recommended_bound
-from nskoszul.ring import FreeModuleSpec, Polynomial, RingSpec, mon_divides
+from nskoszul.ring import DimensionMismatch, FreeModuleSpec, Polynomial, RingSpec, mon_divides
 from nskoszul.sweep import sweep_cases
 from nskoszul.truncation import trunc_gens
 
@@ -27,15 +29,16 @@ W13 = RingSpec((1, 3), ("x", "y"))
 W14 = RingSpec((1, 4), ("x", "y"))
 STD2 = RingSpec((1, 1), ("x", "y"))
 STD3 = RingSpec((1, 1, 1), ("x", "y", "z"))
+REPO = Path(__file__).resolve().parent.parent
 
 
 def paper_phi_complex():
     """0 -> S^2(-8) -> S^2(-5) + S(-6), the displayed resolution."""
     p = W13.char
+    # the columns of (y, -x^3, 0) and (0, y, -x^2)
     phi = (
-        (oracles.poly_term(W13, (0, 1)), Polynomial.zero(W13)),
-        (oracles.poly_term(W13, (3, 0), p - 1), oracles.poly_term(W13, (0, 1))),
-        (Polynomial.zero(W13), oracles.poly_term(W13, (2, 0), p - 1)),
+        {(0, (0, 1)): 1, (1, (3, 0)): p - 1},
+        {(1, (0, 1)): 1, (2, (2, 0)): p - 1},
     )
     return GradedFreeComplex(
         W13, (FreeModuleSpec((5, 5, 6)), FreeModuleSpec((8, 8))), (phi,)
@@ -54,18 +57,18 @@ class TestCheckComplex:
         # corrupt one entry's sign in a length-2 complex: d o d picks it up
         T = oracles.taylor_complex(W13, trunc_gens(W13, 5))
         assert oracles.check_complex(T).ok
-        bad_mat = [list(row) for row in T.diffs[0]]
-        bad_mat[1][0] = -bad_mat[1][0]
-        C = GradedFreeComplex(
-            W13, T.modules, (tuple(tuple(r) for r in bad_mat),) + T.diffs[1:]
-        )
+        p = W13.char
+        first, *rest = T.diffs[0]
+        assert any(r == 1 for r, _ in first)
+        bad = {(r, m): p - c if r == 1 else c for (r, m), c in first.items()}
+        C = GradedFreeComplex(W13, T.modules, ((bad, *rest),) + T.diffs[1:])
         report = oracles.check_complex(C)
         assert not report.ok
         assert "o d_" in report.first
 
     def test_inhomogeneous_entry_detected(self):
-        mat = (((oracles.poly_term(W13, (1, 0)),),),)
-        C = GradedFreeComplex(W13, (FreeModuleSpec((0,)), FreeModuleSpec((5,))), mat)
+        d1 = (({(0, (1, 0)): 1},),)
+        C = GradedFreeComplex(W13, (FreeModuleSpec((0,)), FreeModuleSpec((5,))), d1)
         report = oracles.check_complex(C)
         assert not report.ok
         assert "homogeneous" in report.first
@@ -116,7 +119,8 @@ class TestKoszulComplex:
     def test_single_weighted_variable(self):
         K = oracles.koszul_complex(W13, [1])
         assert [m.twists for m in K.modules] == [(0,), (3,)]
-        assert K.diffs[0][0][0] == Polynomial.variable(W13, 1)
+        assert K.diffs == (({(0, (0, 1)): 1},),)
+        assert oracles.dense_matrix(K, 0) == [[Polynomial.variable(W13, 1)]]
 
     def test_two_standard_variables(self):
         K = oracles.koszul_complex(STD2, [0, 1])
@@ -155,7 +159,7 @@ class TestTotalize:
         F = GradedFreeComplex(
             R,
             (FreeModuleSpec((0, 0)), FreeModuleSpec((1,))),
-            (((Polynomial.variable(R, 0),), (Polynomial.variable(R, 1),)),),
+            (({(0, (1, 0)): 1, (1, (0, 1)): 1},),),
         )
         G = oracles.koszul_complex(R, [1])
         Tot = oracles.totalize_tensor(F, G)
@@ -199,6 +203,44 @@ class TestResolve:
         assert [m.rank for m in raw.modules] == [4, 6, 4, 1]
         assert oracles.minimize_complex(raw).betti_from_twists() == minimal.betti_from_twists()
 
+    def test_differentials_are_the_kept_syzygies(self, monkeypatch):
+        # diffs[k] holds the very columns gb.minimal_syzygies keeps for level
+        # k, in order, and each has at most one key per row: every entry is a
+        # single term, so the benchmark's linear_terms, a count of keys of
+        # the linear part, counts its entries (13,825 over resolve4)
+        kept = []
+        levels = gb.minimal_syzygies
+
+        def recording(gens):
+            for source, columns in levels(gens):
+                kept.append(columns)
+                yield source, columns
+
+        monkeypatch.setattr(complexes, "minimal_syzygies", recording)
+        golden = json.loads((REPO / "perfbench" / "golden" / "resolve4.json").read_text())
+        resolve4 = [
+            (w, e, 32003) for w in combinations_with_replacement(range(1, 4), 4) for e in range(1, 7)
+        ]
+        sweep = [(c.weights, c.e, p) for p in (2, 32003) for c in sweep_cases(3, 4, 12)]
+        assert (len(resolve4), len(sweep)) == (90, 816)
+        linear_terms = {}
+        for weights, e, p in resolve4 + sweep:
+            kept.clear()
+            spec = RingSpec(weights, char=p)
+            F = resolve_module(monomial_elements(spec, trunc_gens(spec, e)))
+            assert len(kept) == len(F.diffs) + 1 and not kept[-1]
+            for columns, diff in zip(kept, F.diffs):
+                assert [id(c) for c in diff] == [id(c) for c in columns]
+                for column in diff:
+                    rows = [r for r, _ in column]
+                    assert len(rows) == len(set(rows))
+            if len(weights) == 4:
+                L = linear_part(F, spec)
+                key = f"{'+'.join(map(str, weights))}:{e}"
+                linear_terms[key] = sum(len(column) for diff in L.diffs for column in diff)
+        assert linear_terms == {k: v["linear_terms"] for k, v in golden["cases"].items()}
+        assert sum(linear_terms.values()) == 13825
+
     def test_only_the_minimal_resolution(self):
         gens = monomial_elements(STD2, trunc_gens(STD2, 3))
         with pytest.raises(ValueError, match="only the minimal resolution"):
@@ -208,18 +250,14 @@ class TestResolve:
 class TestHomologyDims:
     def test_paper_lin_complex_acyclic(self):
         R = STD2
-        mat = (
-            (Polynomial.variable(R, 1), Polynomial.zero(R)),
-            (Polynomial.zero(R), Polynomial.variable(R, 1)),
-            (Polynomial.zero(R), Polynomial.zero(R)),
-        )
-        L = GradedFreeComplex(R, (FreeModuleSpec((0, 0, 0)), FreeModuleSpec((1, 1))), (mat,))
+        # the columns of (y, 0, 0) and (0, y, 0)
+        d1 = ({(0, (0, 1)): 1}, {(1, (0, 1)): 1})
+        L = GradedFreeComplex(R, (FreeModuleSpec((0, 0, 0)), FreeModuleSpec((1, 1))), (d1,))
         dims = oracles.homology_dims(L, 10)
         assert all(i == 0 for (i, _) in dims)
 
     def test_zero_differential_rank_nullity(self):
-        mat = (((Polynomial.zero(STD2),),),)
-        C = GradedFreeComplex(STD2, (FreeModuleSpec((0,)), FreeModuleSpec((2,))), mat)
+        C = GradedFreeComplex(STD2, (FreeModuleSpec((0,)), FreeModuleSpec((2,))), (({},),))
         dims = oracles.homology_dims(C, 5)
         for j in range(2, 6):
             assert dims[(1, j)] == oracles.free_hilbert(STD2, (2,), j)
@@ -299,16 +337,16 @@ class TestHomologyDims:
         }
 
     def test_grid_check_declines_multiterm_entries(self):
-        entry = Polynomial.variable(STD2, 0) + Polynomial.variable(STD2, 1)
-        C = GradedFreeComplex(STD2, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), (((entry,),),))
+        x_plus_y = {(0, (1, 0)): 1, (0, (0, 1)): 1}
+        C = GradedFreeComplex(STD2, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), ((x_plus_y,),))
         with pytest.raises(NoFiniteDecision, match="more than one term"):
             homology_witnesses(C)
 
     def test_multiterm_entries_fall_back_to_dense(self):
         # only the dense oracle counts a multi-term complex; the grid refuses it
         R = STD2
-        entry = Polynomial.variable(R, 0) + Polynomial.variable(R, 1)
-        C = GradedFreeComplex(R, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), ((( entry,),),))
+        x_plus_y = {(0, (1, 0)): 1, (0, (0, 1)): 1}
+        C = GradedFreeComplex(R, (FreeModuleSpec((0,)), FreeModuleSpec((1,))), ((x_plus_y,),))
         with pytest.raises(NoFiniteDecision):
             oracles.homology_dims(C, 4)
         # S(-1) -> S by x + y is injective with cokernel k[t] in degrees 0..4
@@ -317,13 +355,35 @@ class TestHomologyDims:
     def test_grid_check_declines_inconsistent_multigrading(self):
         # single-term entries x, x, x, y: the first row puts both targets at
         # one multidegree, the second row apart
-        x, y = Polynomial.variable(STD2, 0), Polynomial.variable(STD2, 1)
-        C = GradedFreeComplex(
-            STD2, (FreeModuleSpec((0, 0)), FreeModuleSpec((1, 1))), (((x, x), (x, y)),)
-        )
+        x, y = (1, 0), (0, 1)
+        # the columns of the matrix ((x, x), (x, y))
+        d1 = ({(0, x): 1, (1, x): 1}, {(0, x): 1, (1, y): 1})
+        C = GradedFreeComplex(STD2, (FreeModuleSpec((0, 0)), FreeModuleSpec((1, 1))), (d1,))
         with pytest.raises(NoFiniteDecision, match="no consistent multigrading"):
             homology_witnesses(C)
         assert oracles.homology_dense(C, 3)[(0, 0)] == 2
+
+
+    def test_grid_check_rejects_malformed_columns(self):
+        # negative controls for hand-built columns, refused where the blocks
+        # read them: a key whose exponents do not fit the ring, a row
+        # outside the target module, a zero coefficient, a wrong column count
+        modules = (FreeModuleSpec((0,)), FreeModuleSpec((1,)))
+        x = {(0, (1, 0)): 1}
+        assert homology_witnesses(GradedFreeComplex(STD2, modules, ((x,),))) == []
+        for column, exc, text in [
+            ({(0, (1, 0, 0)): 1}, DimensionMismatch, "3 exponents, ring has 2"),
+            ({(1, (1, 0)): 1}, ValueError, r"row 1 of d_1 out of range for rank 1"),
+            ({(-1, (1, 0)): 1}, ValueError, r"row -1 of d_1 out of range"),
+            ({(0, (1, 0)): STD2.char}, ValueError, r"zero coefficient in d_1 at \(0, 0\)"),
+        ]:
+            C = GradedFreeComplex(STD2, modules, ((column,),))
+            with pytest.raises(exc, match=text):
+                homology_witnesses(C)
+        for columns in [(x, {}), ()]:
+            C = GradedFreeComplex(STD2, modules, (columns,))
+            with pytest.raises(ValueError, match=f"d_1 has {len(columns)} columns for rank 1"):
+                homology_witnesses(C)
 
 
 def _dense(blk, k):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -43,6 +44,47 @@ class TestTruncGens:
             for v in gens:
                 if u != v:
                     assert not mon_divides(u, v)
+
+
+def gens_by_definition(spec: RingSpec, e: int) -> list:
+    """The monomials g with wdeg(g) >= e whose every present variable drops
+    them below e, over the box that holds them: (g_t - 1) w_t < e, so
+    g_t <= ceil(e / w_t)."""
+    box = [range(-(-e // w) + 1) for w in spec.weights]
+    out = []
+    for g in product(*box):
+        d = spec.wdeg(g)
+        if d >= e and all(d - w < e for a, w in zip(g, spec.weights) if a):
+            out.append(g)
+    return sorted(out, reverse=True)
+
+
+class TestTruncGensAtLargeWeights:
+    # the walk visits only monomials of degree below e, so a weight of
+    # 10^6 costs nothing; a scan of every degree in [e, e + max weight)
+    # would take hours on these rings
+
+    def test_small_thresholds_match_the_definition(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            weights = [rng.choice((1, 2, 3, 10**6)) for _ in range(n)]
+            weights[rng.randrange(n)] = 10**6
+            spec = RingSpec(tuple(weights))
+            e = rng.randint(1, 9)
+            assert trunc_gens(spec, e) == gens_by_definition(spec, e)
+
+    def test_large_thresholds_match_the_definition(self):
+        rng = random.Random(32)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            spec = RingSpec(tuple(10**6 + rng.randint(0, 3) for _ in range(n)))
+            e = rng.randint(1, 4 * 10**6)
+            assert trunc_gens(spec, e) == gens_by_definition(spec, e)
+
+    def test_two_generators(self):
+        assert trunc_gens(RingSpec((1, 10**4)), 5) == [(5, 0), (0, 1)]
+        assert trunc_gens(RingSpec((1, 10**6)), 5) == [(5, 0), (0, 1)]
 
 
 class TestTruncFreeGens:
