@@ -14,20 +14,25 @@ are built: a value c is critical for x_t when x_t fails to send the labels
 with t-exponent c - 1 bijectively, with nonzero coefficients, onto those
 with t-exponent c.  A strand whose multidegree a has some a_t not critical
 is the mapping cone of the isomorphism x_t between two strands of the
-Koszul complex on the other variables, hence acyclic.  The tests cross-check
-the blocks against a dense strand assembly.
+Koszul complex on the other variables, hence acyclic.  A strand has at most
+one cell e_T (x) (a - e_T) per subset T, so its homology depends only on
+which cells are present and on the coefficients of their edges, and the
+blocks share few such patterns: each distinct pattern is ranked once.  The
+tests cross-check the blocks against a dense strand assembly.
 
-The label maps are found on the labels packed into int64 arrays: the
-component, the exponents, the degree and one mixed-radix key per label, in
-which x_t * m is key + a stride.  Key packing raises ValueError when the
-radices would not fit in 64 bits, rather than wrap.  The associated graded
-builders hand their labels over as arrays (_array_module).  The module
-keeps, in a private field, its labels' degrees and exponents and per
-variable the masks of the labels x_t acts on and of those it reaches; the
-critical values are read off those masks, which are packed from the dicts
-only for a module built by hand.  Only the labels that lie in a strand at a
-critical multidegree leave the arrays for the Python loop that builds the
-strands.  The tests build their modules through the same arrays.
+The labels are packed into int64 arrays: the component, the exponents, the
+degree, the coefficient of each x_t (0 where it sends the label to zero) and
+one mixed-radix key per label, in which x_t * m is key + a stride.  Key
+packing raises ValueError when the radices would not fit in 64 bits, rather
+than wrap, and so does a strand key (label key plus the strides of T, and
+the degree) that would not.  The associated graded builders hand their
+labels over as arrays (_array_module), and the module keeps them, in a
+private field, with per variable the mask of the labels x_t reaches; a
+module built by hand has them packed from its dicts when its strands are
+taken.  The critical values, the cells of the critical strands, their
+grouping into strands and the patterns are all found on these arrays; only
+the distinct patterns reach the sparse rank kernel.  The tests build their
+modules through the same arrays.
 
 The stored window is the degrees up to ``bound`` and, when ``corner`` is
 set, only the multidegrees m <= corner: the quotient of the module by the
@@ -41,8 +46,8 @@ at a is the whole of its Betti table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, product
-from operator import add, itemgetter, mul
+from itertools import chain, compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -70,7 +75,7 @@ class ExplicitGradedModule:
     a label with exponent corner_t in t out of the window.
 
     _arrays, when set, holds the labels in stored order as arrays with the
-    masks of the label maps (_LabelArrays).  The builders set it; it takes
+    coefficients of the label maps (_LabelArrays).  The builders set it; it takes
     no part in comparison or repr, and a module built without it has it
     packed from the dicts when its strands are taken.
     """
@@ -112,7 +117,7 @@ def _array_module(
     x_t * label when that is a label of degree j + w_t, else to zero.
     Raises ValueError when a label is listed twice or the exponents are too
     large for 64-bit keys (see _PackedLabels).  The module keeps the label
-    arrays in stored order with its x_t masks."""
+    arrays in stored order, with coefficient 1 where x_t hits a label."""
     packed = _PackedLabels(spec, comp, exps, deg)
     key_arr = np.fromiter(keys, np.int64, len(keys))
     by_value = np.argsort(key_arr)
@@ -125,14 +130,14 @@ def _array_module(
     for j, size in zip(keys, np.bincount(rank, minlength=len(keys)).tolist()):
         final[j] = tuple(labels[start:start + size])
         start += size
-    acts, reached = [], []
+    coef, reached = [], []
     for t, w in enumerate(spec.weights):
         image = packed.images(t)
         hit = (image >= 0) & (deg[image] == deg + w)
-        acts.append(hit[order])
+        coef.append(hit[order].astype(np.uint8))
         reached.append(_reached(image, hit)[order])
-    actions = tuple(dict.fromkeys(compress(labels, hit.tolist()), 1) for hit in acts)
-    arrays = _LabelArrays(deg[order], exps[order], acts, reached)
+    actions = tuple(dict.fromkeys(compress(labels, c.tolist()), 1) for c in coef)
+    arrays = _LabelArrays(comp[order], deg[order], exps[order], coef, reached)
     return ExplicitGradedModule(spec, bound, final, actions, corner, arrays)
 
 
@@ -145,28 +150,31 @@ def _reached(image: np.ndarray, hit: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _LabelArrays:
-    """A module's labels in stored order as arrays: the degree and the
-    exponents of each, and per variable t the mask of the labels that x_t
-    sends to a label (acts) and of the labels that x_t of a label is
-    (reached)."""
+    """A module's labels in stored order as arrays: the component, the degree
+    and the exponents of each, and per variable t the coefficient of x_t on
+    each label mod p, 0 where x_t sends it to zero (coef), and the mask of
+    the labels that x_t of a label is (reached)."""
 
+    comp: np.ndarray
     deg: np.ndarray
     exps: np.ndarray
-    acts: list
+    coef: list
     reached: list
 
     @classmethod
     def of(cls, M: ExplicitGradedModule) -> "_LabelArrays":
-        """The arrays of a module built without them, its label maps read
-        from the dicts."""
+        """The arrays of a module built without them, its label maps and
+        their coefficients read from the dicts."""
         comp, exps, deg = _label_arrays(M.spec, M.degrees)
         packed = _PackedLabels(M.spec, comp, exps, deg)
         labels = list(chain.from_iterable(M.degrees.values()))
-        acts, reached = [], []
+        p = M.spec.char
+        coef, reached = [], []
         for t, image in enumerate(M.actions):
-            acts.append(np.fromiter(map(image.__contains__, labels), bool, len(labels)))
-            reached.append(_reached(packed.images(t), acts[-1]))
-        return cls(deg, exps, acts, reached)
+            values = (image.get(lb, 0) % p for lb in labels)
+            coef.append(np.fromiter(values, np.int64, len(labels)))
+            reached.append(_reached(packed.images(t), coef[-1] != 0))
+        return cls(comp, deg, exps, coef, reached)
 
 
 class _PackedLabels:
@@ -176,16 +184,18 @@ class _PackedLabels:
     The key reads a label (c, m) as the digits c, m_{n-1}, ..., m_0, where
     m_t has radix max m_t + 2.  So keys order the labels by component and
     then by reversed exponents, and key + strides[t] is the key of x_t * m
-    whether or not that is a label (no digit carries).  Raises ValueError
-    when the product of the radices reaches 2**63, where int64 keys would
-    wrap, or when a label is stored twice.
+    whether or not that is a label (no digit carries); every such key is
+    below size, the product of the radices.  Raises ValueError when size
+    reaches 2**63, where int64 keys would wrap, or when a label is stored
+    twice.
     """
 
     def __init__(self, spec: RingSpec, comp: np.ndarray, exps: np.ndarray, deg: np.ndarray):
         strides = [1]
         for top in exps.max(axis=0, initial=0).tolist():
             strides.append(strides[-1] * (top + 2))
-        if strides[-1] * (int(comp.max(initial=0)) + 1) >= 2**63:
+        self.size = strides[-1] * (int(comp.max(initial=0)) + 1)
+        if self.size >= 2**63:
             raise ValueError("label exponents too large for 64-bit keys")
         self.strides = strides[:-1]
         self.key = exps @ np.array(self.strides, dtype=np.int64) + comp * strides[-1]
@@ -212,9 +222,9 @@ def betti_via_koszul(M: ExplicitGradedModule, bound: int | None = None) -> Betti
     and on a module stored up to a corner, at multidegrees <= corner only.
 
     The strands split into multidegree blocks along the label maps, and only
-    the blocks whose multidegree is critical in every coordinate are ranked:
-    any other block is the cone of an isomorphism x_t and has no homology
-    (see :func:`_betti_blocks`).
+    the blocks whose multidegree is critical in every coordinate are ranked,
+    each distinct block pattern once: any other block is the cone of an
+    isomorphism x_t and has no homology (see :func:`_betti_blocks`).
     """
     b = M.bound if bound is None else bound
     if b > M.bound:
@@ -223,8 +233,9 @@ def betti_via_koszul(M: ExplicitGradedModule, bound: int | None = None) -> Betti
 
 
 def _critical_labels(M: ExplicitGradedModule, bound: int) -> tuple:
-    """The critical values per coordinate t, and the labels in strands whose
-    every coordinate is critical.
+    """The critical values per coordinate t, the module's label arrays, and
+    the rows of the labels in strands whose every coordinate is critical,
+    with their stay/enter bits.
 
     c is critical for t when a label of degree <= bound with exponent c in t
     has no x_t-preimage (c = 0, or the label below is missing or sent to
@@ -235,36 +246,36 @@ def _critical_labels(M: ExplicitGradedModule, bound: int) -> tuple:
 
     A label m of degree <= bound may stay out of T when m_t is critical and
     enter T when m_t + 1 is.  It is kept when it can do one or the other for
-    every t, as (label, degree, pattern) in stored order, where bit t of
-    pattern says it may stay out and bit n + t that it may enter.
+    every t.  Returns (crit, arrays, rows, bits): rows are the kept labels'
+    indices in stored order, and bits[k] has bit t set when label rows[k]
+    may stay out of T and bit n + t when it may enter.
     """
     n = M.spec.num_vars
     arrays = M._arrays if M._arrays is not None else _LabelArrays.of(M)
     deg = arrays.deg
     low = deg <= bound
     keep = low.copy()
-    pattern = np.zeros(len(deg), dtype=np.int64)
+    bits = np.zeros(len(deg), dtype=np.int64)
     crit = []
     for t, w in enumerate(M.spec.weights):
-        acts, reached = arrays.acts[t], arrays.reached[t]
+        acts, reached = arrays.coef[t] != 0, arrays.reached[t]
         c = arrays.exps[:, t]
         values = set(c[low & ~reached].tolist())
         values.update((c[low & ~acts & (deg + w <= bound)] + 1).tolist())
         if M.corner is not None:
             values = {v for v in values if v <= M.corner[t]}
         crit.append(values)
-        table = np.zeros(int(c.max(initial=0)) + 2, dtype=bool)
-        table[list(values)] = True
-        stay, enter = table[c], table[c + 1]
+        critical = np.fromiter(values, np.int64, len(values))
+        stay, enter = np.isin(c, critical), np.isin(c + 1, critical)
         keep &= stay | enter
-        pattern |= stay.astype(np.int64) << t | enter.astype(np.int64) << (n + t)
+        bits |= stay.astype(np.int64) << t | enter.astype(np.int64) << (n + t)
     rows = np.flatnonzero(keep)
-    labels = map(list(chain.from_iterable(M.degrees.values())).__getitem__, rows.tolist())
-    return crit, list(zip(labels, deg[rows].tolist(), pattern[rows].tolist()))
+    return crit, arrays, rows, bits[rows]
 
 
 def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
-    """Betti numbers from the Koszul strands at critical multidegrees only.
+    """Betti numbers from the Koszul strands at critical multidegrees only,
+    each distinct strand pattern ranked once.
 
     The cells e_T (x) m (T a subset of the variables, m a label) lie in
     strands indexed by (component, a, j) with a = m + e_T and j = deg(m) +
@@ -280,57 +291,85 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
     among 0 and the generator exponents, and on a corner window none exceeds
     the corner, so no strand outside the window is built.
 
-    The critical values and the labels that take part come from the
-    module's label arrays: per t, the masks of the labels x_t acts on and of
-    those it reaches, and a lookup table of the critical values gives the
-    masks of the labels that may stay out of T and of those that may enter
-    it.  Only the labels with a choice for every t reach the cell
-    loop, and the subsets T are listed once per distinct (stay, enter)
-    pattern.
+    A strand holds at most one cell per T, the label a - e_T, and its
+    differential sends e_T (x) m to the sum over t in T of
+    +-coef_t(m) e_{T - t} (x) x_t m.  So its homology depends only on which
+    cells are present and on the coefficients of their edges: the module
+    form of the upper Koszul simplicial complex (Miller-Sturmfels, GTM 227,
+    Thm 1.34).  The cells (row, T) are read off one mask over the kept rows
+    and all subsets T, from the rows' stay/enter bits, and each cell gets a
+    code for its coefficients on T.  A strand's key is its label key plus
+    the strides of T, carry-free (_PackedLabels), combined with its degree
+    j; the cells are grouped on that key, and a strand's row of cell codes
+    by T (0 where absent) is its pattern.  Each distinct pattern is ranked
+    once, and the table adds, per pattern and j, the number of strands times
+    its homology.  Raises ValueError when the (key, j) pairs would reach
+    2**63.
     """
-    spec = M.spec
-    n = spec.num_vars
-    p = spec.char
-    maps = M.actions
-    _, kept = _critical_labels(M, bound)
+    n = M.spec.num_vars
+    weights = M.spec.weights
+    _, arrays, rows, bits = _critical_labels(M, bound)
+    if not len(rows):
+        return BettiTable(())
+    deg = arrays.deg[rows]
+    packed = _PackedLabels(M.spec, arrays.comp[rows], arrays.exps[rows], deg)
+    coef = np.stack([c[rows] for c in arrays.coef], axis=1)
+    low = int(deg.min())
+    span = bound - low + 1
+    if packed.size * span >= 2**63:
+        raise ValueError("label exponents and degrees too large for 64-bit strand keys")
 
-    # multidegree block key: (component, total exponent vector)
-    blocks = {}
-    picks = {}
-    for lb, jdeg, pattern in kept:
-        if pattern not in picks:
-            # pick[t] = 1 puts t in T, allowed where the pattern's bit says so
-            choices = [[k for k in (0, 1) if pattern >> (k * n + t) & 1] for t in range(n)]
-            picks[pattern] = [
-                (tuple(t for t in range(n) if pick[t]), sum(map(mul, spec.weights, pick)), pick)
-                for pick in product(*choices)
-            ]
-        comp, m = lb
-        for T, weight, pick in picks[pattern]:
-            j = jdeg + weight
-            if j <= bound:
-                blocks.setdefault((comp, tuple(map(add, m, pick))), []).append((T, lb, j))
-
+    # cell (r, T): kept row r with the subset T, where every t may stay out or enter
+    subsets = np.arange(1 << n)
+    inside = subsets[:, None] >> np.arange(n) & 1
+    weight = inside @ np.array(weights)
+    shift = inside @ np.array(packed.strides)
+    need = (subsets << n) | (((1 << n) - 1) ^ subsets)
+    r, T = np.nonzero(((bits[:, None] & need) == need) & (deg[:, None] <= bound - weight))
+    keys = (packed.key[r] + shift[T]) * span + deg[r] + weight[T] - low
+    strand_keys, strand = np.unique(keys, return_inverse=True)
+    # a cell's code is the index of its coefficients on T among all cells'
+    values, coded = np.unique(coef, return_inverse=True)
+    coded = coded.reshape(coef.shape).astype(np.min_scalar_type(len(values)))
+    signatures, code = _row_ids(coded[r] * inside.astype(coded.dtype)[T])
+    cells = values[signatures].tolist()
+    grid = np.zeros((len(strand_keys), 1 << n), dtype=np.min_scalar_type(len(cells)))
+    grid[strand.reshape(-1), T] = code + 1
+    patterns, pattern = _row_ids(grid)
+    groups, group = _row_ids(np.stack((pattern, strand_keys % span), axis=1))
+    homology = [_strand_homology(row, cells, M.spec.char) for row in patterns.tolist()]
     out = {}
-    for (comp, a), cells in blocks.items():
-        by_j = {}
-        for T, lb, j in cells:
-            by_j.setdefault(j, {})[T] = lb
-        for j, present in by_j.items():
-            # column e_T (x) m of d_|T|, keyed by the faces T - {t} present
-            columns = [[] for _ in range(max(map(len, present)) + 1)]
-            for T, lb in present.items():
-                column = {}
-                for posn, t in enumerate(T):
-                    rest = T[:posn] + T[posn + 1:]
-                    coeff = maps[t].get(lb)
-                    if coeff is not None and rest in present:
-                        column[rest] = coeff if posn % 2 == 0 else -coeff
-                columns[len(T)].append(column)
-            ranks = [0, *(len(modp.pivots(level, p)) for level in columns[1:]), 0]
-            for size, level in enumerate(columns):
-                h = len(level) - ranks[size] - ranks[size + 1]
-                if h:
-                    key = (size, j)
-                    out[key] = out.get(key, 0) + h
+    for (k, jr), count in zip(groups.tolist(), np.bincount(group).tolist()):
+        for i, h in enumerate(homology[k]):
+            if h:
+                out[i, jr + low] = out.get((i, jr + low), 0) + count * h
     return BettiTable.from_dict(out)
+
+
+def _row_ids(rows: np.ndarray) -> tuple:
+    """The distinct rows of a 2-d array, and for each row the index of its
+    copy among them.  The rows are compared as raw bytes, which sorts far
+    faster than np.unique's axis=0."""
+    rows = np.ascontiguousarray(rows)
+    raw = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    return rows[first], inverse.reshape(-1)
+
+
+def _strand_homology(row: list, cells: list, p: int) -> list:
+    """dim H_i, i = 0..n, of the strand whose cell e_T has code row[T] (0
+    where absent), ranked over F_p."""
+    present = {T: cells[code - 1] for T, code in enumerate(row) if code}
+    n = len(row).bit_length() - 1
+    columns = [[] for _ in range(n + 1)]
+    for T, coeffs in present.items():
+        # column e_T of d_|T|, keyed by the faces T - {t} present
+        column = {}
+        ts = [t for t in range(n) if T >> t & 1]
+        for posn, t in enumerate(ts):
+            rest = T ^ (1 << t)
+            if coeffs[t] and rest in present:
+                column[rest] = coeffs[t] if posn % 2 == 0 else -coeffs[t]
+        columns[len(ts)].append(column)
+    ranks = [0, *(len(modp.pivots(level, p)) for level in columns[1:]), 0]
+    return [len(level) - ranks[i] - ranks[i + 1] for i, level in enumerate(columns)]

@@ -340,6 +340,28 @@ def test_criterion_10_four_variables(char):
            f"{len(FOUR_VARIABLE_CASES)} cases in {elapsed:.1f} s")
 
 
+FIVE_VARIABLE_SPOT_CHECKS = [((1, 1, 1, 1, 1), e) for e in range(1, 5)] + [
+    ((1, 2, 3, 4, 5), e) for e in range(1, 9)
+]
+
+
+def test_criterion_10_five_variable_spot_checks():
+    # (1,1,1,1,1) e <= 4 and (1,2,3,4,5) e <= 8, with the checks of the
+    # four-variable grid
+    start = time.perf_counter()
+    ok = True
+    for weights, e in FIVE_VARIABLE_SPOT_CHECKS:
+        spec = RingSpec(weights)
+        r = koszul_verdict(spec, e)
+        ok = ok and r.all_true and r.construct_table == r.gr_table
+        ok = ok and weighted_hilbert_identity(spec, e, r.resolution_betti)
+        if not ok:
+            break
+    elapsed = time.perf_counter() - start
+    report(10, "five-variable spot checks", ok,
+           f"{len(FIVE_VARIABLE_SPOT_CHECKS)} cases in {elapsed:.1f} s")
+
+
 def test_weighted_hilbert_identity_rejects_a_wrong_table():
     # negative control: one Betti number off breaks the identity
     spec = RingSpec((1, 3))

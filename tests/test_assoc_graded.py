@@ -444,7 +444,12 @@ class TestOrdTable:
             for N in (M, box):
                 # the arrays the module keeps, and those packed from its dicts
                 bare = ExplicitGradedModule(N.spec, N.bound, N.degrees, N.actions, N.corner)
-                assert _critical_labels(N, N.bound) == _critical_labels(bare, N.bound)
+                crit, arrays, rows, bits = _critical_labels(N, N.bound)
+                crit_b, packed, rows_b, bits_b = _critical_labels(bare, N.bound)
+                assert crit == crit_b
+                assert rows.tolist() == rows_b.tolist() and bits.tolist() == bits_b.tolist()
+                for name in ("comp", "deg", "exps", "coef", "reached"):
+                    assert np.array_equal(getattr(arrays, name), getattr(packed, name)), name
             multi += ctx.num_components > 1
             empty_first += not ctx.component_gens(0)
         assert multi >= 40

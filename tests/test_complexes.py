@@ -645,6 +645,41 @@ class TestBettiViaKoszul:
             oracles.check_label_maps(zero)
         oracles.check_label_maps(ExplicitGradedModule(STD2, 2, degrees, ({(0, (0, 0)): 1}, {})))
 
+    def test_coefficients_tell_equal_strands_apart(self):
+        # negative control for the strand patterns: two components with the
+        # same labels x_u (degree 1) and x_s x_u (degree 2), 1 and xyz
+        # absent, so the strand at a = (1, 1, 1), j = 3 has the same cells
+        # and edges in both.  Its d_2, from the e_st (x) x_u to the
+        # e_s (x) a - e_s, is singular with unit coefficients (component 0)
+        # and invertible when x sends y to 2xy (component 1)
+        singles = [tuple(int(t == u) for t in range(3)) for u in range(3)]
+        pairs = [tuple(int(t != u) for t in range(3)) for u in range(3)]
+        degrees = {
+            1: tuple((c, m) for c in (0, 1) for m in singles),
+            2: tuple((c, m) for c in (0, 1) for m in pairs),
+        }
+
+        def module(scaled):
+            actions = tuple({} for _ in range(3))
+            for c, u, t in product((0, 1), range(3), range(3)):
+                if t != u:
+                    image = 2 if (c, t, u) in scaled else 1
+                    actions[t][c, singles[u]] = image
+            return ExplicitGradedModule(STD3, 3, degrees, actions)
+
+        M, unit = module({(1, 0, 1)}), module(set())
+        for N in (M, unit):
+            oracles.check_label_maps(N)
+            assert oracles.commuting_violations(N) == []
+        assert _betti_blocks(M, 3) == oracles.betti_dense(M, 3)
+        assert _betti_blocks(unit, 3) == oracles.betti_dense(unit, 3)
+        # with unit coefficients both strands at a have H_1 and H_2, with
+        # the 2 only the one of component 0
+        scaled, plain = _betti_blocks(M, 3).as_dict(), _betti_blocks(unit, 3).as_dict()
+        assert set(scaled) <= set(plain)
+        diff = {ij: r - scaled.get(ij, 0) for ij, r in plain.items()}
+        assert {ij: d for ij, d in diff.items() if d} == {(1, 3): 1, (2, 3): 1}
+
     def test_bound_beyond_storage_rejected(self):
         from nskoszul.egm import DegreeRangeError
 
@@ -689,21 +724,22 @@ class TestLabelArrays:
             assert list(got.degrees.items()) == list(want.degrees.items())
             assert got.actions == want.actions
             assert got.corner == want.corner
+            stored = [(lb, j) for j, lbs in M.degrees.items() for lb in lbs]
             for bound in bounds:
-                crit, kept = _critical_labels(M, bound)
+                crit, _, rows, bits = _critical_labels(M, bound)
                 assert crit == oracles.critical_values_scan(M, bound)
+                kept = [(*stored[r], b) for r, b in zip(rows.tolist(), bits.tolist())]
                 # kept: every label of degree <= bound whose every m_t or
                 # m_t + 1 is critical, with bit t for m_t and n + t for m_t + 1
                 n = M.spec.num_vars
                 expected = []
-                for j, lbs in M.degrees.items():
-                    for lb in lbs:
-                        m = lb[1]
-                        stay = [m[t] in crit[t] for t in range(n)]
-                        enter = [m[t] + 1 in crit[t] for t in range(n)]
-                        if j <= bound and all(map(or_, stay, enter)):
-                            bits = sum(stay[t] << t | enter[t] << (n + t) for t in range(n))
-                            expected.append((lb, j, bits))
+                for lb, j in stored:
+                    m = lb[1]
+                    stay = [m[t] in crit[t] for t in range(n)]
+                    enter = [m[t] + 1 in crit[t] for t in range(n)]
+                    if j <= bound and all(map(or_, stay, enter)):
+                        bits = sum(stay[t] << t | enter[t] << (n + t) for t in range(n))
+                        expected.append((lb, j, bits))
                 assert kept == expected
                 kept_total += len(kept)
             modules += 1
@@ -734,6 +770,18 @@ class TestLabelArrays:
                 with pytest.raises(ValueError, match="64-bit"):
                     oracles.labelled_module(STD2, 1, {1: [lb]})
 
+    def test_strand_key_overflow_rejected(self):
+        # negative control: the radices (2**40 + 2) * (2**20 + 2) of the one
+        # label times the 8 degrees 0..7 of its strands reach 2**63, so the
+        # (key, j) strand keys would wrap; with 7 degrees they fit, and the
+        # module is the residue field
+        lb = (0, (2**40, 2**20))
+        M = ExplicitGradedModule(STD2, 7, {0: (lb,)}, ({}, {}))
+        with pytest.raises(ValueError, match="64-bit strand keys"):
+            betti_via_koszul(M)
+        assert betti_via_koszul(M, bound=6) == BettiTable(((0, 0, 1), (1, 1, 2), (2, 2, 1)))
+        assert betti_via_koszul(M, bound=6) == oracles.betti_dense(M, 6)
+
     def test_label_stored_twice_rejected(self):
         # negative control: a label in two degrees, or twice in one
         one = (0, (1, 0))
@@ -755,7 +803,9 @@ class TestLabelArrays:
         assert M.actions == ({}, {}, {})
         assert M.corner == (1, 0, 2)
         assert betti_via_koszul(M) == BettiTable(())
-        assert _critical_labels(M, 0) == ([set(), set(), set()], [])
+        crit, _, rows, bits = _critical_labels(M, 0)
+        assert crit == [set(), set(), set()]
+        assert rows.tolist() == bits.tolist() == []
         assert oracles.labelled_module(STD3, 3, {}).degrees == {}
 
 
