@@ -25,13 +25,9 @@ is outside the module where nothing reached it.  A monomial v of a window
 reads the cell min(v, a): every generator g satisfies g <= a, so g divides
 v exactly when it divides min(v, a), and ord(v) = |v| - least(min(v, a)),
 which is ord(min(v, a)) + |v - min(v, a)|.  The labels stay numpy arrays
-until egm builds the module from them.  The tests check the table against
-ord found by a scan of every generator (tests/oracles.py, ord_scan).
-
-The ords that occur in the box, or in a window up to a bound, are all of
-0..top: when ord(v) = k + 1 and g is a least-degree generator dividing v,
-some v_t > g_t, and v - e_t, still divisible by g, has ord k.  So the
-builders store the degrees 0..top in that order.
+throughout: the module is built on them and keeps them (egm).  The tests
+check the table against ord found by a scan of every generator
+(tests/oracles.py, ord_scan).
 """
 
 from __future__ import annotations
@@ -141,7 +137,7 @@ def gr_module(ctx: OrdContext, bound: int) -> ExplicitGradedModule:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     labels = _gr_labels(ctx, _window(ctx, bound), bound)
-    return _array_module(ctx.spec.companion(), bound, list(range(bound + 1)), *labels)
+    return _array_module(ctx.spec.companion(), bound, *labels)
 
 
 def gr_hilbert(ctx: OrdContext, bound: int) -> list:
@@ -159,10 +155,7 @@ def gr_box_module(ctx: OrdContext) -> ExplicitGradedModule:
     shape = tuple(c + 1 for c in ctx.corner)
     box = np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T
     comp, exps, ords = _gr_labels(ctx, box, sum(ctx.corner))
-    bound = int(ords.max())
-    return _array_module(
-        ctx.spec.companion(), bound, list(range(bound + 1)), comp, exps, ords, ctx.corner
-    )
+    return _array_module(ctx.spec.companion(), int(ords.max()), comp, exps, ords, ctx.corner)
 
 
 def gr_betti(ctx: OrdContext) -> BettiTable:

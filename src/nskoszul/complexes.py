@@ -371,6 +371,8 @@ def homology_witnesses(C: GradedFreeComplex) -> list:
     out = []
     for blk in _multidegree_blocks(C):
         for index, h in blk.grid_walk(C.spec.char):
+            if not any(h[1:]):
+                continue
             corner = [vals[k] for vals, k in zip(blk.grid, index)]
             j = blk.offset + C.spec.wdeg(corner)
             out.extend((i, j, d) for i, d in enumerate(h) if i and d)

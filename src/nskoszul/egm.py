@@ -2,7 +2,7 @@
 tables.
 
 An :class:`ExplicitGradedModule` stores a finite window of a graded module as
-ordered bases of (component, monomial) labels per internal degree, and the
+its (component, monomial) labels, each of one internal degree, and the
 action of each variable x_t as a label map: x_t sends a label m to a nonzero
 multiple of the label x_t * m, or to zero.  The graded Betti numbers
 beta_ij = dim H_i(K (x) M)_j are read off the strands of the Koszul complex
@@ -20,19 +20,19 @@ which cells are present and on the coefficients of their edges, and the
 blocks share few such patterns: each distinct pattern is ranked once.  The
 tests cross-check the blocks against a dense strand assembly.
 
-The labels are packed into int64 arrays: the component, the exponents, the
-degree, the coefficient of each x_t (0 where it sends the label to zero) and
-one mixed-radix key per label, in which x_t * m is key + a stride.  Key
-packing raises ValueError when the radices would not fit in 64 bits, rather
-than wrap, and so does a strand key (label key plus the strides of T, and
-the degree) that would not.  The associated graded builders hand their
-labels over as arrays (_array_module), and the module keeps them, in a
-private field, with per variable the mask of the labels x_t reaches; a
-module built by hand has them packed from its dicts when its strands are
-taken.  The critical values, the cells of the critical strands, their
-grouping into strands and the patterns are all found on these arrays; only
-the distinct patterns reach the sparse rank kernel.  The tests build their
-modules through the same arrays.
+The module is its label arrays: the component, the exponents and the
+degree of each label, and per variable x_t the coefficient of x_t on each
+label (0 where x_t sends it to zero) and the mask of the labels that x_t
+reaches.  The associated graded builders hand their labels over as arrays
+(_array_module), which finds the label maps by packing each label into one
+mixed-radix int64 key, in which x_t * m is key + a stride.  Key packing
+raises ValueError when the radices would not fit in 64 bits, rather than
+wrap, and so does a strand key (label key plus the strides of T, and the
+degree) that would not.  The critical values, the cells of the critical
+strands, their grouping into strands and the patterns are all found on the
+label arrays; only the distinct patterns reach the sparse rank kernel.  The
+tests build modules from dicts of labels and label maps, and read them back
+as such dicts (tests/oracles.py).
 
 The stored window is the degrees up to ``bound`` and, when ``corner`` is
 set, only the multidegrees m <= corner: the quotient of the module by the
@@ -45,9 +45,7 @@ at a is the whole of its Betti table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, compress
-from operator import itemgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,126 +58,66 @@ class DegreeRangeError(ValueError):
     """A request exceeded the stored window."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitGradedModule:
-    """A graded module presented by per-degree label bases and label maps.
+    """A graded module presented by its labels and label maps, as arrays.
 
-    degrees maps internal degree -> ordered tuple of (component, monomial)
-    labels.  actions is a tuple of one dict per variable: actions[t][m] = c
-    means x_t * m = c * (x_t m), where m is a stored label of degree j, the
-    image x_t m (same component, exponent of t raised by one) is a stored
-    label of degree j + w_t, and c is nonzero mod the characteristic.  A
-    label absent from actions[t] is sent to zero by x_t.  Each label is
-    stored in one degree only.  Labels are stored for degrees <= bound and,
-    when corner is set, only for exponent multidegrees <= corner; x_t sends
-    a label with exponent corner_t in t out of the window.
-
-    _arrays, when set, holds the labels in stored order as arrays with the
-    coefficients of the label maps (_LabelArrays).  The builders set it; it takes
-    no part in comparison or repr, and a module built without it has it
-    packed from the dicts when its strands are taken.
+    Label i is (comp[i], exps[i]) of internal degree deg[i]; each label is
+    stored once, in no particular order.  coef[i, t] = c means x_t * m = c *
+    (x_t m) mod the characteristic, where the image x_t m (same component,
+    exponent of t raised by one) is a stored label of degree deg[i] + w_t;
+    c = 0 means x_t sends m to zero.  reached[i, t] is set when label i is
+    x_t m for a label m with coef[m, t] != 0.  Labels are stored for degrees
+    <= bound and, when corner is set, only for exponent multidegrees
+    <= corner; x_t sends a label with exponent corner_t in t out of the
+    window.  Modules compare by identity.
     """
 
     spec: RingSpec
     bound: int
-    degrees: dict
-    actions: tuple
+    comp: np.ndarray
+    deg: np.ndarray
+    exps: np.ndarray
+    coef: np.ndarray
+    reached: np.ndarray
     corner: tuple | None = None
-    _arrays: _LabelArrays | None = field(default=None, compare=False, repr=False)
 
-
-def _label_arrays(spec: RingSpec, degrees: dict) -> tuple:
-    """The component, exponent and degree arrays of a degrees dict's labels,
-    in their stored order."""
-    labels = [lb for labels in degrees.values() for lb in labels]
-    count = len(labels)
-    sizes = [len(labels) for labels in degrees.values()]
-    deg = np.repeat(np.fromiter(degrees, np.int64, len(degrees)), sizes)
-    comp = np.fromiter(map(itemgetter(0), labels), np.int64, count)
-    monomials = chain.from_iterable(map(itemgetter(1), labels))
-    exps = np.fromiter(monomials, np.int64, count * spec.num_vars).reshape(count, spec.num_vars)
-    return comp, exps, deg
+    @property
+    def degrees(self) -> dict:
+        """Degree j -> the indices of the labels of degree j, for each degree
+        that has a label, in increasing order.  perfbench's tracer counts a
+        gr module's labels through it."""
+        order = np.argsort(self.deg, kind="stable")
+        values, starts = np.unique(self.deg[order], return_index=True)
+        return dict(zip(values.tolist(), np.split(order, starts[1:])))
 
 
 def _array_module(
     spec: RingSpec,
     bound: int,
-    keys: list,
     comp: np.ndarray,
     exps: np.ndarray,
     deg: np.ndarray,
     corner: tuple | None = None,
 ) -> ExplicitGradedModule:
     """The module on labels given as arrays: label i is (comp[i], exps[i]) of
-    degree deg[i], and keys lists the degrees in the order the module stores
-    them (a degree with no label among them is stored empty), each sorted by
-    component and then descending monomial order.  x_t sends a label to
-    x_t * label when that is a label of degree j + w_t, else to zero.
-    Raises ValueError when a label is listed twice or the exponents are too
-    large for 64-bit keys (see _PackedLabels).  The module keeps the label
-    arrays in stored order, with coefficient 1 where x_t hits a label."""
-    packed = _PackedLabels(spec, comp, exps, deg)
-    key_arr = np.fromiter(keys, np.int64, len(keys))
-    by_value = np.argsort(key_arr)
-    rank = by_value[np.searchsorted(key_arr[by_value], deg)]
-    # by key within each degree, the degrees in the order of keys
-    order = np.lexsort((packed.key, rank))
-    labels = list(zip(comp[order].tolist(), zip(*exps[order].T.tolist())))
-    final = {}
-    start = 0
-    for j, size in zip(keys, np.bincount(rank, minlength=len(keys)).tolist()):
-        final[j] = tuple(labels[start:start + size])
-        start += size
-    coef, reached = [], []
+    degree deg[i], and x_t sends a label to x_t * label, with coefficient 1,
+    when that is a label of degree deg[i] + w_t, else to zero.  Raises
+    ValueError when a label is listed twice or the exponents are too large
+    for 64-bit keys (see _PackedLabels)."""
+    packed = _PackedLabels(comp, exps)
+    coef = np.zeros(exps.shape, dtype=np.uint8)
+    reached = np.zeros(exps.shape, dtype=bool)
     for t, w in enumerate(spec.weights):
         image = packed.images(t)
         hit = (image >= 0) & (deg[image] == deg + w)
-        coef.append(hit[order].astype(np.uint8))
-        reached.append(_reached(image, hit)[order])
-    actions = tuple(dict.fromkeys(compress(labels, c.tolist()), 1) for c in coef)
-    arrays = _LabelArrays(comp[order], deg[order], exps[order], coef, reached)
-    return ExplicitGradedModule(spec, bound, final, actions, corner, arrays)
-
-
-def _reached(image: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """The mask of the labels image[i] for i in hit: those x_t reaches."""
-    reached = np.zeros(len(image), dtype=bool)
-    reached[image[hit & (image >= 0)]] = True
-    return reached
-
-
-@dataclass(frozen=True)
-class _LabelArrays:
-    """A module's labels in stored order as arrays: the component, the degree
-    and the exponents of each, and per variable t the coefficient of x_t on
-    each label mod p, 0 where x_t sends it to zero (coef), and the mask of
-    the labels that x_t of a label is (reached)."""
-
-    comp: np.ndarray
-    deg: np.ndarray
-    exps: np.ndarray
-    coef: list
-    reached: list
-
-    @classmethod
-    def of(cls, M: ExplicitGradedModule) -> "_LabelArrays":
-        """The arrays of a module built without them, its label maps and
-        their coefficients read from the dicts."""
-        comp, exps, deg = _label_arrays(M.spec, M.degrees)
-        packed = _PackedLabels(M.spec, comp, exps, deg)
-        labels = list(chain.from_iterable(M.degrees.values()))
-        p = M.spec.char
-        coef, reached = [], []
-        for t, image in enumerate(M.actions):
-            values = (image.get(lb, 0) % p for lb in labels)
-            coef.append(np.fromiter(values, np.int64, len(labels)))
-            reached.append(_reached(packed.images(t), coef[-1] != 0))
-        return cls(comp, deg, exps, coef, reached)
+        coef[:, t] = hit
+        reached[image[hit], t] = True
+    return ExplicitGradedModule(spec, bound, comp, deg, exps, coef, reached, corner)
 
 
 class _PackedLabels:
-    """Labels as int64 arrays: the component, the exponents, the degree and
-    one mixed-radix key per label.
+    """One mixed-radix int64 key per label, from its component and exponents.
 
     The key reads a label (c, m) as the digits c, m_{n-1}, ..., m_0, where
     m_t has radix max m_t + 2.  So keys order the labels by component and
@@ -190,7 +128,7 @@ class _PackedLabels:
     twice.
     """
 
-    def __init__(self, spec: RingSpec, comp: np.ndarray, exps: np.ndarray, deg: np.ndarray):
+    def __init__(self, comp: np.ndarray, exps: np.ndarray):
         strides = [1]
         for top in exps.max(axis=0, initial=0).tolist():
             strides.append(strides[-1] * (top + 2))
@@ -233,9 +171,8 @@ def betti_via_koszul(M: ExplicitGradedModule, bound: int | None = None) -> Betti
 
 
 def _critical_labels(M: ExplicitGradedModule, bound: int) -> tuple:
-    """The critical values per coordinate t, the module's label arrays, and
-    the rows of the labels in strands whose every coordinate is critical,
-    with their stay/enter bits.
+    """The critical values per coordinate t, and the rows of the labels in
+    strands whose every coordinate is critical, with their stay/enter bits.
 
     c is critical for t when a label of degree <= bound with exponent c in t
     has no x_t-preimage (c = 0, or the label below is missing or sent to
@@ -246,20 +183,19 @@ def _critical_labels(M: ExplicitGradedModule, bound: int) -> tuple:
 
     A label m of degree <= bound may stay out of T when m_t is critical and
     enter T when m_t + 1 is.  It is kept when it can do one or the other for
-    every t.  Returns (crit, arrays, rows, bits): rows are the kept labels'
-    indices in stored order, and bits[k] has bit t set when label rows[k]
-    may stay out of T and bit n + t when it may enter.
+    every t.  Returns (crit, rows, bits): rows are the kept labels' indices,
+    ascending, and bits[k] has bit t set when label rows[k] may stay out of
+    T and bit n + t when it may enter.
     """
     n = M.spec.num_vars
-    arrays = M._arrays if M._arrays is not None else _LabelArrays.of(M)
-    deg = arrays.deg
+    deg = M.deg
     low = deg <= bound
     keep = low.copy()
     bits = np.zeros(len(deg), dtype=np.int64)
     crit = []
     for t, w in enumerate(M.spec.weights):
-        acts, reached = arrays.coef[t] != 0, arrays.reached[t]
-        c = arrays.exps[:, t]
+        acts, reached = M.coef[:, t] != 0, M.reached[:, t]
+        c = M.exps[:, t]
         values = set(c[low & ~reached].tolist())
         values.update((c[low & ~acts & (deg + w <= bound)] + 1).tolist())
         if M.corner is not None:
@@ -270,7 +206,7 @@ def _critical_labels(M: ExplicitGradedModule, bound: int) -> tuple:
         keep &= stay | enter
         bits |= stay.astype(np.int64) << t | enter.astype(np.int64) << (n + t)
     rows = np.flatnonzero(keep)
-    return crit, arrays, rows, bits[rows]
+    return crit, rows, bits[rows]
 
 
 def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
@@ -308,12 +244,12 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
     """
     n = M.spec.num_vars
     weights = M.spec.weights
-    _, arrays, rows, bits = _critical_labels(M, bound)
+    _, rows, bits = _critical_labels(M, bound)
     if not len(rows):
         return BettiTable(())
-    deg = arrays.deg[rows]
-    packed = _PackedLabels(M.spec, arrays.comp[rows], arrays.exps[rows], deg)
-    coef = np.stack([c[rows] for c in arrays.coef], axis=1)
+    deg = M.deg[rows]
+    packed = _PackedLabels(M.comp[rows], M.exps[rows])
+    coef = M.coef[rows]
     low = int(deg.min())
     span = bound - low + 1
     if packed.size * span >= 2**63:

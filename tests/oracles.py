@@ -32,12 +32,15 @@ by a scan of every remaining term, the reference for the heap order of the
 packed engine's reduction.
 ``labelled_module_scan`` and ``critical_values_scan`` build the label maps
 and find the critical values by a dict scan of every label and variable,
-the references for the packed label arrays of ``egm``.
+the references for the packed label arrays of ``egm``.  A module is its
+label arrays; ``module_view`` reads it back as a dict of labels per degree
+and one label map per variable, and ``module_from_dicts`` builds one by
+hand from such dicts, coefficients included.
 ``_component_ord_table`` lists ord for every monomial of a window by
 comparing each candidate with every generator (``_ords``), and ``ord_scan``
 one ord by a scan of the generators: the references for the prefix-minimum
-table of ``assoc_graded``.  The modules the tests build go through egm's
-array path (``labelled_module``).  The last section holds the arithmetic
+table of ``assoc_graded``.  The modules the tests build with unit label
+maps go through egm's array path (``labelled_module``).  The last section holds the arithmetic
 and the views of the ring's, complexes' and modules' values that only the
 tests use, as functions (``lead``, ``sub``, ``module_dim``, ...).
 """
@@ -55,7 +58,7 @@ from nskoszul import gb, modp
 from nskoszul.assoc_graded import OrdContext
 from nskoszul.complexes import BettiTable, GradedFreeComplex, _multidegree_blocks
 from nskoszul.construction import construct_gr_betti
-from nskoszul.egm import DegreeRangeError, ExplicitGradedModule, _array_module, _label_arrays
+from nskoszul.egm import DegreeRangeError, ExplicitGradedModule, _array_module
 from nskoszul.gb import InhomogeneousInput
 from nskoszul.ring import (
     DimensionMismatch,
@@ -521,16 +524,18 @@ def betti_dense(M, bound: int) -> BettiTable:
     spec = M.spec
     n = spec.num_vars
     p = spec.char
+    view = module_view(M)
+    degrees = view[0]
     subsets = [list(combinations(range(n), size)) for size in range(n + 1)]
     actions = {}  # (t, degree) -> action_matrix(M, t, degree)
     out = {}
-    for j in range(min(M.degrees, default=0), bound + 1):
+    for j in range(min(degrees, default=0), bound + 1):
         # cells e_T (x) basis(j - w(T)), in the order of subsets, then basis
         bases = [
             [
                 (T, idx)
                 for T in level
-                for idx in range(len(M.degrees.get(j - sum(spec.weights[t] for t in T), ())))
+                for idx in range(len(degrees.get(j - sum(spec.weights[t] for t in T), ())))
             ]
             for level in subsets
         ]
@@ -546,7 +551,7 @@ def betti_dense(M, bound: int) -> BettiTable:
                     rest = T[:posn] + T[posn + 1:]
                     sign = 1 if posn % 2 == 0 else -1
                     if (t, mdeg) not in actions:
-                        actions[t, mdeg] = action_matrix(M, t, mdeg)
+                        actions[t, mdeg] = _action_matrix(spec, view, t, mdeg)
                     column = actions[t, mdeg][:, vidx]
                     for r in np.nonzero(column)[0]:
                         ridx = index[size - 1][(rest, int(r))]
@@ -561,11 +566,16 @@ def betti_dense(M, bound: int) -> BettiTable:
 
 def action_matrix(M, var: int, j: int) -> np.ndarray:
     """The matrix of x_var on M from basis(j) to basis(j + w_var)."""
-    target = M.degrees.get(j + M.spec.weights[var], ())
+    return _action_matrix(M.spec, module_view(M), var, j)
+
+
+def _action_matrix(spec: RingSpec, view: tuple, var: int, j: int) -> np.ndarray:
+    degrees, actions = view
+    target = degrees.get(j + spec.weights[var], ())
     rows = {lb: r for r, lb in enumerate(target)}
-    cols = M.degrees.get(j, ())
+    cols = degrees.get(j, ())
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    image = M.actions[var]
+    image = actions[var]
     for c, lb in enumerate(cols):
         coeff = image.get(lb)
         if coeff is not None:
@@ -578,34 +588,37 @@ def commuting_violations(M) -> list:
     """(s, t, j) for each pair of variables whose composed actions on M differ
     from degree j (should be empty); the products are taken in int64."""
     bad = []
-    n = M.spec.num_vars
+    spec = M.spec
+    n = spec.num_vars
+    view = module_view(M)
     for s in range(n):
         for t in range(s + 1, n):
-            ws, wt = M.spec.weights[s], M.spec.weights[t]
-            for j in list(M.degrees):
+            ws, wt = spec.weights[s], spec.weights[t]
+            for j in list(view[0]):
                 if j + ws + wt > M.bound:
                     continue
-                a = action_matrix(M, t, j + ws) @ action_matrix(M, s, j)
-                b = action_matrix(M, s, j + wt) @ action_matrix(M, t, j)
-                if ((a - b) % M.spec.char).any():
+                a = _action_matrix(spec, view, t, j + ws) @ _action_matrix(spec, view, s, j)
+                b = _action_matrix(spec, view, s, j + wt) @ _action_matrix(spec, view, t, j)
+                if ((a - b) % spec.char).any():
                     bad.append((s, t, j))
     return bad
 
 
 def check_label_maps(M) -> None:
-    """Assert the label-map invariant of an ExplicitGradedModule: each label
-    stored once, one map per variable, every key a stored label m of some
-    degree j, its image x_t m a stored label of degree j + w_t, and every
-    coefficient nonzero mod p."""
+    """Assert the label-map invariant of an ExplicitGradedModule on its dict
+    view: each label stored once, one map per variable, every key a stored
+    label m of some degree j, its image x_t m a stored label of degree
+    j + w_t, and every coefficient nonzero mod p."""
     spec = M.spec
     n = spec.num_vars
+    degrees, actions = module_view(M)
     degree_of = {}
-    for j, labels in M.degrees.items():
+    for j, labels in degrees.items():
         for lb in labels:
             assert lb not in degree_of, f"{lb} is stored twice"
             degree_of[lb] = j
-    assert len(M.actions) == n, f"{len(M.actions)} label maps for {n} variables"
-    for t, image in enumerate(M.actions):
+    assert len(actions) == n, f"{len(actions)} label maps for {n} variables"
+    for t, image in enumerate(actions):
         for lb, coeff in image.items():
             assert lb in degree_of, f"x_{t} acts on {lb}, which is not a stored label"
             comp, m = lb
@@ -615,6 +628,74 @@ def check_label_maps(M) -> None:
                 f"x_{t} sends {lb} to {target}, not a stored label of degree {want}"
             )
             assert coeff % spec.char, f"x_{t} acts on {lb} with coefficient {coeff} = 0 mod p"
+
+
+def module_labels(M) -> list:
+    """M's labels (component, monomial), in the order its arrays store them."""
+    return list(zip(M.comp.tolist(), map(tuple, M.exps.tolist())))
+
+
+def module_view(M) -> tuple:
+    """(degrees, actions), the dict view of M.  degrees maps each degree
+    that has a label, in increasing order, to the tuple of its labels
+    (component, monomial), sorted by component and then by reversed
+    exponents; actions[t] maps each label, in that order, that x_t does not
+    send to zero to the coefficient c of x_t * m = c * (x_t m)."""
+    # by degree, then component, then m_{n-1}, ..., m_0
+    order = np.lexsort((*M.exps.T, M.comp, M.deg))
+    labels = list(zip(M.comp[order].tolist(), map(tuple, M.exps[order].tolist())))
+    degrees = {}
+    for j, lb in zip(M.deg[order].tolist(), labels):
+        degrees.setdefault(j, []).append(lb)
+    degrees = {j: tuple(lbs) for j, lbs in degrees.items()}
+    actions = []
+    for coef in M.coef[order].T:
+        acting = np.flatnonzero(coef).tolist()
+        actions.append(dict(zip([labels[i] for i in acting], coef[acting].tolist())))
+    return degrees, tuple(actions)
+
+
+def label_arrays(spec: RingSpec, degrees: dict) -> tuple:
+    """The component, exponent and degree arrays of a degrees dict's labels,
+    in the order listed."""
+    labels = [lb for labels in degrees.values() for lb in labels]
+    count = len(labels)
+    sizes = [len(labels) for labels in degrees.values()]
+    deg = np.repeat(np.fromiter(degrees, np.int64, len(degrees)), sizes)
+    comp = np.fromiter((c for c, _ in labels), np.int64, count)
+    monomials = (e for _, m in labels for e in m)
+    exps = np.fromiter(monomials, np.int64, count * spec.num_vars).reshape(count, spec.num_vars)
+    return comp, exps, deg
+
+
+def module_from_dicts(
+    spec: RingSpec, bound: int, degrees: dict, actions, corner: tuple | None = None
+) -> ExplicitGradedModule:
+    """The module on the (component, monomial) labels listed per degree, in
+    that order, with the label maps actions: actions[t][m] = c means
+    x_t * m = c * (x_t m).  A label absent from actions[t], or with c = 0
+    mod p, is sent to zero by x_t.  Raises ValueError when a label is listed
+    twice or a map acts on a label not listed; an image x_t m that is not a
+    label one weight up is kept, for check_label_maps to find."""
+    comp, exps, deg = label_arrays(spec, degrees)
+    index = {}
+    for i, lb in enumerate(lb for labels in degrees.values() for lb in labels):
+        if index.setdefault(lb, i) != i:
+            raise ValueError(f"label {lb} is stored twice")
+    p = spec.char
+    coef = np.zeros(exps.shape, dtype=np.int64)
+    reached = np.zeros(exps.shape, dtype=bool)
+    for t, image in enumerate(actions):
+        acting = {}
+        for lb, c in image.items():
+            if lb not in index:
+                raise ValueError(f"x_{t} acts on {lb}, which is not a stored label")
+            if c % p:
+                acting[lb] = c % p
+        coef[[index[lb] for lb in acting], t] = list(acting.values())
+        images = ((comp, m[:t] + (m[t] + 1,) + m[t + 1:]) for comp, m in acting)
+        reached[[index[lb] for lb in images if lb in index], t] = True
+    return ExplicitGradedModule(spec, bound, comp, deg, exps, coef, reached, corner)
 
 
 def monomial_module(spec: RingSpec, gens, twists=None, bound: int = 0) -> ExplicitGradedModule:
@@ -647,20 +728,21 @@ def labelled_module(
 ) -> ExplicitGradedModule:
     """The module on the given (component, monomial) labels per degree, built
     by the array path the associated graded builders take (egm._array_module)."""
-    return _array_module(spec, bound, list(degrees), *_label_arrays(spec, degrees), corner)
+    return _array_module(spec, bound, *label_arrays(spec, degrees), corner)
 
 
-def labelled_module_scan(
-    spec: RingSpec, bound: int, degrees: dict, corner: tuple | None = None
-) -> ExplicitGradedModule:
-    """labelled_module by a dict scan of every label and variable: each
-    degree's labels sorted by component and then reversed exponents, and x_t
+def labelled_module_scan(spec: RingSpec, degrees: dict) -> tuple:
+    """The dict view (module_view) of labelled_module by a dict scan of every
+    label and variable: each degree that has a label, in increasing order,
+    with its labels sorted by component and then reversed exponents, and x_t
     sending a label m of degree j to x_t m when that is a label of degree
     j + w_t.  A label listed in two degrees is kept under both."""
     final = {}
     degree_of = {}
-    for j, labels in degrees.items():
-        final[j] = tuple(sorted(labels, key=lambda lb: (lb[0], tuple(reversed(lb[1])))))
+    for j in sorted(degrees):
+        if not degrees[j]:
+            continue
+        final[j] = tuple(sorted(degrees[j], key=lambda lb: (lb[0], tuple(reversed(lb[1])))))
         for lb in final[j]:
             degree_of[lb] = j
     actions = tuple({} for _ in spec.weights)
@@ -669,7 +751,7 @@ def labelled_module_scan(
         for t, w in enumerate(spec.weights):
             if degree_of.get((comp, m[:t] + (m[t] + 1,) + m[t + 1:])) == j + w:
                 actions[t][lb] = 1
-    return ExplicitGradedModule(spec, bound, final, actions, corner)
+    return final, actions
 
 
 def critical_values_scan(M, bound: int) -> list:
@@ -679,9 +761,9 @@ def critical_values_scan(M, bound: int) -> list:
     is sent to zero, and on a corner window none above corner_t."""
     n = M.spec.num_vars
     weights = M.spec.weights
-    maps = M.actions
+    degrees, maps = module_view(M)
     crit = [set() for _ in range(n)]
-    for j, labels in M.degrees.items():
+    for j, labels in degrees.items():
         if j > bound:
             continue
         for lb in labels:
@@ -719,15 +801,16 @@ def extend_gr(M: ExplicitGradedModule, full: RingSpec) -> ExplicitGradedModule:
     if k == full.num_vars:
         return M
     pad = (0,) * (full.num_vars - k)
+    degrees, actions = module_view(M)
     degrees = {
         j: tuple((comp, m + pad) for comp, m in labels)
-        for j, labels in M.degrees.items()
+        for j, labels in degrees.items()
     }
     actions = tuple(
-        {(comp, m + pad): coeff for (comp, m), coeff in image.items()} for image in M.actions
+        {(comp, m + pad): coeff for (comp, m), coeff in image.items()} for image in actions
     ) + tuple({} for _ in pad)
     corner = None if M.corner is None else M.corner + pad
-    return ExplicitGradedModule(full, M.bound, degrees, actions, corner)
+    return module_from_dicts(full, M.bound, degrees, actions, corner)
 
 
 class NotInModule(ValueError):
@@ -1253,7 +1336,7 @@ def module_dim(M: ExplicitGradedModule, j: int) -> int:
 def module_basis(M: ExplicitGradedModule, j: int):
     if j > M.bound:
         raise DegreeRangeError(f"degree {j} beyond stored bound {M.bound}")
-    return M.degrees.get(j, ())
+    return module_view(M)[0].get(j, ())
 
 
 def module_hilbert(M: ExplicitGradedModule, bound: int | None = None) -> list:
@@ -1261,4 +1344,5 @@ def module_hilbert(M: ExplicitGradedModule, bound: int | None = None) -> list:
     b = M.bound if bound is None else bound
     if b > M.bound:
         raise DegreeRangeError(f"bound {b} beyond stored bound {M.bound}")
-    return [len(M.degrees.get(j, ())) for j in range(b + 1)]
+    degrees = M.degrees
+    return [len(degrees.get(j, ())) for j in range(b + 1)]

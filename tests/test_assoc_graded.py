@@ -16,7 +16,7 @@ from nskoszul.assoc_graded import (
     gr_module,
 )
 from nskoszul.construction import _pick_last_variable, layer_count
-from nskoszul.egm import ExplicitGradedModule, _critical_labels, betti_via_koszul
+from nskoszul.egm import _critical_labels, betti_via_koszul
 from nskoszul.koszul_check import recommended_bound
 from nskoszul.ring import RingSpec
 from nskoszul.sweep import sweep_cases
@@ -85,7 +85,7 @@ class TestOrd:
             spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))))
             ctx = trunc_ctx(spec, rng.randint(1, 8))
             M = gr_module(ctx, 6)
-            for j, labels in M.degrees.items():
+            for j, labels in oracles.module_view(M)[0].items():
                 for _, v in labels:
                     for var in range(spec.num_vars):
                         step = tuple(
@@ -176,7 +176,7 @@ class TestGrModule:
         spec = RingSpec(weights)
         bound = recommended_bound(spec, e)
         M = gr_module(trunc_ctx(spec, e), bound)
-        digest = hashlib.sha256(repr((M.degrees, M.actions)).encode()).hexdigest()
+        digest = hashlib.sha256(repr(oracles.module_view(M)).encode()).hexdigest()
         assert digest == module_digest
         hilbert = repr(gr_hilbert(trunc_ctx(spec, e), bound))
         assert hashlib.sha256(hilbert.encode()).hexdigest() == hilbert_digest
@@ -307,7 +307,7 @@ class TestGrBettiOnBox:
             box = gr_box_module(ctx)
             degrees = {
                 j: [lb for lb in labels if lb[1][t] <= shrunk[t]]
-                for j, labels in box.degrees.items()
+                for j, labels in oracles.module_view(box)[0].items()
             }
             table = betti_via_koszul(oracles.labelled_module(box.spec, box.bound, degrees, shrunk))
             disagree += table != gr_betti(ctx)
@@ -396,8 +396,9 @@ def scan_box_degrees(ctx):
     return degrees
 
 
-def module_items(M):
-    return list(M.degrees.items()), [list(image.items()) for image in M.actions]
+def module_items(view):
+    degrees, actions = view
+    return list(degrees.items()), [list(image.items()) for image in actions]
 
 
 class TestOrdTable:
@@ -433,27 +434,68 @@ class TestOrdTable:
             spec = ctx.spec.companion()
             degrees = scan_window_degrees(ctx, bound)
             M = gr_module(ctx, bound)
+            views = [oracles.module_view(M)]
             want = oracles.labelled_module(spec, bound, degrees)
-            assert module_items(M) == module_items(want), ctx
+            assert module_items(views[0]) == module_items(oracles.module_view(want)), ctx
             assert gr_hilbert(ctx, bound) == [len(degrees.get(j, ())) for j in range(bound + 1)]
             degrees = scan_box_degrees(ctx)
             box = gr_box_module(ctx)
+            views.append(oracles.module_view(box))
             want = oracles.labelled_module(spec, max(degrees), degrees, ctx.corner)
-            assert module_items(box) == module_items(want), ctx
+            assert module_items(views[1]) == module_items(oracles.module_view(want)), ctx
             assert box.bound == want.bound and box.corner == want.corner
-            for N in (M, box):
-                # the arrays the module keeps, and those packed from its dicts
-                bare = ExplicitGradedModule(N.spec, N.bound, N.degrees, N.actions, N.corner)
-                crit, arrays, rows, bits = _critical_labels(N, N.bound)
-                crit_b, packed, rows_b, bits_b = _critical_labels(bare, N.bound)
+            for N, view in zip((M, box), views):
+                # the arrays the builder made, and those built from its dict
+                # view, with the labels matched up
+                bare = oracles.module_from_dicts(N.spec, N.bound, *view, N.corner)
+                labels, bare_labels = oracles.module_labels(N), oracles.module_labels(bare)
+                at = {lb: i for i, lb in enumerate(labels)}
+                perm = np.array([at[lb] for lb in bare_labels], dtype=np.int64)
+                assert np.array_equal(np.sort(perm), np.arange(len(labels)))
+                crit, rows, bits = _critical_labels(N, N.bound)
+                crit_b, rows_b, bits_b = _critical_labels(bare, N.bound)
                 assert crit == crit_b
-                assert rows.tolist() == rows_b.tolist() and bits.tolist() == bits_b.tolist()
+                kept = sorted(zip((labels[r] for r in rows.tolist()), bits.tolist()))
+                kept_b = sorted(zip((bare_labels[r] for r in rows_b.tolist()), bits_b.tolist()))
+                assert kept == kept_b
                 for name in ("comp", "deg", "exps", "coef", "reached"):
-                    assert np.array_equal(getattr(arrays, name), getattr(packed, name)), name
+                    assert np.array_equal(getattr(N, name)[perm], getattr(bare, name)), name
             multi += ctx.num_components > 1
             empty_first += not ctx.component_gens(0)
         assert multi >= 40
         assert empty_first >= 10
+
+
+class TestDictViewRoundTrip:
+    """The dict view of an array-built module, built back through the
+    oracle builder, has the same Betti table."""
+
+    def test_same_table_both_ways(self):
+        modules = dense = 0
+        for case in sweep_cases(3, 4, 12, char=32003):
+            spec = RingSpec(case.weights, char=32003)
+            ctx = trunc_ctx(spec, case.e)
+            box = gr_box_module(ctx)
+            back = oracles.module_from_dicts(box.spec, box.bound, *oracles.module_view(box), box.corner)
+            table = betti_via_koszul(box)
+            assert betti_via_koszul(back) == table, case
+            if len(box.deg) <= 30:
+                # the box's strands are those of the window up to the top
+                # degree plus n, where the whole table shows
+                bound = box.bound + spec.num_vars
+                assert table == oracles.betti_dense(gr_module(ctx, bound), bound), case
+                dense += 1
+            modules += 1
+        for weights in combinations_with_replacement((1, 2), 4):
+            spec = RingSpec(weights, char=32003)
+            for e in (1, 2, 3):
+                bound = recommended_bound(spec, e)
+                M = gr_module(trunc_ctx(spec, e), bound)
+                back = oracles.module_from_dicts(M.spec, bound, *oracles.module_view(M))
+                assert betti_via_koszul(back, bound) == betti_via_koszul(M, bound), (weights, e)
+                modules += 1
+        assert modules == 408 + 15
+        assert dense >= 200
 
 
 class TestLabelMaps:
@@ -473,7 +515,7 @@ class TestLabelMaps:
                 oracles.extend_gr(gr_box_module(ctx), big),
             ):
                 oracles.check_label_maps(M)
-                checked += sum(map(len, M.actions))
+                checked += sum(map(len, oracles.module_view(M)[1]))
         assert checked >= 1000
 
 
@@ -485,8 +527,7 @@ class TestTwistInvariance:
         plain = trunc_ctx(W13, e - twist)
         a = gr_module(shifted, 7)
         b = gr_module(plain, 7)
-        assert a.degrees == b.degrees
-        assert a.actions == b.actions
+        assert oracles.module_view(a) == oracles.module_view(b)
 
 
 class TestExtendGr:

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from itertools import combinations_with_replacement, product
 from operator import or_
 from pathlib import Path
@@ -520,17 +521,18 @@ def _quotient(M, J, into_J=None):
     the arrows from outside J into J carry the coefficient into_J; an arrow
     whose coefficient is zero mod p is dropped."""
     p = M.spec.char
+    degrees, maps = oracles.module_view(M)
     in_J = {
         lb: any(mon_divides(g, lb[1]) for g in J)
-        for labels in M.degrees.values()
+        for labels in degrees.values()
         for lb in labels
     }
     degrees = {
         j: tuple(lb for lb in labels if into_J is not None or not in_J[lb])
-        for j, labels in M.degrees.items()
+        for j, labels in degrees.items()
     }
     actions = []
-    for t, image in enumerate(M.actions):
+    for t, image in enumerate(maps):
         kept = {}
         for lb, coeff in image.items():
             if in_J[_image(lb, t)]:
@@ -541,21 +543,22 @@ def _quotient(M, J, into_J=None):
             if coeff % p:
                 kept[lb] = coeff
         actions.append(kept)
-    return ExplicitGradedModule(M.spec, M.bound, degrees, tuple(actions))
+    return oracles.module_from_dicts(M.spec, M.bound, degrees, actions)
 
 
 def _rescaled(M, rng):
     """M on the basis u_m * m for random units u_m: non-unit action coefficients."""
     p = M.spec.char
-    unit = {lb: rng.randrange(1, p) for labels in M.degrees.values() for lb in labels}
-    actions = tuple(
+    degrees, maps = oracles.module_view(M)
+    unit = {lb: rng.randrange(1, p) for labels in degrees.values() for lb in labels}
+    actions = [
         {
             lb: coeff * unit[lb] * pow(unit[_image(lb, t)], -1, p) % p
             for lb, coeff in image.items()
         }
-        for t, image in enumerate(M.actions)
-    )
-    return ExplicitGradedModule(M.spec, M.bound, M.degrees, actions)
+        for t, image in enumerate(maps)
+    ]
+    return oracles.module_from_dicts(M.spec, M.bound, degrees, actions)
 
 
 def _strand_oracle_modules():
@@ -581,14 +584,14 @@ def _strand_oracle_modules():
     for sub, e in ((RingSpec((1,), ("x",)), 2), (RingSpec((1, 2), ("x", "y")), 3)):
         gr = gr_module(OrdContext(sub, trunc_gens(sub, e)), 5)
         yield oracles.extend_gr(gr, big)
-    yield ExplicitGradedModule(big, 4, {0: ((0, (0, 0, 0)),)}, ({}, {}, {}))
-    yield ExplicitGradedModule(RingSpec((1, 2)), 5, {0: ((0, (0, 0)),)}, ({}, {}))
+    yield oracles.module_from_dicts(big, 4, {0: [(0, (0, 0, 0))]}, ())
+    yield oracles.module_from_dicts(RingSpec((1, 2)), 5, {0: [(0, (0, 0))]}, ())
 
 
 class TestBettiViaKoszul:
     def test_residue_field(self):
         # keep only degree 0: the field
-        k = ExplicitGradedModule(STD2, 4, {0: ((0, (0, 0)),)}, ({}, {}))
+        k = oracles.module_from_dicts(STD2, 4, {0: [(0, (0, 0))]}, ())
         assert betti_via_koszul(k, bound=4).entries == ((0, 0, 1), (1, 1, 2), (2, 2, 1))
 
     def test_gr_of_truncation(self):
@@ -632,18 +635,27 @@ class TestBettiViaKoszul:
 
     def test_label_maps_reject_a_stray_image(self):
         # negative control: x sends 1 to x, which is not a stored label
-        M = ExplicitGradedModule(STD2, 2, {0: ((0, (0, 0)),)}, ({(0, (0, 0)): 1}, {}))
+        one = (0, (0, 0))
+        M = oracles.module_from_dicts(STD2, 2, {0: [one]}, ({one: 1}, {}))
         with pytest.raises(AssertionError, match="not a stored label"):
             oracles.check_label_maps(M)
-        # nor may x act on a label that is not stored, or with a zero coefficient
-        k = ExplicitGradedModule(STD2, 2, {1: ((0, (1, 0)),)}, ({(0, (0, 0)): 1}, {}))
-        with pytest.raises(AssertionError, match="not a stored label"):
-            oracles.check_label_maps(k)
-        degrees = {0: ((0, (0, 0)),), 1: ((0, (1, 0)),)}
-        zero = ExplicitGradedModule(STD2, 2, degrees, ({(0, (0, 0)): STD2.char}, {}))
+        # nor may x act on a label that is not stored: the builder refuses it
+        with pytest.raises(ValueError, match="not a stored label"):
+            oracles.module_from_dicts(STD2, 2, {1: [(0, (1, 0))]}, ({one: 1}, {}))
+        # nor with a coefficient = 0 mod p: the builder reads it as no arrow,
+        # and arrays that keep one fail the invariant
+        degrees = {0: [one], 1: [(0, (1, 0))]}
+        unit = oracles.module_from_dicts(STD2, 2, degrees, ({one: 1}, {}))
+        oracles.check_label_maps(unit)
+        zero = oracles.module_from_dicts(STD2, 2, degrees, ({one: STD2.char}, {}))
+        assert oracles.module_view(zero)[1] == ({}, {})
+        assert not zero.coef.any() and not zero.reached.any()
+        assert betti_via_koszul(zero) == betti_via_koszul(
+            oracles.module_from_dicts(STD2, 2, degrees, ())
+        )
+        assert betti_via_koszul(zero) != betti_via_koszul(unit)
         with pytest.raises(AssertionError, match="= 0 mod p"):
-            oracles.check_label_maps(zero)
-        oracles.check_label_maps(ExplicitGradedModule(STD2, 2, degrees, ({(0, (0, 0)): 1}, {})))
+            oracles.check_label_maps(replace(unit, coef=unit.coef * STD2.char))
 
     def test_coefficients_tell_equal_strands_apart(self):
         # negative control for the strand patterns: two components with the
@@ -665,7 +677,7 @@ class TestBettiViaKoszul:
                 if t != u:
                     image = 2 if (c, t, u) in scaled else 1
                     actions[t][c, singles[u]] = image
-            return ExplicitGradedModule(STD3, 3, degrees, actions)
+            return oracles.module_from_dicts(STD3, 3, degrees, actions)
 
         M, unit = module({(1, 0, 1)}), module(set())
         for N in (M, unit):
@@ -716,17 +728,19 @@ class TestLabelArrays:
         modules = labels = kept_total = 0
         for M, bounds in _label_array_modules():
             # the same labels, each degree's list and the dict order shuffled
-            degrees = [(j, rng.sample(list(lbs), len(lbs))) for j, lbs in M.degrees.items()]
+            view = oracles.module_view(M)
+            degrees = [(j, rng.sample(list(lbs), len(lbs))) for j, lbs in view[0].items()]
             rng.shuffle(degrees)
             degrees = dict(degrees)
             got = oracles.labelled_module(M.spec, M.bound, degrees, M.corner)
-            want = oracles.labelled_module_scan(M.spec, M.bound, degrees, M.corner)
-            assert list(got.degrees.items()) == list(want.degrees.items())
-            assert got.actions == want.actions
-            assert got.corner == want.corner
-            stored = [(lb, j) for j, lbs in M.degrees.items() for lb in lbs]
+            want = oracles.labelled_module_scan(M.spec, degrees)
+            got_degrees, got_actions = oracles.module_view(got)
+            assert list(got_degrees.items()) == list(want[0].items())
+            assert got_actions == want[1]
+            assert got.bound == M.bound and got.corner == M.corner
+            stored = list(zip(oracles.module_labels(M), M.deg.tolist()))
             for bound in bounds:
-                crit, _, rows, bits = _critical_labels(M, bound)
+                crit, rows, bits = _critical_labels(M, bound)
                 assert crit == oracles.critical_values_scan(M, bound)
                 kept = [(*stored[r], b) for r, b in zip(rows.tolist(), bits.tolist())]
                 # kept: every label of degree <= bound whose every m_t or
@@ -743,7 +757,7 @@ class TestLabelArrays:
                 assert kept == expected
                 kept_total += len(kept)
             modules += 1
-            labels += sum(map(len, M.degrees.values()))
+            labels += len(stored)
         assert modules == 45 + 3 * (15 + 63)
         assert kept_total < labels / 10
 
@@ -753,7 +767,7 @@ class TestLabelArrays:
         big = (0, (2**40, 2**40))
         with pytest.raises(ValueError, match="64-bit"):
             oracles.labelled_module(STD2, 2**41, {2**41: [big]})
-        M = ExplicitGradedModule(STD2, 2**41, {2**41: (big,)}, ({}, {}))
+        M = oracles.module_from_dicts(STD2, 2**41, {2**41: [big]}, ())
         with pytest.raises(ValueError, match="64-bit"):
             betti_via_koszul(M)
         # at the edge: radices 2**62 and 2 reach 2**63, one less fits, and
@@ -765,7 +779,8 @@ class TestLabelArrays:
             ((1, (2**61 - 3, 0)), True),
         ):
             if fits:
-                assert oracles.labelled_module(STD2, 1, {1: [lb]}).actions == ({}, {})
+                M = oracles.labelled_module(STD2, 1, {1: [lb]})
+                assert oracles.module_view(M) == ({1: (lb,)}, ({}, {}))
             else:
                 with pytest.raises(ValueError, match="64-bit"):
                     oracles.labelled_module(STD2, 1, {1: [lb]})
@@ -776,7 +791,7 @@ class TestLabelArrays:
         # (key, j) strand keys would wrap; with 7 degrees they fit, and the
         # module is the residue field
         lb = (0, (2**40, 2**20))
-        M = ExplicitGradedModule(STD2, 7, {0: (lb,)}, ({}, {}))
+        M = oracles.module_from_dicts(STD2, 7, {0: [lb]}, ())
         with pytest.raises(ValueError, match="64-bit strand keys"):
             betti_via_koszul(M)
         assert betti_via_koszul(M, bound=6) == BettiTable(((0, 0, 1), (1, 1, 2), (2, 2, 1)))
@@ -789,24 +804,40 @@ class TestLabelArrays:
             oracles.labelled_module(STD2, 2, {1: [one], 2: [one]})
         with pytest.raises(ValueError, match="stored twice"):
             oracles.labelled_module(STD2, 2, {1: [one, (0, (0, 1)), one]})
-        # the scan keeps it under both degrees; the invariant rejects that
-        M = oracles.labelled_module_scan(STD2, 2, {1: [one], 2: [one]})
-        assert M.degrees == {1: (one,), 2: (one,)}
-        with pytest.raises(AssertionError, match="stored twice"):
-            oracles.check_label_maps(M)
-        with pytest.raises(AssertionError, match="stored twice"):
-            oracles.check_label_maps(ExplicitGradedModule(STD2, 2, {1: (one, one)}, ({}, {})))
+        # so does the builder from dicts, which keeps their coefficients
+        with pytest.raises(ValueError, match="stored twice"):
+            oracles.module_from_dicts(STD2, 2, {1: [one], 2: [one]}, ())
+        with pytest.raises(ValueError, match="stored twice"):
+            oracles.module_from_dicts(STD2, 2, {1: [one, one]}, ())
+        # the scan keeps it under both degrees; the invariant rejects arrays
+        # that store it twice, in two degrees or in one
+        assert oracles.labelled_module_scan(STD2, {1: [one], 2: [one]}) == (
+            {1: (one,), 2: (one,)},
+            ({}, {}),
+        )
+        for deg in ([1, 2], [1, 1]):
+            M = ExplicitGradedModule(
+                STD2,
+                2,
+                comp=np.zeros(2, dtype=np.int64),
+                deg=np.array(deg),
+                exps=np.array([one[1], one[1]]),
+                coef=np.zeros((2, 2), dtype=np.int64),
+                reached=np.zeros((2, 2), dtype=bool),
+            )
+            with pytest.raises(AssertionError, match="stored twice"):
+                oracles.check_label_maps(M)
 
     def test_empty_module(self):
         M = oracles.labelled_module(STD3, 0, {0: []}, (1, 0, 2))
-        assert M.degrees == {0: ()}
-        assert M.actions == ({}, {}, {})
+        assert oracles.module_view(M) == ({}, ({}, {}, {}))
+        assert M.degrees == {}
         assert M.corner == (1, 0, 2)
         assert betti_via_koszul(M) == BettiTable(())
-        crit, _, rows, bits = _critical_labels(M, 0)
+        crit, rows, bits = _critical_labels(M, 0)
         assert crit == [set(), set(), set()]
         assert rows.tolist() == bits.tolist() == []
-        assert oracles.labelled_module(STD3, 3, {}).degrees == {}
+        assert oracles.module_view(oracles.labelled_module(STD3, 3, {})) == ({}, ({}, {}, {}))
 
 
 class TestBettiTable:
