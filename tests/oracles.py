@@ -40,9 +40,10 @@ hand from such dicts, coefficients included.
 comparing each candidate with every generator (``_ords``), and ``ord_scan``
 one ord by a scan of the generators: the references for the prefix-minimum
 table of ``assoc_graded``.  The modules the tests build with unit label
-maps go through egm's array path (``labelled_module``).  The last section holds the arithmetic
-and the views of the ring's, complexes' and modules' values that only the
-tests use, as functions (``lead``, ``sub``, ``module_dim``, ...).
+maps go through egm's array path (``labelled_module``).  The last section
+holds the arithmetic and the views of the ring's, complexes' and modules'
+values that only the tests use, as functions (``lead``, ``sub``,
+``module_dim``, ...).
 """
 
 import heapq
@@ -693,7 +694,7 @@ def module_from_dicts(
             if c % p:
                 acting[lb] = c % p
         coef[[index[lb] for lb in acting], t] = list(acting.values())
-        images = ((comp, m[:t] + (m[t] + 1,) + m[t + 1:]) for comp, m in acting)
+        images = ((part, m[:t] + (m[t] + 1,) + m[t + 1:]) for part, m in acting)
         reached[[index[lb] for lb in images if lb in index], t] = True
     return ExplicitGradedModule(spec, bound, comp, deg, exps, coef, reached, corner)
 

@@ -476,7 +476,8 @@ class TestDictViewRoundTrip:
             spec = RingSpec(case.weights, char=32003)
             ctx = trunc_ctx(spec, case.e)
             box = gr_box_module(ctx)
-            back = oracles.module_from_dicts(box.spec, box.bound, *oracles.module_view(box), box.corner)
+            view = oracles.module_view(box)
+            back = oracles.module_from_dicts(box.spec, box.bound, *view, box.corner)
             table = betti_via_koszul(box)
             assert betti_via_koszul(back) == table, case
             if len(box.deg) <= 30:
