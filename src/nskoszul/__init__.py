@@ -7,7 +7,6 @@ from .ring import (
     FreeElement,
     FreeModuleSpec,
     Monomial,
-    Polynomial,
     RingSpec,
 )
 from .gb import (

@@ -134,6 +134,7 @@ def gr_module(ctx: OrdContext, bound: int) -> ExplicitGradedModule:
     ord = i; the variable x_t sends [v] to [x_t v] when the ord increments by
     exactly one, and to zero otherwise.
     """
+    bound = as_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be non-negative")
     labels = _gr_labels(ctx, _window(ctx, bound), bound)
@@ -142,6 +143,7 @@ def gr_module(ctx: OrdContext, bound: int) -> ExplicitGradedModule:
 
 def gr_hilbert(ctx: OrdContext, bound: int) -> list:
     """Dimensions of the graded pieces of the associated graded module."""
+    bound = as_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be non-negative")
     _, _, ords = _gr_labels(ctx, _window(ctx, bound), bound)

@@ -44,7 +44,7 @@ from .koszul_check import (
     lin_acyclicity,
     recommended_bound,
 )
-from .ring import DEFAULT_CHAR, Polynomial, RingSpec, check_characteristic
+from .ring import DEFAULT_CHAR, RingSpec, check_characteristic
 from .sweep import rows_to_csv, rows_to_dicts, run_sweep, sweep_exit_status
 from .truncation import trunc_gens
 
@@ -193,7 +193,7 @@ def differential_strings(C: GradedFreeComplex) -> list:
             for (r, m), v in column.items():
                 entries.setdefault(r, {})[m] = v
             for r, terms in entries.items():
-                rows[r][c] = repr(Polynomial(C.spec, terms, _clean=True))
+                rows[r][c] = C.spec.render_terms(terms)
         out.append(rows)
     return out
 

@@ -171,6 +171,7 @@ def ses_hilbert_check(weights, e: int, i: int, bound: int, char: int = DEFAULT_C
     eliminated variable acting as zero.  Returns (ok, lhs, rhs).
     """
     spec = RingSpec(tuple(weights), char=char)
+    e, i, bound = as_int(e, "threshold"), as_int(i, "layer index"), as_int(bound, "bound")
     var = _pick_last_variable(spec.weights)
     d = spec.weights[var]
     N = layer_count(spec.weights, e)

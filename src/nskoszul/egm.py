@@ -51,7 +51,7 @@ import numpy as np
 
 from . import modp
 from .complexes import BettiTable
-from .ring import RingSpec
+from .ring import RingSpec, as_int
 
 
 class DegreeRangeError(ValueError):
@@ -164,7 +164,7 @@ def betti_via_koszul(M: ExplicitGradedModule, bound: int | None = None) -> Betti
     each distinct block pattern once: any other block is the cone of an
     isomorphism x_t and has no homology (see :func:`_betti_blocks`).
     """
-    b = M.bound if bound is None else bound
+    b = M.bound if bound is None else as_int(bound, "bound")
     if b > M.bound:
         raise DegreeRangeError(f"bound {b} exceeds stored degree range {M.bound}")
     return _betti_blocks(M, b)

@@ -1,5 +1,5 @@
-"""Exact arithmetic kernel: prime fields, weighted monomials, graded polynomials,
-and elements of twisted free modules.
+"""Exact arithmetic kernel: prime fields, weighted monomials and their order,
+the text form of polynomial entries, and elements of twisted free modules.
 
 Monomials are plain exponent tuples.  A :class:`RingSpec` fixes the number of
 variables, their positive integer weights and a prime characteristic; the
@@ -86,14 +86,6 @@ def check_characteristic(p: int) -> int:
 
 def mon_one(n: int) -> Monomial:
     return (0,) * n
-
-
-def mon_var(n: int, i: int) -> Monomial:
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
-def mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def mon_divides(a: Monomial, b: Monomial) -> bool:
@@ -192,9 +184,6 @@ class RingSpec:
     def one(self) -> Monomial:
         return mon_one(self.num_vars)
 
-    def variable(self, i: int) -> Monomial:
-        return mon_var(self.num_vars, i)
-
     def render_monomial(self, m: Monomial) -> str:
         self._check(m)
         parts = []
@@ -204,6 +193,27 @@ class RingSpec:
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
+
+    def render_terms(self, terms: dict) -> str:
+        """A monomial -> coefficient map as text: terms in descending weighted
+        degrevlex order, each coefficient in the symmetric range about 0."""
+        if not terms:
+            return "0"
+        parts = []
+        for m in sorted(terms, key=lambda m: grevlex_key(self, m), reverse=True):
+            c = terms[m]
+            if c > self.char // 2:
+                c -= self.char
+            mono = self.render_monomial(m)
+            if mono == "1":
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
 
 
 @lru_cache(maxsize=None)
@@ -245,128 +255,6 @@ def grevlex_key(spec: RingSpec, m: Monomial):
 
 def term_key(spec: RingSpec, comp: int, m: Monomial):
     return (-comp, grevlex_key(spec, m))
-
-
-# ---------------------------------------------------------------------------
-# polynomials
-
-
-class Polynomial:
-    """A polynomial with coefficients in the prime field of its ring.
-
-    Stored as a monomial -> coefficient map with coefficients normalized to
-    1..char-1; the zero polynomial has an empty map.
-    """
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec: RingSpec, coeffs: dict, *, _clean: bool = False):
-        self.spec = spec
-        if _clean:
-            self.coeffs = coeffs
-        else:
-            p = spec.char
-            clean = {}
-            for m, c in coeffs.items():
-                spec._check(m)
-                c %= p
-                if c:
-                    clean[m] = c
-            self.coeffs = clean
-
-    # -- constructors
-
-    @classmethod
-    def zero(cls, spec: RingSpec) -> "Polynomial":
-        return cls(spec, {}, _clean=True)
-
-    @classmethod
-    def variable(cls, spec: RingSpec, i: int) -> "Polynomial":
-        return cls(spec, {spec.variable(i): 1}, _clean=True)
-
-    # -- predicates
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    # -- arithmetic
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.spec == other.spec
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        p = self.spec.char
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = (out.get(m, 0) + c) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return Polynomial(self.spec, out, _clean=True)
-
-    def __neg__(self) -> "Polynomial":
-        p = self.spec.char
-        return Polynomial(self.spec, {m: p - c for m, c in self.coeffs.items()}, _clean=True)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def scale(self, c: int) -> "Polynomial":
-        p = self.spec.char
-        c %= p
-        if c == 0:
-            return Polynomial.zero(self.spec)
-        return Polynomial(self.spec, {m: (v * c) % p for m, v in self.coeffs.items()}, _clean=True)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        p = self.spec.char
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = mon_mul(m1, m2)
-                v = (out.get(m, 0) + c1 * c2) % p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return Polynomial(self.spec, out, _clean=True)
-
-    __rmul__ = __mul__
-
-    # -- views
-
-    def terms_sorted(self) -> list:
-        """(monomial, coefficient) pairs, strictly descending in the order."""
-        return sorted(
-            self.coeffs.items(), key=lambda t: grevlex_key(self.spec, t[0]), reverse=True
-        )
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        p = self.spec.char
-        parts = []
-        for m, c in self.terms_sorted():
-            c_sym = c - p if c > p // 2 else c
-            mono = self.spec.render_monomial(m)
-            if mono == "1":
-                parts.append(str(c_sym))
-            elif c_sym == 1:
-                parts.append(mono)
-            elif c_sym == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c_sym}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +301,6 @@ class FreeElement:
                     clean[(comp, tuple(m))] = c
             self.coeffs = clean
 
-    @classmethod
-    def zero(cls, spec: RingSpec, ambient: FreeModuleSpec) -> "FreeElement":
-        return cls(spec, ambient, {}, _clean=True)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -453,6 +337,5 @@ class FreeElement:
             return "0"
         parts = []
         for (comp, m), c in self.terms_sorted():
-            poly = Polynomial(self.spec, {m: c}, _clean=True)
-            parts.append(f"({poly!r})*e{comp}")
+            parts.append(f"({self.spec.render_terms({m: c})})*e{comp}")
         return " + ".join(parts)

@@ -64,13 +64,16 @@ def filtration_layer(gens, i: int, last_var: int) -> list:
     Computed as the minimalization of lcm(u, y^i) over the given minimal
     generators; layer 0 is M itself.
     """
+    i = as_int(i, "layer index")
     if i < 0:
         raise ValueError(f"layer index must be non-negative, got {i}")
     gens = [tuple(m) for m in gens]
     if not gens:
         return []
+    n = len(gens[0])
+    if not 0 <= last_var < n:
+        raise ValueError(f"variable index {last_var} is outside 0..{n - 1}")
     if i == 0:
         return minimalize_monomials(gens)
-    n = len(gens[0])
     yi = tuple(i if k == last_var else 0 for k in range(n))
     return minimalize_monomials(mon_lcm(u, yi) for u in gens)

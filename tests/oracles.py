@@ -14,10 +14,9 @@ or spans it with ``_EchelonSpace``, a dense incremental row echelon form.
 a second reading of the walk that the tests compare with ``homology_dense``.
 ``minimize_complex`` cancels unit entries, the reference for the minimal
 resolution and for the Taylor complexes' minimal models.  The complexes
-store each differential as its columns; ``minimize_complex``,
-``check_complex``, ``homology_dense`` and the Koszul, Taylor and tensor
-builders compute on row-major matrices of Polynomials, and
-``dense_matrix`` and ``complex_from_dense`` convert at that seam.
+store each differential as its columns, and every oracle here reads and
+writes those columns directly: ``column_entries`` splits a column into its
+entries by row, and ``add_multiple`` adds a multiple of one column to another.
 ``syzygies_reference`` runs the syzygy engine as it was before it packed
 its terms into ints, on (component, exponent tuple) terms: the whole
 syzygy set of one run of the packed engine, ``syzygies`` here (the seam
@@ -65,13 +64,9 @@ from nskoszul.ring import (
     DimensionMismatch,
     FreeElement,
     FreeModuleSpec,
-    Polynomial,
     RingSpec,
-    grevlex_key,
     mon_divides,
     mon_lcm,
-    mon_mul,
-    mon_var,
     monomials_of_wdeg,
     term_key,
 )
@@ -162,40 +157,11 @@ class _EchelonSpace:
         return True
 
 
-def dense_matrix(C: GradedFreeComplex, k: int) -> list:
-    """d_{k+1} of C as a row-major matrix of Polynomials, the zero polynomial
-    where a column has no term in the row: the dense view the oracles below
-    compute on."""
-    rows = [[Polynomial.zero(C.spec)] * len(C.diffs[k]) for _ in C.modules[k].twists]
-    for c, column in enumerate(C.diffs[k]):
-        entries = {}
-        for (r, m), v in column.items():
-            entries.setdefault(r, {})[m] = v
-        for r, terms in entries.items():
-            rows[r][c] = Polynomial(C.spec, terms)
-    return rows
-
-
-def complex_from_dense(spec: RingSpec, modules, mats) -> GradedFreeComplex:
-    """The complex with these modules whose d_{k+1} is the row-major matrix
-    of Polynomials mats[k], stored as columns."""
-    diffs = []
-    for k, mat in enumerate(mats):
-        columns = [{} for _ in modules[k + 1].twists]
-        for r, row in enumerate(mat):
-            for c, entry in enumerate(row):
-                for m, v in entry.coeffs.items():
-                    columns[c][(r, m)] = v
-        diffs.append(tuple(columns))
-    return GradedFreeComplex(spec, tuple(modules), tuple(diffs))
-
-
 def homology_dense(C, bound: int) -> dict:
     """dim H_i(C)_j for j <= bound, from the dense matrix of each graded piece."""
     spec = C.spec
     p = spec.char
     min_twist = min((t for m in C.modules for t in m.twists), default=0)
-    mats = [dense_matrix(C, k) for k in range(len(C.diffs))]
     out = {}
     for j in range(min_twist, bound + 1):
         bases = [graded_basis(spec, m, j) for m in C.modules]
@@ -206,12 +172,9 @@ def homology_dense(C, bound: int) -> dict:
             if not rows or not cols:
                 continue
             mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-            dmat = mats[i - 1]
             for cidx, (comp, mon) in enumerate(cols):
-                for r in range(C.modules[i - 1].rank):
-                    entry = dmat[r][comp]
-                    for mm, coeff in entry.coeffs.items():
-                        mat[rows[(r, mon_mul(mon, mm))], cidx] = coeff
+                for (r, mm), coeff in C.diffs[i - 1][comp].items():
+                    mat[rows[(r, mon_mul(mon, mm))], cidx] = coeff
             ranks[i] = rank_mod(mat, p)
         for i in range(complex_length(C) + 1):
             h = len(bases[i]) - ranks[i] - ranks[i + 1]
@@ -258,53 +221,50 @@ def minimize_complex(C: GradedFreeComplex) -> GradedFreeComplex:
     column) among unit entries, so the output is deterministic.
     """
     spec = C.spec
-    mods = [list(m.twists) for m in C.modules]
-    mats = [dense_matrix(C, k) for k in range(len(C.diffs))]
     p = spec.char
+    one = spec.one()
+    mods = [list(m.twists) for m in C.modules]
+    diffs = [list(columns) for columns in C.diffs]
 
     def find_unit():
-        for k, mat in enumerate(mats):
-            for r, row in enumerate(mat):
-                for c, entry in enumerate(row):
-                    if entry and is_constant(entry):
-                        return k, r, c
+        for k, columns in enumerate(diffs):
+            units = [
+                (r, c)
+                for c, column in enumerate(columns)
+                for r, entry in column_entries(column).items()
+                if set(entry) == {one}
+            ]
+            if units:
+                return (k, *min(units))
         return None
 
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
+    def drop_row(column, r):
+        return {(rr - (rr > r), m): v for (rr, m), v in column.items() if rr != r}
+
+    while (hit := find_unit()) is not None:
         k, r, c = hit
-        mat = mats[k]
-        u = constant_value(mat[r][c])
-        uinv = pow(u, -1, p)
-        col = [mat[rr][c] for rr in range(len(mat))]
-        rowvec = mat[r]
-        new_mat = []
-        for rr in range(len(mat)):
-            if rr == r:
-                continue
-            new_row = []
-            for cc in range(len(rowvec)):
-                if cc == c:
-                    continue
-                correction = (col[rr] * rowvec[cc]).scale(uinv)
-                new_row.append(mat[rr][cc] - correction)
-            new_mat.append(new_row)
-        mats[k] = new_mat
-        if k + 1 < len(mats):
-            mats[k + 1] = [row for rr, row in enumerate(mats[k + 1]) if rr != c]
-        if k - 1 >= 0:
-            mats[k - 1] = [
-                [e for cc, e in enumerate(row) if cc != r] for row in mats[k - 1]
-            ]
+        # d' = d - d[:, c] d[r, :] / d[r, c], without row r and column c
+        uinv = pow(diffs[k][c][(r, one)], -1, p)
+        pivot = drop_row(diffs[k][c], r)
+        new = []
+        for cc, column in enumerate(diffs[k]):
+            if cc != c:
+                out = drop_row(column, r)
+                add_multiple(out, pivot, column_entries(column).get(r, {}), -uinv, p)
+                new.append(out)
+        diffs[k] = new
+        if k + 1 < len(diffs):
+            diffs[k + 1] = [drop_row(column, c) for column in diffs[k + 1]]
+        if k >= 1:
+            del diffs[k - 1][r]
         mods[k + 1].pop(c)
         mods[k].pop(r)
 
     while len(mods) > 1 and not mods[-1]:
         mods.pop()
-        mats.pop()
-    return complex_from_dense(spec, [FreeModuleSpec(tuple(t)) for t in mods], mats)
+        diffs.pop()
+    modules = tuple(FreeModuleSpec(tuple(t)) for t in mods)
+    return GradedFreeComplex(spec, modules, tuple(tuple(d) for d in diffs))
 
 
 def free_hilbert(spec: RingSpec, twists, j: int) -> int:
@@ -328,7 +288,7 @@ def check_complex(C: GradedFreeComplex) -> ComplexReport:
     if len(C.diffs) != len(C.modules) - 1:
         problems.append(f"{len(C.diffs)} differentials for {len(C.modules)} modules")
         return ComplexReport(False, tuple(problems))
-    mats = []
+    p = C.spec.char
     for k, columns in enumerate(C.diffs):
         tgt, src = C.modules[k], C.modules[k + 1]
         if len(columns) != src.rank or any(
@@ -336,33 +296,39 @@ def check_complex(C: GradedFreeComplex) -> ComplexReport:
         ):
             problems.append(f"d_{k + 1}: matrix shape does not match module ranks")
             continue
-        mat = dense_matrix(C, k)
-        mats.append(mat)
-        for r in range(tgt.rank):
-            for c in range(src.rank):
-                entry = mat[r][c]
-                if not entry:
-                    continue
-                want = src.twists[c] - tgt.twists[r]
-                if not is_homogeneous(entry) or homogeneous_degree(entry) != want:
-                    problems.append(
-                        f"d_{k + 1}[{r}][{c}] is not homogeneous of degree {want}"
-                    )
+        bad = {
+            (r, c)
+            for c, column in enumerate(columns)
+            for (r, m), v in column.items()
+            if C.spec.wdeg(m) != src.twists[c] - tgt.twists[r] and v % p
+        }
+        for r, c in sorted(bad):
+            want = src.twists[c] - tgt.twists[r]
+            problems.append(f"d_{k + 1}[{r}][{c}] is not homogeneous of degree {want}")
     if not problems:
         for k in range(len(C.diffs) - 1):
-            a, b = mats[k], mats[k + 1]
-            rows = len(a)
-            mids = len(b)
-            cols = len(b[0]) if b else 0
-            for r in range(rows):
-                for c in range(cols):
-                    acc = Polynomial.zero(C.spec)
-                    for m in range(mids):
-                        if a[r][m] and b[m][c]:
-                            acc = acc + a[r][m] * b[m][c]
-                    if acc:
-                        problems.append(f"(d_{k + 1} o d_{k + 2})[{r}][{c}] != 0")
+            bad = set()
+            for c, column in enumerate(C.diffs[k + 1]):
+                image = {}
+                for mid, entry in column_entries(column).items():
+                    add_multiple(image, C.diffs[k][mid], entry, 1, p)
+                bad.update((r, c) for r, _ in image)
+            for r, c in sorted(bad):
+                problems.append(f"(d_{k + 1} o d_{k + 2})[{r}][{c}] != 0")
     return ComplexReport(not problems, tuple(problems))
+
+
+def boundary_columns(spec: RingSpec, lower, upper, quotient) -> tuple:
+    """Columns of the simplicial boundary from the tuples upper to the tuples
+    lower: dropping entry pos of S gives the term (-1)^pos quotient(S, pos)."""
+    index = {T: r for r, T in enumerate(lower)}
+    return tuple(
+        {
+            (index[S[:pos] + S[pos + 1:]], quotient(S, pos)): (-1) ** pos % spec.char
+            for pos in range(len(S))
+        }
+        for S in upper
+    )
 
 
 def koszul_complex(spec: RingSpec, var_idxs) -> GradedFreeComplex:
@@ -374,24 +340,17 @@ def koszul_complex(spec: RingSpec, var_idxs) -> GradedFreeComplex:
         raise ValueError(f"variable indices out of range: {vs}")
     k = len(vs)
     subsets = [list(combinations(vs, i)) for i in range(k + 1)]
-    modules = [
+    modules = tuple(
         FreeModuleSpec(tuple(sum(spec.weights[v] for v in T) for T in level))
         for level in subsets
-    ]
-    diffs = []
-    for i in range(1, k + 1):
-        tgt_index = {T: r for r, T in enumerate(subsets[i - 1])}
-        mat = [
-            [Polynomial.zero(spec) for _ in subsets[i]] for _ in subsets[i - 1]
-        ]
-        for c, T in enumerate(subsets[i]):
-            for pos, t in enumerate(T):
-                rest = T[:pos] + T[pos + 1:]
-                r = tgt_index[rest]
-                sign = 1 if pos % 2 == 0 else -1
-                mat[r][c] = mat[r][c] + poly_term(spec, spec.variable(t), sign)
-        diffs.append(mat)
-    return complex_from_dense(spec, modules, diffs)
+    )
+    diffs = tuple(
+        boundary_columns(
+            spec, subsets[i - 1], subsets[i], lambda T, pos: mon_var(spec.num_vars, T[pos])
+        )
+        for i in range(1, k + 1)
+    )
+    return GradedFreeComplex(spec, modules, diffs)
 
 
 def totalize_tensor(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeComplex:
@@ -399,6 +358,7 @@ def totalize_tensor(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeCom
     if F.spec != G.spec:
         raise ValueError("complexes live over different rings")
     spec = F.spec
+    p = spec.char
     lmax = complex_length(F) + complex_length(G)
     gens = []
     index = []
@@ -420,32 +380,21 @@ def totalize_tensor(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeCom
         )
         for k in range(lmax + 1)
     )
-    F_mats = [dense_matrix(F, k) for k in range(len(F.diffs))]
-    G_mats = [dense_matrix(G, k) for k in range(len(G.diffs))]
     diffs = []
     for k in range(1, lmax + 1):
-        mat = [
-            [Polynomial.zero(spec) for _ in gens[k]] for _ in gens[k - 1]
-        ]
-        for c, (i, a, b) in enumerate(gens[k]):
+        columns = []
+        for i, a, b in gens[k]:
             j = k - i
+            column = {}
             if i >= 1:
-                dF = F_mats[i - 1]
-                for a2 in range(F.modules[i - 1].rank):
-                    entry = dF[a2][a]
-                    if entry:
-                        r = index[k - 1][(i - 1, a2, b)]
-                        mat[r][c] = mat[r][c] + entry
+                for (a2, m), v in F.diffs[i - 1][a].items():
+                    column[(index[k - 1][(i - 1, a2, b)], m)] = v
             if j >= 1:
-                dG = G_mats[j - 1]
-                sign = 1 if i % 2 == 0 else -1
-                for b2 in range(G.modules[j - 1].rank):
-                    entry = dG[b2][b]
-                    if entry:
-                        r = index[k - 1][(i, a, b2)]
-                        mat[r][c] = mat[r][c] + entry.scale(sign)
-        diffs.append(mat)
-    return complex_from_dense(spec, modules, diffs)
+                for (b2, m), v in G.diffs[j - 1][b].items():
+                    column[(index[k - 1][(i, a, b2)], m)] = (-1) ** i * v % p
+            columns.append(column)
+        diffs.append(tuple(columns))
+    return GradedFreeComplex(spec, modules, tuple(diffs))
 
 
 def taylor_complex(spec: RingSpec, mons) -> GradedFreeComplex:
@@ -464,27 +413,18 @@ def taylor_complex(spec: RingSpec, mons) -> GradedFreeComplex:
             acc = mon_lcm(acc, mons[s])
         return acc
 
+    def quotient(S, pos):
+        return mon_quotient(set_lcm(S), set_lcm(S[:pos] + S[pos + 1:]))
+
     subsets = [list(combinations(range(r), i + 1)) for i in range(r)]
-    modules = [
+    modules = tuple(
         FreeModuleSpec(tuple(spec.wdeg(set_lcm(S)) for S in level))
         for level in subsets
-    ]
-    diffs = []
-    for i in range(1, r):
-        tgt_index = {S: k for k, S in enumerate(subsets[i - 1])}
-        mat = [
-            [Polynomial.zero(spec) for _ in subsets[i]] for _ in subsets[i - 1]
-        ]
-        for c, S in enumerate(subsets[i]):
-            lc = set_lcm(S)
-            for pos, s in enumerate(S):
-                rest = S[:pos] + S[pos + 1:]
-                rr = tgt_index[rest]
-                q = mon_quotient(lc, set_lcm(rest))
-                sign = 1 if pos % 2 == 0 else -1
-                mat[rr][c] = mat[rr][c] + poly_term(spec, q, sign)
-        diffs.append(mat)
-    return complex_from_dense(spec, modules, diffs)
+    )
+    diffs = tuple(
+        boundary_columns(spec, subsets[i - 1], subsets[i], quotient) for i in range(1, r)
+    )
+    return GradedFreeComplex(spec, modules, diffs)
 
 
 def alternating_betti_series(table: BettiTable, bound: int) -> list:
@@ -1239,39 +1179,6 @@ def sdeg(spec: RingSpec, m) -> int:
     return sum(m)
 
 
-def poly_term(spec: RingSpec, m, c: int = 1) -> Polynomial:
-    return Polynomial(spec, {tuple(m): c})
-
-
-def poly_constant(spec: RingSpec, c: int) -> Polynomial:
-    return Polynomial(spec, {spec.one(): c})
-
-
-def poly_from_terms(spec: RingSpec, terms) -> Polynomial:
-    """The polynomial sum c * x^m over the (m, c) in terms."""
-    coeffs = {}
-    for m, c in terms:
-        m = tuple(m)
-        coeffs[m] = coeffs.get(m, 0) + c
-    return Polynomial(spec, coeffs)
-
-
-def constant_value(f: Polynomial) -> int:
-    return f.coeffs.get(f.spec.one(), 0)
-
-
-def is_homogeneous(f: Polynomial) -> bool:
-    return len({f.spec.wdeg(m) for m in f.coeffs}) <= 1
-
-
-def lead_term(f: Polynomial):
-    """(monomial, coefficient) of f's largest term in weighted degrevlex."""
-    if not f.coeffs:
-        raise ValueError("zero polynomial has no lead term")
-    m = max(f.coeffs, key=lambda t: grevlex_key(f.spec, t))
-    return m, f.coeffs[m]
-
-
 def lead(v: FreeElement):
     """Lead term (component, monomial, coefficient) in the POT order."""
     if not v.coeffs:
@@ -1280,20 +1187,42 @@ def lead(v: FreeElement):
     return comp, m, v.coeffs[(comp, m)]
 
 
-def homogeneous_degree(v) -> int:
-    """Weighted degree of a homogeneous Polynomial, or of a FreeElement with
-    its twists; raises ValueError for 0 or an inhomogeneous one."""
-    if isinstance(v, FreeElement):
-        degs = {v.spec.wdeg(m) + v.ambient.twists[c] for c, m in v.coeffs}
-    else:
-        degs = {v.spec.wdeg(m) for m in v.coeffs}
+def homogeneous_degree(v: FreeElement) -> int:
+    """Weighted degree of a homogeneous FreeElement with its twists; raises
+    ValueError for 0 or an inhomogeneous one."""
+    degs = {v.spec.wdeg(m) + v.ambient.twists[c] for c, m in v.coeffs}
     if len(degs) != 1:
         raise ValueError(f"no single weighted degree: {sorted(degs)}")
     return degs.pop()
 
 
-def is_constant(f: Polynomial) -> bool:
-    return not f.coeffs or set(f.coeffs) == {f.spec.one()}
+def mon_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mon_var(n: int, i: int) -> tuple:
+    return tuple(1 if k == i else 0 for k in range(n))
+
+
+def column_entries(column: dict) -> dict:
+    """The entries of a differential's column: row -> {monomial: coefficient}."""
+    out = {}
+    for (r, m), v in column.items():
+        out.setdefault(r, {})[m] = v
+    return out
+
+
+def add_multiple(out: dict, column: dict, f: dict, c: int, p: int) -> None:
+    """out += c * f * column over F_p in place, dropping zero terms; out and
+    column map (row, monomial) and f maps monomial to a coefficient."""
+    for (r, m1), v1 in column.items():
+        for m2, v2 in f.items():
+            key = (r, mon_mul(m1, m2))
+            v = (out.get(key, 0) + c * v1 * v2) % p
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
 
 
 def term_mul(v: FreeElement, m, c: int = 1) -> FreeElement:

@@ -2,21 +2,21 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import oracles
-from nskoszul.assoc_graded import OrdContext, gr_betti
+from oracles import mon_mul
+from nskoszul.assoc_graded import OrdContext, gr_betti, gr_hilbert, gr_module
 from nskoszul.construction import construct_gr_betti, ses_hilbert_check
+from nskoszul.egm import betti_via_koszul
 from nskoszul.koszul_check import koszul_verdict
 from nskoszul.ring import (
     DimensionMismatch,
     FreeModuleSpec,
-    Polynomial,
     RingSpec,
     grevlex_key,
     is_prime,
     mon_lcm,
-    mon_mul,
     monomials_of_wdeg,
 )
 from nskoszul.truncation import trunc_gens
@@ -96,6 +96,8 @@ class TestIntegralInput:
                 trunc_gens(spec, e)
             with pytest.raises(ValueError, match="threshold must be an integer"):
                 koszul_verdict(spec, e)
+            with pytest.raises(ValueError, match="threshold must be an integer"):
+                ses_hilbert_check((1, 3), e, 0, 8)
         # a numpy integer is taken as the equal int, also in the recursion's cache
         table, trace = construct_gr_betti(spec.weights, np.int64(5))
         assert (table, trace) == construct_gr_betti(spec.weights, 5)
@@ -104,6 +106,21 @@ class TestIntegralInput:
         report = koszul_verdict(spec, np.int64(5))
         assert report == koszul_verdict(spec, 5) and type(report.e) is int
         assert json.loads(json.dumps(report.to_dict()))["e"] == 5
+
+    def test_degree_bounds(self):
+        ctx = OrdContext(W13, ((0, (2, 0)), (0, (0, 1))))
+        M = gr_module(ctx, 3)
+        for call, good in [
+            (lambda b: oracles.module_view(gr_module(ctx, b)), 3),
+            (lambda b: gr_hilbert(ctx, b), 3),
+            (lambda b: betti_via_koszul(M, b), 3),
+            (lambda b: ses_hilbert_check((1, 3), 5, 0, b), 3),
+            (lambda i: ses_hilbert_check((1, 3), 5, i, 8), 1),
+        ]:
+            for bad in (2.5, "3"):
+                with pytest.raises(ValueError, match="must be an integer"):
+                    call(bad)
+            assert call(np.int64(good)) == call(good)
 
     def test_label_components(self):
         spec = RingSpec((1, 1))
@@ -246,76 +263,12 @@ class TestMonomialCompare:
         assert W13.wdeg(mon_mul(a, b)) == W13.wdeg(a) + W13.wdeg(b)
 
 
-poly_strategy = st.lists(
-    st.tuples(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)),
-        st.integers(-40000, 40000),
-    ),
-    max_size=8,
-)
-
-
-class TestPolynomialArithmetic:
-    def test_additive_identity(self):
-        f = oracles.poly_from_terms(W13, [((1, 0), 2), ((0, 1), 5)])
-        assert f + Polynomial.zero(W13) == f
-
-    def test_single_term_product(self):
-        # y * x^3 has weighted degree 6
-        y = Polynomial.variable(W13, 1)
-        x3 = oracles.poly_term(W13, (3, 0))
-        prod = y * x3
-        assert prod == oracles.poly_term(W13, (3, 1))
-        assert oracles.homogeneous_degree(prod) == 6
-
-    def test_difference_of_squares(self):
-        x = Polynomial.variable(W13, 0)
-        y = Polynomial.variable(W13, 1)
-        assert (x + y) * (x - y) == x * x - y * y
-
-    def test_char_arithmetic(self):
-        f = oracles.poly_constant(W13, 32002) + oracles.poly_constant(W13, 1)
-        assert not f
-
-    @given(poly_strategy)
-    def test_canonical_idempotence(self, terms):
-        f = oracles.poly_from_terms(W13, terms)
-        again = Polynomial(W13, dict(f.coeffs))
-        assert f == again
-        assert all(0 < c < W13.char for c in f.coeffs.values())
-
-    @given(poly_strategy, poly_strategy)
-    def test_commutative_product(self, t1, t2):
-        f = oracles.poly_from_terms(W13, t1)
-        g = oracles.poly_from_terms(W13, t2)
-        assert f * g == g * f
-
-    @given(poly_strategy, poly_strategy, poly_strategy)
-    @settings(max_examples=40)
-    def test_distributive(self, t1, t2, t3):
-        f = oracles.poly_from_terms(W13, t1)
-        g = oracles.poly_from_terms(W13, t2)
-        h = oracles.poly_from_terms(W13, t3)
-        assert f * (g + h) == f * g + f * h
-
-    @given(st.integers(1, 32002), st.integers(1, 32002))
-    def test_field_inverses(self, a, b):
-        p = 32003
-        assert pow(a, -1, p) * a % p == 1
-        assert (a + b) % p == (b + a) % p
-        assert a * (pow(a, -1, p) * b % p) % p == b % p
-
-
-class TestTermOrderKeys:
-    def test_terms_sorted_strictly_descending(self):
-        f = oracles.poly_from_terms(W13, [((5, 0), 1), ((2, 1), 1), ((0, 2), 1)])
-        terms = f.terms_sorted()
-        keys = [grevlex_key(W13, m) for m, _ in terms]
-        assert keys == sorted(keys, reverse=True)
-
-    def test_lead_term(self):
-        f = oracles.poly_from_terms(W13, [((5, 0), 4), ((2, 1), 7)])
-        assert oracles.lead_term(f) == ((5, 0), 4)
+class TestRenderTerms:
+    def test_descending_order_and_symmetric_coefficients(self):
+        terms = {(0, 0): 5, (2, 1): 3, (5, 0): 32002, (0, 2): 1}
+        assert W13.render_terms(terms) == "y^2 - x^5 + 3*x^2*y + 5"
+        assert W13.render_terms({(0, 0): 32001}) == "-2"
+        assert W13.render_terms({}) == "0"
 
 
 class TestMonomialEnumeration:

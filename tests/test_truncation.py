@@ -3,9 +3,9 @@ from itertools import product
 
 import pytest
 
-from nskoszul.ring import RingSpec, mon_divides, mon_mul, monomials_of_wdeg
+from nskoszul.ring import RingSpec, mon_divides, monomials_of_wdeg
 from nskoszul.truncation import filtration_layer, minimalize_monomials, trunc_gens
-from oracles import trunc_free_gens
+from oracles import mon_mul, trunc_free_gens
 
 W13 = RingSpec((1, 3), ("x", "y"))
 W14 = RingSpec((1, 4), ("x", "y"))
@@ -117,6 +117,14 @@ class TestFiltrationLayer:
     def test_negative_index_raises(self):
         with pytest.raises(ValueError):
             filtration_layer(trunc_gens(W13, 5), -1, 1)
+        with pytest.raises(ValueError, match="layer index must be an integer"):
+            filtration_layer(trunc_gens(W13, 5), 1.5, 1)
+
+    def test_variable_outside_the_ring_raises(self):
+        # y^i for a y outside the ring would be 1, and the layer M itself
+        for last_var in (5, -1, 2):
+            with pytest.raises(ValueError, match="variable index"):
+                filtration_layer([(1, 2), (3, 0)], 1, last_var)
 
     def test_filtration_decreasing(self):
         rng = random.Random(11)
