@@ -7,16 +7,22 @@ splits into blocks graded by exponent multidegree, and one walk over the
 grid of generator coordinate values, one sparse column reduction per slice
 along the last coordinate, lists with no degree bound every grid cell where
 some H_i with i >= 1 is nonzero.  A grid point's homology holds on its whole
-cell, so the list is finite and complete.  A complex that does not split
-raises NoFiniteDecision.  A differential is stored as its columns, the
-shape in which the syzygy engine yields them, and the blocks are read off
-the columns.  The tests cross-check the walk against a dense expansion of
-each graded piece, and build the Koszul, Taylor and tensor complexes they
-feed it, and the d o d = 0 check, in tests/oracles.py.
+cell, so the list is finite and complete.  The walk finds every slice's
+support in one batched numpy pass per block and reduces each distinct
+support once, from the top differential down with clearing: a column of d_k
+whose index is the low of a reduced column of d_{k+1} is a cycle, since
+d o d = 0, and is skipped (Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014).
+A complex that does not split raises NoFiniteDecision.  A differential is
+stored as its columns, the shape in which the syzygy engine yields them,
+and the blocks are read off the columns.  The tests cross-check the walk
+against a dense expansion of each graded piece and against the walk without
+batching or clearing, and build the Koszul, Taylor and tensor complexes
+they feed it, and the d o d = 0 check, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
 
@@ -210,35 +216,92 @@ class _MultidegreeBlock:
         in the slice, and the strand's differential is the prefix of the
         slice's columns up to v, each level being ordered by last
         coordinate.  Its rank is the number of independent columns
-        (modp.pivots) with last coordinate <= v.  A slice depends only on
-        its support, so it is reduced once per distinct support.
+        (modp.pivots) with last coordinate <= v, counted by bisection.
+
+        A slice depends only on its support, so it is reduced once per
+        distinct support.  The supports of all slices are found in one
+        batched pass: a (slices x generators) mask, the AND of one
+        comparison per coordinate, packed to bits and deduplicated as raw
+        bytes, then unpacked once per distinct support, all in chunks of at
+        most 2**15 cells.  The slices are then walked in plain Python.
+
+        Within a slice the differentials are reduced from the top level down,
+        with clearing (Chen and Kerber, "Persistent homology computation with
+        a twist", EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and
+        compress", 2014).  Each independent column of d_{k+1} is stored under
+        its low, its largest row r once reduced.  That reduced column is a
+        boundary b = d_{k+1}(y) with b = u e_r + (rows before r), u != 0, and
+        d_k(b) = 0 since d o d = 0, so column r of d_k is a combination of
+        the columns before it: not independent.  It is skipped unreduced.
+        Skipping a dependent column stores nothing and leaves every other
+        column's reduction as it was, so the independent columns, and every
+        strand's rank counted from them, are unchanged.
         """
-        last = self.grid[-1]
-        zero = np.zeros(len(last), dtype=np.int64)
-        slices = {}
-        for prefix in product(*(range(len(vals)) for vals in self.grid[:-1])):
-            corner = [vals[k] for vals, k in zip(self.grid, prefix)]
-            masks = [np.all(M[:, :-1] <= corner, axis=1) for M in self.mdegs]
-            key = np.concatenate(masks).tobytes()
-            table = slices.get(key)
-            if table is None:
-                lasts = [M[mask, -1] for M, mask in zip(self.mdegs, masks)]
-                # rank at each last value: the independent columns at or below it
-                ranks = [zero]
-                for k, columns in enumerate(self.diffs):
-                    support = [columns[c] for c in np.flatnonzero(masks[k + 1])]
-                    pivots = modp.pivots(support, p)
-                    ranks.append(np.searchsorted(lasts[k + 1][pivots], last, "right"))
-                ranks.append(zero)
-                table = slices[key] = np.array(
-                    [
-                        np.searchsorted(lv, last, "right") - ranks[i] - ranks[i + 1]
-                        for i, lv in enumerate(lasts)
-                    ]
-                ).T.tolist()
-            for k, h in enumerate(table):
+        head = self.grid[:-1]
+        M = np.concatenate(self.mdegs)
+        prefixes = list(product(*(range(len(vals)) for vals in head)))
+        corners = np.array(list(product(*head)), dtype=np.int64).reshape(len(prefixes), len(head))
+        step = max(1, 2**15 // len(M))  # slices masked, or supports unpacked, at a time
+        packed = []
+        for chunk in range(0, len(corners), step):
+            # slice x generator: m(g) at or below the slice's corner, one
+            # comparison per coordinate ANDed in
+            corner = corners[chunk:chunk + step]
+            mask = np.ones((len(corner), len(M)), dtype=bool)
+            for t in range(len(head)):
+                mask &= M[:, t] <= corner[:, t, None]
+            packed.append(np.packbits(mask, axis=1))
+        distinct, support_of = _row_ids(np.concatenate(packed))
+        starts = np.cumsum([0, *map(len, self.mdegs)]).tolist()
+        lasts = [M[a:b, -1].tolist() for a, b in zip(starts, starts[1:])]
+        tables = []
+        for chunk in range(0, len(distinct), step):
+            bits = np.unpackbits(distinct[chunk:chunk + step], axis=1, count=len(M))
+            which, rows = np.nonzero(bits)
+            ends = np.cumsum(np.bincount(which, minlength=len(bits))).tolist()
+            rows = rows.tolist()
+            for a, b in zip([0, *ends], ends):
+                support = rows[a:b]
+                cuts = [bisect_left(support, s) for s in starts]
+                levels = [[g - s for g in support[i:j]] for s, i, j in zip(starts, cuts, cuts[1:])]
+                tables.append(self._slice_homology(levels, lasts, p))
+        for prefix, support in zip(prefixes, support_of.tolist()):
+            for k, h in enumerate(tables[support]):
                 if any(h):
                     yield (*prefix, k), h
+
+    def _slice_homology(self, support: list, lasts: list, p: int) -> list:
+        """h per level at each last value, for the slice spanned by the rows
+        support[i] of each level i, with lasts[i][r] the last coordinate of
+        row r of level i."""
+        last = self.grid[-1]
+        # rank at each last value: the independent columns at or below it
+        ranks = [[0] * len(last)] * (len(support) + 1)
+        kept = support[-1]
+        for k in reversed(range(len(self.diffs))):
+            lows = {}
+            pivots = modp.pivots([self.diffs[k][c] for c in kept], p, lows)
+            values = [lasts[k + 1][kept[i]] for i in pivots]
+            ranks[k + 1] = [bisect_right(values, v) for v in last]
+            kept = [c for c in support[k] if c not in lows]
+        dims = [
+            [bisect_right(values, v) for v in last]
+            for values in ([level[r] for r in rows] for level, rows in zip(lasts, support))
+        ]
+        return [
+            [dim[k] - ranks[i][k] - ranks[i + 1][k] for i, dim in enumerate(dims)]
+            for k in range(len(last))
+        ]
+
+
+def _row_ids(rows: np.ndarray) -> tuple:
+    """The distinct rows of a 2-d array, and for each row the index of its
+    copy among them.  The rows are compared as raw bytes, which sorts far
+    faster than np.unique's axis=0."""
+    rows = np.ascontiguousarray(rows)
+    raw = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    return rows[first], inverse.reshape(-1)
 
 
 def _multidegree_blocks(C: GradedFreeComplex) -> list:
@@ -366,7 +429,14 @@ def homology_witnesses(C: GradedFreeComplex) -> list:
     differential (modp.pivots, whatever the block's size) gives every
     strand's rank as a count of independent columns (the persistence
     reduction of Zomorodian and Carlsson, "Computing persistent homology",
-    DCG 33, 2005).
+    DCG 33, 2005).  The supports of all slices come from one batched mask
+    per block, and each distinct support is reduced once, top differential
+    first, with clearing (Chen and Kerber, "Persistent homology computation
+    with a twist", EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and
+    compress", 2014): the low of each reduced column of d_{k+1} names a
+    column of d_k that d o d = 0 makes dependent on the columns before it,
+    so it is skipped unreduced and every count is unchanged
+    (_MultidegreeBlock.grid_walk has the argument).
     """
     out = []
     for blk in _multidegree_blocks(C):

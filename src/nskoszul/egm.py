@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modp
-from .complexes import BettiTable
+from .complexes import BettiTable, _row_ids
 from .ring import RingSpec, as_int
 
 
@@ -201,8 +201,15 @@ def _critical_labels(M: ExplicitGradedModule, bound: int) -> tuple:
         if M.corner is not None:
             values = {v for v in values if v <= M.corner[t]}
         crit.append(values)
-        critical = np.fromiter(values, np.int64, len(values))
-        stay, enter = np.isin(c, critical), np.isin(c + 1, critical)
+        top = int(c.max(initial=0)) + 2
+        if top <= 2 * len(c) + 64:
+            # every critical value is some c or c + 1: index a table by both
+            critical = np.zeros(top, dtype=bool)
+            critical[list(values)] = True
+            stay, enter = critical[c], critical[c + 1]
+        else:  # exponents too far apart for a table
+            critical = np.fromiter(values, np.int64, len(values))
+            stay, enter = np.isin(c, critical), np.isin(c + 1, critical)
         keep &= stay | enter
         bits |= stay.astype(np.int64) << t | enter.astype(np.int64) << (n + t)
     rows = np.flatnonzero(keep)
@@ -280,16 +287,6 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
             if h:
                 out[i, jr + low] = out.get((i, jr + low), 0) + count * h
     return BettiTable.from_dict(out)
-
-
-def _row_ids(rows: np.ndarray) -> tuple:
-    """The distinct rows of a 2-d array, and for each row the index of its
-    copy among them.  The rows are compared as raw bytes, which sorts far
-    faster than np.unique's axis=0."""
-    rows = np.ascontiguousarray(rows)
-    raw = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    return rows[first], inverse.reshape(-1)
 
 
 def _strand_homology(row: list, cells: list, p: int) -> list:

@@ -12,6 +12,10 @@ expands every graded piece in full (``graded_basis``) and ranks it with
 or spans it with ``_EchelonSpace``, a dense incremental row echelon form.
 ``homology_dims`` counts dim H_i(C)_j per degree from the grid walk's cells,
 a second reading of the walk that the tests compare with ``homology_dense``.
+``slice_walk`` is the grid walk as it was before it batched its supports
+and cleared columns: one mask per slice and every supported column
+reduced, the reference that the walk must equal on random complexes
+(``random_monomial_modules`` draws their ideals and modules).
 ``minimize_complex`` cancels unit entries, the reference for the minimal
 resolution and for the Taylor complexes' minimal models.  The complexes
 store each differential as its columns, and every oracle here reads and
@@ -46,9 +50,10 @@ values that only the tests use, as functions (``lead``, ``sub``,
 """
 
 import heapq
+import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from operator import mul
 
@@ -180,6 +185,36 @@ def homology_dense(C, bound: int) -> dict:
             h = len(bases[i]) - ranks[i] - ranks[i + 1]
             if h:
                 out[(i, j)] = h
+    return out
+
+
+def slice_walk(blk, p: int) -> list:
+    """The (index, h) that blk.grid_walk(p) yields, one slice at a time: each
+    slice's support from its own mask, each distinct support reduced once
+    per differential from d_1 up, every supported column reduced (no
+    clearing), and the ranks counted with searchsorted."""
+    last = blk.grid[-1]
+    zero = np.zeros(len(last), dtype=np.int64)
+    slices = {}
+    out = []
+    for prefix in product(*(range(len(vals)) for vals in blk.grid[:-1])):
+        corner = [vals[k] for vals, k in zip(blk.grid, prefix)]
+        masks = [np.all(M[:, :-1] <= corner, axis=1) for M in blk.mdegs]
+        key = np.concatenate(masks).tobytes()
+        table = slices.get(key)
+        if table is None:
+            lasts = [M[mask, -1] for M, mask in zip(blk.mdegs, masks)]
+            ranks = [zero]
+            for k, columns in enumerate(blk.diffs):
+                support = [columns[c] for c in np.flatnonzero(masks[k + 1])]
+                pivots = modp.pivots(support, p)
+                ranks.append(np.searchsorted(lasts[k + 1][pivots], last, "right"))
+            ranks.append(zero)
+            dims = [np.searchsorted(lv, last, "right") for lv in lasts]
+            table = slices[key] = (
+                np.array([d - ranks[i] - ranks[i + 1] for i, d in enumerate(dims)]).T.tolist()
+            )
+        out.extend(((*prefix, k), h) for k, h in enumerate(table) if any(h))
     return out
 
 
@@ -1276,3 +1311,23 @@ def module_hilbert(M: ExplicitGradedModule, bound: int | None = None) -> list:
         raise DegreeRangeError(f"bound {b} beyond stored bound {M.bound}")
     degrees = M.degrees
     return [len(degrees.get(j, ())) for j in range(b + 1)]
+
+
+def random_monomial_modules(seed: int, count: int, ranks) -> list:
+    """count (spec, rank, generators): 2-4 variables of weights <= 4, p in
+    {2, 3, 32003}, and rank to 6 (component, exponents <= 3) generators in
+    the free module of that rank, zero monomials left out."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((2, 3, 3, 4, 4))
+        spec = RingSpec(tuple(rng.randint(1, 4) for _ in range(n)), char=rng.choice((2, 3, 32003)))
+        rank = rng.choice(ranks)
+        gens = {
+            (rng.randrange(rank), tuple(rng.randint(0, 3) for _ in range(n)))
+            for _ in range(rng.randint(rank, 6))
+        }
+        gens = sorted(g for g in gens if any(g[1]))
+        if gens:
+            out.append((spec, rank, gens))
+    return out

@@ -460,31 +460,77 @@ def _grid_walk_inputs():
         yield linear_part(resolve_module(monomial_elements(one, [(3,)])), one)
 
 
+def _slice_walk_inputs():
+    """1,009 complexes: the linear parts of 700 random monomial modules
+    (false verdicts among them), 300 random Taylor complexes, and the
+    negative controls (x^2, y^2), (x^2, y^3) and (x^3, x^2 y, y^3) at
+    p = 2, 3 and 32003."""
+    for spec, rank, gens in oracles.random_monomial_modules(3, 700, (1, 1, 2)):
+        F = resolve_module(monomial_elements(spec, gens, FreeModuleSpec((0,) * rank)))
+        yield linear_part(F, spec)
+    rng = random.Random(5)
+    taylor = 0
+    while taylor < 300:
+        n = rng.randint(1, 4)
+        spec = RingSpec(tuple(rng.randint(1, 3) for _ in range(n)), char=rng.choice((2, 3, 32003)))
+        gens = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))}
+        if gens - {(0,) * n}:
+            yield oracles.taylor_complex(spec, sorted(gens - {(0,) * n}))
+            taylor += 1
+    for p in (2, 3, 32003):
+        std2 = RingSpec((1, 1), ("x", "y"), p)
+        for gens in ([(2, 0), (0, 2)], [(2, 0), (0, 3)], [(3, 0), (2, 1), (0, 3)]):
+            yield linear_part(resolve_module(monomial_elements(std2, gens)), std2)
+
+
 class TestGridWalk:
     def test_matches_point_by_point_oracle(self, monkeypatch):
-        inserted = []
+        calls = []  # (columns inserted, lows reported) per pivots call
         pivots = modp.pivots
-        monkeypatch.setattr(
-            modp, "pivots", lambda columns, p: inserted.append(len(columns)) or pivots(columns, p)
-        )
-        with_homology = single_value = one_variable = 0
+
+        def counted(columns, p, stored=None):
+            stored = {} if stored is None else stored
+            out = pivots(columns, p, stored)
+            calls.append((len(columns), len(stored)))
+            return out
+
+        monkeypatch.setattr(modp, "pivots", counted)
+        with_homology = single_value = one_variable = clearing = 0
         for C in _grid_walk_inputs():
             for blk in _multidegree_blocks(C):
                 for M in blk.mdegs:
                     assert list(M[:, -1]) == sorted(M[:, -1])
-                inserted.clear()
+                calls.clear()
                 walk = list(blk.grid_walk(C.spec.char))
-                # each distinct slice support is reduced once: one reduction
-                # per differential, inserting each column of the support once
+                # each distinct slice support is reduced once, one reduction
+                # per differential from d_top down to d_1; each low of d_{k+1}
+                # clears one column of d_k, and every other column of the
+                # support is inserted once
                 supports, columns = _slice_supports(blk)
-                assert len(inserted) == supports * len(blk.diffs)
-                assert sum(inserted) == columns
+                levels = len(blk.diffs)
+                assert len(calls) == supports * levels
+                inserted = sum(n for n, _ in calls)
+                cleared = sum(lows for i, (_, lows) in enumerate(calls) if (i + 1) % levels)
+                assert inserted + cleared == columns
+                clearing += cleared > 0
                 assert walk == _grid_walk_oracle(blk, C.spec.char)
                 positive = any(any(h[1:]) for _, h in walk)
                 with_homology += positive
                 single_value += len(blk.grid[-1]) == 1 and positive
                 one_variable += len(blk.grid) == 1
         assert with_homology >= 10 and single_value >= 1 and one_variable >= 1
+        assert clearing >= 10
+
+    def test_matches_slice_walk_on_random_complexes(self):
+        complexes = blocks = false = 0
+        for C in _slice_walk_inputs():
+            complexes += 1
+            for blk in _multidegree_blocks(C):
+                walk = list(blk.grid_walk(C.spec.char))
+                assert walk == oracles.slice_walk(blk, C.spec.char)
+                blocks += 1
+                false += any(any(h[1:]) for _, h in walk)
+        assert complexes >= 1000 and blocks >= 2000 and false >= 250
 
 
 class TestHomologyWitnesses:

@@ -130,6 +130,13 @@ class TestBuchberger:
         assert {(1, (1, 0)): 1, (2, (0, 0)): p - 1} in [s.coeffs for s in syz]
         assert [oracles.lead(g)[1] for g in minimal_generators(gens)] == [(5, 0), (2, 1)]
 
+    def test_pairs_set_the_default_rank(self):
+        spec = RingSpec((1, 1), ("x", "y"))
+        (v,) = monomial_elements(spec, [(2, (1, 0))])
+        assert v.ambient == FreeModuleSpec((0, 0, 0)) and v.coeffs == {(2, (1, 0)): 1}
+        (u,) = monomial_elements(spec, [(1, 0)])
+        assert u.ambient == FreeModuleSpec((0,))
+
     def test_principal_ideal(self):
         gens = monomial_elements(RingSpec((2,), ("x",)), [(1,)])
         eng = engine(gens)

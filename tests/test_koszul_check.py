@@ -169,33 +169,15 @@ class TestKoszulVerdict:
         assert '"lin_acyclic":"true"' in payload.replace(" ", "")
 
 
-def random_monomial_modules(seed: int, count: int, ranks) -> list:
-    """count (spec, rank, generators): 2-4 variables of weights <= 4, p in
-    {2, 3, 32003}, and rank to 6 (component, exponents <= 3) generators in
-    the free module of that rank, zero monomials left out."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.choice((2, 3, 3, 4, 4))
-        spec = RingSpec(tuple(rng.randint(1, 4) for _ in range(n)), char=rng.choice((2, 3, 32003)))
-        rank = rng.choice(ranks)
-        gens = {
-            (rng.randrange(rank), tuple(rng.randint(0, 3) for _ in range(n)))
-            for _ in range(rng.randint(rank, 6))
-        }
-        gens = sorted(g for g in gens if any(g[1]))
-        if gens:
-            out.append((spec, rank, gens))
-    return out
-
-
 def test_herzog_iyengar_lin_agrees_with_gr():
     # M is Koszul (lin F acyclic) exactly when gr_m(M) has a linear
     # resolution over the companion ring, and then beta_i(M) = beta_ii(gr M)
     # (Herzog-Iyengar, "Koszul modules", JPAA 201, 2005).  That holds for any
     # monomial module, so the two pipelines must agree also where the
     # answer is false.
-    inputs = random_monomial_modules(1, 700, (1,)) + random_monomial_modules(2, 300, (2, 3))
+    inputs = oracles.random_monomial_modules(1, 700, (1,)) + oracles.random_monomial_modules(
+        2, 300, (2, 3)
+    )
     false = 0
     for spec, rank, gens in inputs:
         F = resolve_module(monomial_elements(spec, gens, FreeModuleSpec((0,) * rank)))

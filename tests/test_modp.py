@@ -147,6 +147,17 @@ def test_empty_columns_are_not_pivots():
     assert modp.pivots([{}, {3: 1}, {}, {}, {0: 2}, {}], 7) == [1, 4]
 
 
+def test_stored_keys_are_the_lows():
+    # each independent column is stored under its largest key once reduced:
+    # column 1 reduces by column 0 to {0: 6}, column 3 by columns 0 and 1
+    # to nothing, so the lows are 2, 0 and 1
+    stored = {}
+    columns = [{0: 1, 2: 1}, {2: 1}, {1: 3}, {0: 2, 2: 5}]
+    assert modp.pivots(columns, 7, stored) == [0, 1, 2]
+    assert list(stored) == [2, 0, 1]
+    assert stored[0] == {0: 1} and stored[1] == {1: 1}
+
+
 def test_any_totally_ordered_keys():
     # relabelling the rows injectively keeps the column rank profile, here by
     # (component, monomial) labels in an order unrelated to the row order
