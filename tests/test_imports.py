@@ -116,6 +116,7 @@ def test_scanner_finds_an_unreferenced_private_function():
 # Public functions that no package module calls, each with its reason.  The
 # re-exports of __init__.py are not calls.
 FOR_BENCHMARK = "the benchmark's gr4 workload calls it"
+FOR_TRACER = "the benchmark's tracer reads it"
 UNCALLED_PUBLIC = {"gr_module": FOR_BENCHMARK}
 
 
@@ -140,16 +141,45 @@ def test_scanner_finds_an_uncalled_public_function():
     ]
 
 
+def assigned(stmt) -> list:
+    """The targets of an assignment or annotation; none for other nodes."""
+    if isinstance(stmt, ast.Assign):
+        return stmt.targets
+    return [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+
+
+def field_names(tree) -> set:
+    """The names the classes of a module bind as data: a class-level
+    assignment or annotation (dataclass and named-tuple fields among them),
+    or an assignment to an attribute of self."""
+    names = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            names.update(t.id for stmt in cls.body for t in assigned(stmt) if isinstance(t, ast.Name))
+            names.update(
+                t.attr
+                for node in ast.walk(cls)
+                for t in assigned(node)
+                if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"
+            )
+    return names
+
+
 def uncalled_methods(sources: dict) -> list:
     """(module, class, method) of each public method of a module-level class
     that no source reads as an attribute outside the method's own body.
 
     Dunder methods are left out: the language calls them.  Methods match by
     name, not by class, so a method shares the callers of every attribute
-    of the same name."""
+    of the same name.  Where some class also binds the name as a field, a
+    read may be of the field, so only a call (obj.name(...)) counts for the
+    method; a property of such a name is never called, so it is always
+    listed."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    fields = set().union(*map(field_names, trees.values()))
     methods = []
     read = set()
+    called = set()
     for mod, tree in trees.items():
         for stmt in tree.body:
             if isinstance(stmt, ast.ClassDef):
@@ -161,16 +191,20 @@ def uncalled_methods(sources: dict) -> list:
                 scopes = [stmt]
             for scope in scopes:
                 own = getattr(scope, "name", None)
-                read.update(
-                    node.attr
-                    for node in ast.walk(scope)
-                    if isinstance(node, ast.Attribute) and node.attr != own
-                )
-    return sorted(m for m in methods if m[2] not in read)
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Attribute) and node.attr != own:
+                        read.add(node.attr)
+                    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                        if node.func.attr != own:
+                            called.add(node.func.attr)
+    return sorted(m for m in methods if m[2] not in (called if m[2] in fields else read))
 
 
 # Public methods that no package module calls, each with its reason.
-UNCALLED_METHODS = {"BettiTable.restrict": FOR_BENCHMARK}
+UNCALLED_METHODS = {
+    "BettiTable.restrict": FOR_BENCHMARK,
+    "ExplicitGradedModule.degrees": FOR_TRACER,
+}
 
 
 def test_public_methods_have_a_package_caller():
@@ -198,6 +232,21 @@ def test_scanner_finds_an_uncalled_method():
     assert uncalled_methods(sources) == [("a", "K", "recursive"), ("a", "K", "stray")]
 
 
+def test_scanner_sees_past_a_field_of_the_same_name():
+    # B.variable is a field and is read, which calls no method named
+    # variable; C.size is called, though D binds a field size
+    sources = {
+        "a": (
+            "class A:\n    def variable(self): pass\n"
+            "class B:\n    variable: int\n"
+            "class C:\n    def size(self): pass\n"
+            "class D:\n    def __init__(self): self.size = 0\n"
+        ),
+        "b": "import a\ndef f(b, c): return b.variable, c.size()\n",
+    }
+    assert uncalled_methods(sources) == [("a", "A", "variable")]
+
+
 def called_names(source: str) -> set:
     """The names that source calls, as a plain name or as an attribute."""
     funcs = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
@@ -206,10 +255,13 @@ def called_names(source: str) -> set:
 
 def test_benchmark_reasons_hold():
     # a name kept public for the benchmark moves to tests/oracles.py once
-    # the benchmark's workloads stop calling it
+    # the benchmark's workloads stop calling it, or its tracer reading it
     called = called_names((HERE.parent / "perfbench" / "workloads.py").read_text())
+    tracer = ast.parse((HERE.parent / "perfbench" / "tracing.py").read_text())
+    traced = {node.attr for node in ast.walk(tracer) if isinstance(node, ast.Attribute)}
     for name, reason in {**UNCALLED_PUBLIC, **UNCALLED_METHODS}.items():
         assert reason != FOR_BENCHMARK or name.split(".")[-1] in called, name
+        assert reason != FOR_TRACER or name.split(".")[-1] in traced, name
 
 
 def test_scanner_finds_called_names():

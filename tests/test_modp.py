@@ -148,14 +148,39 @@ def test_empty_columns_are_not_pivots():
 
 
 def test_stored_keys_are_the_lows():
-    # each independent column is stored under its largest key once reduced:
-    # column 1 reduces by column 0 to {0: 6}, column 3 by columns 0 and 1
-    # to nothing, so the lows are 2, 0 and 1
+    # each independent column is stored under its largest key once reduced,
+    # reduced but not scaled: column 1 reduces by column 0 to {0: 6}, column
+    # 3 by columns 0 and 1 to nothing, so the lows are 2, 0 and 1; columns 0
+    # and 2 have new lows as given and are stored as they are
     stored = {}
     columns = [{0: 1, 2: 1}, {2: 1}, {1: 3}, {0: 2, 2: 5}]
     assert modp.pivots(columns, 7, stored) == [0, 1, 2]
     assert list(stored) == [2, 0, 1]
-    assert stored[0] == {0: 1} and stored[1] == {1: 1}
+    assert stored[0] == {0: 6} and stored[1] == {1: 3}
+    assert stored[2] is columns[0] and stored[1] is columns[2]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(matrices_mod_p(), st.data())
+def test_inputs_unchanged_and_stored_columns_reused(case, data):
+    # zeros are dropped but negative entries, entries >= p and nonzero
+    # multiples of p stay, so some columns are stored by reference and others
+    # only after a copy into canonical form; a second call on the same dict
+    # reduces against both, unscaled
+    mat, p = case
+    columns = [
+        {r: row[c] for r, row in enumerate(mat) if row[c]} for c in range(len(mat[0]))
+    ]
+    columns.append({0: -1, len(mat): p, len(mat) + 1: 2 * p + 1})
+    columns.append({len(mat) + 1: -3 * p})
+    copies = [dict(column) for column in columns]
+    split = data.draw(st.integers(0, len(columns)))
+    stored = {}
+    first = modp.pivots(columns[:split], p, stored)
+    second = modp.pivots(columns[split:], p, stored)
+    assert columns == copies
+    dense = [[column.get(r, 0) for column in columns] for r in range(len(mat) + 2)]
+    assert first + [split + i for i in second] == oracles.pivots_mod(dense, p)
 
 
 def test_any_totally_ordered_keys():
