@@ -5,6 +5,14 @@ lin-check, construct, koszul, ses-check, and sweep.  Machine-readable output
 (json, csv) is byte-stable across runs: keys are sorted and timings are kept
 out of those formats.
 
+Each handler computes and returns (payload, text, status); main writes the
+output once.  A ring command's handler takes (args, spec), spec the parsed
+--ring, and main puts "ring" and "e" in front of its json payload.  sweep,
+the one command with no ring, takes args alone and gets no header.  The
+json form of a ring, a Betti table and a list of lin witnesses is each one
+function (RingSpec.to_dict, BettiTable.records, witness_records), which
+KoszulReport.to_dict uses too.
+
 Verdicts are true or false with no degree bound (see koszul_check), and a
 false lin verdict lists its witness cells in full.  --bound exists only where
 the output is infinite: it caps the degrees that gr-hilbert and ses-check
@@ -17,7 +25,8 @@ errors (argparse default, bad ring descriptions, bad --bound, --char or
 internal failures (a non-minimal resolution, a degree window overrun,
 inhomogeneous generators, a resolution past its level cap, a linear part
 with a multi-term entry, and any other exception that is not a
-ValueError), reported as "internal error (<ExceptionClass>): ...".  Exit 1 is only ever a false verdict.
+ValueError), reported as "internal error (<ExceptionClass>): ...".  Exit 1
+is only ever a false verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import sys
 import time
 
 from .assoc_graded import OrdContext, gr_betti, gr_hilbert
-from .complexes import BettiTable, GradedFreeComplex, resolve_module
+from .complexes import GradedFreeComplex, resolve_module
 from .construction import construct_gr_betti, layer_count, ses_hilbert_check
 from .egm import DegreeRangeError
 from .gb import InhomogeneousInput, monomial_elements
@@ -43,6 +52,7 @@ from .koszul_check import (
     linear_part,
     lin_acyclicity,
     recommended_bound,
+    witness_records,
 )
 from .ring import DEFAULT_CHAR, RingSpec, check_characteristic
 from .sweep import rows_to_csv, rows_to_dicts, run_sweep, sweep_exit_status
@@ -139,18 +149,6 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(out)
 
 
-def _ring_dict(spec: RingSpec) -> dict:
-    return {
-        "names": list(spec.names),
-        "weights": list(spec.weights),
-        "char": spec.char,
-    }
-
-
-def _betti_list(table: BettiTable) -> list:
-    return [{"i": i, "j": j, "rank": r} for i, j, r in table.entries]
-
-
 def _bound(args, spec: RingSpec) -> int:
     if args.bound is not None:
         if args.bound < 0:
@@ -163,12 +161,9 @@ def _bound(args, spec: RingSpec) -> int:
 # subcommand handlers
 
 
-def cmd_gens(args) -> int:
-    spec = parse_ring_spec(args.ring)
+def cmd_gens(args, spec):
     gens = trunc_gens(spec, args.e)
     payload = {
-        "ring": _ring_dict(spec),
-        "e": args.e,
         "generators": [
             {"monomial": list(m), "degree": spec.wdeg(m), "text": spec.render_monomial(m)}
             for m in gens
@@ -177,8 +172,7 @@ def cmd_gens(args) -> int:
     lines = [f"generators of the degree >= {args.e} truncation:"]
     for m in gens:
         lines.append(f"  {spec.render_monomial(m)}  (degree {spec.wdeg(m)})")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines), EXIT_OK
 
 
 def differential_strings(C: GradedFreeComplex) -> list:
@@ -198,16 +192,11 @@ def differential_strings(C: GradedFreeComplex) -> list:
     return out
 
 
-def cmd_resolve(args) -> int:
-    spec = parse_ring_spec(args.ring)
-    gens = trunc_gens(spec, args.e)
-    C = resolve_module(monomial_elements(spec, gens))
-    table = C.betti_from_twists()
+def cmd_resolve(args, spec):
+    C = resolve_module(monomial_elements(spec, trunc_gens(spec, args.e)))
     payload = {
-        "ring": _ring_dict(spec),
-        "e": args.e,
         "modules": [list(m.twists) for m in C.modules],
-        "betti": _betti_list(table),
+        "betti": C.betti_from_twists().records(),
     }
     lines = [f"resolution of the degree >= {args.e} truncation:"]
     for i, m in enumerate(C.modules):
@@ -218,67 +207,35 @@ def cmd_resolve(args) -> int:
             lines.append(f"  d_{k + 1}:")
             for row in mat:
                 lines.append("    [" + ", ".join(row) + "]")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines), EXIT_OK
 
 
-def _ord_context(spec: RingSpec, e: int) -> OrdContext:
-    return OrdContext(spec, tuple((0, m) for m in trunc_gens(spec, e)))
+def cmd_gr_betti(args, spec):
+    table = gr_betti(OrdContext(spec, trunc_gens(spec, args.e)))
+    return {"betti": table.records()}, table.render(), EXIT_OK
 
 
-def cmd_gr_betti(args) -> int:
-    spec = parse_ring_spec(args.ring)
-    table = gr_betti(_ord_context(spec, args.e))
-    payload = {
-        "ring": _ring_dict(spec),
-        "e": args.e,
-        "betti": _betti_list(table),
-    }
-    _emit(args, payload, table.render())
-    return EXIT_OK
-
-
-def cmd_gr_hilbert(args) -> int:
-    spec = parse_ring_spec(args.ring)
+def cmd_gr_hilbert(args, spec):
     bound = _bound(args, spec)
-    dims = gr_hilbert(_ord_context(spec, args.e), bound)
-    payload = {
-        "ring": _ring_dict(spec),
-        "e": args.e,
-        "bound": bound,
-        "hilbert": dims,
-    }
+    dims = gr_hilbert(OrdContext(spec, trunc_gens(spec, args.e)), bound)
     text = "\n".join(f"degree {d}: {v}" for d, v in enumerate(dims))
-    _emit(args, payload, text)
-    return EXIT_OK
+    return {"bound": bound, "hilbert": dims}, text, EXIT_OK
 
 
-def cmd_lin_check(args) -> int:
-    spec = parse_ring_spec(args.ring)
-    gens = trunc_gens(spec, args.e)
-    F = resolve_module(monomial_elements(spec, gens))
-    L = linear_part(F, spec)
-    acyclic, witnesses = lin_acyclicity(L)
+def cmd_lin_check(args, spec):
+    F = resolve_module(monomial_elements(spec, trunc_gens(spec, args.e)))
+    acyclic, witnesses = lin_acyclicity(linear_part(F, spec))
     verdict = Verdict.of(acyclic)
     payload = {
-        "ring": _ring_dict(spec),
-        "e": args.e,
         "verdicts": {"lin_acyclic": str(verdict)},
-        "nonzero_homology": [{"i": i, "j": j, "dim": d} for i, j, d in witnesses],
+        "nonzero_homology": witness_records(witnesses),
     }
-    text = f"lin acyclic: {verdict}"
-    _emit(args, payload, text)
-    return exit_status([verdict])
+    return payload, f"lin acyclic: {verdict}", exit_status([verdict])
 
 
-def cmd_construct(args) -> int:
-    spec = parse_ring_spec(args.ring)
+def cmd_construct(args, spec):
     table, trace = construct_gr_betti(spec.weights, args.e)
-    payload = {
-        "ring": _ring_dict(spec),
-        "e": args.e,
-        "betti": _betti_list(table),
-    }
+    payload = {"betti": table.records()}
     lines = [f"constructed table: {table.entries}"]
     if args.trace:
         payload["trace"] = trace.to_dict()
@@ -290,8 +247,7 @@ def cmd_construct(args) -> int:
             lines.append(f"    sub table       {s.sub_table.entries}")
             lines.append(f"    after tensor    {s.after_tensor.entries}")
             lines.append(f"    after horseshoe {s.after_horseshoe.entries}")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines), EXIT_OK
 
 
 M2_TEMPLATE = """\
@@ -303,15 +259,14 @@ betti C
 """
 
 
-def cmd_koszul(args) -> int:
-    spec = parse_ring_spec(args.ring)
+def cmd_koszul(args, spec):
     start = time.perf_counter()
     report = koszul_verdict(spec, args.e)
     elapsed = time.perf_counter() - start
-    payload = report.to_dict()
+    gens = [spec.render_monomial(m) for m in report.generators]
     lines = [
         f"ring {render_ring_spec(spec)}, e = {args.e}",
-        f"  generators: {', '.join(spec.render_monomial(m) for m in report.generators)}",
+        f"  generators: {', '.join(gens)}",
         f"  lin_acyclic:        {report.lin_acyclic}",
         f"  gr_linear:          {report.gr_linear}",
         f"  construction_match: {report.construction_match}",
@@ -319,7 +274,6 @@ def cmd_koszul(args) -> int:
         f"  elapsed: {elapsed * 1000:.1f} ms",
     ]
     if args.emit_cas:
-        gens = [spec.render_monomial(m) for m in report.generators]
         script = M2_TEMPLATE.format(
             char=spec.char,
             names=",".join(spec.names),
@@ -328,43 +282,33 @@ def cmd_koszul(args) -> int:
         )
         _write_file(args.emit_cas, script)
         lines.append(f"  wrote cross-validation script to {args.emit_cas}")
-    _emit(args, payload, "\n".join(lines))
-    return exit_status(report.verdicts().values())
+    return report.to_dict(), "\n".join(lines), exit_status(report.verdicts().values())
 
 
-def cmd_ses_check(args) -> int:
-    spec = parse_ring_spec(args.ring)
+def cmd_ses_check(args, spec):
     bound = _bound(args, spec)
     layers = [args.layer] if args.layer is not None else range(layer_count(spec.weights, args.e))
     results = []
     for i in layers:
         ok, lhs, rhs = ses_hilbert_check(spec.weights, args.e, i, bound, spec.char)
         results.append({"layer": i, "ok": ok, "lhs": lhs, "rhs": rhs})
-    payload = {
-        "ring": _ring_dict(spec),
-        "e": args.e,
-        "bound": bound,
-        "layers": results,
-    }
     text = "\n".join(
         f"layer {r['layer']}: {'ok' if r['ok'] else 'MISMATCH'}" for r in results
     ) or f"no layers at e = {args.e}"
-    _emit(args, payload, text)
-    return EXIT_OK if all(r["ok"] for r in results) else EXIT_FALSE
+    status = EXIT_OK if all(r["ok"] for r in results) else EXIT_FALSE
+    return {"bound": bound, "layers": results}, text, status
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     for flag in ("max_vars", "max_weight", "max_e", "jobs"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= 1")
     rows = run_sweep(args.max_vars, args.max_weight, args.max_e, args.char, jobs=args.jobs)
     status = sweep_exit_status(rows)
     if args.format == "json":
-        _emit(args, {"rows": rows_to_dicts(rows)}, "")
-        return status
+        return {"rows": rows_to_dicts(rows)}, "", status
     if args.format == "csv":
-        _emit(args, {}, rows_to_csv(rows, max_hom=args.max_vars))
-        return status
+        return {}, rows_to_csv(rows, max_hom=args.max_vars), status
     lines = []
     bad = [r for r in rows if not r.report.all_true]
     for r in bad + [r for r in rows if r.report.all_true]:
@@ -378,8 +322,7 @@ def cmd_sweep(args) -> int:
             f"({r.elapsed * 1000:.0f} ms)"
         )
     lines.append(f"{len(rows)} cases, exit status {status}")
-    _emit(args, {}, "\n".join(lines))
-    return status
+    return {}, "\n".join(lines), status
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +405,14 @@ def main(argv=None) -> int:
             _check_output_path(path)
         if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
             raise ValueError(f"--out and --emit-cas both name {paths[0]}")
-        return args.func(args)
+        if args.command == "sweep":
+            payload, text, status = args.func(args)
+        else:
+            spec = parse_ring_spec(args.ring)
+            payload, text, status = args.func(args, spec)
+            payload = {"ring": spec.to_dict(), "e": args.e, **payload}
+        _emit(args, payload, text)
+        return status
     except Exception as exc:
         if isinstance(exc, ValueError) and not isinstance(exc, INTERNAL_ERRORS):
             print(f"error: {exc}", file=sys.stderr)

@@ -59,6 +59,10 @@ class BettiTable:
     def as_dict(self) -> dict:
         return {(i, j): r for i, j, r in self.entries}
 
+    def records(self) -> list:
+        """The json shape of the table: one {"i", "j", "rank"} per entry."""
+        return [{"i": i, "j": j, "rank": r} for i, j, r in self.entries]
+
     def total(self, i: int) -> int:
         return sum(r for ii, _, r in self.entries if ii == i)
 

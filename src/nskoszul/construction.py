@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, ceil
+from math import ceil
 
 from .assoc_graded import OrdContext, gr_hilbert
 from .complexes import BettiTable
@@ -118,7 +118,7 @@ def construct_gr_betti(weights, e: int):
     for i in range(N - 1, -1, -1):
         sub_e = e - d * i
         sub = _construct(tuple(sorted(rest)), sub_e)
-        tensored = tensor_koszul_betti(sub, 1)
+        tensored = tensor_koszul_betti(sub)
         running = horseshoe_sum(tensored, running)
         steps.append(
             ConstructionStep(
@@ -136,24 +136,14 @@ def construct_gr_betti(weights, e: int):
     return running, ConstructionTrace(weights, e, N, var, tuple(steps), running)
 
 
-def tensor_koszul_betti(b: BettiTable, extra_vars: int) -> BettiTable:
-    """Convolve a diagonal table with the Koszul complex on extra variables.
+def tensor_koszul_betti(b: BettiTable) -> BettiTable:
+    """Convolve a diagonal table with the Koszul complex on one new variable.
 
-    beta'_i = sum_t beta_{i-t} * C(k, t); matches the Betti table of the
-    totalized tensor product on realized complexes.
+    beta'_i = beta_i + beta_{i-1}; matches the Betti table of the totalized
+    tensor product on realized complexes.
     """
-    if not b.is_diagonal():
-        raise ValueError("tensor extension requires a diagonal (linear) table")
-    if extra_vars < 0:
-        raise ValueError("variable count must be non-negative")
-    ranks = b.diagonal_ranks()
-    out = {}
-    for i, r in enumerate(ranks):
-        if not r:
-            continue
-        for t in range(extra_vars + 1):
-            out[(i + t, i + t)] = out.get((i + t, i + t), 0) + r * comb(extra_vars, t)
-    return BettiTable.from_dict(out)
+    ranks = [0] + b.diagonal_ranks() + [0]  # ranks[i + 1] is beta_i
+    return BettiTable(tuple((i, i, ranks[i] + ranks[i + 1]) for i in range(len(ranks) - 1)))
 
 
 def horseshoe_sum(left: BettiTable, right: BettiTable) -> BettiTable:
@@ -180,10 +170,8 @@ def ses_hilbert_check(weights, e: int, i: int, bound: int, char: int = DEFAULT_C
     if not 0 <= i < N:
         raise ValueError(f"layer index {i} outside 0..{N - 1}")
     gens = trunc_gens(spec, e)
-    layer_i = filtration_layer(gens, i, var)
-    layer_next = filtration_layer(gens, i + 1, var)
-    lhs = gr_hilbert(OrdContext(spec, tuple((0, m) for m in layer_i)), bound)
-    mid = gr_hilbert(OrdContext(spec, tuple((0, m) for m in layer_next)), bound)
+    lhs = gr_hilbert(OrdContext(spec, filtration_layer(gens, i, var)), bound)
+    mid = gr_hilbert(OrdContext(spec, filtration_layer(gens, i + 1, var)), bound)
     if spec.num_vars == 1:
         # the remaining ring is the field: its truncation is k for
         # thresholds <= 0 and zero otherwise
@@ -192,7 +180,6 @@ def ses_hilbert_check(weights, e: int, i: int, bound: int, char: int = DEFAULT_C
             quot[0] = 1
     else:
         sub = spec.drop_variable(var)
-        sub_gens = trunc_gens(sub, e - d * i)
-        quot = gr_hilbert(OrdContext(sub, tuple((0, m) for m in sub_gens)), bound)
+        quot = gr_hilbert(OrdContext(sub, trunc_gens(sub, e - d * i)), bound)
     rhs = [a + b for a, b in zip(mid, quot)]
     return lhs == rhs, lhs, rhs

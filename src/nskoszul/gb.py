@@ -96,14 +96,14 @@ class InhomogeneousInput(ValueError):
         )
 
 
-def monomial_elements(spec: RingSpec, mons, ambient: FreeModuleSpec | None = None):
+def monomial_elements(spec: RingSpec, mons):
     """Wrap plain monomials (or (component, monomial) pairs) as FreeElements.
 
-    The ambient module defaults to the untwisted free module whose rank is
-    one more than the largest component named, rank 1 for plain monomials.
+    The ambient module is the untwisted free module whose rank is one more
+    than the largest component named, rank 1 for plain monomials.
     """
     labels = [spec.label(m) for m in mons]
-    ambient = ambient or FreeModuleSpec((0,) * (1 + max((c for c, _ in labels), default=0)))
+    ambient = FreeModuleSpec((0,) * (1 + max((c for c, _ in labels), default=0)))
     return [FreeElement(spec, ambient, {label: 1}) for label in labels]
 
 

@@ -115,6 +115,11 @@ def lin_acyclicity(L: GradedFreeComplex):
     return not witnesses, witnesses
 
 
+def witness_records(witnesses) -> list:
+    """The json shape of lin witnesses: one {"i", "j", "dim"} per cell."""
+    return [{"i": i, "j": j, "dim": d} for i, j, d in witnesses]
+
+
 @dataclass(frozen=True)
 class KoszulReport:
     """Verdicts and evidence from the three verification pipelines.
@@ -129,7 +134,6 @@ class KoszulReport:
     gr_linear: Verdict
     construction_match: Verdict
     resolution_betti: BettiTable
-    lin_betti: BettiTable
     gr_table: BettiTable
     construct_table: BettiTable
     lin_homology_nonzero: tuple
@@ -148,27 +152,16 @@ class KoszulReport:
 
     def to_dict(self) -> dict:
         return {
-            "ring": {
-                "names": list(self.spec.names),
-                "weights": list(self.spec.weights),
-                "char": self.spec.char,
-            },
+            "ring": self.spec.to_dict(),
             "e": self.e,
             # both keys predate the bound-free verdicts; the sweep json keeps them
             "bound": self.recommended,
             "recommended_bound": self.recommended,
             "generators": [self.spec.render_monomial(m) for m in self.generators],
-            "betti": [
-                {"i": i, "j": j, "rank": r} for i, j, r in self.gr_table.entries
-            ],
-            "resolution_betti": [
-                {"i": i, "j": j, "rank": r}
-                for i, j, r in self.resolution_betti.entries
-            ],
+            "betti": self.gr_table.records(),
+            "resolution_betti": self.resolution_betti.records(),
             "verdicts": {k: str(v) for k, v in self.verdicts().items()},
-            "lin_homology_nonzero": [
-                {"i": i, "j": j, "dim": d} for i, j, d in self.lin_homology_nonzero
-            ],
+            "lin_homology_nonzero": witness_records(self.lin_homology_nonzero),
         }
 
 
@@ -183,10 +176,9 @@ def koszul_verdict(spec: RingSpec, e: int) -> KoszulReport:
     gens = trunc_gens(spec, e)
 
     F = resolve_module(monomial_elements(spec, gens))
-    L = linear_part(F, spec)
-    acyclic, witnesses = lin_acyclicity(L)
+    acyclic, witnesses = lin_acyclicity(linear_part(F, spec))
 
-    gr_table = gr_betti(OrdContext(spec, tuple((0, m) for m in gens)))
+    gr_table = gr_betti(OrdContext(spec, gens))
     construct_table, _trace = construct_gr_betti(spec.weights, e)
 
     return KoszulReport(
@@ -197,7 +189,6 @@ def koszul_verdict(spec: RingSpec, e: int) -> KoszulReport:
         gr_linear=Verdict.of(gr_table.is_diagonal()),
         construction_match=Verdict.of(construct_table == gr_table),
         resolution_betti=F.betti_from_twists(),
-        lin_betti=L.betti_from_twists(),
         gr_table=gr_table,
         construct_table=construct_table,
         lin_homology_nonzero=tuple(witnesses),

@@ -141,6 +141,10 @@ class RingSpec:
         """The standard graded companion ring (all weights 1)."""
         return RingSpec((1,) * self.num_vars, self.names, self.char)
 
+    def to_dict(self) -> dict:
+        """The json shape of the ring."""
+        return {"names": list(self.names), "weights": list(self.weights), "char": self.char}
+
     def drop_variable(self, idx: int) -> "RingSpec":
         if not 0 <= idx < self.num_vars:
             raise ValueError(f"bad variable index {idx}")
@@ -156,16 +160,16 @@ class RingSpec:
                 f"monomial has {len(m)} exponents, ring has {self.num_vars} variables"
             )
 
-    def label(self, g, comp: int = 0) -> tuple:
+    def label(self, g) -> tuple:
         """(component, monomial) from a monomial or a (component, monomial) pair.
 
-        A plain monomial is placed in component comp.  The component must be
-        a non-negative integer.
+        A plain monomial is placed in component 0.  The component must be a
+        non-negative integer.
         """
         if len(g) == 2 and isinstance(g[1], (tuple, list)):
             comp, m = g[0], tuple(g[1])
         else:
-            m = tuple(g)
+            comp, m = 0, tuple(g)
         comp = as_int(comp, "component")
         if comp < 0:
             raise ValueError(f"component {comp} is negative")

@@ -1,8 +1,8 @@
 """Batch verification over a grid of weight multisets and thresholds.
 
-Cases are independent pure computations; an optional process pool fans them
-out and the result order is fixed by sorting (number of variables, weights,
-threshold), never by arrival.
+Cases are independent pure computations, listed in (number of variables,
+weights, threshold) order; an optional process pool fans them out, and the
+rows come back in the order of the cases, never of arrival.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ class SweepRow:
     report: KoszulReport
     elapsed: float
 
-    def sort_key(self):
-        return (len(self.case.weights), self.case.weights, self.case.e)
-
 
 def sweep_cases(max_vars: int, max_weight: int, max_e: int, char: int = DEFAULT_CHAR):
-    """All weight multisets with n <= max_vars, weights <= max_weight, 1 <= e <= max_e."""
+    """All weight multisets with n <= max_vars, weights <= max_weight, and
+    1 <= e <= max_e, in (n, weights, e) order."""
     cases = []
     for n in range(1, max_vars + 1):
         for weights in combinations_with_replacement(range(1, max_weight + 1), n):
@@ -45,7 +43,6 @@ def sweep_cases(max_vars: int, max_weight: int, max_e: int, char: int = DEFAULT_
                 cases.append(
                     SweepCase(weights, e, recommended_bound(spec, e), char)
                 )
-    cases.sort(key=lambda c: (len(c.weights), c.weights, c.e))
     return cases
 
 
@@ -63,17 +60,15 @@ def run_sweep(
     char: int = DEFAULT_CHAR,
     jobs: int = 1,
 ):
-    """Rows of every case, in sort order.  jobs caps the worker processes,
-    which never outnumber the cases or the CPUs; the rows do not depend on it."""
+    """Rows of every case, in the order of sweep_cases.  jobs caps the worker
+    processes, which never outnumber the cases or the CPUs; the rows do not
+    depend on it."""
     cases = sweep_cases(max_vars, max_weight, max_e, char)
     workers = min(jobs, len(cases), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
-            rows = pool.map(run_case, cases)
-    else:
-        rows = [run_case(c) for c in cases]
-    rows.sort(key=SweepRow.sort_key)
-    return rows
+            return pool.map(run_case, cases)
+    return [run_case(c) for c in cases]
 
 
 def rows_to_csv(rows, max_hom: int) -> str:

@@ -793,10 +793,11 @@ class NotInModule(ValueError):
     """The monomial lies outside the module (no generator divides it)."""
 
 
-def ord_scan(ctx: OrdContext, v, comp: int = 0) -> int:
-    """The largest i with v in m^i M, by a scan of every generator: the
-    standard degree of v minus the least one of a generator dividing it."""
-    comp, v = ctx.spec.label(v, comp)
+def ord_scan(ctx: OrdContext, g) -> int:
+    """The largest i with v in m^i M, g = (comp, v) or a plain monomial v in
+    component 0, by a scan of every generator: the standard degree of v
+    minus the least one of a generator dividing it."""
+    comp, v = ctx.spec.label(g)
     best = None
     for c, u in ctx.generators:
         if c == comp and mon_divides(u, v):

@@ -420,9 +420,9 @@ class TestOrdTable:
                     v = tuple(box[k].tolist())
                     if ords[k] < 0:
                         with pytest.raises(oracles.NotInModule):
-                            oracles.ord_scan(ctx, v, comp)
+                            oracles.ord_scan(ctx, (comp, v))
                     else:
-                        assert oracles.ord_scan(ctx, v, comp) == ords[k]
+                        assert oracles.ord_scan(ctx, (comp, v)) == ords[k]
                     ords_checked += 1
             contexts += 1
         assert contexts >= 408 + 3 * (15 + 10 + 2 * 10)

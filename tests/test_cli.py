@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -320,6 +321,140 @@ class TestSubcommands:
         assert "res" in text
 
 
+# The stdout of every subcommand in each of its formats, as sha256, and the
+# exit status 0.  koszul and sweep print timings in their text, which are
+# cut to "ms" before hashing; a --emit-cas script is hashed after the stdout.
+OUTPUT_PINS = [
+    ("gens --ring x=1,y=3 --e 5",
+     "7ca5427a4fe9de71855e47a518f6c0de671327529cabc06c222b45b5b62ceb57"),
+    ("gens --ring x=1,y=3 --e 5 --format json",
+     "f5026db752f3d438380df5e8d78941ca3ffa3aa26fa6d1d015d88d4909a07001"),
+    ("gens --ring x=1,y=1,z=2@101 --e 4",
+     "7d17a5537c008affcb88fa66ad57a2ca4f2b97f1b21f6ecd6296e4f9d971fccf"),
+    ("gens --ring x=1,y=1,z=2@101 --e 4 --format json",
+     "e287777ddad032f4363ab35544a783a513fa4f8d51b7a6ce5fbd66415506259f"),
+    ("gens --ring x=2,y=3 --e 0",
+     "6ed11ef3e47c584607a1f920a6c0938dd9afc15b9ae34a233fb807a3d05f8448"),
+    ("gens --ring x=2,y=3 --e 0 --format json",
+     "77238dc5abad59bba9e2ce210fdd504084957729cffea1a9a1e78194fa0bf075"),
+    ("resolve --ring x=1,y=3 --e 5",
+     "f60c9ba2e7ecdbeff1cd09bdf9450dd6457b855f401ba45ecc9555873f9cba26"),
+    ("resolve --ring x=1,y=3 --e 5 --format json",
+     "1a7df0aafb1860c051388935437149f8c16f8c1af04fedbc476e8fe1223098bb"),
+    ("resolve --ring x=1,y=3 --e 5 --show-differentials",
+     "02271489c12e73bbe7fe845be591adca5ab843727dda165acb2c5fef05c67d0c"),
+    ("resolve --ring x=1,y=1,z=2@101 --e 4",
+     "914d280c7352ded8edc3df38c7d2e9de787ee5e4bab813a95c389632625d9731"),
+    ("resolve --ring x=1,y=1,z=2@101 --e 4 --format json",
+     "4c9af51febfaaa35a47d7d31abc61ee89ea2129e36df2ae4b4c20cc853f63515"),
+    ("resolve --ring x=1,y=1,z=2@101 --e 4 --show-differentials",
+     "e95561d52abd16ea0b168a86d9e11ffd8a3bfc5ce88c417f0217240467f0c84c"),
+    ("resolve --ring x=1,y=2 --e -1",
+     "3617b6ee593920af0cce6810693eb6678d1a2b14f979b1c1aebff2f691baee97"),
+    ("resolve --ring x=1,y=2 --e -1 --format json",
+     "7f5ea19d71df5f3fbfcfb983340b192a8cee885e4788d316d33aefa27af60ada"),
+    ("gr-betti --ring x=1,y=3 --e 5",
+     "ceeb57cfb882e4ca16401221b51a93c4b58e98bd714b67fc7f9034ef78e898ba"),
+    ("gr-betti --ring x=1,y=3 --e 5 --format json",
+     "24e308aa383c2d597c33a2583a9adf43ed90a661e278775cad0d39f8b6411216"),
+    ("gr-betti --ring x=1,y=1,z=2@101 --e 4",
+     "9ec05323cd47098bb91ccae96a8813855044323e358d9cbdb6104bb86c7521ad"),
+    ("gr-betti --ring x=1,y=1,z=2@101 --e 4 --format json",
+     "2651e1d32c24d59ce99db93103642b15be2176cda6642cb954deee1df2b051b2"),
+    ("gr-betti --ring x=1,y=2 --e 0",
+     "0fac00b1f79a7dc671420f78a20368e1ae47edf1d5e138bdf8db6a545b60f52f"),
+    ("gr-betti --ring x=1,y=2 --e 0 --format json",
+     "d9452c048dd8a03b3f27199d3fe19ff7b18992065a247452cf401d56991f08b2"),
+    ("gr-hilbert --ring x=1,y=3 --e 5",
+     "d9b9f8619c1434a4f4cf3591bfc571e5018c49914a79882dc9f1fcd4b14c6eee"),
+    ("gr-hilbert --ring x=1,y=3 --e 5 --format json",
+     "a1c707d83e7b5db0945adaef30a2c0830741c0d996c9c70646f15e555820d326"),
+    ("gr-hilbert --ring x=1,y=1,z=2@101 --e 4 --bound 6",
+     "4c176946f5ab7b14dbd30130beb6a641376f14bb5dab7ac593c339049527b634"),
+    ("gr-hilbert --ring x=1,y=1,z=2@101 --e 4 --bound 6 --format json",
+     "1ea73846588d5be5613f86900541684325e27771a801f5106be779b0ea07f160"),
+    ("gr-hilbert --ring x=2 --e -1 --bound 3",
+     "58a98fefb360601a54b212d23725370d9e44768ae470bd4470fbb64db85995bb"),
+    ("gr-hilbert --ring x=2 --e -1 --bound 3 --format json",
+     "3694f705dc33c33636e9c05103e46a292177b8849d3176eed4aad9b1b435515c"),
+    ("lin-check --ring x=1,y=3 --e 5",
+     "2419505fba742200d8daec7009f7bb06b79d414b9cf6f953aeb5c79a14c614d8"),
+    ("lin-check --ring x=1,y=3 --e 5 --format json",
+     "7db0673f2234e61ddcb1925a995ea86c2f7fc9dc2b78577a443badd8215c3ca3"),
+    ("lin-check --ring x=1,y=1,z=2@101 --e 4",
+     "2419505fba742200d8daec7009f7bb06b79d414b9cf6f953aeb5c79a14c614d8"),
+    ("lin-check --ring x=1,y=1,z=2@101 --e 4 --format json",
+     "6baf8043fc1e8ffac47416c5330ab395998d4eeeeb1c9b7246763b8581e95d05"),
+    ("lin-check --ring x=1,y=2 --e 0",
+     "2419505fba742200d8daec7009f7bb06b79d414b9cf6f953aeb5c79a14c614d8"),
+    ("lin-check --ring x=1,y=2 --e 0 --format json",
+     "7857ae1d9951752bffc02d33d91fb7651e4b9c4c6d1a29cf4aaa4d7249849025"),
+    ("construct --ring x1=1,x2=2,y=2 --e 7 --trace",
+     "270f0d2184ce065897bb523b9f13b5304dc039b86e5340c0f7f6c87aaa814914"),
+    ("construct --ring x1=1,x2=2,y=2 --e 7 --trace --format json",
+     "c0febafbc6da6667d0c595e2e80b6ae5c3fdb9045a6d7691fa50229916717bb9"),
+    ("construct --ring x=1,y=3 --e 5",
+     "3ebb4d15b025608c37791c2cd111d0acfc22f8e314137d72094e825e99267277"),
+    ("construct --ring x=1,y=3 --e 5 --format json",
+     "24e308aa383c2d597c33a2583a9adf43ed90a661e278775cad0d39f8b6411216"),
+    ("construct --ring x=1,y=1,z=2@101 --e 0 --trace",
+     "27d0eaef43ad14f7e7c6af5d53b77d5727eb205a3ee87f3dd7276758ac499e93"),
+    ("construct --ring x=1,y=1,z=2@101 --e 0 --trace --format json",
+     "676983238b95001cc48580c631b58dc4cff54e4063e44e5de191d02c74f5607f"),
+    ("koszul --ring x=1,y=3 --e 5",
+     "011be0ec9bc15c83dded3c94640d66d0b752518654ec1438438e5b74c15ff9a4"),
+    ("koszul --ring x=1,y=3 --e 5 --format json",
+     "80e814844d010975d44dd1e1b5432b24a6476a060fd2a409a617fa129ee8d3d1"),
+    ("koszul --ring x=1,y=1,z=2@101 --e 4",
+     "dd959d0905e057d0177d6d0e005dab48ddcddea9a6e69d957e0874ba6ffd4e51"),
+    ("koszul --ring x=1,y=1,z=2@101 --e 4 --format json",
+     "230e4048e8015ed5a4d31ae79d9b56061f8dcc4db56ab08a354837e3338dcc67"),
+    ("koszul --ring x=1,y=2 --e 0",
+     "41ca43c3a275519ffadaa36a1353585f21b842a285fe507c8e2e1265590de01a"),
+    ("koszul --ring x=1,y=2 --e 0 --format json",
+     "ddb8e8bec8ca5d7c3160b2a4409cbe01e80ab326baaa8d24d0db8e6dd1a982d3"),
+    ("koszul --ring x=1,y=3 --e 5 --emit-cas check.m2",
+     "2138cc9c906ec383d1a034cefc0e52be7037d9f593d4542e94c0cd1e96c99f5e"),
+    ("ses-check --ring x=1,y=3 --e 5",
+     "694dd6f30fd8a329a3d4ad4b0a2966d0a34d8201ff177d62acb25f0aefed42af"),
+    ("ses-check --ring x=1,y=3 --e 5 --format json",
+     "9d3d219626566290407d60d6246c6db6a2b1a9996b663dafd4114058000bde31"),
+    ("ses-check --ring x=1,y=3 --e 5 --layer 1",
+     "019bb2ffe306a2b42b972134becd17ed188d80c3f2b25e54c856d72e87fcd685"),
+    ("ses-check --ring x=1,y=3 --e 5 --layer 1 --format json",
+     "416dcc08c12f33e68276ea5dd86e2c7a2055544add309fa04d0cbb373c4d57fe"),
+    ("ses-check --ring x=1,y=1,z=2@101 --e 4 --bound 5",
+     "694dd6f30fd8a329a3d4ad4b0a2966d0a34d8201ff177d62acb25f0aefed42af"),
+    ("ses-check --ring x=1,y=1,z=2@101 --e 4 --bound 5 --format json",
+     "384f55361dbc3e00a5228a56be65a2aca769d17cb17611e3fa12f0a5c05a2e22"),
+    ("ses-check --ring x=1,y=2 --e 0",
+     "80c06f11ab79239ad78d377f77f8d006ebc22c7c4cb0a2fecd17fda3d00fc21c"),
+    ("ses-check --ring x=1,y=2 --e 0 --format json",
+     "0f63ebe6957eda1b3ff922520a2d26196654238715a8f9866dfb09710457acaf"),
+    ("sweep --max-vars 2 --max-weight 2 --max-e 3 --format text",
+     "9a274c2b64c0009bf96fe4af7335712a045364cda64e4297cd850a3633a56088"),
+    ("sweep --max-vars 2 --max-weight 2 --max-e 3 --format json",
+     "05e77c58dc3e38361f694eef35fcc5774a5596c4e810c599cbd590cf8acfe20c"),
+    ("sweep --max-vars 2 --max-weight 2 --max-e 3 --format csv",
+     "9bb3cd056b71709086e02255554a7c410c9ebbff4f1028dd0d07f6ec97a047a5"),
+    ("sweep --max-vars 2 --max-weight 2 --max-e 2 --char 101 --format csv",
+     "49e62ea23420bfc5811b96e1693019884f2334d1e75286e0d890a8aa8662d353"),
+    ("sweep --max-vars 2 --max-weight 2 --max-e 2 --char 101 --format json",
+     "2d434f580551c53f08ca3a7d344dada03af4443148e6d483932f0584a1cc5595"),
+]
+
+
+@pytest.mark.parametrize("command,digest", OUTPUT_PINS, ids=[c for c, _ in OUTPUT_PINS])
+def test_output_bytes(command, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = command.split()
+    assert main(argv) == EXIT_OK
+    out = re.sub(r"[0-9.]+ ms", "ms", capsys.readouterr().out)
+    if "--emit-cas" in argv:
+        out += (tmp_path / argv[argv.index("--emit-cas") + 1]).read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestOutputPaths:
     # a file that cannot be written is a usage error (2), never "false" (1)
 
@@ -409,6 +544,16 @@ class TestSweep:
         )
         assert len(lines) == 11
         assert all(",true,true,true," in line for line in lines[1:])
+
+    def test_case_order(self):
+        # run_sweep keeps this order, serial or pooled, with no sort of its own
+        cases = [(c.weights, c.e) for c in sweep_cases(2, 3, 2)]
+        assert cases == [
+            ((1,), 1), ((1,), 2), ((2,), 1), ((2,), 2), ((3,), 1), ((3,), 2),
+            ((1, 1), 1), ((1, 1), 2), ((1, 2), 1), ((1, 2), 2), ((1, 3), 1), ((1, 3), 2),
+            ((2, 2), 1), ((2, 2), 2), ((2, 3), 1), ((2, 3), 2), ((3, 3), 1), ((3, 3), 2),
+        ]
+        assert [(r.case.weights, r.case.e) for r in run_sweep(2, 3, 2)] == cases
 
     def test_csv_deterministic(self):
         a = rows_to_csv(run_sweep(2, 2, 2), max_hom=2)

@@ -465,8 +465,8 @@ def _slice_walk_inputs():
     (false verdicts among them), 300 random Taylor complexes, and the
     negative controls (x^2, y^2), (x^2, y^3) and (x^3, x^2 y, y^3) at
     p = 2, 3 and 32003."""
-    for spec, rank, gens in oracles.random_monomial_modules(3, 700, (1, 1, 2)):
-        F = resolve_module(monomial_elements(spec, gens, FreeModuleSpec((0,) * rank)))
+    for spec, _, gens in oracles.random_monomial_modules(3, 700, (1, 1, 2)):
+        F = resolve_module(monomial_elements(spec, gens))
         yield linear_part(F, spec)
     rng = random.Random(5)
     taylor = 0

@@ -69,21 +69,20 @@ class TestConstructGrBetti:
 
 
 class TestTensorKoszulBetti:
-    def test_zero_extra_vars(self):
-        b = BettiTable(((0, 0, 3), (1, 1, 2)))
-        assert tensor_koszul_betti(b, 0) == b
-
     def test_paper_example_3_3(self):
         b = BettiTable(((0, 0, 2), (1, 1, 1)))
-        assert tensor_koszul_betti(b, 1).entries == ((0, 0, 2), (1, 1, 3), (2, 2, 1))
+        assert tensor_koszul_betti(b).entries == ((0, 0, 2), (1, 1, 3), (2, 2, 1))
 
     def test_koszul_complex_itself(self):
         b = BettiTable(((0, 0, 1),))
-        assert tensor_koszul_betti(b, 2).entries == ((0, 0, 1), (1, 1, 2), (2, 2, 1))
+        # two new variables: extend twice
+        assert tensor_koszul_betti(tensor_koszul_betti(b)).entries == (
+            (0, 0, 1), (1, 1, 2), (2, 2, 1)
+        )
 
     def test_rejects_nondiagonal(self):
         with pytest.raises(ValueError):
-            tensor_koszul_betti(BettiTable(((0, 1, 1),)), 1)
+            tensor_koszul_betti(BettiTable(((0, 1, 1),)))
 
     def test_matches_totalized_complexes(self):
         # realized check: tensoring complexes multiplies twist-read tables
@@ -93,7 +92,7 @@ class TestTensorKoszulBetti:
         F = koszul_complex(R, [0, 1])
         table = F.betti_from_twists()
         Tot = totalize_tensor(F, koszul_complex(R, [2]))
-        assert tensor_koszul_betti(table, 1) == Tot.betti_from_twists()
+        assert tensor_koszul_betti(table) == Tot.betti_from_twists()
 
 
 class TestHorseshoeSum:

@@ -1,7 +1,8 @@
 """Every name a test or source module imports is used in it, every
 private module-level function or class of the package has a user in the
 package, every public module-level function and every public method of a
-package class has one or a listed reason to be public without one, and no
+package class has one or a listed reason to be public without one, every
+defaulted parameter of a public function is listed with its reason, and no
 module-level name is defined both in the package and in tests/oracles.py.
 
 The package's __init__.py is left out of the import check: its imports are
@@ -266,6 +267,71 @@ def test_benchmark_reasons_hold():
 
 def test_scanner_finds_called_names():
     assert called_names("a.b(c(1))\nd = e\nf\n") == {"b", "c"}
+
+
+def defaulted_parameters(sources: dict) -> list:
+    """"function.parameter" for each parameter with a default value of a
+    public module-level function or of a method of a public module-level
+    class ("Class.method.parameter").  Private functions, private classes
+    and parameters whose name starts with an underscore are left out."""
+    out = []
+    for text in sources.values():
+        for stmt in ast.parse(text).body:
+            if is_private(stmt):
+                continue
+            if isinstance(stmt, ast.ClassDef):
+                methods = [f for f in stmt.body if isinstance(f, ast.FunctionDef)]
+                defs = [(f"{stmt.name}.{f.name}", f) for f in methods]
+            else:
+                defs = [(stmt.name, stmt)] if isinstance(stmt, ast.FunctionDef) else []
+            for name, f in defs:
+                if is_private(f):
+                    continue
+                a = f.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+                ]
+                out.extend(f"{name}.{arg.arg}" for arg in defaulted if arg.arg[:1] != "_")
+    return sorted(out)
+
+
+# Every defaulted parameter of the package's public functions, each with
+# its reason; a new knob fails the test until it is listed here.
+BENCHMARK_PASSES = "the benchmark's workloads pass it"
+DEFAULTED_PARAMETERS = {
+    "resolve_module.minimize": BENCHMARK_PASSES,
+    "linear_part.spec": BENCHMARK_PASSES,
+    "betti_via_koszul.bound": BENCHMARK_PASSES,
+    "run_sweep.char": "the sweep command and perfbench/record_golden.py pass it",
+    "run_sweep.jobs": "the sweep command and perfbench/record_golden.py pass it",
+    "sweep_cases.char": "run_sweep passes the sweep's characteristic",
+    "ses_hilbert_check.char": "ses-check passes the ring's characteristic",
+    "pivots.stored": "the lin walk reads the lows back from it for clearing",
+    "main.argv": "the tests pass the arguments; the console script passes none",
+}
+
+
+def test_defaulted_parameters_are_listed():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert defaulted_parameters(sources) == sorted(DEFAULTED_PARAMETERS)
+    called = called_names((HERE.parent / "perfbench" / "workloads.py").read_text())
+    for name, reason in DEFAULTED_PARAMETERS.items():
+        assert reason != BENCHMARK_PASSES or name.split(".")[-2] in called, name
+
+
+def test_scanner_finds_defaulted_parameters():
+    sources = {
+        "a": (
+            "def f(a, b=1, *, c, d=2): pass\ndef g(a): pass\ndef _h(a=1): pass\n"
+            "def k(a, *, _private=False): pass\n"
+            "class K:\n    def __init__(self, x=0): pass\n    def m(self, y=None): pass\n"
+            "    def _n(self, z=1): pass\n"
+            "class _P:\n    def m(self, y=None): pass\n"
+            "def outer():\n    def inner(q=1): pass\n"
+        ),
+    }
+    assert defaulted_parameters(sources) == ["K.__init__.x", "K.m.y", "f.b", "f.d"]
 
 
 def module_level_names(source: str) -> set:

@@ -128,10 +128,7 @@ class TestIntegralInput:
             spec.label((1.7, (1, 0)))
         with pytest.raises(ValueError, match="component -1 is negative"):
             spec.label((-1, (1, 0)))
-        with pytest.raises(ValueError, match="component -2 is negative"):
-            spec.label((1, 0), -2)
         assert spec.label((np.int64(1), (1, 0))) == (1, (1, 0))
-        assert spec.label((1, 0), 2) == (2, (1, 0))
 
     def test_ord_context_components(self):
         # a negative component used to drop its generator from gr silently
@@ -188,7 +185,7 @@ class TestDegrees:
 class TestLabel:
     def test_plain_monomial_and_pair(self):
         assert W13.label((2, 1)) == (0, (2, 1))
-        assert W13.label([2, 1], 3) == (3, (2, 1))
+        assert W13.label([2, 1]) == (0, (2, 1))
         assert W13.label((1, [2, 1])) == (1, (2, 1))
 
     @pytest.mark.parametrize("bad", [(1, 2, 3), (1,), (0, (1, 2, 3)), (0, (1,))])
