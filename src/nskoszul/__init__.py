@@ -9,12 +9,7 @@ from .ring import (
     Monomial,
     RingSpec,
 )
-from .gb import (
-    InhomogeneousInput,
-    minimal_generators,
-    minimal_syzygies,
-    monomial_elements,
-)
+from .gb import NotMonomial, minimal_syzygies, monomial_elements
 from .complexes import (
     BettiTable,
     GradedFreeComplex,

@@ -23,7 +23,7 @@ errors (argparse default, bad ring descriptions, bad --bound, --char or
 --jobs, an --out or --emit-cas file that cannot be written, and --out and
 --emit-cas naming the same file, refused before any computation); 4
 internal failures (a non-minimal resolution, a degree window overrun,
-inhomogeneous generators, a resolution past its level cap, a linear part
+a non-monomial generator, a resolution past its level cap, a linear part
 with a multi-term entry, and any other exception that is not a
 ValueError), reported as "internal error (<ExceptionClass>): ...".  Exit 1
 is only ever a false verdict.
@@ -41,7 +41,7 @@ from .assoc_graded import OrdContext, gr_betti, gr_hilbert
 from .complexes import GradedFreeComplex, resolve_module
 from .construction import construct_gr_betti, layer_count, ses_hilbert_check
 from .egm import DegreeRangeError
-from .gb import InhomogeneousInput, monomial_elements
+from .gb import NotMonomial, monomial_elements
 from .koszul_check import (
     EXIT_FALSE,
     EXIT_OK,
@@ -62,7 +62,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 4
 
 # ValueErrors that are failures of the program; other ValueErrors are bad input.
-INTERNAL_ERRORS = (NotMinimal, DegreeRangeError, InhomogeneousInput)
+INTERNAL_ERRORS = (NotMinimal, DegreeRangeError, NotMonomial)
 
 
 class RingSpecParseError(ValueError):

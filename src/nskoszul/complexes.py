@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from . import modp
-from .gb import minimal_generators, minimal_syzygies
+from .gb import minimal_syzygies
 from .ring import DimensionMismatch, RingSpec
 
 
@@ -137,11 +137,12 @@ class GradedFreeComplex:
 
 
 def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
-    """Minimal free resolution of the submodule generated by homogeneous gens.
+    """Minimal free resolution of the submodule generated by the monomial
+    elements gens (gb.NotMonomial on any other).
 
-    Level 0 is a minimal generating set of gens (minimal_generators), and
-    each later level a minimal generating set of the Schreyer syzygies of
-    the level before (gb.minimal_syzygies), so the resolution is minimal
+    gb.minimal_syzygies builds it level by level: level 0 is a minimal
+    generating set of gens, and each later level a minimal generating set of
+    the Schreyer syzygies of the level before, so the resolution is minimal
     and, by Hilbert's syzygy theorem, ends within num_vars steps.  Only the
     minimal resolution is computed: minimize=False raises ValueError, and
     the keyword takes no other value.
@@ -165,7 +166,7 @@ def resolve_module(gens, minimize: bool = True) -> GradedFreeComplex:
     spec = gens[0].spec
     modules = []
     diffs = []
-    levels = minimal_syzygies(minimal_generators(gens))
+    levels = minimal_syzygies(gens)
     for _, (source, syz) in zip(range(spec.num_vars + 2), levels):
         modules.append(source)
         if not syz:

@@ -1,10 +1,11 @@
-"""Schreyer syzygies and minimal generators for submodules of twisted free
-modules over the weighted ring, kept packed from one resolution level to
-the next.
+"""Minimal free resolutions of monomial submodules of free modules over the
+weighted ring: Schreyer syzygies and minimal generators, kept packed from
+one resolution level to the next.
 
-The module order is position-over-term on top of weighted degrevlex.  The
-engine works on homogeneous inputs only; every module this package touches is
-graded, so inhomogeneous input is treated as an upstream bug.
+Every module this package resolves is a truncation of the weighted ring, a
+monomial module, so the input is monomial elements, one term each; any
+other element is refused with NotMonomial.  The module order is
+position-over-term on top of weighted degrevlex.
 
 Syzygies are computed with the classical variant of Buchberger's algorithm
 that carries representations: every working element carries its expression
@@ -40,60 +41,69 @@ order of the key (component, -weighted degree, reversed exponents) that the
 reference engine on tuple terms in the tests uses.  The reducers of each
 component are listed in index order and the first whose lead divides the
 term is taken: the lowest-index reducer, the one the reference finds by
-scanning every lead.  The chain
-criterion drops (i, j) when some third lead k of the same component
-divides the pair lcm and lcm(m_i, m_k) and lcm(m_k, m_j) both differ from
-it; lcm(m_i, m_k) differs from the lcm iff some field where m_i falls short
-also has m_k short, one AND of the two short masks.  A pair's degree is
-the sum of the fieldwise max of the two leads' weighted exponents, kept
-once per basis element.  Which pairs are dropped, the pair order
-(degree, i, j), and the order of every reduction fix the syzygy set, and
-through it the basis that the selection keeps.
+scanning every lead.  The chain criterion drops (i, j) when some third lead
+k of the same component divides the pair lcm and lcm(m_i, m_k) and
+lcm(m_k, m_j) both differ from it; lcm(m_i, m_k) differs from the lcm iff
+some field where m_i falls short also has m_k short, one AND of the two
+short masks.  A pair's degree is the sum of the fieldwise max of the two
+leads' weighted exponents, kept once per basis element.  Which pairs are
+dropped, the pair order (degree, i, j), and the order of every reduction
+fix the syzygy set, and through it the basis that the selection keeps.
 
-The selection of minimal generators (``_select``) runs on the same packed
-terms.  The syzygies are sorted by (degree, least packed term), which is
-(degree, component and reversed exponents of the lead), and each is kept
-iff it lies outside the graded span of those kept before it: one sparse
-column reduction (``modp.pivots``) per degree d, whose columns are every
-kept element of degree d_w times every monomial of degree d - d_w (its
-packed terms plus the packed monomial), then the candidates of degree d.
+A monomial module is multigraded: the generator x^m e_c sits at the
+multidegree (c, m), and giving each generator of a level the multidegree of
+its image makes every element the engine forms, and every syzygy,
+homogeneous for it.  Each element of a level carries its multidegree,
+packed like a term: for a generator the packed term itself, for a syzygy
+the multidegree of the generator its least term names plus that term's
+exponents.  The component part only keeps the ambient components apart.
+
+The selection of minimal generators (``_select``) runs on the packed terms.
+The elements of a level, sorted by (degree, least packed term), which is
+(degree, component and reversed exponents of the lead), are each kept iff
+they lie outside the graded span of those kept before them: one sparse
+column reduction (``modp.pivots``) per degree d, whose columns are
+x^(b - b_k) times each kept element k of lower degree, for each multidegree
+b of a candidate of degree d that k's multidegree b_k divides, then the
+candidates of degree d.  Every column and candidate is multihomogeneous, so
+a candidate lies in the span of the columns before it iff it lies in the
+span of those at its own multidegree: these columns keep what the products
+of the kept elements with every monomial of the missing degree would keep.
 The candidates kept are the column rank profile among them, and whether a
-column lies in the span of the columns before it does not depend on how
-the keys of the reduction are ordered; so packed ints as keys keep the
-same elements as (component, monomial) labels.  A span column is checked
-for a carry into a guard bit like every product of the engine.
+column lies in the span of the columns before it does not depend on how the
+keys of the reduction are ordered; so packed ints as keys keep the same
+elements as (component, monomial) labels.
 
-A level packs its inputs once, in the same pass that takes their degrees
-and rejects inhomogeneous ones (``_pack``); its syzygies are selected
-packed, and only the kept ones are unpacked, once each, for the
-differential.  They go into the next level's engine as they are, packed,
-with their degrees as its source twists.  The first fields are sized from
-the largest input exponent, with one value bit to spare.  A carry, in the
-engine or in a span column, means the fields are too narrow: the level
-starts over with fields twice as wide, its inputs repacked, and the levels
-after it keep the wider fields, so no exponent ever wraps into its
-neighbour.
+No packed sum carries into a guard bit.  Let L be the lcm of the
+generators.  Every generator's multidegree is at most L; an S-pair sits at
+the join of two multidegrees, and a reduction step or a span column at the
+multidegree of the element it changes or extends; so every multidegree of
+the resolution is at most L (they are the multidegrees of the lcm lattice:
+Gasharov, Peeva and Welker, Math. Res. Lett. 6, 1999), and so is every
+term's exponent vector.  The fields, sized once from the largest generator
+exponent, hold twice it plus one, so they hold L.  Each level checks that
+no kept multidegree has a guard bit set and raises RuntimeError otherwise,
+so a broken argument cannot turn into wrong output.  A level's kept
+elements are unpacked, once each, for the differential, and go into the
+next level's engine packed, with their degrees as its source twists.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import groupby
-from operator import mul
+from operator import itemgetter, mul
 
 from . import modp
-from .ring import FreeElement, FreeModuleSpec, RingSpec, monomials_of_wdeg
+from .ring import FreeElement, FreeModuleSpec, RingSpec
 
 
-class InhomogeneousInput(ValueError):
-    """A generator mixes weighted degrees; carries a per-term degree report."""
+class NotMonomial(ValueError):
+    """A generator of the module to resolve has more than one term."""
 
-    def __init__(self, index: int, degrees):
+    def __init__(self, index: int, terms: int):
         self.index = index
-        self.degrees = sorted(degrees)
-        super().__init__(
-            f"generator {index} is not homogeneous: term degrees {self.degrees}"
-        )
+        super().__init__(f"generator {index} is not a monomial: it has {terms} terms")
 
 
 def monomial_elements(spec: RingSpec, mons):
@@ -111,10 +121,6 @@ def monomial_elements(spec: RingSpec, mons):
 # packed terms
 
 
-class _Overflow(Exception):
-    """A packed product carried into a guard bit: the fields are too narrow."""
-
-
 class _Layout:
     """The packing of module terms for n variables in fields of width bits,
     the top bit of each field its guard bit."""
@@ -130,10 +136,8 @@ class _Layout:
     def pack(self, comp: int, m) -> int:
         t = comp
         for e in reversed(m):
-            if not 0 <= e <= self.field:
-                if e < 0:
-                    raise ValueError(f"negative exponent in {m}")
-                raise _Overflow
+            if e < 0:
+                raise ValueError(f"negative exponent in {m}")
             t = t << self.width | e
         return t
 
@@ -147,37 +151,6 @@ class _Layout:
         ge = ((a | guard) - b) & guard           # guard bits where a >= b
         mask = ge - (ge >> (self.width - 1))     # the value bits of those fields
         return b ^ ((a ^ b) & mask)
-
-
-def _first_layout(elements) -> _Layout:
-    """Fields with room for twice the largest exponent of the elements."""
-    top = max(max(m) for v in elements for _, m in v.coeffs)
-    return _Layout(elements[0].spec.num_vars, top.bit_length() + 2)
-
-
-def _wider(layout: _Layout) -> _Layout:
-    return _Layout(len(layout.shifts), 2 * layout.width - 1)
-
-
-def _pack(elements, layout: _Layout) -> list:
-    """Each element as (terms, degree): its packed (term, coefficient) pairs,
-    the lead first, and its weighted degree.  Raises InhomogeneousInput on
-    an element whose terms differ in degree."""
-    spec, ambient = elements[0].spec, elements[0].ambient
-    weights, twists = spec.weights, ambient.twists
-    out = []
-    for idx, v in enumerate(elements):
-        if v.spec != spec or v.ambient != ambient:
-            raise ValueError("generators live in different modules")
-        terms, degs = [], set()
-        for (c, m), coeff in v.coeffs.items():
-            degs.add(sum(map(mul, m, weights)) + twists[c])
-            terms.append((layout.pack(c, m), coeff))
-        if len(degs) > 1:
-            raise InhomogeneousInput(idx, degs)
-        terms.sort()                             # the lead first
-        out.append((terms, degs.pop()))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +261,6 @@ class _Engine:
             q = t - lead
             for t2, co in tails[k]:
                 t2 += q
-                if t2 & guard:
-                    raise _Overflow
                 old = work.get(t2)
                 nv = ((old or 0) - c * co) % p
                 if not nv:
@@ -300,8 +271,6 @@ class _Engine:
                 work[t2] = nv
             for t2, co in reps[k].items():
                 t2 += q
-                if t2 & guard:
-                    raise _Overflow
                 nv = (rep.get(t2, 0) - c * co) % p
                 if nv:
                     rep[t2] = nv
@@ -309,31 +278,20 @@ class _Engine:
                     del rep[t2]
         return remainder, rep
 
-    def _times(self, terms, q: int) -> dict:
-        """The (term, coefficient) pairs terms multiplied by the packed
-        monomial q, as a dict in the same order."""
-        guard = self.layout.guard
-        out = {}
-        for t, c in terms:
-            t += q
-            if t & guard:
-                raise _Overflow
-            out[t] = c
-        return out
-
     def run(self):
         p = self.p
-        leads = self.leads
+        leads, tails, reps = self.leads, self.tails, self.reps
         while self.pairs:
             deg, i, j, lcm = heapq.heappop(self.pairs)
             if self._chain_skip(i, j, lcm):
                 continue
             # the S-polynomial without its lead, which cancels
             qi, qj = lcm - leads[i], lcm - leads[j]
-            work = self._times(self.tails[i], qi)
-            rep = self._times(self.reps[i].items(), qi)
-            for acc, terms in ((work, self.tails[j]), (rep, self.reps[j].items())):
-                for t, c in self._times(terms, qj).items():
+            work = {t + qi: c for t, c in tails[i]}
+            rep = {t + qi: c for t, c in reps[i].items()}
+            for acc, terms in ((work, tails[j]), (rep, reps[j].items())):
+                for t, c in terms:
+                    t += qj
                     c = (acc.get(t, 0) - c) % p
                     if c:
                         acc[t] = c
@@ -347,81 +305,55 @@ class _Engine:
                 self.syzygies.append((rep, deg))
 
 
-def _sort_key(element):
-    """(degree, lead) of a (rep, degree) pair: the lead of a homogeneous rep
-    is its least packed term."""
-    rep, deg = element
-    return deg, min(rep)
-
-
 # ---------------------------------------------------------------------------
 # minimal generators
 
 
-def _select(spec: RingSpec, layout: _Layout, elements) -> list:
-    """Indices of the elements that a minimal generating set keeps.
+def _select(p: int, layout: _Layout, elements) -> list:
+    """The elements that a minimal generating set keeps, in order.
 
-    elements lists (rep, degree) pairs, rep a dict from packed term to
-    coefficient, sorted by (degree, least packed term).  An element is kept
-    iff it lies outside the graded span of those kept before it, multiples
-    included: one sparse column reduction per degree.  By graded Nakayama
-    the kept elements generate what all of them generate, minimally.
-    Raises _Overflow when a span column carries into a guard bit.
+    elements lists (degree, lead, rep, multidegree) per candidate, rep a
+    dict from packed term to coefficient, lead its least packed term, and
+    the multidegree packed like a term.  They are sorted by (degree, lead),
+    and each is kept iff it lies outside the graded span of those kept
+    before it, multiples included: one sparse column reduction per degree,
+    the span columns only at the candidates' multidegrees.  By graded
+    Nakayama the kept elements generate what all of them generate,
+    minimally.  Raises RuntimeError when a kept multidegree has a guard bit
+    set: the fields are too narrow for it.
     """
     guard = layout.guard
-    shifts = {}      # degree e -> the packed monomials of weighted degree e
+    same = guard | (-1 << layout.shift)    # the guard bits and the component
+    elements = sorted(elements, key=itemgetter(0, 1))
     kept = []
-    for d, group in groupby(range(len(elements)), key=lambda k: elements[k][1]):
-        columns = []
-        for k in kept:
-            rep, dk = elements[k]
-            qs = shifts.get(d - dk)
-            if qs is None:
-                qs = [layout.pack(0, m) for m in monomials_of_wdeg(spec, d - dk)]
-                shifts[d - dk] = qs
-            for q in qs:
-                column = {t + q: c for t, c in rep.items()}
-                if any(t & guard for t in column):
-                    raise _Overflow
-                columns.append(column)
+    for _, group in groupby(elements, key=itemgetter(0)):
         group = list(group)
+        targets = {b for *_, b in group}
+        columns = []
+        for _, _, rep, bk in kept:
+            for b in targets:
+                q = (b | guard) - bk
+                if q & same == guard:            # bk divides b, same component
+                    q ^= guard
+                    columns.append({t + q: c for t, c in rep.items()})
         base = len(columns)
-        independent = modp.pivots(columns + [elements[k][0] for k in group], spec.char)
+        independent = modp.pivots(columns + [rep for _, _, rep, _ in group], p)
         kept.extend(group[i - base] for i in independent if i >= base)
+    if any(b & guard for *_, b in kept):
+        raise RuntimeError("a multidegree reached a guard bit: the fields are too narrow")
     return kept
 
 
-def minimal_generators(elements):
-    """Prune a homogeneous generating set to a minimal one.
-
-    Candidates are processed in ascending degree, then by lead term; each is
-    kept iff it falls outside the graded span of everything kept so far
-    (multiples included), decided on packed terms by ``_select``.  Returns
-    the kept elements themselves, in that order.  By graded Nakayama the
-    survivors are a minimal generating set.
-    """
-    elements = [v for v in elements if v]
-    if not elements:
-        return []
-    layout = _first_layout(elements)
-    while True:
-        try:
-            packed = [(dict(terms), d) for terms, d in _pack(elements, layout)]
-            order = sorted(range(len(packed)), key=lambda k: _sort_key(packed[k]))
-            kept = _select(elements[0].spec, layout, [packed[k] for k in order])
-            return [elements[order[k]] for k in kept]
-        except _Overflow:
-            layout = _wider(layout)
-
-
 def minimal_syzygies(gens):
-    """The minimal free resolution of the submodule gens generate, level by
-    level.
+    """The minimal free resolution of the submodule that the monomial
+    elements gens generate, level by level.
 
-    gens must be a minimal generating set (``minimal_generators``).  Yields
-    (source, columns) per level, the first for gens: source is the free
-    module on the level's generators, its twists their degrees, and columns
-    the minimal generators of their syzygy module, each a dict from
+    The elements share one free module, and each has one term; a zero
+    element is left out, and any other raises NotMonomial.  Level 0 is a
+    minimal generating set of gens, selected like the syzygies of every
+    later level.  Yields (source, columns) per level: source is the free
+    module on the level's minimal generators, its twists their degrees, and
+    columns the minimal generators of their syzygy module, each a dict from
     (component, exponents) to coefficient, the component an index into the
     level's generators.  The columns are the next level's generators; the
     last level yielded has no columns.
@@ -429,27 +361,33 @@ def minimal_syzygies(gens):
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    spec, twists = gens[0].spec, gens[0].ambient.twists
-    layout = _first_layout(gens)
-    inputs = _pack(gens, layout)
+    spec, ambient = gens[0].spec, gens[0].ambient
+    for idx, v in enumerate(gens):
+        if v.spec != spec or v.ambient != ambient:
+            raise ValueError("generators live in different modules")
+        if len(v.coeffs) > 1:
+            raise NotMonomial(idx, len(v.coeffs))
+    top = max(max(m) for v in gens for _, m in v.coeffs)
+    layout = _Layout(spec.num_vars, top.bit_length() + 2)
+    shift, unpack = layout.shift, layout.unpack
+    fields = (1 << shift) - 1
+    weights, twists = spec.weights, ambient.twists
+    level = []
+    for v in gens:
+        ((c, m), coeff), = v.coeffs.items()
+        t = layout.pack(c, m)
+        level.append((sum(map(mul, m, weights)) + twists[c], t, {t: coeff}, t))
+    kept = _select(spec.char, layout, level)
     while True:
-        while True:
-            try:
-                eng = _Engine(spec, twists, inputs, layout)
-                eng.run()
-                syz = sorted(eng.syzygies, key=_sort_key)
-                kept = [syz[k] for k in _select(spec, layout, syz)]
-                break
-            except _Overflow:
-                wider = _wider(layout)
-                inputs = [
-                    ([(wider.pack(*layout.unpack(t)), c) for t, c in terms], d)
-                    for terms, d in inputs
-                ]
-                layout = wider
-        unpack = layout.unpack
-        yield eng.source, [{unpack(t): c for t, c in rep.items()} for rep, _ in kept]
+        eng = _Engine(spec, twists, [(sorted(rep.items()), d) for d, _, rep, _ in kept], layout)
+        eng.run()
+        mdegs = [b for *_, b in kept]
+        level = []
+        for rep, d in eng.syzygies:
+            lead = min(rep)
+            level.append((d, lead, rep, mdegs[lead >> shift] + (lead & fields)))
+        kept = _select(spec.char, layout, level)
+        yield eng.source, [{unpack(t): c for t, c in rep.items()} for _, _, rep, _ in kept]
         if not kept:
             return
         twists = eng.source.twists
-        inputs = [(sorted(rep.items()), d) for rep, d in kept]

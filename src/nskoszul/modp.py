@@ -1,8 +1,8 @@
 """Sparse column reduction over prime fields.
 
 One elimination serves every rank the package takes: the lin grid walk's
-slice blocks, the graded spans of ``gb.minimal_generators`` and the Koszul
-strands.  A column is a dict from a key to a coefficient; any totally
+slice blocks, the graded spans of each resolution level's minimal-generator
+selection (``gb.minimal_syzygies``) and the Koszul strands.  A column is a dict from a key to a coefficient; any totally
 ordered keys work (row indices, or (component, monomial) labels).
 Coefficients are read mod p.  Each column is reduced by the stored column
 with the same largest key until its largest key is new, and what is left is

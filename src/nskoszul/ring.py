@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 Monomial = tuple  # exponent vector, one entry per variable
 
@@ -218,27 +217,6 @@ class RingSpec:
             else:
                 parts.append(f"{c}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-@lru_cache(maxsize=None)
-def monomials_of_wdeg(spec: RingSpec, d: int) -> tuple:
-    """All monomials of weighted degree exactly d, descending lexicographic."""
-    if d < 0:
-        return ()
-    out = []
-
-    def rec(i: int, rem: int, prefix: tuple):
-        if i == spec.num_vars - 1:
-            w = spec.weights[i]
-            if rem % w == 0:
-                out.append(prefix + (rem // w,))
-            return
-        w = spec.weights[i]
-        for e in range(rem // w, -1, -1):
-            rec(i + 1, rem - e * w, prefix + (e,))
-
-    rec(0, d, ())
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,13 @@ entries by row, and ``add_multiple`` adds a multiple of one column to another.
 ``syzygies_reference`` runs the syzygy engine as it was before it packed
 its terms into ints, on (component, exponent tuple) terms: the whole
 syzygy set of one run of the packed engine, ``syzygies`` here (the seam
-over ``gb._Engine``; ``record_engine_runs`` records the runs of a
-resolution), must be the same list in the same order.
-``minimal_generators_reference`` is the minimal-generator selection on
-(component, monomial) labels, as it was before it ran on packed terms:
-``gb.minimal_generators`` and each level of ``gb.minimal_syzygies`` must
-keep the same elements in the same order.
+over ``gb._Engine``, which packs any homogeneous elements;
+``record_engine_runs`` records the runs of a resolution), must be the
+same list in the same order.  ``minimal_generators_reference`` is the
+minimal-generator selection on (component, monomial) labels over whole
+graded pieces (``monomials_of_wdeg``): each level of
+``gb.minimal_syzygies``, which spans only the candidates' multidegrees,
+must keep the same elements in the same order.
 ``reduce_max_scan`` is the engines' reduction with the largest term found
 by a scan of every remaining term, the reference for the heap order of the
 packed engine's reduction.
@@ -64,7 +65,6 @@ from nskoszul.assoc_graded import OrdContext
 from nskoszul.complexes import BettiTable, GradedFreeComplex, _multidegree_blocks
 from nskoszul.construction import construct_gr_betti
 from nskoszul.egm import DegreeRangeError, ExplicitGradedModule, _array_module
-from nskoszul.gb import InhomogeneousInput
 from nskoszul.ring import (
     DimensionMismatch,
     FreeElement,
@@ -72,10 +72,30 @@ from nskoszul.ring import (
     RingSpec,
     mon_divides,
     mon_lcm,
-    monomials_of_wdeg,
     term_key,
 )
 from nskoszul.truncation import trunc_gens
+
+
+@lru_cache(maxsize=None)
+def monomials_of_wdeg(spec: RingSpec, d: int) -> tuple:
+    """All monomials of weighted degree exactly d, descending lexicographic."""
+    if d < 0:
+        return ()
+    out = []
+
+    def rec(i: int, rem: int, prefix: tuple):
+        if i == spec.num_vars - 1:
+            w = spec.weights[i]
+            if rem % w == 0:
+                out.append(prefix + (rem // w,))
+            return
+        w = spec.weights[i]
+        for e in range(rem // w, -1, -1):
+            rec(i + 1, rem - e * w, prefix + (e,))
+
+    rec(0, d, ())
+    return tuple(out)
 
 
 def pivots_mod(mat, p: int) -> list:
@@ -1081,6 +1101,15 @@ def element_sort_key(v: FreeElement, deg: int):
     return (deg, *min((c, m[::-1]) for c, m in v.coeffs))
 
 
+class InhomogeneousInput(ValueError):
+    """An element mixes weighted degrees; carries a per-term degree report."""
+
+    def __init__(self, index: int, degrees):
+        self.index = index
+        self.degrees = sorted(degrees)
+        super().__init__(f"generator {index} is not homogeneous: term degrees {self.degrees}")
+
+
 def _degrees(elements) -> list:
     """The weighted degree of each element; raises InhomogeneousInput on one
     whose terms differ in degree."""
@@ -1099,14 +1128,24 @@ def _degrees(elements) -> list:
 
 def engine_syzygies(eng, spec: RingSpec):
     """The syzygies a finished gb._Engine hands to the selection, unpacked:
-    (elements, source), sorted by (degree, lead term)."""
+    (elements, source), sorted by (degree, lead term), the lead of a
+    homogeneous rep being its least packed term."""
     unpack = eng.layout.unpack
-    syz = sorted(eng.syzygies, key=gb._sort_key)
+    syz = sorted(eng.syzygies, key=lambda s: (s[1], min(s[0])))
     out = [
         FreeElement(spec, eng.source, {unpack(t): c for t, c in rep.items()}, _clean=True)
         for rep, _ in syz
     ]
     return out, eng.source
+
+
+def engine_inputs(gens, layout) -> list:
+    """The homogeneous elements gens as gb._Engine takes them: per element
+    its packed (term, coefficient) pairs, the lead first, and its degree."""
+    return [
+        (sorted((layout.pack(c, m), coeff) for (c, m), coeff in g.coeffs.items()), d)
+        for g, d in zip(gens, _degrees(gens))
+    ]
 
 
 def syzygies(gens):
@@ -1115,35 +1154,31 @@ def syzygies(gens):
 
     Returns (elements, source) where source is the free module on the inputs
     (generator degrees = degrees of the inputs) and the elements generate the
-    kernel of source -> ambient.  The fields start as a resolution level's
-    first fields do and widen the same way on a carry.
+    kernel of source -> ambient.  The fields are sized as
+    gb.minimal_syzygies sizes them, for twice the largest input exponent;
+    a general element can need wider ones, which nothing checks here.
     """
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("need at least one nonzero generator")
     spec = gens[0].spec
-    layout = gb._first_layout(gens)
-    while True:
-        try:
-            eng = gb._Engine(spec, gens[0].ambient.twists, gb._pack(gens, layout), layout)
-            eng.run()
-            return engine_syzygies(eng, spec)
-        except gb._Overflow:
-            layout = gb._wider(layout)
+    top = max(max(m) for g in gens for _, m in g.coeffs)
+    layout = gb._Layout(spec.num_vars, top.bit_length() + 2)
+    eng = gb._Engine(spec, gens[0].ambient.twists, engine_inputs(gens, layout), layout)
+    eng.run()
+    return engine_syzygies(eng, spec)
 
 
-def record_engine_runs(monkeypatch) -> dict:
+def record_engine_runs(monkeypatch) -> list:
     """Wrap gb._Engine so that every run it finishes is recorded.
 
-    Returns a dict, filled as the runs finish, from each run's inputs to
-    (gens, syzygies, source): gens the inputs as FreeElements, and
-    (syzygies, source) what syzygies(gens) returns.  A level that starts
-    over with wider fields runs again on the same inputs and its record
-    replaces the first, so after one resolution the dict holds one record
-    per level, in the order of the levels.  Levels of two resolutions can
-    run on the same inputs: clear the dict between resolutions.
+    Returns a list, filled as the runs finish, of (gens, syzygies, source)
+    per run: gens the inputs as FreeElements, and (syzygies, source) what
+    syzygies(gens) returns.  A resolution runs the engine once per level,
+    so after one resolution the list holds one record per level, in the
+    order of the levels; clear it between resolutions.
     """
-    runs = {}
+    runs = []
 
     class Recording(gb._Engine):
         def __init__(self, spec, twists, inputs, layout):
@@ -1157,22 +1192,24 @@ def record_engine_runs(monkeypatch) -> dict:
 
         def run(self):
             super().run()
-            key = (self.spec, self.twists, tuple(tuple(g.coeffs.items()) for g in self.gens))
-            runs[key] = (self.gens, *engine_syzygies(self, self.spec))
+            runs.append((self.gens, *engine_syzygies(self, self.spec)))
 
     monkeypatch.setattr(gb, "_Engine", Recording)
     return runs
 
 
 def minimal_generators_reference(elements):
-    """gb.minimal_generators on (component, monomial) labels: the selection
-    as it was before it ran on packed terms, the reference the packed one
-    must equal.
+    """The minimal-generator selection on (component, monomial) labels and
+    graded spans, the reference for the multigraded one on packed terms
+    that each level of gb.minimal_syzygies makes.
 
     Candidates are processed in ascending degree; each is kept iff it falls
     outside the graded span of everything kept so far (multiples included),
     decided by one sparse column reduction per degree over the coefficient
-    field, the columns keyed by (component, monomial) label.
+    field, the columns keyed by (component, monomial) label: every kept
+    element times every monomial of the degree it lacks
+    (monomials_of_wdeg), whatever its multidegree.  It takes any
+    homogeneous elements and raises InhomogeneousInput on others.
     """
     elements = [v for v in elements if v]
     if not elements:

@@ -21,7 +21,7 @@ from nskoszul.construction import construct_gr_betti, ses_hilbert_check
 from nskoszul.egm import betti_via_koszul
 from nskoszul.gb import monomial_elements
 from nskoszul.koszul_check import koszul_verdict, linear_part, lin_acyclicity
-from nskoszul.ring import RingSpec, monomials_of_wdeg
+from nskoszul.ring import RingSpec
 from nskoszul.sweep import rows_to_csv, rows_to_dicts, run_sweep
 from nskoszul.truncation import trunc_gens
 
@@ -306,7 +306,7 @@ def weighted_hilbert_identity(spec, e, table) -> bool:
     for the weighted Betti table of a resolution of the degree >= e
     truncation, compared up to past its top degree."""
     top = max(j for _, j, _ in table.entries) + sum(spec.weights) + 1
-    hilb = [len(monomials_of_wdeg(spec, d)) if d >= e else 0 for d in range(top + 1)]
+    hilb = [len(oracles.monomials_of_wdeg(spec, d)) if d >= e else 0 for d in range(top + 1)]
     rhs = oracles.truncated_series_product(
         hilb, oracles.one_minus_t_powers(spec.weights, top), top
     )

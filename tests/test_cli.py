@@ -21,7 +21,7 @@ from nskoszul.cli import (
 )
 from nskoszul.complexes import GradedFreeComplex, resolve_module
 from nskoszul.egm import DegreeRangeError
-from nskoszul.gb import InhomogeneousInput, monomial_elements
+from nskoszul.gb import NotMonomial, monomial_elements
 from nskoszul.koszul_check import (
     EXIT_FALSE,
     EXIT_OK,
@@ -125,7 +125,7 @@ class TestSubcommands:
         ],
     )
     def test_resolve_differentials_bytes(self, ring, e, digest, capsys):
-        # the differentials show which syzygies minimal_generators kept, so a
+        # the differentials show which syzygies each level kept, so a
         # change of basis or of sort order changes these bytes
         argv = ["resolve", "--ring", ring, "--e", str(e), "--format", "json"]
         assert main(argv + ["--show-differentials"]) == EXIT_OK
@@ -179,7 +179,7 @@ class TestSubcommands:
         spec = parse_ring_spec(ring)
         L = linear_part(resolve_module(monomial_elements(spec, trunc_gens(spec, e))), spec)
         syz_hash = hashlib.sha256()
-        for _, out, source in runs.values():
+        for _, out, source in runs:
             syz_hash.update(f"{source.twists}: {out!r}\n".encode())
         lin_hash = hashlib.sha256(repr([m.twists for m in L.modules]).encode())
         for mat in cli.differential_strings(L):
@@ -642,7 +642,7 @@ class TestInternalErrors:
         [
             ("linear_part", NotMinimal("unit entry in d_2 at (0, 0)"), ["lin-check"]),
             ("gr_betti", DegreeRangeError("degree 9 beyond stored bound 8"), ["gr-betti"]),
-            ("resolve_module", InhomogeneousInput(0, {2, 3}), ["resolve"]),
+            ("resolve_module", NotMonomial(0, 2), ["resolve"]),
             # not a ValueError: never exit 1, which means a false verdict
             ("gr_betti", KeyError((0, (1, 2))), ["gr-betti"]),
             ("gr_betti", IndexError("list index out of range"), ["gr-betti"]),
@@ -668,6 +668,18 @@ class TestInternalErrors:
             monkeypatch.setattr(module, "linear_part", lambda F, spec=None: L)
         assert main([command, "--ring", "x=1,y=3", "--e", "5"]) == EXIT_INTERNAL
         assert capsys.readouterr().err.startswith("internal error (NoFiniteDecision): ")
+
+    def test_fields_too_narrow_for_the_lcm(self, monkeypatch, capsys):
+        # two bits narrower, the fields no longer hold x^5, the lcm's
+        # exponent of x: the first level's check refuses the kept x^5
+        class Narrow(gb._Layout):
+            def __init__(self, n, width):
+                super().__init__(n, width - 2)
+
+        monkeypatch.setattr(gb, "_Layout", Narrow)
+        assert main(["resolve", "--ring", "x=1,y=3", "--e", "5"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("internal error (RuntimeError): a multidegree reached a guard bit")
 
     def test_resolution_level_cap(self, monkeypatch, capsys):
         # syzygies that never run out drive resolve_module into its level cap:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from oracles import mon_mul
+from oracles import mon_mul, monomials_of_wdeg
 from nskoszul.assoc_graded import OrdContext, gr_betti, gr_hilbert, gr_module
 from nskoszul.construction import construct_gr_betti, ses_hilbert_check
 from nskoszul.egm import betti_via_koszul
@@ -17,7 +17,6 @@ from nskoszul.ring import (
     grevlex_key,
     is_prime,
     mon_lcm,
-    monomials_of_wdeg,
 )
 from nskoszul.truncation import trunc_gens
 

@@ -3,9 +3,9 @@ from itertools import product
 
 import pytest
 
-from nskoszul.ring import RingSpec, mon_divides, monomials_of_wdeg
+from nskoszul.ring import RingSpec, mon_divides
 from nskoszul.truncation import filtration_layer, minimalize_monomials, trunc_gens
-from oracles import mon_mul, trunc_free_gens
+from oracles import mon_mul, monomials_of_wdeg, trunc_free_gens
 
 W13 = RingSpec((1, 3), ("x", "y"))
 W14 = RingSpec((1, 4), ("x", "y"))
