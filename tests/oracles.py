@@ -1155,8 +1155,9 @@ def syzygies(gens):
     Returns (elements, source) where source is the free module on the inputs
     (generator degrees = degrees of the inputs) and the elements generate the
     kernel of source -> ambient.  The fields are sized as
-    gb.minimal_syzygies sizes them, for twice the largest input exponent;
-    a general element can need wider ones, which nothing checks here.
+    gb.minimal_syzygies sizes them, for twice the largest input exponent.
+    A general element can outgrow them; the tests that pass one compare
+    the result with an independent computation.
     """
     gens = [g for g in gens if g]
     if not gens:
