@@ -30,7 +30,10 @@ the source module (input index, exponents) is packed the same way.  So:
   fields where the guard bit of the same subtraction survives;
 - with y = (lcm | G) - m for a divisor m of the lcm, the guard bits of
   ``y - ONES`` (ONES has a 1 at the bottom of each field) mark the fields
-  where m falls short of the lcm.
+  where m falls short of the lcm;
+- subtracting from lcm | G the lowest bit of a field where some divisor
+  falls short of the lcm, or of two such fields, clears no guard bit: the
+  lcm's exponent there is at least 1, so nothing borrows.
 
 Reduction pops the largest remaining term from a heap of the packed terms.
 Every term of one component of a homogeneous element has the same weighted
@@ -41,12 +44,31 @@ order of the key (component, -weighted degree, reversed exponents) that the
 reference engine on tuple terms in the tests uses.  The reducers of each
 component are listed in index order and the first whose lead divides the
 term is taken: the lowest-index reducer, the one the reference finds by
-scanning every lead.  The chain criterion drops (i, j) when some third lead
-k of the same component divides the pair lcm and lcm(m_i, m_k) and
-lcm(m_k, m_j) both differ from it; lcm(m_i, m_k) differs from the lcm iff
-some field where m_i falls short also has m_k short, one AND of the two
-short masks.  A pair's degree is the sum of the fieldwise max of the two
-leads' weighted exponents, kept once per basis element.  Which pairs are
+scanning every lead.
+
+The chain criterion (Buchberger; Gebauer and Moeller, J. Symb. Comput. 6,
+1988) drops (i, j) when some third lead m_k of the same component divides
+l = lcm(m_i, m_j) while lcm(m_i, m_k) and lcm(m_k, m_j) both differ from
+l.  The engine decides it as membership in the ideal of the component's
+leads: with S_i the fields where m_i falls short of l, and S_j those where
+m_j does, it drops (i, j) iff l - e_f - e_g lies in that ideal for some f
+in S_i and g in S_j.  Proof: for a divisor m_k of l, lcm(m_i, m_k) differs
+from l iff m_k falls short of l at a field of S_i, and likewise for j; S_i
+and S_j are disjoint, since at each field m_i or m_j reaches l; so such an
+m_k divides l - e_f - e_g for some f in S_i and g in S_j, and a lead that
+divides l - e_f - e_g divides l and falls short at f and at g.  Neither m_i
+(which reaches l at g) nor m_j (at f) divides it, so k is a third lead
+without a test.  That is at most n^2/4 queries per pair; the answers are
+stored per component, and the store is emptied when a lead joins it.
+
+A pair is decided when it is formed: the pairs of the inputs once all of
+them are in, those of an element that run() adds as it adds it.  Only the
+pairs kept go on the heap, each with the number of leads its component had
+then, and a popped pair is decided again only if that number has grown.
+The lead ideal only grows, so a dropped pair would be dropped at its pop
+too, and every pair reaches the reduction iff the criterion on the leads at
+its pop keeps it.  A pair's degree is its component's twist plus the
+weighted degree of l, read from a table by l's fields.  Which pairs are
 dropped, the pair order (degree, i, j), and the order of every reduction
 fix the syzygy set, and through it the basis that the selection keeps.
 
@@ -84,8 +106,10 @@ term's exponent vector.  The fields, sized once from the largest generator
 exponent, hold twice it plus one, so they hold L.  Each level checks that
 no kept multidegree has a guard bit set and raises RuntimeError otherwise,
 so a broken argument cannot turn into wrong output.  A level's kept
-elements are unpacked, once each, for the differential, and go into the
-next level's engine packed, with their degrees as its source twists.
+elements are unpacked, once each, for the differential, their exponents
+read from a table by their fields that lives as long as the layout, one
+resolution; they go into the next level's engine packed, with their
+degrees as its source twists.
 """
 
 from __future__ import annotations
@@ -121,17 +145,33 @@ def monomial_elements(spec: RingSpec, mons):
 # packed terms
 
 
+class _Table(dict):
+    """A dict that fills a missing key k with fill(k) on first lookup."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class _Layout:
     """The packing of module terms for n variables in fields of width bits,
-    the top bit of each field its guard bit."""
+    the top bit of each field its guard bit.  The exponent tuples of the
+    fields of unpacked terms are kept in a table (exps) for the layout's
+    lifetime, one resolution."""
 
     def __init__(self, n: int, width: int):
         self.width = width
         self.shifts = tuple(range(0, n * width, width))
         self.shift = n * width                   # the component's place
+        self.fields = (1 << self.shift) - 1      # every bit below it
         self.field = (1 << (width - 1)) - 1      # the value bits of a field
         self.guard = sum(1 << (s + width - 1) for s in self.shifts)
         self.ones = sum(1 << s for s in self.shifts)
+        field, shifts = self.field, self.shifts
+        self.exps = _Table(lambda f: tuple(f >> s & field for s in shifts))
 
     def pack(self, comp: int, m) -> int:
         t = comp
@@ -142,15 +182,7 @@ class _Layout:
         return t
 
     def unpack(self, t: int):
-        field = self.field
-        return t >> self.shift, tuple(t >> s & field for s in self.shifts)
-
-    def lcm(self, a: int, b: int) -> int:
-        """The lcm of two packed terms of one component: fieldwise max."""
-        guard = self.guard
-        ge = ((a | guard) - b) & guard           # guard bits where a >= b
-        mask = ge - (ge >> (self.width - 1))     # the value bits of those fields
-        return b ^ ((a ^ b) & mask)
+        return t >> self.shift, self.exps[t & self.fields]
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +203,26 @@ class _Engine:
     def __init__(self, spec: RingSpec, twists: tuple, inputs, layout: _Layout):
         self.layout = layout
         self.p = spec.char
-        self.weights = spec.weights
         self.twists = twists
         self.source = FreeModuleSpec(tuple(d for _, d in inputs))
         self.leads = []
         self.tails = []
         self.reps = []
-        self.wexps = []          # the weighted exponents of leads[k]
         self.by_comp = {}        # component -> [(k, leads[k])], k ascending
+        self.members = {}        # component -> {query: in its lead ideal?}
         self.syzygies = []       # (rep, degree) pairs
-        self.pairs = []          # heap of (degree, i, j, packed lcm)
+        weights, exps = spec.weights, layout.exps
+        self.wdeg = _Table(lambda f: sum(map(mul, exps[f], weights)))
         shift = layout.shift
         for j, (terms, _) in enumerate(inputs):
-            self._insert(terms, {j << shift: 1})
+            self._add(terms, {j << shift: 1})
+        # heap of the pairs kept, each decided once all inputs are in
+        self.pairs = [pair for k in range(len(self.leads)) for pair in self._pairs(k)]
+        heapq.heapify(self.pairs)
 
-    def _insert(self, terms, rep):
+    def _add(self, terms, rep) -> int:
         """Add the element with packed terms (lead first) and expression rep,
-        scaled to be monic, and queue its pairs."""
+        scaled to be monic, to the basis; returns its index."""
         lead, coeff = terms[0]
         tail = terms[1:]
         if coeff != 1:
@@ -199,32 +234,59 @@ class _Engine:
         self.leads.append(lead)
         self.tails.append(tail)
         self.reps.append(rep)
-        comp, exps = self.layout.unpack(lead)
-        wexp = tuple(map(mul, exps, self.weights))
-        self.wexps.append(wexp)
-        same = self.by_comp.setdefault(comp, [])
-        twist = self.twists[comp]
-        lcm, wexps = self.layout.lcm, self.wexps
+        comp = lead >> self.layout.shift
+        self.by_comp.setdefault(comp, []).append((k, lead))
+        self.members[comp] = {}
+        return k
+
+    def _pairs(self, k: int):
+        """The pairs (i, k), i < k in the component of lead k, that the
+        chain criterion keeps against the leads there now, as heap entries
+        (degree, i, k, packed lcm, number of leads in the component)."""
+        layout = self.layout
+        guard, low = layout.guard, layout.width - 1
+        lead = self.leads[k]
+        comp = lead >> layout.shift
+        same = self.by_comp[comp]
+        twist, fields, wdeg, count = self.twists[comp], layout.fields, self.wdeg, len(same)
         for i, mi in same:
-            deg = sum(map(max, wexps[i], wexp)) + twist
-            heapq.heappush(self.pairs, (deg, i, k, lcm(mi, lead)))
-        same.append((k, lead))
+            if i == k:
+                return
+            ge = ((mi | guard) - lead) & guard   # guard bits where mi >= lead
+            lcm = lead ^ ((mi ^ lead) & (ge - (ge >> low)))
+            if not self._chain_skip(i, k, lcm):
+                yield wdeg[lcm & fields] + twist, i, k, lcm, count
 
     def _chain_skip(self, i: int, j: int, lcm: int) -> bool:
-        # Safe chain criterion: drop (i, j) only when some third lead divides
-        # the pair lcm and both sub-lcms are proper divisors, so the induction
-        # on lcm degree stands regardless of processing order.  lcm(mi, mk)
-        # is proper iff some field of both mi and mk falls short of the lcm.
-        guard = self.layout.guard
-        ones = self.layout.ones
+        # The chain criterion as lead-ideal membership (module docstring):
+        # drop (i, j) iff lcm - e_f - e_g lies in the ideal of the
+        # component's leads for a field f where mi falls short of the lcm
+        # and a field g where mj does.
+        layout = self.layout
+        guard, low = layout.guard, layout.width - 1
         top = lcm | guard
-        short_i = (top - self.leads[i] - ones) & guard
-        short_j = (top - self.leads[j] - ones) & guard
-        for k, mk in self.by_comp[lcm >> self.layout.shift]:
-            y = top - mk
-            if y & guard == guard and k != i and k != j:
-                short_k = (y - ones) & guard
-                if short_k & short_i and short_k & short_j:
+        short_i = (top - self.leads[i] - layout.ones) & guard
+        short_j = (top - self.leads[j] - layout.ones) & guard
+        comp = lcm >> layout.shift
+        members, same = self.members[comp], self.by_comp[comp]
+        while short_i:
+            f = short_i & -short_i
+            short_i ^= f
+            below = top - (f >> low)
+            rest = short_j
+            while rest:
+                g = rest & -rest
+                rest ^= g
+                q = below - (g >> low)
+                hit = members.get(q)
+                if hit is None:
+                    hit = False
+                    for _, mk in same:
+                        if (q - mk) & guard == guard:
+                            hit = True
+                            break
+                    members[q] = hit
+                if hit:
                     return True
         return False
 
@@ -280,10 +342,12 @@ class _Engine:
 
     def run(self):
         p = self.p
-        leads, tails, reps = self.leads, self.tails, self.reps
-        while self.pairs:
-            deg, i, j, lcm = heapq.heappop(self.pairs)
-            if self._chain_skip(i, j, lcm):
+        leads, tails, reps, by_comp = self.leads, self.tails, self.reps, self.by_comp
+        pairs, shift = self.pairs, self.layout.shift
+        while pairs:
+            deg, i, j, lcm, count = heapq.heappop(pairs)
+            # decided when formed: again only if its component gained a lead
+            if len(by_comp[lcm >> shift]) != count and self._chain_skip(i, j, lcm):
                 continue
             # the S-polynomial without its lead, which cancels
             qi, qj = lcm - leads[i], lcm - leads[j]
@@ -299,7 +363,8 @@ class _Engine:
                         del acc[t]
             remainder, rep = self._reduce(work, rep)
             if remainder:
-                self._insert(remainder, rep)
+                for pair in self._pairs(self._add(remainder, rep)):
+                    heapq.heappush(pairs, pair)
             elif rep:
                 # rep has the degree of the pair's lcm in the source module
                 self.syzygies.append((rep, deg))
@@ -369,8 +434,7 @@ def minimal_syzygies(gens):
             raise NotMonomial(idx, len(v.coeffs))
     top = max(max(m) for v in gens for _, m in v.coeffs)
     layout = _Layout(spec.num_vars, top.bit_length() + 2)
-    shift, unpack = layout.shift, layout.unpack
-    fields = (1 << shift) - 1
+    shift, fields, unpack = layout.shift, layout.fields, layout.unpack
     weights, twists = spec.weights, ambient.twists
     level = []
     for v in gens:

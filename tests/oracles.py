@@ -946,6 +946,47 @@ def construct_free_betti(weights, twists, e: int) -> BettiTable:
     return out
 
 
+class NotStable(ValueError):
+    """A monomial ideal is not stable in the order of non-increasing weight."""
+
+
+def eliahou_kervaire_betti(spec: RingSpec, gens, through_last: bool = False) -> BettiTable:
+    """The graded Betti table of the ideal that the monomials gens generate,
+    by the closed form of Eliahou and Kervaire (J. Algebra 129, 1990;
+    Herzog and Hibi, GTM 260, section 7.2), with no resolution computed.
+
+    The variables are ordered by non-increasing weight, ties by index, and
+    m(u) is the last variable of that order that divides u.  The ideal must
+    be stable: x_i u / x_m(u) lies in it for every minimal generator u and
+    every variable x_i before m(u); NotStable is raised otherwise.  Then
+    beta_{i,d} counts the pairs (u, J) of a minimal generator u and a set J
+    of i variables before m(u) with wdeg(u) + w(J) = d.  through_last lets
+    J take m(u) as well: a wrong count, the tests' negative control.
+    """
+    w = spec.weights
+    order = sorted(range(spec.num_vars), key=lambda v: -w[v])
+    gens = set(gens)
+    mins = [u for u in gens if not any(v != u and mon_divides(v, u) for v in gens)]
+
+    def last(u) -> int:
+        return max((pos for pos, v in enumerate(order) if u[v]), default=0)
+
+    for u in mins:
+        m = order[last(u)]
+        for v in order[:last(u)]:
+            moved = tuple(a + (k == v) - (k == m) for k, a in enumerate(u))
+            if not any(mon_divides(g, moved) for g in mins):
+                raise NotStable(f"x_{v} u / x_{m} is outside the ideal for u = {u}")
+    counts = {}
+    for u in mins:
+        before = order[:last(u) + through_last]
+        for i in range(len(before) + 1):
+            for J in combinations(before, i):
+                key = (i, spec.wdeg(u) + sum(w[v] for v in J))
+                counts[key] = counts.get(key, 0) + 1
+    return BettiTable.from_dict(counts)
+
+
 # ---------------------------------------------------------------------------
 # the reference syzygy engine: Buchberger's algorithm on tuple terms
 

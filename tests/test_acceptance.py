@@ -354,6 +354,40 @@ def test_criterion_10_five_variable_spot_checks():
            f"{len(FIVE_VARIABLE_SPOT_CHECKS)} cases in {elapsed:.1f} s")
 
 
+def test_eliahou_kervaire_count(sweep_result):
+    # the closed-form count of Eliahou and Kervaire, which resolves
+    # nothing, equals the resolution's Betti table and has the gr table's
+    # totals (Herzog-Iyengar: equal totals for a Koszul module) on the
+    # sweep and the four-variable grid; the count that lets J take m(u)
+    # equals neither on any case
+    tables = [
+        (RingSpec(r.case.weights), r.case.e, r.report.resolution_betti, r.report.gr_table)
+        for r in sweep_result[0]
+    ]
+    for weights, e in FOUR_VARIABLE_CASES:
+        spec = RingSpec(weights)
+        gens = trunc_gens(spec, e)
+        F = resolve_module(monomial_elements(spec, gens))
+        tables.append((spec, e, F.betti_from_twists(), gr_betti(OrdContext(spec, tuple((0, m) for m in gens)))))
+    assert len(tables) == 408 + 90
+    for spec, e, resolution, gr in tables:
+        gens = trunc_gens(spec, e)
+        count = oracles.eliahou_kervaire_betti(spec, gens)
+        assert count == resolution, (spec.weights, e)
+        totals = range(max(count.max_hom(), gr.max_hom()) + 1)
+        assert [count.total(i) for i in totals] == [gr.total(i) for i in totals]
+        assert oracles.eliahou_kervaire_betti(spec, gens, through_last=True) != resolution
+
+
+def test_eliahou_kervaire_count_refuses_an_ideal_that_is_not_stable():
+    # (x^2, y^2): x * y^2 / y = xy is not in the ideal; the count would put
+    # a syzygy in degree 3 (u = y^2, J = {x}) where the one Koszul syzygy
+    # sits in degree 4
+    spec = RingSpec((1, 1))
+    with pytest.raises(oracles.NotStable):
+        oracles.eliahou_kervaire_betti(spec, [(2, 0), (0, 2)])
+
+
 def test_weighted_hilbert_identity_rejects_a_wrong_table():
     # negative control: one Betti number off breaks the identity
     spec = RingSpec((1, 3))

@@ -479,7 +479,9 @@ def test_heap_reduction_matches_max_scan(p, twists):
 
 
 # Truncations whose resolutions run the engine on one- and many-component
-# inputs: weighted and standard, characteristic 2, three and four variables.
+# inputs: weighted and standard, characteristics 2 and 3, three and four
+# variables.  The last three add elements mid-run that gain their
+# components leads after some of their pairs were decided.
 CHAIN_RINGS = [
     ((1, 3), 5, 32003),
     ((1, 1, 2), 4, 2),
@@ -487,13 +489,78 @@ CHAIN_RINGS = [
     ((1, 1, 2, 3), 3, 32003),
     ((1, 1, 1, 1), 3, 2),
     ((1, 2, 2, 3), 4, 32003),
+    ((3, 3, 4), 10, 3),
+    ((2, 2, 2, 3), 5, 32003),
+    ((2, 2, 3, 3), 5, 2),
 ]
 
 
-def test_chain_skip_is_the_literal_criterion(monkeypatch):
-    # every popped pair (i, j) is skipped iff some third lead k in the same
-    # component divides lcm(mi, mj) while lcm(mi, mk) and lcm(mk, mj) both
-    # differ from it
+def literal_chain_skip(leads, i: int, j: int) -> bool:
+    """Buchberger's chain criterion as stated, on (component, monomial)
+    leads: some third lead k of the component of i and j divides
+    L = lcm(mi, mj) while lcm(mi, mk) and lcm(mk, mj) both differ from L."""
+    (ci, mi), (cj, mj) = leads[i], leads[j]
+    top = mon_lcm(mi, mj)
+    return any(
+        k not in (i, j)
+        and ck == ci
+        and mon_divides(mk, top)
+        and mon_lcm(mi, mk) != top
+        and mon_lcm(mk, mj) != top
+        for k, (ck, mk) in enumerate(leads)
+    )
+
+
+def random_lead_set(rng, n: int) -> list:
+    """2 to 7 (component, monomial) leads in one or two components, with
+    exponents up to 3, duplicate leads and leads that divide others."""
+    comps = rng.randint(1, 2)
+    leads = []
+    for _ in range(rng.randint(2, 7)):
+        roll = rng.random()
+        if leads and roll < 0.15:
+            leads.append(rng.choice(leads))
+        elif leads and roll < 0.35:
+            c, m = rng.choice(leads)
+            leads.append((c, tuple(a + rng.randint(0, 1) for a in m)))
+        else:
+            leads.append((rng.randrange(comps), tuple(rng.randint(0, 2) for _ in range(n))))
+    return leads
+
+
+def test_chain_criterion_is_lead_ideal_membership():
+    # on random lead sets, the engine's membership form of the criterion
+    # (L - e_f - e_g in the lead ideal for f where mi falls short of L and
+    # g where mj does) decides every pair as the literal form does
+    rng = random.Random(28)
+    specs = {n: RingSpec((1,) * n) for n in range(1, 6)}
+    layouts = {n: gb._Layout(n, WIDTH) for n in specs}
+    decided = [0, 0]
+    repeated = dividing = 0
+    for _ in range(10_000):
+        n = rng.randint(1, 5)
+        leads = random_lead_set(rng, n)
+        repeated += len(set(leads)) < len(leads)
+        dividing += any(a != b and mon_divides(a, b) for _, a in leads for _, b in leads)
+        pack = layouts[n].pack
+        inputs = [([(pack(c, m), 1)], 0) for c, m in leads]
+        eng = _Engine(specs[n], (0, 0), inputs, layouts[n])
+        for j, (cj, mj) in enumerate(leads):
+            for i, (ci, mi) in enumerate(leads[:j]):
+                if ci == cj:
+                    want = literal_chain_skip(leads, i, j)
+                    assert eng._chain_skip(i, j, pack(ci, mon_lcm(mi, mj))) == want
+                    decided[want] += 1
+    assert decided[True] >= 10_000 and decided[False] >= 10_000
+    assert repeated >= 1_000 and dividing >= 5_000
+
+
+def chain_decisions(monkeypatch) -> list:
+    """Record every decision of _Engine._chain_skip as (got, want, comp,
+    when): want the literal criterion against the leads present at the
+    call, when "formed" for the first decision on a pair made while the
+    engine is built, "mid-run" for one made as run() adds an element, and
+    "popped" for a decision again when the pair is popped."""
     decisions = []
     chain_skip = _Engine._chain_skip
 
@@ -503,25 +570,40 @@ def test_chain_skip_is_the_literal_criterion(monkeypatch):
         comp, top = self.layout.unpack(lcm)
         (ci, mi), (cj, mj) = leads[i], leads[j]
         assert ci == cj == comp and top == mon_lcm(mi, mj)
-        want = any(
-            k not in (i, j)
-            and ck == comp
-            and mon_divides(mk, top)
-            and mon_lcm(mi, mk) != top
-            and mon_lcm(mk, mj) != top
-            for k, (ck, mk) in enumerate(leads)
-        )
-        decisions.append((got, want, comp))
+        seen = vars(self).setdefault("decided", set())
+        if (i, j) in seen:
+            when = "popped"
+        else:
+            when = "formed" if j < len(self.source.twists) else "mid-run"
+            seen.add((i, j))
+        decisions.append((got, literal_chain_skip(leads, i, j), comp, when))
         return got
 
     monkeypatch.setattr(_Engine, "_chain_skip", recording)
+    return decisions
+
+
+def test_chain_skip_is_the_literal_criterion(monkeypatch):
+    # every decision on a pair (i, j), when the pair is formed, once all
+    # inputs are in or as run() adds an element, and again at its pop when
+    # its component has gained a lead since, is the literal criterion on
+    # the leads present then; truncations, and modules of rank 2 and 3
+    decisions = chain_decisions(monkeypatch)
     for weights, e, p in CHAIN_RINGS:
         spec = RingSpec(weights, char=p)
         resolve_module(monomial_elements(spec, trunc_gens(spec, e)))
-    assert [got for got, _, _ in decisions] == [want for _, want, _ in decisions]
-    skipped = sum(got for got, _, _ in decisions)
-    assert skipped >= 200 and len(decisions) - skipped >= 200
-    assert any(comp > 0 and got for got, _, comp in decisions)
+    for spec, _, gens in oracles.random_monomial_modules(28, 300, (2, 3)):
+        resolve_module(monomial_elements(spec, gens))
+    assert [got for got, *_ in decisions] == [want for _, want, *_ in decisions]
+    by_when = {
+        when: [got for got, _, _, w in decisions if w == when]
+        for when in ("formed", "mid-run", "popped")
+    }
+    floors = {"formed": 200, "mid-run": 10, "popped": 5}
+    for when, gots in by_when.items():
+        skipped = sum(gots)
+        assert skipped >= floors[when] and len(gots) - skipped >= 20, when
+    assert any(comp > 0 and got for got, _, comp, _ in decisions)
 
 
 # ---------------------------------------------------------------------------
