@@ -480,8 +480,8 @@ def test_heap_reduction_matches_max_scan(p, twists):
 
 # Truncations whose resolutions run the engine on one- and many-component
 # inputs: weighted and standard, characteristics 2 and 3, three and four
-# variables.  The last three add elements mid-run that gain their
-# components leads after some of their pairs were decided.
+# variables.  In the last three, run() adds elements, so components gain
+# leads after some of their pairs were decided.
 CHAIN_RINGS = [
     ((1, 3), 5, 32003),
     ((1, 1, 2), 4, 2),
