@@ -12,6 +12,10 @@ support in one batched numpy pass per block and reduces each distinct
 support once, from the top differential down with clearing: a column of d_k
 whose index is the low of a reduced column of d_{k+1} is a cycle, since
 d o d = 0, and is skipped (Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014).
+Each differential's apparent pairs are found once per block: a column whose
+largest row meets no column before it in the block is independent, with
+that row as its low, in every slice that holds it, so it is stored
+unreduced and only the other columns are reduced (Bauer 2021, Ripser).
 A complex that does not split raises NoFiniteDecision.  A differential is
 stored as its columns, the shape in which the syzygy engine yields them,
 and the blocks are read off the columns.  The tests cross-check the walk
@@ -25,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 import numpy as np
 
@@ -241,7 +246,27 @@ class _MultidegreeBlock:
         Skipping a dependent column stores nothing and leaves every other
         column's reduction as it was, so the independent columns, and every
         strand's rank counted from them, are unchanged.
+
+        Most columns need no reduction at all, and which ones is decided
+        once per block, before any slice, from the apparent pairs of each
+        differential (Bauer, "Ripser: efficient computation of Vietoris-Rips
+        persistence barcodes", J. Appl. Comput. Topol. 5, 2021).  A column c
+        with largest row r is apparent when no column before c in the
+        block's order has an entry in row r.  Lemma: in every slice that
+        holds c, c is independent with low r.  The slice's columns before c
+        (clearing leaves some out, which does not matter) are among the
+        block's columns before c, so none has an entry in row r; each column
+        stored before c is a combination of them, so none has an entry in
+        row r either and r is not yet a low.  So c is stored as it is, under
+        r.  Each slice therefore stores its apparent columns unreduced under
+        their lows, where they clear column r of d_k and count in the ranks,
+        and hands only the other columns to modp.pivots, with the apparent
+        ones already stored.  Every reduction is unchanged: while c' is
+        reduced it stays a combination of c' and the slice's columns before
+        it, and an apparent column after c' has its low in a row that none
+        of those has an entry in, so c' never meets it.
         """
+        apparent = [_apparent_lows(columns) for columns in self.diffs]
         head = self.grid[:-1]
         M = np.concatenate(self.mdegs)
         prefixes = list(product(*(range(len(vals)) for vals in head)))
@@ -269,25 +294,36 @@ class _MultidegreeBlock:
                 support = rows[a:b]
                 cuts = [bisect_left(support, s) for s in starts]
                 levels = [[g - s for g in support[i:j]] for s, i, j in zip(starts, cuts, cuts[1:])]
-                tables.append(self._slice_homology(levels, lasts, p))
+                tables.append(self._slice_homology(levels, lasts, apparent, p))
         for prefix, support in zip(prefixes, support_of.tolist()):
             for k, h in enumerate(tables[support]):
                 if any(h):
                     yield (*prefix, k), h
 
-    def _slice_homology(self, support: list, lasts: list, p: int) -> list:
+    def _slice_homology(self, support: list, lasts: list, apparent: list, p: int) -> list:
         """h per level at each last value, for the slice spanned by the rows
         support[i] of each level i, with lasts[i][r] the last coordinate of
-        row r of level i."""
+        row r of level i and apparent[k][c] the low of column c of d_{k+1}
+        if that column is apparent, else -1."""
         last = self.grid[-1]
         # rank at each last value: the independent columns at or below it
         ranks = [[0] * len(last)] * (len(support) + 1)
         kept = support[-1]
         for k in reversed(range(len(self.diffs))):
-            lows = {}
-            pivots = modp.pivots([self.diffs[k][c] for c in kept], p, lows)
-            values = [lasts[k + 1][kept[i]] for i in pivots]
-            ranks[k + 1] = [bisect_right(values, v) for v in last]
+            columns, low, values = self.diffs[k], apparent[k], lasts[k + 1]
+            lows, found, rest = {}, [], []
+            for c in kept:
+                r = low[c]
+                if r < 0:
+                    rest.append(c)
+                else:
+                    lows[r] = columns[c]
+                    found.append(values[c])
+            pivots = modp.pivots([columns[c] for c in rest], p, lows)
+            # found: the last coordinates of the independent columns
+            found += [values[rest[i]] for i in pivots]
+            found.sort()
+            ranks[k + 1] = [bisect_right(found, v) for v in last]
             kept = [c for c in support[k] if c not in lows]
         dims = [
             [bisect_right(values, v) for v in last]
@@ -297,6 +333,18 @@ class _MultidegreeBlock:
             [dim[k] - ranks[i][k] - ranks[i + 1][k] for i, dim in enumerate(dims)]
             for k in range(len(last))
         ]
+
+
+def _apparent_lows(columns) -> list:
+    """For each column, its largest row r if no column before it has an
+    entry in row r, else -1: the apparent pairs (column, r)."""
+    seen = set()
+    out = []
+    for column in columns:
+        r = max(column, default=-1)
+        out.append(-1 if r in seen else r)
+        seen.update(column)
+    return out
 
 
 def _row_ids(rows: np.ndarray) -> tuple:
@@ -372,12 +420,13 @@ def _multidegree_blocks(C: GradedFreeComplex) -> list:
                     queue.append(nb)
         components.append(comp_nodes)
 
-    wdeg = spec.wdeg
+    weights = spec.weights
     blocks = []
     levels = len(C.modules)
     for comp_nodes in components:
         offsets = {
-            C.modules[i].twists[g] - wdeg(multideg[(i, g)]) for i, g in comp_nodes
+            C.modules[i].twists[g] - sum(map(mul, multideg[(i, g)], weights))
+            for i, g in comp_nodes
         }
         if len(offsets) != 1:
             raise NoFiniteDecision("the entries admit no consistent multigrading")
@@ -440,11 +489,16 @@ def homology_witnesses(C: GradedFreeComplex) -> list:
     with a twist", EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and
     compress", 2014): the low of each reduced column of d_{k+1} names a
     column of d_k that d o d = 0 makes dependent on the columns before it,
-    so it is skipped unreduced and every count is unchanged
-    (_MultidegreeBlock.grid_walk has the argument).
+    so it is skipped unreduced and every count is unchanged.  The apparent
+    pairs of each differential, found once per block, are independent in
+    every slice that holds them and are stored without reduction
+    (_MultidegreeBlock.grid_walk has both arguments).  A block whose
+    generators all sit at level 0 has no H_i with i >= 1 and is not walked.
     """
     out = []
     for blk in _multidegree_blocks(C):
+        if not any(map(len, blk.mdegs[1:])):
+            continue  # every generator at level 0: no H_i with i >= 1
         for index, h in blk.grid_walk(C.spec.char):
             if not any(h[1:]):
                 continue

@@ -361,11 +361,14 @@ class _Engine:
                         acc[t] = c
                     else:
                         del acc[t]
-            remainder, rep = self._reduce(work, rep)
-            if remainder:
-                for pair in self._pairs(self._add(remainder, rep)):
-                    heapq.heappush(pairs, pair)
-            elif rep:
+            # a zero S-polynomial leaves rep a syzygy as it stands
+            if work:
+                remainder, rep = self._reduce(work, rep)
+                if remainder:
+                    for pair in self._pairs(self._add(remainder, rep)):
+                        heapq.heappush(pairs, pair)
+                    continue
+            if rep:
                 # rep has the degree of the pair's lcm in the source module
                 self.syzygies.append((rep, deg))
 

@@ -11,17 +11,18 @@ exactly when something is left.  So the independent columns are the column
 rank profile, and the rank of every column prefix is a count of them.  The
 key an independent column is stored under, its largest once reduced, is its
 low; a caller that passes a dict reads the lows back as its keys, which is
-how the lin walk clears the columns of the next differential down.
+how the lin walk clears the columns of the next differential down.  The
+dict may hold columns already, stored under their lows by the caller as
+reducers: the lin walk stores its apparent columns so.
 
 A column whose low is new as given, with every coefficient in 1..p-1, is
-stored as it is, by reference: most columns of the lin walk are.  A column
-is copied only to be changed: once into canonical form (coefficients taken
-mod p, zeros dropped) when some coefficient lies outside 1..p-1, and once
-before its first reduction step.  The input columns are never changed.  The
-stored columns are reduced but not scaled to 1, so a reduction step
-subtracts f = col[top] * stored[top]^-1 times the stored column, each
-inverse taken at most once per call.  The tests cross-check it against an
-independent dense elimination.
+stored as it is, by reference.  A column is copied only to be changed: once
+into canonical form (coefficients taken mod p, zeros dropped) when some
+coefficient lies outside 1..p-1, and once before its first reduction step.
+The input columns are never changed.  The stored columns are reduced but
+not scaled to 1, so a reduction step subtracts f = col[top] * stored[top]^-1
+times the stored column, each inverse taken at most once per call.  The
+tests cross-check it against an independent dense elimination.
 """
 
 from __future__ import annotations

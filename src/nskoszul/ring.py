@@ -138,7 +138,7 @@ class RingSpec:
 
     def companion(self) -> "RingSpec":
         """The standard graded companion ring (all weights 1)."""
-        return RingSpec((1,) * self.num_vars, self.names, self.char)
+        return self._derived((1,) * self.num_vars, self.names)
 
     def to_dict(self) -> dict:
         """The json shape of the ring."""
@@ -147,11 +147,22 @@ class RingSpec:
     def drop_variable(self, idx: int) -> "RingSpec":
         if not 0 <= idx < self.num_vars:
             raise ValueError(f"bad variable index {idx}")
-        return RingSpec(
+        if self.num_vars == 1:
+            raise ValueError("ring needs at least one variable")
+        return self._derived(
             self.weights[:idx] + self.weights[idx + 1:],
             self.names[:idx] + self.names[idx + 1:],
-            self.char,
         )
+
+    def _derived(self, weights: tuple, names: tuple) -> "RingSpec":
+        """A ring over this ring's field, built without checking again: its
+        positive weights and distinct names are taken from this ring, and
+        its characteristic was checked prime when this ring was built."""
+        spec = object.__new__(RingSpec)
+        object.__setattr__(spec, "weights", weights)
+        object.__setattr__(spec, "names", names)
+        object.__setattr__(spec, "char", self.char)
+        return spec
 
     def _check(self, m: Monomial) -> None:
         if len(m) != self.num_vars:

@@ -15,6 +15,7 @@ from nskoszul.complexes import (
     BettiTable,
     GradedFreeComplex,
     NoFiniteDecision,
+    _apparent_lows,
     _multidegree_blocks,
     homology_witnesses,
     resolve_module,
@@ -485,17 +486,21 @@ def _slice_walk_inputs():
 
 class TestGridWalk:
     def test_matches_point_by_point_oracle(self, monkeypatch):
-        calls = []  # (columns inserted, lows reported) per pivots call
+        # (apparent columns stored, columns inserted, lows reported) per call
+        calls = []
         pivots = modp.pivots
 
         def counted(columns, p, stored=None):
             stored = {} if stored is None else stored
+            apparent = len(stored)
+            # an apparent column is stored before the call, never inserted
+            assert not {id(c) for c in stored.values()} & {id(c) for c in columns}
             out = pivots(columns, p, stored)
-            calls.append((len(columns), len(stored)))
+            calls.append((apparent, len(columns), len(stored)))
             return out
 
         monkeypatch.setattr(modp, "pivots", counted)
-        with_homology = single_value = one_variable = clearing = 0
+        with_homology = single_value = one_variable = clearing = apparent = 0
         for C in _grid_walk_inputs():
             for blk in _multidegree_blocks(C):
                 for M in blk.mdegs:
@@ -505,21 +510,55 @@ class TestGridWalk:
                 # each distinct slice support is reduced once, one reduction
                 # per differential from d_top down to d_1; each low of d_{k+1}
                 # clears one column of d_k, and every other column of the
-                # support is inserted once
+                # support is either apparent, stored as it is before the
+                # reduction, or inserted: each exactly once
                 supports, columns = _slice_supports(blk)
                 levels = len(blk.diffs)
                 assert len(calls) == supports * levels
-                inserted = sum(n for n, _ in calls)
-                cleared = sum(lows for i, (_, lows) in enumerate(calls) if (i + 1) % levels)
-                assert inserted + cleared == columns
+                stored = sum(a for a, _, _ in calls)
+                inserted = sum(n for _, n, _ in calls)
+                cleared = sum(lows for i, (*_, lows) in enumerate(calls) if (i + 1) % levels)
+                assert stored + inserted + cleared == columns
                 clearing += cleared > 0
+                apparent += stored > 0
                 assert walk == _grid_walk_oracle(blk, C.spec.char)
                 positive = any(any(h[1:]) for _, h in walk)
                 with_homology += positive
                 single_value += len(blk.grid[-1]) == 1 and positive
                 one_variable += len(blk.grid) == 1
         assert with_homology >= 10 and single_value >= 1 and one_variable >= 1
-        assert clearing >= 10
+        assert clearing >= 10 and apparent >= 10
+
+    def test_apparent_columns_are_independent_in_every_slice(self):
+        # an apparent column c with low r: no column before c in the block
+        # has an entry in row r, so in each slice that holds c, plain pivots
+        # (no clearing, nothing stored before) keeps c with low r
+        checked = not_apparent = 0
+        for C in _slice_walk_inputs():
+            p = C.spec.char
+            for blk in _multidegree_blocks(C):
+                apparent = [_apparent_lows(columns) for columns in blk.diffs]
+                supports = set()
+                for prefix in product(*(range(len(vals)) for vals in blk.grid[:-1])):
+                    corner = [vals[k] for vals, k in zip(blk.grid, prefix)]
+                    masks = tuple(
+                        tuple(np.flatnonzero(np.all(M[:, :-1] <= corner, axis=1)).tolist())
+                        for M in blk.mdegs
+                    )
+                    supports.add(masks)
+                for masks in supports:
+                    for k, columns in enumerate(blk.diffs):
+                        support = masks[k + 1]
+                        stored = {}
+                        pivots = modp.pivots([columns[c] for c in support], p, stored)
+                        low_of = dict(zip(pivots, stored))
+                        for i, c in enumerate(support):
+                            if apparent[k][c] < 0:
+                                not_apparent += 1
+                                continue
+                            assert low_of.get(i) == apparent[k][c] == max(columns[c])
+                            checked += 1
+        assert checked >= 2000 and not_apparent >= 1000
 
     def test_matches_slice_walk_on_random_complexes(self):
         complexes = blocks = false = 0

@@ -707,6 +707,32 @@ def test_syzygies_match_the_reference_on_the_sweep(monkeypatch):
     assert checked_resolutions(monkeypatch, truncations(cases, 32003))[0] >= 408
 
 
+def test_zero_s_polynomials_are_not_reduced(monkeypatch):
+    # a kept pair whose S-polynomial is zero, as for two leads with no
+    # tails, keeps its two-term rep as the syzygy with no reduction
+    to_zero = []  # per reduction: did the S-polynomial reduce to zero
+    found = []  # syzygies per engine run
+    reduce, run = _Engine._reduce, _Engine.run
+
+    def counted_reduce(self, work, rep):
+        assert work
+        remainder, rep = reduce(self, work, rep)
+        to_zero.append(not remainder)
+        return remainder, rep
+
+    def counted_run(self):
+        run(self)
+        found.append(len(self.syzygies))
+
+    monkeypatch.setattr(_Engine, "_reduce", counted_reduce)
+    monkeypatch.setattr(_Engine, "run", counted_run)
+    cases = [(w, e) for w in combinations_with_replacement(range(1, 4), 4) for e in range(1, 7)]
+    for gens in truncations(cases, 32003):
+        resolve_module(gens)
+    assert len(found) == 360
+    assert sum(found) - sum(to_zero) >= 3000
+
+
 @pytest.mark.parametrize("p", [2, 3, 32003])
 def test_syzygies_match_the_reference_on_random_inputs(monkeypatch, p):
     # monomial modules of rank 1 to 3 in 2 to 4 variables, resolved in full

@@ -10,6 +10,7 @@ from nskoszul.assoc_graded import OrdContext, gr_betti, gr_hilbert, gr_module
 from nskoszul.construction import construct_gr_betti, ses_hilbert_check
 from nskoszul.egm import betti_via_koszul
 from nskoszul.koszul_check import koszul_verdict
+from nskoszul import ring
 from nskoszul.ring import (
     DimensionMismatch,
     FreeModuleSpec,
@@ -30,6 +31,34 @@ class TestRingSpec:
     def test_companion_flattens_weights(self):
         assert W13.companion().weights == (1, 1)
         assert W13.companion().names == ("x", "y")
+
+    def test_derived_rings_are_not_checked_again(self, monkeypatch):
+        # the characteristic was checked when the parent ring was built
+        specs = [W13, RingSpec((2, 1, 3), char=3), RingSpec((1, 1, 2, 2), ("a", "b", "c", "d"), 2)]
+        one = RingSpec((2,), ("y",))
+        want = [
+            (
+                RingSpec((1,) * s.num_vars, s.names, s.char),
+                [
+                    RingSpec(s.weights[:i] + s.weights[i + 1:], s.names[:i] + s.names[i + 1:], s.char)
+                    for i in range(s.num_vars)
+                ],
+            )
+            for s in specs
+        ]
+
+        def refused(n):
+            raise AssertionError(f"is_prime({n}) called again")
+
+        monkeypatch.setattr(ring, "is_prime", refused)
+        got = [(s.companion(), [s.drop_variable(i) for i in range(s.num_vars)]) for s in specs]
+        with pytest.raises(ValueError, match="at least one variable"):
+            one.drop_variable(0)
+        with pytest.raises(ValueError, match="bad variable index"):
+            W13.drop_variable(2)
+        monkeypatch.undo()
+        assert got == want
+        assert [hash(flat) for flat, _ in got] == [hash(flat) for flat, _ in want]
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
