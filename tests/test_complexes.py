@@ -510,8 +510,8 @@ class TestGridWalk:
                 # each distinct slice support is reduced once, one reduction
                 # per differential from d_top down to d_1; each low of d_{k+1}
                 # clears one column of d_k, and every other column of the
-                # support is either apparent, stored as it is before the
-                # reduction, or inserted: each exactly once
+                # support is apparent, and stored as it is before the
+                # reduction, or inserted: exactly one of the three
                 supports, columns = _slice_supports(blk)
                 levels = len(blk.diffs)
                 assert len(calls) == supports * levels

@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 
 import oracles
 from oracles import mon_mul, monomials_of_wdeg
+from nskoszul import ring
 from nskoszul.assoc_graded import OrdContext, gr_betti, gr_hilbert, gr_module
 from nskoszul.construction import construct_gr_betti, ses_hilbert_check
 from nskoszul.egm import betti_via_koszul
 from nskoszul.koszul_check import koszul_verdict
-from nskoszul import ring
 from nskoszul.ring import (
     DimensionMismatch,
     FreeModuleSpec,
