@@ -17,17 +17,14 @@ computes the whole Betti table, with no degree bound, from the labels in
 that box alone.  gr_module and gr_hilbert keep the whole window up to a
 degree bound.
 
-ord is read off one table per component over the box [0, a]: each
-generator's standard degree is placed at its exponents, and a running
-minimum along every axis (np.minimum.accumulate) leaves at each v <= a the
-least degree of a generator dividing v, so ord(v) = |v| minus that, and v
-is outside the module where nothing reached it.  A monomial v of a window
-reads the cell min(v, a): every generator g satisfies g <= a, so g divides
-v exactly when it divides min(v, a), and ord(v) = |v| - least(min(v, a)),
-which is ord(min(v, a)) + |v - min(v, a)|.  The labels stay numpy arrays
-throughout: the module is built on them and keeps them (egm).  The tests
-check the table against ord found by a scan of every generator
-(tests/oracles.py, ord_scan).
+ord is read off one table per component over the box [0, a]
+(_least_divisor_degrees), which holds at each v <= a the least standard
+degree of a generator dividing v.  A monomial v of a window reads the cell
+min(v, a): every generator g satisfies g <= a, so g divides v exactly when
+it divides min(v, a), and ord(v) = |v| - least(min(v, a)).  The label maps
+are read off the same table, at the neighbouring cells (_gr_module).  The
+tests check the table against ord found by a scan of every generator, and
+the maps against a key search over the labels (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import BettiTable
-from .egm import ExplicitGradedModule, _array_module, betti_via_koszul
+from .egm import ExplicitGradedModule, betti_via_koszul
 from .ring import RingSpec, as_int
 
 
@@ -96,21 +93,42 @@ def _least_divisor_degrees(ctx: OrdContext):
         yield comp, least.ravel()
 
 
-def _gr_labels(ctx: OrdContext, cells: np.ndarray, bound: int) -> tuple:
-    """The labels of gr(M) among the exponent vectors cells, as arrays
-    (component, exponents, ord): each v with 0 <= ord(v) <= bound, component
-    by component, each in the order of cells."""
-    corner = np.array(ctx.corner, dtype=np.int64)
-    flat = np.ravel_multi_index(tuple(np.minimum(cells, corner).T), tuple(corner + 1))
+def _gr_module(ctx: OrdContext, cells: np.ndarray, bound: int, corner: tuple | None):
+    """gr(M) on its labels among cells, component by component in the order
+    of cells: stored up to bound, or with corner = a (cells <= a) up to the
+    largest ord, as the box window.
+
+    With flat the C-order index of min(v, a) in the box, min(v +- e_t, a) is
+    at flat +- stride_t when v_t < a_t (+) or 1 <= v_t <= a_t (-), else at
+    flat.  As ord(u) = |u| - least(min(u, a)), x_t sends v to x_t v, with
+    coefficient 1, exactly when least(min(v + e_t, a)) = least(min(v, a)),
+    finite, and x_t v is stored: ord(v) < bound on a window, v_t < a_t on a
+    box (stored up to its largest ord).  x_t reaches v exactly when v_t >= 1
+    and least(min(v - e_t, a)) = least(min(v, a)): v - e_t is then in M, of
+    ord ord(v) - 1, so stored."""
+    top = np.array(ctx.corner, dtype=np.int64)
+    strides = np.cumprod((1, *(top[:0:-1] + 1)))[::-1]
+    flat = np.minimum(cells, top) @ strides
     sdeg = cells.sum(axis=1)
-    comps, exps, ords = [], [], []
+    parts = []
     for comp, least in _least_divisor_degrees(ctx):
         o = sdeg - least[flat]
         rows = np.flatnonzero((o >= 0) & (o <= bound))
-        comps.append(np.full(len(rows), comp, dtype=np.int64))
-        exps.append(cells[rows])
-        ords.append(o[rows])
-    return np.concatenate(comps), np.concatenate(exps), np.concatenate(ords)
+        v, o, at = cells[rows], o[rows], flat[rows]
+        here = least[at]
+        coef = np.empty(v.shape, dtype=np.uint8)
+        reached = np.empty(v.shape, dtype=bool)
+        for t, (a_t, stride) in enumerate(zip(ctx.corner, strides.tolist())):
+            below, lifted = v[:, t] < a_t, v[:, t] >= 1
+            up = least[at + stride * below] == here
+            coef[:, t] = up & (o < bound if corner is None else below)
+            down = least[at - stride * (lifted & (v[:, t] <= a_t))] == here
+            reached[:, t] = lifted & down
+        parts.append((np.full(len(rows), comp, dtype=np.int64), o, v, coef, reached))
+    comp, deg, exps, coef, reached = map(np.concatenate, zip(*parts))
+    if corner is not None:
+        bound = int(deg.max())
+    return ExplicitGradedModule(ctx.spec.companion(), bound, comp, deg, exps, coef, reached, corner)
 
 
 def _window(ctx: OrdContext, bound: int) -> np.ndarray:
@@ -137,17 +155,13 @@ def gr_module(ctx: OrdContext, bound: int) -> ExplicitGradedModule:
     bound = as_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    labels = _gr_labels(ctx, _window(ctx, bound), bound)
-    return _array_module(ctx.spec.companion(), bound, *labels)
+    return _gr_module(ctx, _window(ctx, bound), bound, None)
 
 
 def gr_hilbert(ctx: OrdContext, bound: int) -> list:
     """Dimensions of the graded pieces of the associated graded module."""
-    bound = as_int(bound, "bound")
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    _, _, ords = _gr_labels(ctx, _window(ctx, bound), bound)
-    return np.bincount(ords, minlength=bound + 1).tolist()
+    M = gr_module(ctx, bound)
+    return np.bincount(M.deg, minlength=M.bound + 1).tolist()
 
 
 def gr_box_module(ctx: OrdContext) -> ExplicitGradedModule:
@@ -156,8 +170,7 @@ def gr_box_module(ctx: OrdContext) -> ExplicitGradedModule:
     with a as the module's multidegree window."""
     shape = tuple(c + 1 for c in ctx.corner)
     box = np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T
-    comp, exps, ords = _gr_labels(ctx, box, sum(ctx.corner))
-    return _array_module(ctx.spec.companion(), int(ords.max()), comp, exps, ords, ctx.corner)
+    return _gr_module(ctx, box, sum(ctx.corner), ctx.corner)
 
 
 def gr_betti(ctx: OrdContext) -> BettiTable:

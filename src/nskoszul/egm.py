@@ -23,16 +23,13 @@ tests cross-check the blocks against a dense strand assembly.
 The module is its label arrays: the component, the exponents and the
 degree of each label, and per variable x_t the coefficient of x_t on each
 label (0 where x_t sends it to zero) and the mask of the labels that x_t
-reaches.  The associated graded builders hand their labels over as arrays
-(_array_module), which finds the label maps by packing each label into one
-mixed-radix int64 key, in which x_t * m is key + a stride.  Key packing
-raises ValueError when the radices would not fit in 64 bits, rather than
-wrap, and so does a strand key (label key plus the strides of T, and the
-degree) that would not.  The critical values, the cells of the critical
-strands, their grouping into strands and the patterns are all found on the
-label arrays; only the distinct patterns reach the sparse rank kernel.  The
-tests build modules from dicts of labels and label maps, and read them back
-as such dicts (tests/oracles.py).
+reaches.  The associated graded builders read the label maps off their
+ord table (assoc_graded).  The critical values, the cells of the critical
+strands, their strands and the patterns are all found by index arithmetic
+on the label arrays, with ValueError rather than a wrap past 64 bits; only
+the distinct patterns reach the sparse rank kernel.  The tests build
+modules from dicts of labels and label maps, read them back as such dicts,
+and find label maps by key search (tests/oracles.py).
 
 The stored window is the degrees up to ``bound`` and, when ``corner`` is
 set, only the multidegrees m <= corner: the quotient of the module by the
@@ -92,40 +89,14 @@ class ExplicitGradedModule:
         return dict(zip(values.tolist(), np.split(order, starts[1:])))
 
 
-def _array_module(
-    spec: RingSpec,
-    bound: int,
-    comp: np.ndarray,
-    exps: np.ndarray,
-    deg: np.ndarray,
-    corner: tuple | None = None,
-) -> ExplicitGradedModule:
-    """The module on labels given as arrays: label i is (comp[i], exps[i]) of
-    degree deg[i], and x_t sends a label to x_t * label, with coefficient 1,
-    when that is a label of degree deg[i] + w_t, else to zero.  Raises
-    ValueError when a label is listed twice or the exponents are too large
-    for 64-bit keys (see _PackedLabels)."""
-    packed = _PackedLabels(comp, exps)
-    coef = np.zeros(exps.shape, dtype=np.uint8)
-    reached = np.zeros(exps.shape, dtype=bool)
-    for t, w in enumerate(spec.weights):
-        image = packed.images(t)
-        hit = (image >= 0) & (deg[image] == deg + w)
-        coef[:, t] = hit
-        reached[image[hit], t] = True
-    return ExplicitGradedModule(spec, bound, comp, deg, exps, coef, reached, corner)
-
-
 class _PackedLabels:
     """One mixed-radix int64 key per label, from its component and exponents.
 
     The key reads a label (c, m) as the digits c, m_{n-1}, ..., m_0, where
-    m_t has radix max m_t + 2.  So keys order the labels by component and
-    then by reversed exponents, and key + strides[t] is the key of x_t * m
+    m_t has radix max m_t + 2.  So key + strides[t] is the key of x_t * m
     whether or not that is a label (no digit carries); every such key is
     below size, the product of the radices.  Raises ValueError when size
-    reaches 2**63, where int64 keys would wrap, or when a label is stored
-    twice.
+    reaches 2**63, where int64 keys would wrap.
     """
 
     def __init__(self, comp: np.ndarray, exps: np.ndarray):
@@ -137,18 +108,6 @@ class _PackedLabels:
             raise ValueError("label exponents too large for 64-bit keys")
         self.strides = strides[:-1]
         self.key = exps @ np.array(self.strides, dtype=np.int64) + comp * strides[-1]
-        self._order = np.argsort(self.key, kind="stable")
-        self._sorted = self.key[self._order]
-        twice = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
-        if len(twice):
-            i = self._order[twice[0]]
-            raise ValueError(f"label {(int(comp[i]), tuple(exps[i].tolist()))} is stored twice")
-
-    def images(self, t: int) -> np.ndarray:
-        """The index of the label x_t * m for each label m, or -1 where there is none."""
-        keys = self.key + self.strides[t]
-        pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
-        return np.where(self._sorted[pos] == keys, self._order[pos], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,35 +142,37 @@ def _critical_labels(M: ExplicitGradedModule, bound: int) -> tuple:
 
     A label m of degree <= bound may stay out of T when m_t is critical and
     enter T when m_t + 1 is.  It is kept when it can do one or the other for
-    every t.  Returns (crit, rows, bits): rows are the kept labels' indices,
-    ascending, and bits[k] has bit t set when label rows[k] may stay out of
-    T and bit n + t when it may enter.
+    every t.  Returns (crit, rows, bits): the sets of critical values, the
+    kept labels' indices, ascending, and bits[k] with bit t set when label
+    rows[k] may stay out of T and bit n + t when it may enter.
     """
     n = M.spec.num_vars
     deg = M.deg
     low = deg <= bound
     keep = low.copy()
-    bits = np.zeros(len(deg), dtype=np.int64)
+    bits = np.zeros(len(deg), dtype=np.min_scalar_type((1 << 2 * n) - 1))
     crit = []
     for t, w in enumerate(M.spec.weights):
-        acts, reached = M.coef[:, t] != 0, M.reached[:, t]
         c = M.exps[:, t]
-        values = set(c[low & ~reached].tolist())
-        values.update((c[low & ~acts & (deg + w <= bound)] + 1).tolist())
-        if M.corner is not None:
-            values = {v for v in values if v <= M.corner[t]}
-        crit.append(values)
+        starts = c[low & ~M.reached[:, t]]
+        ends = c[low & (M.coef[:, t] == 0) & (deg <= bound - w)] + 1
         top = int(c.max(initial=0)) + 2
         if top <= 2 * len(c) + 64:
-            # every critical value is some c or c + 1: index a table by both
+            # every critical value is some c or c + 1: mark them in a table
             critical = np.zeros(top, dtype=bool)
-            critical[list(values)] = True
+            critical[starts] = critical[ends] = True
+            if M.corner is not None:
+                critical[M.corner[t] + 1:] = False
+            values = np.flatnonzero(critical)
             stay, enter = critical[c], critical[c + 1]
         else:  # exponents too far apart for a table
-            critical = np.fromiter(values, np.int64, len(values))
-            stay, enter = np.isin(c, critical), np.isin(c + 1, critical)
+            values = np.union1d(starts, ends)
+            if M.corner is not None:
+                values = values[values <= M.corner[t]]
+            stay, enter = np.isin(c, values), np.isin(c + 1, values)
+        crit.append(set(values.tolist()))
         keep &= stay | enter
-        bits |= stay.astype(np.int64) << t | enter.astype(np.int64) << (n + t)
+        bits |= stay.astype(bits.dtype) << t | enter.astype(bits.dtype) << (n + t)
     rows = np.flatnonzero(keep)
     return crit, rows, bits[rows]
 
@@ -239,70 +200,96 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
     +-coef_t(m) e_{T - t} (x) x_t m.  So its homology depends only on which
     cells are present and on the coefficients of their edges: the module
     form of the upper Koszul simplicial complex (Miller-Sturmfels, GTM 227,
-    Thm 1.34).  The cells (row, T) are read off one mask over the kept rows
-    and all subsets T, from the rows' stay/enter bits, and each cell gets a
-    code for its coefficients on T.  A strand's key is its label key plus
-    the strides of T, carry-free (_PackedLabels), combined with its degree
-    j; the cells are grouped on that key, and a strand's row of cell codes
-    by T (0 where absent) is its pattern.  Each distinct pattern is ranked
-    once, and the table adds, per pattern and j, the number of strands times
-    its homology.  Raises ValueError when the (key, j) pairs would reach
-    2**63.
+    Thm 1.34).  A label's code packs its coefficients as n digits of b bits,
+    digit t the index of coef_t among the distinct coefficients, under a
+    presence bit; a cell's code keeps the digits of T.  The cells (row, T)
+    come from a mask over chunks of kept rows and all T.  A strand's key is
+    its label key plus the strides of T (_PackedLabels) and its degree, and
+    its row of cell codes by T (0 where absent) is its pattern.  Each
+    distinct pattern is ranked once; the table adds, per pattern and j, the
+    number of strands times its homology.  Raises ValueError when the
+    (key, j) pairs would reach 2**63, or the codes would need over 64 bits.
     """
     n = M.spec.num_vars
-    weights = M.spec.weights
     _, rows, bits = _critical_labels(M, bound)
     if not len(rows):
         return BettiTable(())
     deg = M.deg[rows]
     packed = _PackedLabels(M.comp[rows], M.exps[rows])
-    coef = M.coef[rows]
     low = int(deg.min())
     span = bound - low + 1
-    if packed.size * span >= 2**63:
+    space = packed.size * span
+    if space >= 2**63:
         raise ValueError("label exponents and degrees too large for 64-bit strand keys")
+    values, digits = np.unique(M.coef[rows], return_inverse=True)
+    b = max(1, (len(values) - 1).bit_length())
+    if b * n > 63:
+        raise ValueError(f"{len(values)} coefficients in {n} variables: cell codes over 64 bits")
+    code_type = np.min_scalar_type((1 << (b * n + 1)) - 1)
+    present = code_type.type(1 << (b * n))
+    places = np.arange(0, b * n, b)
+    label_code = (digits.reshape(-1, n) @ (1 << places)).astype(code_type) | present
 
-    # cell (r, T): kept row r with the subset T, where every t may stay out or enter
     subsets = np.arange(1 << n)
     inside = subsets[:, None] >> np.arange(n) & 1
-    weight = inside @ np.array(weights)
+    weight = inside @ np.array(M.spec.weights)
     shift = inside @ np.array(packed.strides)
-    need = (subsets << n) | (((1 << n) - 1) ^ subsets)
-    r, T = np.nonzero(((bits[:, None] & need) == need) & (deg[:, None] <= bound - weight))
-    keys = (packed.key[r] + shift[T]) * span + deg[r] + weight[T] - low
-    strand_keys, strand = np.unique(keys, return_inverse=True)
-    # a cell's code is the index of its coefficients on T among all cells'
-    values, coded = np.unique(coef, return_inverse=True)
-    coded = coded.reshape(coef.shape).astype(np.min_scalar_type(len(values)))
-    signatures, code = _row_ids(coded[r] * inside.astype(coded.dtype)[T])
-    cells = values[signatures].tolist()
-    grid = np.zeros((len(strand_keys), 1 << n), dtype=np.min_scalar_type(len(cells)))
-    grid[strand.reshape(-1), T] = code + 1
+    need = ((subsets << n) | (((1 << n) - 1) ^ subsets)).astype(bits.dtype)
+    cell_mask = (inside @ (((1 << b) - 1) << places)).astype(code_type) | present
+    step = max(1, 2**16 >> n)  # kept rows masked at a time
+    cells = []
+    for start in range(0, len(rows), step):
+        # cell (r, T): kept row r with the subset T, where every t may stay out or enter
+        part = slice(start, start + step)
+        r, T = np.nonzero(((bits[part, None] & need) == need) & (deg[part, None] <= bound - weight))
+        r += start
+        keys = (packed.key[r] + shift[T]) * span + (deg[r] + weight[T] - low)
+        code = label_code[r] & cell_mask[T]
+        cells.append((keys.astype(np.min_scalar_type(space - 1)), T.astype(bits.dtype), code))
+    strand_keys, strand = _numbered(np.concatenate([keys for keys, _, _ in cells]), space)
+    grid = np.zeros((len(strand_keys), len(subsets)), dtype=code_type)
+    start = 0
+    for _, T, code in cells:
+        grid[strand[start:start + len(T)], T] = code
+        start += len(T)
     patterns, pattern = _row_ids(grid)
-    groups, group = _row_ids(np.stack((pattern, strand_keys % span), axis=1))
-    homology = [_strand_homology(row, cells, M.spec.char) for row in patterns.tolist()]
+    counts = np.bincount(pattern * span + (strand_keys % span).astype(np.int64))
+    ts = [[t for t in range(n) if T >> t & 1] for T in range(len(subsets))]
+    faces = [[(b * t, T ^ 1 << t, (-1) ** k) for k, t in enumerate(on)] for T, on in enumerate(ts)]
+    values = values.tolist()
+    homology = [_strand_homology(row, faces, values, b, M.spec.char) for row in patterns.tolist()]
     out = {}
-    for (k, jr), count in zip(groups.tolist(), np.bincount(group).tolist()):
+    for g in np.flatnonzero(counts).tolist():
+        k, jr = divmod(g, span)
         for i, h in enumerate(homology[k]):
             if h:
-                out[i, jr + low] = out.get((i, jr + low), 0) + count * h
+                out[i, jr + low] = out.get((i, jr + low), 0) + int(counts[g]) * h
     return BettiTable.from_dict(out)
 
 
-def _strand_homology(row: list, cells: list, p: int) -> list:
+def _numbered(keys: np.ndarray, space: int) -> tuple:
+    """The distinct keys in [0, space), ascending, and each key's index among
+    them: by a table over [0, space) if space <= 4 len(keys), else np.unique."""
+    if space > 4 * len(keys):
+        return np.unique(keys, return_inverse=True)
+    seen = np.zeros(space, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    number = np.zeros(space, dtype=np.min_scalar_type(len(distinct)))
+    number[distinct] = np.arange(len(distinct))
+    return distinct, number[keys]
+
+
+def _strand_homology(row: list, faces: list, values: list, b: int, p: int) -> list:
     """dim H_i, i = 0..n, of the strand whose cell e_T has code row[T] (0
-    where absent), ranked over F_p."""
-    present = {T: cells[code - 1] for T, code in enumerate(row) if code}
-    n = len(row).bit_length() - 1
-    columns = [[] for _ in range(n + 1)]
-    for T, coeffs in present.items():
-        # column e_T of d_|T|, keyed by the faces T - {t} present
-        column = {}
-        ts = [t for t in range(n) if T >> t & 1]
-        for posn, t in enumerate(ts):
-            rest = T ^ (1 << t)
-            if coeffs[t] and rest in present:
-                column[rest] = coeffs[t] if posn % 2 == 0 else -coeffs[t]
-        columns[len(ts)].append(column)
+    where absent), ranked over F_p.  faces[T] lists (b t, T - {t}, sign) for
+    t in T; digit t of a code, b bits at b t, indexes values for coef_t."""
+    digit = (1 << b) - 1
+    columns = [[] for _ in range(len(faces[-1]) + 1)]
+    for T, code in enumerate(row):
+        if code:
+            # column e_T of d_|T|, keyed by the faces T - {t} present
+            column = {rest: s * values[code >> at & digit] for at, rest, s in faces[T] if row[rest]}
+            columns[len(faces[T])].append(column)
     ranks = [0, *(len(modp.pivots(level, p)) for level in columns[1:]), 0]
     return [len(level) - ranks[i] - ranks[i + 1] for i, level in enumerate(columns)]

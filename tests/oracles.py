@@ -36,7 +36,11 @@ by a scan of every remaining term, the reference for the heap order of the
 packed engine's reduction.
 ``labelled_module_scan`` and ``critical_values_scan`` build the label maps
 and find the critical values by a dict scan of every label and variable,
-the references for the packed label arrays of ``egm``.  A module is its
+the references for the packed label arrays of ``egm``.  ``_array_module``
+finds label maps by key search: each label packed into one int64 key
+(``egm._PackedLabels``), the keys sorted, and the key of each x_t * m
+searched among them; it is the reference for the maps that ``assoc_graded``
+reads off its least-divisor table.  A module is its
 label arrays; ``module_view`` reads it back as a dict of labels per degree
 and one label map per variable, and ``module_from_dicts`` builds one by
 hand from such dicts, coefficients included.
@@ -44,7 +48,7 @@ hand from such dicts, coefficients included.
 comparing each candidate with every generator (``_ords``), and ``ord_scan``
 one ord by a scan of the generators: the references for the prefix-minimum
 table of ``assoc_graded``.  The modules the tests build with unit label
-maps go through egm's array path (``labelled_module``).  The last section
+maps go through the key search (``labelled_module``).  The last section
 holds the arithmetic and the views of the ring's, complexes' and modules'
 values that only the tests use, as functions (``lead``, ``sub``,
 ``module_dim``, ...).
@@ -64,7 +68,7 @@ from nskoszul import gb, modp
 from nskoszul.assoc_graded import OrdContext
 from nskoszul.complexes import BettiTable, GradedFreeComplex, _multidegree_blocks
 from nskoszul.construction import construct_gr_betti
-from nskoszul.egm import DegreeRangeError, ExplicitGradedModule, _array_module
+from nskoszul.egm import DegreeRangeError, ExplicitGradedModule, _PackedLabels
 from nskoszul.ring import (
     DimensionMismatch,
     FreeElement,
@@ -722,9 +726,46 @@ def monomial_module(spec: RingSpec, gens, twists=None, bound: int = 0) -> Explic
 def labelled_module(
     spec: RingSpec, bound: int, degrees: dict, corner: tuple | None = None
 ) -> ExplicitGradedModule:
-    """The module on the given (component, monomial) labels per degree, built
-    by the array path the associated graded builders take (egm._array_module)."""
+    """The module on the given (component, monomial) labels per degree, with
+    the label maps found by key search (_array_module)."""
     return _array_module(spec, bound, *label_arrays(spec, degrees), corner)
+
+
+def _array_module(
+    spec: RingSpec,
+    bound: int,
+    comp: np.ndarray,
+    exps: np.ndarray,
+    deg: np.ndarray,
+    corner: tuple | None = None,
+) -> ExplicitGradedModule:
+    """The module on labels given as arrays: label i is (comp[i], exps[i]) of
+    degree deg[i], and x_t sends a label to x_t * label, with coefficient 1,
+    when that is a label of degree deg[i] + w_t, else to zero.
+
+    The label maps are found by key search, the reference for the
+    least-divisor table reads of assoc_graded: each label is packed into one
+    mixed-radix int64 key (egm._PackedLabels), in which x_t * m is key +
+    strides[t]; the keys are sorted, and each image key is searched among
+    them.  Raises ValueError when a label is listed twice or the exponents
+    are too large for 64-bit keys."""
+    packed = _PackedLabels(comp, exps)
+    order = np.argsort(packed.key, kind="stable")
+    keys = packed.key[order]
+    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(twice):
+        i = order[twice[0]]
+        raise ValueError(f"label {(int(comp[i]), tuple(exps[i].tolist()))} is stored twice")
+    coef = np.zeros(exps.shape, dtype=np.uint8)
+    reached = np.zeros(exps.shape, dtype=bool)
+    for t, w in enumerate(spec.weights):
+        wanted = packed.key + packed.strides[t]
+        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        image = np.where(keys[pos] == wanted, order[pos], -1)
+        hit = (image >= 0) & (deg[image] == deg + w)
+        coef[:, t] = hit
+        reached[image[hit], t] = True
+    return ExplicitGradedModule(spec, bound, comp, deg, exps, coef, reached, corner)
 
 
 def labelled_module_scan(spec: RingSpec, degrees: dict) -> tuple:

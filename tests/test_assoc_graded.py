@@ -466,6 +466,50 @@ class TestOrdTable:
         assert empty_first >= 10
 
 
+def label_map_contexts():
+    """(ctx, bounds): at p = 2, 3 and 32003 the 63 grid3 truncations (n <= 3,
+    weights <= 2, e <= 7) at a window one past the ord of the corner, and
+    gr4's truncations (four variables, weights <= 2, e <= 3) at the
+    recommended bound; and 600 random modules of rank 2 or 3
+    (oracles.random_monomial_modules) at the bounds 0, one below the ord of
+    the corner, and that ord plus n."""
+    for p in (2, 3, 32003):
+        for case in sweep_cases(3, 2, 7, char=p):
+            ctx = trunc_ctx(RingSpec(case.weights, char=p), case.e)
+            yield ctx, [box_top_degree(ctx) + 1]
+        for weights in combinations_with_replacement((1, 2), 4):
+            spec = RingSpec(weights, char=p)
+            for e in (1, 2, 3):
+                yield trunc_ctx(spec, e), [recommended_bound(spec, e)]
+    for spec, _, gens in oracles.random_monomial_modules(30, 600, (2, 3)):
+        ctx = OrdContext(spec, gens)
+        top = box_top_degree(ctx)
+        yield ctx, sorted({0, max(top - 1, 0), top + spec.num_vars})
+
+
+class TestLabelMapsFromTheTable:
+    """The label maps gr_module and gr_box_module read off the least-divisor
+    table against the key search over the same label arrays
+    (oracles._array_module)."""
+
+    def test_match_the_key_search(self):
+        contexts = modules = acting = multi = 0
+        for ctx, bounds in label_map_contexts():
+            for M in (gr_box_module(ctx), *(gr_module(ctx, bound) for bound in bounds)):
+                want = oracles._array_module(M.spec, M.bound, M.comp, M.exps, M.deg, M.corner)
+                assert M.coef.dtype == want.coef.dtype and M.reached.dtype == want.reached.dtype
+                assert np.array_equal(M.coef, want.coef), (ctx, M.bound, M.corner)
+                assert np.array_equal(M.reached, want.reached), (ctx, M.bound, M.corner)
+                modules += 1
+                acting += int(M.coef.sum())
+            contexts += 1
+            multi += ctx.num_components > 1
+        assert contexts == 3 * (63 + 15) + 600
+        assert modules >= 2 * 3 * (63 + 15) + 2 * 600
+        assert multi >= 500
+        assert acting > 10**5
+
+
 class TestDictViewRoundTrip:
     """The dict view of an array-built module, built back through the
     oracle builder, has the same Betti table."""

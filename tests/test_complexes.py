@@ -776,6 +776,55 @@ class TestBettiViaKoszul:
         diff = {ij: r - scaled.get(ij, 0) for ij, r in plain.items()}
         assert {ij: d for ij, d in diff.items() if d} == {(1, 3): 1, (2, 3): 1}
 
+    def test_cell_codes_of_many_coefficients(self):
+        # packed cell codes of b bits per variable against the dense
+        # strands: S/m^k on bases rescaled so that the label maps carry 3 to
+        # 32 distinct coefficients, digits of 2 to 5 bits
+        rng = random.Random(31)
+        widths = []
+        for p in (5, 7, 32003):
+            for weights in ((1, 1, 1), (1, 2, 1), (2, 1)):
+                spec = RingSpec(weights, char=p)
+                ring = oracles.monomial_module(spec, [(0,) * len(weights)], bound=11)
+                for k in (2, 3, 4):
+                    mk = oracles.monomials_of_wdeg(RingSpec((1,) * len(weights)), k)
+                    plain = _quotient(ring, mk)
+                    M = _rescaled(plain, rng)
+                    _, rows, _ = _critical_labels(M, M.bound)
+                    widths.append((len(np.unique(M.coef[rows])) - 1).bit_length())
+                    table = betti_via_koszul(M)
+                    assert table == oracles.betti_dense(M, M.bound) == betti_via_koszul(plain)
+        assert min(widths) >= 2 and {2, 3, 4, 5} <= set(widths)
+
+    def test_cell_code_overflow_rejected(self):
+        # negative control: S/m^4 in eight variables on a rescaled basis has
+        # more than 128 distinct coefficients, so eight digits of 8 bits or
+        # more and the presence bit pass 64 bits; S/m^3 has at most 73, and
+        # its codes of 7-bit digits give the table of the unit basis
+        p = 32003
+        spec = RingSpec((1,) * 8, char=p)
+        rng = random.Random(8)
+
+        def truncated(top, scaled):
+            degrees = {
+                d: [(0, m) for m in oracles.monomials_of_wdeg(spec, d)] for d in range(top + 1)
+            }
+            unit = {lb: rng.randrange(1, p) if scaled else 1 for d in degrees for lb in degrees[d]}
+            below = [lb for d in range(top) for lb in degrees[d]]
+            actions = [
+                {lb: unit[lb] * pow(unit[_image(lb, t)], -1, p) % p for lb in below}
+                for t in range(8)
+            ]
+            return oracles.module_from_dicts(spec, top + 8, degrees, actions)
+
+        M = truncated(2, True)
+        assert 64 < len(np.unique(M.coef)) <= 128
+        assert betti_via_koszul(M) == betti_via_koszul(truncated(2, False))
+        M = truncated(3, True)
+        assert len(np.unique(M.coef)) > 128
+        with pytest.raises(ValueError, match="over 64 bits"):
+            betti_via_koszul(M)
+
     def test_bound_beyond_storage_rejected(self):
         from nskoszul.egm import DegreeRangeError
 
@@ -804,7 +853,7 @@ def _label_array_modules():
 
 
 class TestLabelArrays:
-    """egm's array path (oracles.labelled_module) and _critical_labels
+    """The key search (oracles.labelled_module) and _critical_labels
     against the dict scans that they replace (tests/oracles.py)."""
 
     def test_match_the_scans(self):
