@@ -93,10 +93,28 @@ def _least_divisor_degrees(ctx: OrdContext):
         yield comp, least.ravel()
 
 
+def _gr_labels(ctx: OrdContext, cells: np.ndarray, bound: int) -> tuple:
+    """The labels of gr(M) among the exponent vectors cells: the C-order
+    strides of the box [0, a] and, per component with a generator, (comp,
+    least, rows, ords, at), where rows are the indices in cells of the v
+    with 0 <= ord(v) <= bound, in the order of cells, ords their ords and
+    at the flat index of min(v, a) in the box."""
+    top = np.array(ctx.corner, dtype=np.int64)
+    strides = np.cumprod((1, *(top[:0:-1] + 1)))[::-1]
+    flat = np.minimum(cells, top) @ strides
+    sdeg = cells.sum(axis=1)
+    parts = []
+    for comp, least in _least_divisor_degrees(ctx):
+        o = sdeg - least[flat]
+        rows = np.flatnonzero((o >= 0) & (o <= bound))
+        parts.append((comp, least, rows, o[rows], flat[rows]))
+    return strides, parts
+
+
 def _gr_module(ctx: OrdContext, cells: np.ndarray, bound: int, corner: tuple | None):
-    """gr(M) on its labels among cells, component by component in the order
-    of cells: stored up to bound, or with corner = a (cells <= a) up to the
-    largest ord, as the box window.
+    """gr(M) on its labels among cells (_gr_labels), component by component
+    in the order of cells: stored up to bound, or with corner = a (cells <=
+    a) up to the largest ord, as the box window.
 
     With flat the C-order index of min(v, a) in the box, min(v +- e_t, a) is
     at flat +- stride_t when v_t < a_t (+) or 1 <= v_t <= a_t (-), else at
@@ -106,15 +124,10 @@ def _gr_module(ctx: OrdContext, cells: np.ndarray, bound: int, corner: tuple | N
     box (stored up to its largest ord).  x_t reaches v exactly when v_t >= 1
     and least(min(v - e_t, a)) = least(min(v, a)): v - e_t is then in M, of
     ord ord(v) - 1, so stored."""
-    top = np.array(ctx.corner, dtype=np.int64)
-    strides = np.cumprod((1, *(top[:0:-1] + 1)))[::-1]
-    flat = np.minimum(cells, top) @ strides
-    sdeg = cells.sum(axis=1)
+    strides, labels = _gr_labels(ctx, cells, bound)
     parts = []
-    for comp, least in _least_divisor_degrees(ctx):
-        o = sdeg - least[flat]
-        rows = np.flatnonzero((o >= 0) & (o <= bound))
-        v, o, at = cells[rows], o[rows], flat[rows]
+    for comp, least, rows, o, at in labels:
+        v = cells[rows]
         here = least[at]
         coef = np.empty(v.shape, dtype=np.uint8)
         reached = np.empty(v.shape, dtype=bool)
@@ -160,8 +173,12 @@ def gr_module(ctx: OrdContext, bound: int) -> ExplicitGradedModule:
 
 def gr_hilbert(ctx: OrdContext, bound: int) -> list:
     """Dimensions of the graded pieces of the associated graded module."""
-    M = gr_module(ctx, bound)
-    return np.bincount(M.deg, minlength=M.bound + 1).tolist()
+    bound = as_int(bound, "bound")
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    _, labels = _gr_labels(ctx, _window(ctx, bound), bound)
+    ords = np.concatenate([o for _, _, _, o, _ in labels])
+    return np.bincount(ords, minlength=bound + 1).tolist()
 
 
 def gr_box_module(ctx: OrdContext) -> ExplicitGradedModule:

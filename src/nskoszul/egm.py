@@ -24,10 +24,11 @@ The module is its label arrays: the component, the exponents and the
 degree of each label, and per variable x_t the coefficient of x_t on each
 label (0 where x_t sends it to zero) and the mask of the labels that x_t
 reaches.  The associated graded builders read the label maps off their
-ord table (assoc_graded).  The critical values, the cells of the critical
-strands, their strands and the patterns are all found by index arithmetic
-on the label arrays, with ValueError rather than a wrap past 64 bits; only
-the distinct patterns reach the sparse rank kernel.  The tests build
+ord table (assoc_graded).  The critical values and the cells of the
+critical strands are found by index arithmetic on the label arrays, the
+strands by one sort of the cells' keys, with ValueError rather than a wrap
+past 64 bits, and the patterns by one sort of the strands' rows of cell
+codes; only the distinct patterns reach the sparse rank kernel.  The tests build
 modules from dicts of labels and label maps, read them back as such dicts,
 and find label maps by key search (tests/oracles.py).
 
@@ -200,15 +201,16 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
     +-coef_t(m) e_{T - t} (x) x_t m.  So its homology depends only on which
     cells are present and on the coefficients of their edges: the module
     form of the upper Koszul simplicial complex (Miller-Sturmfels, GTM 227,
-    Thm 1.34).  A label's code packs its coefficients as n digits of b bits,
-    digit t the index of coef_t among the distinct coefficients, under a
-    presence bit; a cell's code keeps the digits of T.  The cells (row, T)
-    come from a mask over chunks of kept rows and all T.  A strand's key is
-    its label key plus the strides of T (_PackedLabels) and its degree, and
-    its row of cell codes by T (0 where absent) is its pattern.  Each
-    distinct pattern is ranked once; the table adds, per pattern and j, the
-    number of strands times its homology.  Raises ValueError when the
-    (key, j) pairs would reach 2**63, or the codes would need over 64 bits.
+    Thm 1.34).  A cell's code is 1 + the index of its label's coefficients,
+    zeroed outside T, among the distinct such rows: a table over the
+    distinct coefficient rows of the kept labels and all T, so a code never
+    exceeds their number times 2**n.  The cells (row, T) come from a mask
+    over chunks of kept rows and all T.  A strand's key is its label key
+    plus the strides of T (_PackedLabels) and its degree, and its row of
+    cell codes by T (0 where absent) is its pattern.  Each distinct pattern
+    is ranked once; the table adds, per pattern and j, the number of strands
+    times its homology.  Raises ValueError when the (key, j) pairs would
+    reach 2**63.
     """
     n = M.spec.num_vars
     _, rows, bits = _critical_labels(M, bound)
@@ -221,21 +223,16 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
     space = packed.size * span
     if space >= 2**63:
         raise ValueError("label exponents and degrees too large for 64-bit strand keys")
-    values, digits = np.unique(M.coef[rows], return_inverse=True)
-    b = max(1, (len(values) - 1).bit_length())
-    if b * n > 63:
-        raise ValueError(f"{len(values)} coefficients in {n} variables: cell codes over 64 bits")
-    code_type = np.min_scalar_type((1 << (b * n + 1)) - 1)
-    present = code_type.type(1 << (b * n))
-    places = np.arange(0, b * n, b)
-    label_code = (digits.reshape(-1, n) @ (1 << places)).astype(code_type) | present
-
     subsets = np.arange(1 << n)
     inside = subsets[:, None] >> np.arange(n) & 1
     weight = inside @ np.array(M.spec.weights)
     shift = inside @ np.array(packed.strides)
     need = ((subsets << n) | (((1 << n) - 1) ^ subsets)).astype(bits.dtype)
-    cell_mask = (inside @ (((1 << b) - 1) << places)).astype(code_type) | present
+    # cell (r, T) gets 1 + the index of row r's coefficients zeroed off T
+    kinds, kind = _row_ids(M.coef[rows])
+    on_t, cell_code = _row_ids(np.where(inside.astype(bool), kinds[:, None], 0).reshape(-1, n))
+    code_type = np.min_scalar_type(len(on_t))
+    cell_code = (cell_code + 1).astype(code_type).reshape(len(kinds), -1)
     step = max(1, 2**16 >> n)  # kept rows masked at a time
     cells = []
     for start in range(0, len(rows), step):
@@ -244,9 +241,8 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
         r, T = np.nonzero(((bits[part, None] & need) == need) & (deg[part, None] <= bound - weight))
         r += start
         keys = (packed.key[r] + shift[T]) * span + (deg[r] + weight[T] - low)
-        code = label_code[r] & cell_mask[T]
-        cells.append((keys.astype(np.min_scalar_type(space - 1)), T.astype(bits.dtype), code))
-    strand_keys, strand = _numbered(np.concatenate([keys for keys, _, _ in cells]), space)
+        cells.append((keys.astype(np.min_scalar_type(space - 1)), T.astype(bits.dtype), cell_code[kind[r], T]))
+    strand_keys, strand = np.unique(np.concatenate([keys for keys, _, _ in cells]), return_inverse=True)
     grid = np.zeros((len(strand_keys), len(subsets)), dtype=code_type)
     start = 0
     for _, T, code in cells:
@@ -255,9 +251,9 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
     patterns, pattern = _row_ids(grid)
     counts = np.bincount(pattern * span + (strand_keys % span).astype(np.int64))
     ts = [[t for t in range(n) if T >> t & 1] for T in range(len(subsets))]
-    faces = [[(b * t, T ^ 1 << t, (-1) ** k) for k, t in enumerate(on)] for T, on in enumerate(ts)]
-    values = values.tolist()
-    homology = [_strand_homology(row, faces, values, b, M.spec.char) for row in patterns.tolist()]
+    faces = [[(t, T ^ 1 << t, (-1) ** k) for k, t in enumerate(on)] for T, on in enumerate(ts)]
+    coefs = [None, *on_t.tolist()]
+    homology = [_strand_homology(row, faces, coefs, M.spec.char) for row in patterns.tolist()]
     out = {}
     for g in np.flatnonzero(counts).tolist():
         k, jr = divmod(g, span)
@@ -267,29 +263,15 @@ def _betti_blocks(M: ExplicitGradedModule, bound: int) -> BettiTable:
     return BettiTable.from_dict(out)
 
 
-def _numbered(keys: np.ndarray, space: int) -> tuple:
-    """The distinct keys in [0, space), ascending, and each key's index among
-    them: by a table over [0, space) if space <= 4 len(keys), else np.unique."""
-    if space > 4 * len(keys):
-        return np.unique(keys, return_inverse=True)
-    seen = np.zeros(space, dtype=bool)
-    seen[keys] = True
-    distinct = np.flatnonzero(seen)
-    number = np.zeros(space, dtype=np.min_scalar_type(len(distinct)))
-    number[distinct] = np.arange(len(distinct))
-    return distinct, number[keys]
-
-
-def _strand_homology(row: list, faces: list, values: list, b: int, p: int) -> list:
+def _strand_homology(row: list, faces: list, coefs: list, p: int) -> list:
     """dim H_i, i = 0..n, of the strand whose cell e_T has code row[T] (0
-    where absent), ranked over F_p.  faces[T] lists (b t, T - {t}, sign) for
-    t in T; digit t of a code, b bits at b t, indexes values for coef_t."""
-    digit = (1 << b) - 1
+    where absent), ranked over F_p.  faces[T] lists (t, T - {t}, sign) for t
+    in T; coefs[code][t] is coef_t of the cell's label."""
     columns = [[] for _ in range(len(faces[-1]) + 1)]
     for T, code in enumerate(row):
         if code:
             # column e_T of d_|T|, keyed by the faces T - {t} present
-            column = {rest: s * values[code >> at & digit] for at, rest, s in faces[T] if row[rest]}
+            column = {rest: s * coefs[code][t] for t, rest, s in faces[T] if row[rest]}
             columns[len(faces[T])].append(column)
     ranks = [0, *(len(modp.pivots(level, p)) for level in columns[1:]), 0]
     return [len(level) - ranks[i] - ranks[i + 1] for i, level in enumerate(columns)]

@@ -2,6 +2,7 @@ import json
 import random
 from dataclasses import replace
 from itertools import combinations_with_replacement, product
+from math import comb
 from operator import or_
 from pathlib import Path
 
@@ -777,11 +778,10 @@ class TestBettiViaKoszul:
         assert {ij: d for ij, d in diff.items() if d} == {(1, 3): 1, (2, 3): 1}
 
     def test_cell_codes_of_many_coefficients(self):
-        # packed cell codes of b bits per variable against the dense
-        # strands: S/m^k on bases rescaled so that the label maps carry 3 to
-        # 32 distinct coefficients, digits of 2 to 5 bits
+        # cell codes against the dense strands: S/m^k on bases rescaled so
+        # that the label maps carry 3 to 32 distinct coefficients
         rng = random.Random(31)
-        widths = []
+        counts = []
         for p in (5, 7, 32003):
             for weights in ((1, 1, 1), (1, 2, 1), (2, 1)):
                 spec = RingSpec(weights, char=p)
@@ -791,16 +791,18 @@ class TestBettiViaKoszul:
                     plain = _quotient(ring, mk)
                     M = _rescaled(plain, rng)
                     _, rows, _ = _critical_labels(M, M.bound)
-                    widths.append((len(np.unique(M.coef[rows])) - 1).bit_length())
+                    counts.append(len(np.unique(M.coef[rows])))
                     table = betti_via_koszul(M)
                     assert table == oracles.betti_dense(M, M.bound) == betti_via_koszul(plain)
-        assert min(widths) >= 2 and {2, 3, 4, 5} <= set(widths)
+        assert min(counts) >= 3 and max(counts) >= 17
 
-    def test_cell_code_overflow_rejected(self):
-        # negative control: S/m^4 in eight variables on a rescaled basis has
-        # more than 128 distinct coefficients, so eight digits of 8 bits or
-        # more and the presence bit pass 64 bits; S/m^3 has at most 73, and
-        # its codes of 7-bit digits give the table of the unit basis
+    def test_cell_codes_of_wide_coefficients(self):
+        # S/m^k in eight variables on a rescaled basis: for k = 4 the label
+        # maps carry more than 128 distinct coefficients, so codes of one
+        # index per variable would pass 64 bits; each cell is coded by its
+        # coefficient row instead, and the tables are those of the unit
+        # basis, beta_i(S/m^k) = C(n + k - 1, k + i - 1) C(k + i - 2, i - 1)
+        # in degree k + i - 1 (Eagon-Northcott)
         p = 32003
         spec = RingSpec((1,) * 8, char=p)
         rng = random.Random(8)
@@ -822,8 +824,10 @@ class TestBettiViaKoszul:
         assert betti_via_koszul(M) == betti_via_koszul(truncated(2, False))
         M = truncated(3, True)
         assert len(np.unique(M.coef)) > 128
-        with pytest.raises(ValueError, match="over 64 bits"):
-            betti_via_koszul(M)
+        table = betti_via_koszul(M)
+        assert table == betti_via_koszul(truncated(3, False))
+        eagon_northcott = [(i, i + 3, comb(11, i + 3) * comb(i + 2, i - 1)) for i in range(1, 9)]
+        assert table.entries == ((0, 0, 1), *eagon_northcott)
 
     def test_bound_beyond_storage_rejected(self):
         from nskoszul.egm import DegreeRangeError
